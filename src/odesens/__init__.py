@@ -36,7 +36,6 @@ from .sensitivity import (
     SensitivityBundle,
     TrajectoryJacobians,
     analytic_jacobians,
-    augment_rhs,
     dual_aware_solve,
     dual_jacobians,
     forward_sensitivity_solve,
@@ -67,6 +66,7 @@ from .models import (
 )
 from .diffmethods import (
     CrossTable,
+    central_fd_jacobian,
     cross_compare,
     cs_jacobian,
     fd_jacobian,

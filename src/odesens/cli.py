@@ -18,6 +18,9 @@ from typing import Optional, Sequence
 
 from .diffmethods import CROSS_METHODS, CrossTable, cross_compare, sensitivity_matrix
 from .models import (
+    MODELS,
+    SCENARIO_KEYS,
+    SOLVERS,
     Scenario,
     fmain_gradient_cs,
     fmain_gradient_fd,
@@ -25,10 +28,9 @@ from .models import (
     fmain_gradient_reverse,
     fmain_hessian,
     fmain_hessian_fd,
-    jacobian_provider,
     load_scenario,
 )
-from .sensitivity import forward_sensitivity_solve, pack_state
+from .sensitivity import forward_sensitivity_solve, jacobian_provider, pack_state
 from .solvers import SolverError, run_solver
 
 __all__ = ["main"]
@@ -59,12 +61,8 @@ def _scenario_from_args(args) -> Scenario:
         scenario = load_scenario(args.scenario, model=args.model)
     else:
         scenario = Scenario(model=args.model)
-    overrides = {}
-    for key in ("eps1", "gamma1", "eps2", "gamma2", "y0_1", "y0_2", "t0",
-                "t_end", "n_points", "solver", "dt", "rel_tol", "abs_tol"):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
+    overrides = {key: getattr(args, key) for key in SCENARIO_KEYS
+                 if getattr(args, key) is not None}
     if overrides:
         scenario = scenario.with_updates(**overrides)
     return scenario
@@ -72,21 +70,11 @@ def _scenario_from_args(args) -> Scenario:
 
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", help="key=value scenario file")
-    parser.add_argument("--model", default="lv", choices=("lv", "linear", "zero"),
+    parser.add_argument("--model", default="lv", choices=tuple(MODELS),
                         help="model to run (linear uses eps1 as rate, y0_1 as start)")
-    parser.add_argument("--eps1", type=float)
-    parser.add_argument("--gamma1", type=float)
-    parser.add_argument("--eps2", type=float)
-    parser.add_argument("--gamma2", type=float)
-    parser.add_argument("--y0-1", dest="y0_1", type=float)
-    parser.add_argument("--y0-2", dest="y0_2", type=float)
-    parser.add_argument("--t0", type=float)
-    parser.add_argument("--t-end", dest="t_end", type=float)
-    parser.add_argument("--n-points", dest="n_points", type=int)
-    parser.add_argument("--solver", choices=("euler", "rk23"))
-    parser.add_argument("--dt", type=float)
-    parser.add_argument("--rel-tol", dest="rel_tol", type=float)
-    parser.add_argument("--abs-tol", dest="abs_tol", type=float)
+    for key, caster in SCENARIO_KEYS.items():
+        choices = SOLVERS if key == "solver" else None
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=caster, choices=choices)
     parser.add_argument("--output", help="write here instead of stdout (atomic)")
 
 
@@ -102,10 +90,7 @@ def _sens_labels(m: int, k: int) -> list:
 
 def _input_labels(scenario: Scenario) -> list:
     model = scenario.ode_model()
-    y0_labels = [f"y0_{i + 1}" for i in range(model.state_dim)]
-    if scenario.model == "linear":
-        return y0_labels + ["eps1"]
-    return y0_labels + ["eps1", "gamma1", "eps2", "gamma2"]
+    return list(model.state_keys + model.param_keys)
 
 
 def _cmd_solve(args) -> int:
@@ -144,46 +129,53 @@ def _cmd_sens(args) -> int:
     else:
         keep = list(range(len(sens_labels)))
     header = ["t"] + _state_labels(m) + [sens_labels[i] for i in keep]
+    columns = [m + i for i in keep]
     lines = [",".join(header)]
-    for i in range(bundle.times.shape[0]):
-        packed = pack_state(bundle.y[i], bundle.dy_dp[i], bundle.dy_dy0[i])
-        sens_values = packed[m:]
-        row = [_fmt(bundle.times[i])]
-        row += [_fmt(v) for v in packed[:m]]
-        row += [_fmt(sens_values[i_col]) for i_col in keep]
-        lines.append(",".join(row))
+    packed = pack_state(bundle.y, bundle.dy_dp, bundle.dy_dy0)
+    for t, row in zip(bundle.times, packed):
+        cells = [_fmt(t)] + [_fmt(v) for v in row[:m]] + [_fmt(row[c]) for c in columns]
+        lines.append(",".join(cells))
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 
+def _aligned(rows: list) -> str:
+    """Left-aligned text table, two spaces between columns."""
+    widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
+    return "\n".join(
+        "  ".join(cell.ljust(widths[c]) for c, cell in enumerate(r)).rstrip()
+        for r in rows
+    ) + "\n"
+
+
+def _emit_table(text: str, csv_lines: list, output: Optional[str]) -> None:
+    """Print the text table; the CSV goes to ``output`` or follows on stdout."""
+    sys.stdout.write(text)
+    csv_text = "\n".join(csv_lines) + "\n"
+    if output is not None:
+        _emit(csv_text, output)
+    else:
+        sys.stdout.write("\n" + csv_text)
+
+
 def _table_text(table: CrossTable) -> str:
     methods = table.methods
-    header = [""] + [f"vs. {name}" for name in methods[1:]]
-    rows = [header]
+    rows = [[""] + [f"vs. {name}" for name in methods[1:]]]
     for i, name in enumerate(methods[:-1]):
         row = [name]
         for j in range(1, len(methods)):
             row.append(f"{table.errors[i, j]:.6g}" if j > i else "")
         rows.append(row)
-    widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
-    out = []
-    for r in rows:
-        out.append("  ".join(cell.ljust(widths[c]) for c, cell in enumerate(r)).rstrip())
-    return "\n".join(out) + "\n"
+    return _aligned(rows)
 
 
 def _cmd_compare(args) -> int:
     scenario = _scenario_from_args(args)
     table = cross_compare(scenario)
-    sys.stdout.write(_table_text(table))
     csv_lines = ["method_a,method_b,rel_error"]
     for a, b, err in table.entries():
         csv_lines.append(f"{a},{b},{_fmt(err)}")
-    csv_text = "\n".join(csv_lines) + "\n"
-    if args.output is not None:
-        _emit(csv_text, args.output)
-    else:
-        sys.stdout.write("\n" + csv_text)
+    _emit_table(_table_text(table), csv_lines, args.output)
     return 0
 
 
@@ -231,7 +223,7 @@ def _cmd_hessian(args) -> int:
 def _cmd_bench(args) -> int:
     scenario = _scenario_from_args(args)
     rows = []
-    for solver in ("euler", "rk23"):
+    for solver in SOLVERS:
         timed = [solver]
         for method_name in CROSS_METHODS:
             start = _time.perf_counter()
@@ -239,21 +231,11 @@ def _cmd_bench(args) -> int:
             timed.append(_time.perf_counter() - start)
         rows.append(timed)
     header = ["solver"] + list(CROSS_METHODS)
-    text_rows = [header] + [[r[0]] + [f"{v:.6g}" for v in r[1:]] for r in rows]
-    widths = [max(len(r[c]) for r in text_rows) for c in range(len(header))]
-    table = "\n".join(
-        "  ".join(cell.ljust(widths[c]) for c, cell in enumerate(r)).rstrip()
-        for r in text_rows
-    ) + "\n"
-    sys.stdout.write(table)
+    text = _aligned([header] + [[r[0]] + [f"{v:.6g}" for v in r[1:]] for r in rows])
     csv_lines = [",".join(header)]
     for r in rows:
         csv_lines.append(",".join([r[0]] + [_fmt(v) for v in r[1:]]))
-    csv_text = "\n".join(csv_lines) + "\n"
-    if args.output is not None:
-        _emit(csv_text, args.output)
-    else:
-        sys.stdout.write("\n" + csv_text)
+    _emit_table(text, csv_lines, args.output)
     return 0
 
 

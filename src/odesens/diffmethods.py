@@ -18,13 +18,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .models import Scenario, jacobian_provider
-from .scalars import DEFAULT_CS_STEP
-from .sensitivity import forward_sensitivity_solve
+from .scalars import DEFAULT_CS_STEP, complex_step_column
+from .sensitivity import forward_sensitivity_solve, jacobian_provider
 from .solvers import Points, SpanModeError, TimeSpec, run_solver
 
 __all__ = [
     "fd_jacobian",
+    "central_fd_jacobian",
     "cs_jacobian",
     "relative_error",
     "trajectory_map",
@@ -39,19 +39,23 @@ _SQRT_EPS = math.sqrt(float(np.finfo(float).eps))
 CROSS_METHODS = ("analytic", "ad", "fd", "cs")
 
 
+def _relative_steps(x: np.ndarray, factor: float) -> np.ndarray:
+    # coordinates spanning many orders of magnitude need a relative
+    # perturbation or truncation error swamps the estimate
+    return factor * np.where(x != 0.0, np.abs(x), 1.0)
+
+
 def fd_jacobian(g: Callable, x, steps=None) -> np.ndarray:
     """One-sided forward-difference Jacobian of a vector function.
 
     Column ``k`` is ``(g(x + h_k e_k) - g(x)) / h_k`` with the default
     increment ``h_k = sqrt(eps) * |x_k|`` (``sqrt(eps)`` for a zero
-    coordinate): coordinates spanning many orders of magnitude need a
-    relative perturbation or truncation error swamps the estimate.
-    Accuracy is at best about half the machine precision.  ``steps``
-    overrides the per-coordinate increments.
+    coordinate).  Accuracy is at best about half the machine precision.
+    ``steps`` overrides the per-coordinate increments.
     """
     x = np.asarray(x, dtype=float)
     if steps is None:
-        steps = _SQRT_EPS * np.where(x != 0.0, np.abs(x), 1.0)
+        steps = _relative_steps(x, _SQRT_EPS)
     else:
         steps = np.asarray(steps, dtype=float)
         if steps.shape != x.shape:
@@ -65,6 +69,26 @@ def fd_jacobian(g: Callable, x, steps=None) -> np.ndarray:
     return jac
 
 
+def central_fd_jacobian(g: Callable, x, factor: float = _SQRT_EPS) -> np.ndarray:
+    """Central-difference Jacobian of a vector function.
+
+    Column ``k`` is ``(g(x + h_k e_k) - g(x - h_k e_k)) / (2 h_k)`` with the
+    relative increment ``h_k = factor * |x_k|`` (``factor`` for a zero
+    coordinate).
+    """
+    x = np.asarray(x, dtype=float)
+    steps = _relative_steps(x, factor)
+    columns = []
+    for k in range(x.shape[0]):
+        hi = x.copy()
+        lo = x.copy()
+        hi[k] += steps[k]
+        lo[k] -= steps[k]
+        diff = np.asarray(g(hi), dtype=float) - np.asarray(g(lo), dtype=float)
+        columns.append(diff / (2.0 * steps[k]))
+    return np.column_stack(columns)
+
+
 def cs_jacobian(g: Callable, x, h: float = DEFAULT_CS_STEP) -> np.ndarray:
     """Complex-step Jacobian of a real-analytic vector function.
 
@@ -73,13 +97,7 @@ def cs_jacobian(g: Callable, x, h: float = DEFAULT_CS_STEP) -> np.ndarray:
     columns whenever ``g`` is evaluable on complex inputs.
     """
     x = np.asarray(x, dtype=float)
-    base = np.asarray(g(x.astype(complex)))
-    jac = np.empty((base.shape[0], x.shape[0]))
-    for k in range(x.shape[0]):
-        z = x.astype(complex)
-        z[k] += 1j * h
-        jac[:, k] = np.imag(np.asarray(g(z))) / h
-    return jac
+    return np.column_stack([complex_step_column(g, x, k, h) for k in range(x.shape[0])])
 
 
 def relative_error(a, b) -> float:
@@ -121,8 +139,8 @@ def trajectory_map(model, time: TimeSpec, method) -> Callable:
     return g
 
 
-def sensitivity_matrix(scenario: Scenario, method_name: str) -> np.ndarray:
-    """Stacked ``[dY/dP | dY/dY0]`` matrix for one differentiation method.
+def sensitivity_matrix(scenario, method_name: str) -> np.ndarray:
+    """Stacked ``[dY/dP | dY/dY0]`` matrix of a ``Scenario`` for one method.
 
     Rows follow the column-major trajectory flattening; columns are the
     parameters first, then the initial-state directions, for every method
@@ -176,19 +194,8 @@ class CrossTable:
                 yield self.methods[i], self.methods[j], float(self.errors[i, j])
 
 
-def cross_compare(
-    scenario: Scenario,
-    methods: Sequence[str] = CROSS_METHODS,
-    solver: str | None = None,
-) -> CrossTable:
-    """Compare every method's sensitivity matrix against every other's.
-
-    ``solver`` overrides the scenario's integrator choice.
-    """
-    if solver is not None:
-        scenario = scenario.with_updates(solver=solver)
-    if not isinstance(scenario.time_spec(), Points):
-        raise SpanModeError("cross comparison requires prescribed output points")
+def cross_compare(scenario, methods: Sequence[str] = CROSS_METHODS) -> CrossTable:
+    """Compare every method's sensitivity matrix of a ``Scenario`` against every other's."""
     methods = tuple(methods)
     matrices = {name: sensitivity_matrix(scenario, name) for name in methods}
     n = len(methods)

@@ -17,12 +17,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .scalars import complex_step_column
+from .diffmethods import central_fd_jacobian, cs_jacobian
 from .sensitivity import (
-    analytic_jacobians,
-    dual_jacobians,
     forward_sensitivity_solve,
     hessian_forward_over_reverse,
+    jacobian_provider,
     jvp_solution,
     vjp_solution,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "OdeModel",
     "MODELS",
     "get_model",
-    "jacobian_provider",
     "lv_rhs",
     "lv_jac_y",
     "lv_jac_p",
@@ -51,6 +49,7 @@ __all__ = [
     "zero_rhs",
     "Scenario",
     "SCENARIO_KEYS",
+    "SOLVERS",
     "parse_scenario_text",
     "load_scenario",
     "format_scenario",
@@ -63,7 +62,8 @@ __all__ = [
     "fmain_hessian_fd",
 ]
 
-_SQRT_EPS = math.sqrt(float(np.finfo(float).eps))
+# relative increment of the differenced reverse gradient in fmain_hessian_fd
+_HESSIAN_FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -154,18 +154,35 @@ def _zero_jac_p(t, y, p):
 
 @dataclass(frozen=True)
 class OdeModel:
+    """A right-hand side, its Jacobians and the scenario keys it reads.
+
+    ``state_keys`` name the initial values and ``param_keys`` the
+    parameters, in the order the right-hand side expects them.
+    """
+
     name: str
     rhs: Callable
     jac_y: Optional[Callable]
     jac_p: Optional[Callable]
-    state_dim: int
-    param_dim: int
+    state_keys: tuple
+    param_keys: tuple
 
+    @property
+    def state_dim(self) -> int:
+        return len(self.state_keys)
+
+    @property
+    def param_dim(self) -> int:
+        return len(self.param_keys)
+
+
+_LV_STATE = ("y0_1", "y0_2")
+_LV_PARAMS = ("eps1", "gamma1", "eps2", "gamma2")
 
 MODELS = {
-    "lv": OdeModel("lv", lv_rhs, lv_jac_y, lv_jac_p, state_dim=2, param_dim=4),
-    "linear": OdeModel("linear", linear_rhs, _linear_jac_y, _linear_jac_p, state_dim=1, param_dim=1),
-    "zero": OdeModel("zero", zero_rhs, _zero_jac_y, _zero_jac_p, state_dim=2, param_dim=4),
+    "lv": OdeModel("lv", lv_rhs, lv_jac_y, lv_jac_p, _LV_STATE, _LV_PARAMS),
+    "linear": OdeModel("linear", linear_rhs, _linear_jac_y, _linear_jac_p, ("y0_1",), ("eps1",)),
+    "zero": OdeModel("zero", zero_rhs, _zero_jac_y, _zero_jac_p, _LV_STATE, _LV_PARAMS),
 }
 
 
@@ -176,16 +193,7 @@ def get_model(name: str) -> OdeModel:
         raise ValueError(f"unknown model {name!r}; choose from {sorted(MODELS)}") from None
 
 
-def jacobian_provider(model: OdeModel, kind: str):
-    """Resolve ``"analytic"`` or ``"ad"`` to a Jacobian provider."""
-    if kind == "analytic":
-        if model.jac_y is None or model.jac_p is None:
-            raise ValueError(f"model {model.name!r} has no analytic Jacobians")
-        return analytic_jacobians(model.jac_y, model.jac_p)
-    if kind == "ad":
-        return dual_jacobians()
-    raise ValueError(f"unknown jacobian provider {kind!r}; choose 'analytic' or 'ad'")
-
+SOLVERS = ("euler", "rk23")
 
 # Scenario file schema: one key=value per line, '#' starts a comment.
 SCENARIO_KEYS = {
@@ -211,7 +219,8 @@ class Scenario:
 
     The defaults reproduce the reference setup: rates
     (0.015, 0.0001, 0.03, 0.0001), initial populations (1000, 20), the
-    window [0, 1000] sampled at 10001 points, and a 0.1 Euler step.
+    window [0, 1000] sampled at 10001 points, and a 0.1 Euler step.  The
+    model's ``state_keys`` and ``param_keys`` select which fields it reads.
     """
 
     model: str = "lv"
@@ -230,8 +239,8 @@ class Scenario:
     abs_tol: float = 1e-6
 
     def __post_init__(self):
-        get_model(self.model)
-        if self.solver not in ("euler", "rk23"):
+        model = get_model(self.model)
+        if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}; choose 'euler' or 'rk23'")
         if not self.t_end > self.t0:
             raise ValueError("t_end must exceed t0")
@@ -239,26 +248,19 @@ class Scenario:
             raise ValueError("n_points must be at least 1")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
-        if self.y0_1 <= 0.0 or self.y0_2 <= 0.0:
+        if any(getattr(self, key) <= 0.0 for key in model.state_keys):
             raise ValueError("initial populations must be positive")
         if self.model == "lv":
-            LVParams(self.eps1, self.gamma1, self.eps2, self.gamma2)
+            LVParams(*self.params_array())
 
     def ode_model(self) -> OdeModel:
         return get_model(self.model)
 
-    def lv_params(self) -> LVParams:
-        return LVParams(self.eps1, self.gamma1, self.eps2, self.gamma2)
-
     def params_array(self) -> np.ndarray:
-        if self.model == "linear":
-            return np.array([self.eps1])
-        return np.array([self.eps1, self.gamma1, self.eps2, self.gamma2])
+        return np.array([getattr(self, key) for key in self.ode_model().param_keys])
 
     def initial_state(self) -> np.ndarray:
-        if self.model == "linear":
-            return np.array([self.y0_1])
-        return np.array([self.y0_1, self.y0_2])
+        return np.array([getattr(self, key) for key in self.ode_model().state_keys])
 
     def points(self) -> np.ndarray:
         return np.linspace(self.t0, self.t_end, self.n_points)
@@ -386,41 +388,32 @@ def fmain_gradient_reverse(
     return np.concatenate([a_y0_1 + a_y0_2, a_p_1 + 0.5 * a_p_2])
 
 
+def _of_stacked_input(fn: Callable, y0, p, time, method, **kwargs):
+    """``fn(y0, p, time, method)`` as a vector map of ``x = (y0 || p)``, plus ``x0``."""
+    y0 = np.asarray(y0, dtype=float)
+    p = np.asarray(p, dtype=float)
+    m = y0.shape[0]
+
+    def g(x):
+        return np.atleast_1d(fn(x[:m], x[m:], time, method, **kwargs))
+
+    return g, np.concatenate([y0, p])
+
+
 def fmain_gradient_fd(
     y0, p, time: TimeSpec, method: SolverMethod, model: Optional[OdeModel] = None,
 ) -> np.ndarray:
     """Central finite differences of the objective, step sqrt(eps)*|x_k|."""
-    x0 = np.concatenate([np.asarray(y0, dtype=float), np.asarray(p, dtype=float)])
-    m = np.asarray(y0).shape[0]
-
-    def objective(x):
-        return float(fmain_objective(x[:m], x[m:], time, method, model=model))
-
-    grad = np.empty(x0.shape[0])
-    for k in range(x0.shape[0]):
-        h = _SQRT_EPS * (abs(x0[k]) if x0[k] != 0.0 else 1.0)
-        hi = x0.copy()
-        lo = x0.copy()
-        hi[k] += h
-        lo[k] -= h
-        grad[k] = (objective(hi) - objective(lo)) / (2.0 * h)
-    return grad
+    objective, x0 = _of_stacked_input(fmain_objective, y0, p, time, method, model=model)
+    return central_fd_jacobian(objective, x0)[0]
 
 
 def fmain_gradient_cs(
     y0, p, time: TimeSpec, method: SolverMethod, model: Optional[OdeModel] = None,
 ) -> np.ndarray:
     """Complex-step derivative of the objective in each input direction."""
-    x0 = np.concatenate([np.asarray(y0, dtype=float), np.asarray(p, dtype=float)])
-    m = np.asarray(y0).shape[0]
-
-    def objective(x):
-        return np.array([fmain_objective(x[:m], x[m:], time, method, model=model)])
-
-    grad = np.empty(x0.shape[0])
-    for k in range(x0.shape[0]):
-        grad[k] = complex_step_column(objective, x0, k)[0]
-    return grad
+    objective, x0 = _of_stacked_input(fmain_objective, y0, p, time, method, model=model)
+    return cs_jacobian(objective, x0)[0]
 
 
 def fmain_hessian(
@@ -432,37 +425,16 @@ def fmain_hessian(
     Evaluates the reverse-gradient routine on dual-seeded inputs; the inner
     solves dispatch through the payload-stripping dual solve.
     """
-    y0 = np.asarray(y0, dtype=float)
-    p = np.asarray(p, dtype=float)
-    m = y0.shape[0]
-    x0 = np.concatenate([y0, p])
-
-    def gradient(x):
-        return fmain_gradient_reverse(x[:m], x[m:], time, method, model=model, jac=jac)
-
+    gradient, x0 = _of_stacked_input(
+        fmain_gradient_reverse, y0, p, time, method, model=model, jac=jac)
     return hessian_forward_over_reverse(gradient, x0)
 
 
 def fmain_hessian_fd(
     y0, p, time: TimeSpec, method: SolverMethod,
-    model: Optional[OdeModel] = None, jac: str = "analytic", rel_step: float = 1e-5,
+    model: Optional[OdeModel] = None, jac: str = "analytic",
 ) -> np.ndarray:
-    """Central finite differences of the reverse gradient, column by column."""
-    y0 = np.asarray(y0, dtype=float)
-    p = np.asarray(p, dtype=float)
-    m = y0.shape[0]
-    x0 = np.concatenate([y0, p])
-
-    def gradient(x):
-        return fmain_gradient_reverse(x[:m], x[m:], time, method, model=model, jac=jac)
-
-    n = x0.shape[0]
-    hess = np.empty((n, n))
-    for j in range(n):
-        h = rel_step * (abs(x0[j]) if x0[j] != 0.0 else 1.0)
-        hi = x0.copy()
-        lo = x0.copy()
-        hi[j] += h
-        lo[j] -= h
-        hess[:, j] = (gradient(hi) - gradient(lo)) / (2.0 * h)
-    return hess
+    """Central finite differences of the reverse gradient, step 1e-5*|x_k|."""
+    gradient, x0 = _of_stacked_input(
+        fmain_gradient_reverse, y0, p, time, method, model=model, jac=jac)
+    return central_fd_jacobian(gradient, x0, _HESSIAN_FD_STEP)

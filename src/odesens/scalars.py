@@ -16,7 +16,6 @@ functions by lifting their inputs into the appropriate kind.
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Callable, Sequence
 
@@ -25,8 +24,6 @@ import numpy as np
 __all__ = [
     "Dual1",
     "DEFAULT_CS_STEP",
-    "exp",
-    "log",
     "magnitude",
     "is_finite_scalar",
     "primal_part",
@@ -160,25 +157,6 @@ def _bottom_primal(value):
 def _require_invertible(divisor):
     if _bottom_primal(divisor) == 0:
         raise ZeroDivisionError("division by a dual number with zero primal")
-
-
-def exp(x):
-    """``e**x`` for any supported scalar kind."""
-    if isinstance(x, Dual1):
-        e = exp(x.primal)
-        return Dual1(e, e * x.tangent)
-    if isinstance(x, complex):
-        return cmath.exp(x)
-    return math.exp(x)
-
-
-def log(x):
-    """Natural logarithm for any supported scalar kind."""
-    if isinstance(x, Dual1):
-        return Dual1(log(x.primal), x.tangent / x.primal)
-    if isinstance(x, complex):
-        return cmath.log(x)
-    return math.log(x)
 
 
 def magnitude(x) -> float:

@@ -12,7 +12,6 @@ forward-over-reverse Hessian driver.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,9 +37,9 @@ from .solvers import (
 __all__ = [
     "pack_state",
     "unpack_state",
-    "augment_rhs",
     "analytic_jacobians",
     "dual_jacobians",
+    "jacobian_provider",
     "SensitivityBundle",
     "TrajectoryJacobians",
     "forward_sensitivity_solve",
@@ -56,43 +55,39 @@ def pack_state(y, dy_dp, dy_dy0) -> np.ndarray:
 
     Layout is ``[y; vec(dy/dp); vec(dy/dy0)]`` with column-major ``vec``,
     so for a 2-state, 4-parameter system the slices are 0:2, 2:10 and
-    10:14.
+    10:14.  Leading axes are stacked rows: ``(n, m)``, ``(n, m, k)`` and
+    ``(n, m, m)`` pack into ``(n, m + m*k + m*m)``.
     """
     y = np.asarray(y)
     dy_dp = np.asarray(dy_dp)
     dy_dy0 = np.asarray(dy_dy0)
-    m = y.shape[0]
-    if y.ndim != 1 or dy_dp.ndim != 2 or dy_dy0.ndim != 2:
+    if y.ndim not in (1, 2) or dy_dp.ndim != y.ndim + 1 or dy_dy0.ndim != y.ndim + 1:
         raise ValueError("expected a state vector and two sensitivity matrices")
-    if dy_dp.shape[0] != m or dy_dy0.shape != (m, m):
+    lead, m = y.shape[:-1], y.shape[-1]
+    if dy_dp.shape[:-1] != lead + (m,) or dy_dy0.shape != lead + (m, m):
         raise ValueError(
             f"sensitivity shapes {dy_dp.shape}, {dy_dy0.shape} do not match state length {m}"
         )
-    return np.concatenate([y, dy_dp.flatten(order="F"), dy_dy0.flatten(order="F")])
+    k = dy_dp.shape[-1]
+    return np.concatenate([
+        y,
+        dy_dp.swapaxes(-1, -2).reshape(lead + (m * k,)),
+        dy_dy0.swapaxes(-1, -2).reshape(lead + (m * m,)),
+    ], axis=-1)
 
 
 def unpack_state(x, state_dim: int, n_params: int):
-    """Inverse of :func:`pack_state`."""
+    """Inverse of :func:`pack_state`, for one composite row or a stack of them."""
     x = np.asarray(x)
     m, k = state_dim, n_params
     expected = m + m * k + m * m
-    if x.shape != (expected,):
-        raise ValueError(f"composite state has length {x.shape}, expected ({expected},)")
-    y = x[:m]
-    dy_dp = x[m:m + m * k].reshape((m, k), order="F")
-    dy_dy0 = x[m + m * k:].reshape((m, m), order="F")
+    if x.ndim not in (1, 2) or x.shape[-1] != expected:
+        raise ValueError(f"composite state has shape {x.shape}, expected (..., {expected})")
+    lead = x.shape[:-1]
+    y = x[..., :m]
+    dy_dp = x[..., m:m + m * k].reshape(lead + (k, m)).swapaxes(-1, -2)
+    dy_dy0 = x[..., m + m * k:].reshape(lead + (m, m)).swapaxes(-1, -2)
     return y, dy_dp, dy_dy0
-
-
-def _infer_state_dim(total: int, n_params: int) -> int:
-    # solve m^2 + m*(k+1) = total for the state dimension
-    k1 = n_params + 1
-    m = int(round((math.sqrt(k1 * k1 + 4 * total) - k1) / 2.0))
-    if m < 1 or m + m * n_params + m * m != total:
-        raise ValueError(
-            f"composite length {total} is inconsistent with {n_params} parameters"
-        )
-    return m
 
 
 def analytic_jacobians(jac_y: Callable, jac_p: Callable):
@@ -128,9 +123,24 @@ def dual_jacobians():
     return provider
 
 
-def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
-    """Composite right-hand side with the parameter vector threaded through."""
+def jacobian_provider(model, kind: str):
+    """Resolve ``"analytic"`` or ``"ad"`` to a Jacobian provider for an ``OdeModel``."""
+    if kind == "analytic":
+        if model.jac_y is None or model.jac_p is None:
+            raise ValueError(f"model {model.name!r} has no analytic Jacobians")
+        return analytic_jacobians(model.jac_y, model.jac_p)
+    if kind == "ad":
+        return dual_jacobians()
+    raise ValueError(f"unknown jacobian provider {kind!r}; choose 'analytic' or 'ad'")
 
+
+def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
+    """Composite right-hand side with the parameter vector threaded through.
+
+    Maps ``(t, x, p)`` with ``x`` a packed composite state to its packed
+    derivative ``[f; vec(f_y V + f_p); vec(f_y W)]``; ``jac`` supplies the
+    two partial derivative matrices of ``f``.
+    """
     m, k = state_dim, n_params
 
     def aug(t, x, p):
@@ -145,33 +155,6 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
         dv = f_y.dot(dy_dp) + f_p
         dw = f_y.dot(dy_dy0)
         return pack_state(dy, dv, dw)
-
-    return aug
-
-
-def augment_rhs(f: Callable, jac, p, state_dim: int | None = None) -> Callable:
-    """Build the composite right-hand side for fixed parameters ``p``.
-
-    ``jac`` provides the two partial derivative matrices of ``f`` and may
-    be either :func:`analytic_jacobians` or :func:`dual_jacobians`; pass
-    ``None`` for the dual-lifting default, which works for any right-hand
-    side built from arithmetic.  The returned callable maps ``(t, x)``
-    with ``x`` a packed composite state to its packed derivative
-    ``[f; vec(f_y V + f_p); vec(f_y W)]``.
-    """
-    if jac is None:
-        jac = dual_jacobians()
-    p = np.asarray(p)
-    k = p.shape[0]
-    system = None
-
-    def aug(t, x):
-        nonlocal system
-        x = np.asarray(x)
-        if system is None:
-            m = state_dim if state_dim is not None else _infer_state_dim(x.shape[0], k)
-            system = _augmented_system(f, jac, m, k)
-        return system(t, x, p)
 
     return aug
 
@@ -246,22 +229,8 @@ def forward_sensitivity_solve(
     else:
         traj = run_solver(lambda t, x: system(t, x, p), time, x0, method)
 
-    n = traj.times.shape[0]
-    y_rows = []
-    v_rows = []
-    w_rows = []
-    for i in range(n):
-        y_i, v_i, w_i = unpack_state(traj.states[i], m, k)
-        y_rows.append(y_i)
-        v_rows.append(v_i)
-        w_rows.append(w_i)
-    return SensitivityBundle(
-        times=traj.times,
-        y=np.array(y_rows),
-        dy_dp=np.array(v_rows),
-        dy_dy0=np.array(w_rows),
-        time_spec=time,
-    )
+    y, dy_dp, dy_dy0 = unpack_state(traj.states, m, k)
+    return SensitivityBundle(traj.times, y, dy_dp, dy_dy0, time_spec=time)
 
 
 def jvp_solution(bundle: SensitivityBundle, g_y0, g_p) -> np.ndarray:

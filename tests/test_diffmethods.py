@@ -3,6 +3,7 @@ import pytest
 
 from odesens.diffmethods import (
     CROSS_METHODS,
+    central_fd_jacobian,
     cross_compare,
     cs_jacobian,
     fd_jacobian,
@@ -37,6 +38,19 @@ class TestFdJacobian:
     def test_steps_shape_checked(self):
         with pytest.raises(ValueError):
             fd_jacobian(lambda x: x, np.ones(3), steps=np.ones(2))
+
+
+class TestCentralFdJacobian:
+    def test_quadratic_is_exact_to_roundoff(self):
+        jac = central_fd_jacobian(lambda x: np.array([x[0] * x[0], 3.0 * x[1]]), np.array([1.0, 0.0]))
+        assert np.all(np.abs(jac - np.array([[2.0, 0.0], [0.0, 3.0]])) <= 1e-8)
+
+    def test_relative_step_factor(self):
+        x = np.array([4.0, 0.0])
+        jac = central_fd_jacobian(lambda x: x ** 3, x, 1e-3)
+        # central differences of x^3 carry exactly the truncation term h^2
+        assert jac[0, 0] == pytest.approx(48.0 + (4e-3) ** 2, rel=1e-9)
+        assert jac[1, 1] == pytest.approx((1e-3) ** 2, rel=1e-6)
 
 
 class TestCsJacobian:
@@ -124,7 +138,7 @@ class TestCrossCompare:
 
     def test_solver_override(self):
         euler_default = cross_compare(SMALL)
-        rk_override = cross_compare(SMALL, solver="rk23")
+        rk_override = cross_compare(SMALL.with_updates(solver="rk23"))
         assert rk_override.pair("analytic", "fd") != euler_default.pair("analytic", "fd")
 
     def test_euler_complex_step_tracks_variational_solve(self):

@@ -154,6 +154,22 @@ class TestScenario:
         with pytest.raises(ValueError):
             get_model("unknown")
 
+    def test_positivity_checked_only_on_the_model_state(self):
+        # linear reads y0_1 alone, so the unused y0_2 is not validated
+        sc = Scenario(model="linear", y0_2=-1.0)
+        assert np.array_equal(sc.initial_state(), np.array([1000.0]))
+        with pytest.raises(ValueError, match="must be positive"):
+            Scenario(model="linear", y0_1=-1.0)
+        with pytest.raises(ValueError, match="must be positive"):
+            Scenario(model="lv", y0_2=-1.0)
+
+    def test_keys_follow_the_model(self):
+        sc = Scenario(model="linear", eps1=0.5, y0_1=3.0)
+        assert np.array_equal(sc.params_array(), np.array([0.5]))
+        for name, model in MODELS.items():
+            assert (model.state_dim, model.param_dim) == (len(model.state_keys), len(model.param_keys))
+            assert Scenario(model=name).params_array().shape == (model.param_dim,)
+
 
 class TestObjective:
     def test_initial_point_only(self):

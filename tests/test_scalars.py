@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -10,8 +8,6 @@ from odesens.scalars import (
     eval_jacobian_dual,
     eval_jvp_dual,
     eval_second_directional,
-    exp,
-    log,
     magnitude,
 )
 
@@ -53,15 +49,6 @@ class TestDualArithmetic:
         nested = Dual1(Dual1(0.0, 1.0), Dual1(1.0, 0.0))
         with pytest.raises(ZeroDivisionError):
             Dual1(1.0, 0.0) / nested
-
-    def test_exp_log_rules(self):
-        x = Dual1(0.7, 1.0)
-        e = exp(x)
-        assert e.primal == math.exp(0.7)
-        assert e.tangent == math.exp(0.7)
-        l = log(x)
-        assert l.primal == math.log(0.7)
-        assert l.tangent == pytest.approx(1.0 / 0.7, rel=1e-16)
 
     def test_magnitude_covers_payload(self):
         assert magnitude(Dual1(1.0, -3.0)) == 3.0

@@ -6,8 +6,8 @@ import pytest
 from odesens.models import linear_rhs, lv_jac_p, lv_jac_y, lv_rhs
 from odesens.scalars import Dual1, primal_values, tangent_part, tangent_values
 from odesens.sensitivity import (
+    _augmented_system,
     analytic_jacobians,
-    augment_rhs,
     dual_aware_solve,
     dual_jacobians,
     forward_sensitivity_solve,
@@ -60,6 +60,18 @@ class TestPackUnpack:
         with pytest.raises(ValueError):
             pack_state(np.zeros(2), np.zeros((3, 4)), np.eye(2))
 
+    def test_stacked_rows_match_row_by_row(self):
+        rng = np.random.default_rng(6)
+        rows = rng.normal(size=(5, 14))
+        y, v, w = unpack_state(rows, 2, 4)
+        assert (y.shape, v.shape, w.shape) == ((5, 2), (5, 2, 4), (5, 2, 2))
+        for i in range(5):
+            y_i, v_i, w_i = unpack_state(rows[i], 2, 4)
+            assert np.array_equal(y[i], y_i)
+            assert np.array_equal(v[i], v_i)
+            assert np.array_equal(w[i], w_i)
+        assert np.array_equal(pack_state(y, v, w), rows)
+
     def test_column_major_ordering(self):
         v = np.array([[11.0, 12.0], [21.0, 22.0]])
         packed = pack_state(np.zeros(2), v, np.eye(2))
@@ -68,9 +80,9 @@ class TestPackUnpack:
 
 class TestAugmentRhs:
     def test_lv_initial_composite_derivative(self):
-        aug = augment_rhs(lv_rhs, LV_ANALYTIC, LV_P)
+        aug = _augmented_system(lv_rhs, LV_ANALYTIC, 2, 4)
         x0 = pack_state(LV_Y0, np.zeros((2, 4)), np.eye(2))
-        dx = aug(0.0, x0)
+        dx = aug(0.0, x0, LV_P)
         dy, dv, dw = unpack_state(dx, 2, 4)
         # with V = 0 and W = I the sensitivity equations reduce to f_p and f_y
         assert dy == pytest.approx([13.0, 1.4], rel=1e-15)
@@ -84,22 +96,22 @@ class TestAugmentRhs:
         provider = analytic_jacobians(
             lambda t, y, p: np.zeros((2, 2)), lambda t, y, p: np.zeros((2, 4))
         )
-        aug = augment_rhs(zero, provider, LV_P)
+        aug = _augmented_system(zero, provider, 2, 4)
         x = pack_state(np.array([1.0, 2.0]), np.ones((2, 4)), np.ones((2, 2)))
-        assert np.all(aug(0.0, x) == 0.0)
+        assert np.all(aug(0.0, x, LV_P) == 0.0)
 
     def test_analytic_and_dual_providers_agree(self):
         rng = np.random.default_rng(9)
-        aug_an = augment_rhs(lv_rhs, LV_ANALYTIC, LV_P)
-        aug_ad = augment_rhs(lv_rhs, dual_jacobians(), LV_P)
+        aug_an = _augmented_system(lv_rhs, LV_ANALYTIC, 2, 4)
+        aug_ad = _augmented_system(lv_rhs, dual_jacobians(), 2, 4)
         for _ in range(25):
             x = np.concatenate([
                 rng.uniform(1.0, 2000.0, 2),
                 rng.normal(scale=1e4, size=8),
                 rng.normal(scale=10.0, size=4),
             ])
-            a = aug_an(0.0, x)
-            b = aug_ad(0.0, x)
+            a = aug_an(0.0, x, LV_P)
+            b = aug_ad(0.0, x, LV_P)
             assert np.all(np.abs(a - b) <= 1e-15 * np.maximum(np.abs(a), np.abs(b)))
 
 
