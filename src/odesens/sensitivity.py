@@ -61,7 +61,7 @@ def pack_state(y, dy_dp, dy_dy0) -> np.ndarray:
     y = np.asarray(y)
     dy_dp = np.asarray(dy_dp)
     dy_dy0 = np.asarray(dy_dy0)
-    if y.ndim not in (1, 2) or dy_dp.ndim != y.ndim + 1 or dy_dy0.ndim != y.ndim + 1:
+    if y.ndim == 0 or dy_dp.ndim != y.ndim + 1 or dy_dy0.ndim != y.ndim + 1:
         raise ValueError("expected a state vector and two sensitivity matrices")
     lead, m = y.shape[:-1], y.shape[-1]
     if dy_dp.shape[:-1] != lead + (m,) or dy_dy0.shape != lead + (m, m):
@@ -81,7 +81,7 @@ def unpack_state(x, state_dim: int, n_params: int):
     x = np.asarray(x)
     m, k = state_dim, n_params
     expected = m + m * k + m * m
-    if x.ndim not in (1, 2) or x.shape[-1] != expected:
+    if x.ndim == 0 or x.shape[-1] != expected:
         raise ValueError(f"composite state has shape {x.shape}, expected (..., {expected})")
     lead = x.shape[:-1]
     y = x[..., :m]
