@@ -61,6 +61,16 @@ GOLDEN = {
         "3c61fc3d9e1774b57cd1bb6dcc6f8fe7467629e2c53a4f2be862eddefd4b856a"),
     "hessian-fd": (["hessian", "--method", "fd", *HESS],
         "e863187d52bed2776a36dc67565547f40625e3fae90ddb4b9f6193df9d780582"),
+    # dual-valued states through the RK23 Hermite fill
+    "hessian-for-rk23": (["hessian", "--method", "for", "--solver", "rk23", *HESS],
+        "3399c8886728cec987f2cc19d6987381a5d95af25b10c83834a6b4cbf7159e66"),
+    # analytic and AD Jacobians agree bitwise, so this equals hessian-for
+    "hessian-for-ad": (["hessian", "--method", "for", "--jac", "ad", *HESS],
+        "3c61fc3d9e1774b57cd1bb6dcc6f8fe7467629e2c53a4f2be862eddefd4b856a"),
+    "gradient-rm-rk23": (["gradient", "--mode", "rm", *RK23],
+        "f3c74c4aa006204185556f07b6d131ff235c7fad65d301de421137e17a901313"),
+    "gradient-fm-rk23": (["gradient", "--mode", "fm", *RK23],
+        "f3c74c4aa006204185556f07b6d131ff235c7fad65d301de421137e17a901313"),
 }
 
 # the aligned text table `compare` prints to stdout when --output is given
