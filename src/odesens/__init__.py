@@ -34,7 +34,6 @@ from .solvers import (
 )
 from .sensitivity import (
     SensitivityBundle,
-    TrajectoryJacobians,
     analytic_jacobians,
     dual_aware_solve,
     dual_jacobians,

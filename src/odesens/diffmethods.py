@@ -117,6 +117,15 @@ def relative_error(a, b) -> float:
     return float(np.linalg.norm(a - b)) / denom
 
 
+def _stacked(per_row: np.ndarray) -> np.ndarray:
+    """Column-major flattening ``(n, m, ...) -> (m * n, ...)`` of a trajectory-shaped array.
+
+    Row ``j * n + i`` holds state component ``j`` at output row ``i``.
+    """
+    n, m = per_row.shape[:2]
+    return per_row.swapaxes(0, 1).reshape((m * n,) + per_row.shape[2:])
+
+
 def trajectory_map(model, time: TimeSpec, method) -> Callable:
     """The map ``(y0 || p) -> column-major flattened trajectory``.
 
@@ -134,7 +143,7 @@ def trajectory_map(model, time: TimeSpec, method) -> Callable:
         y0 = x[:m]
         p = x[m:]
         traj = run_solver(lambda t, y: model.rhs(t, y, p), time, y0, method)
-        return traj.states.T.reshape(-1)
+        return _stacked(traj.states)
 
     return g
 
@@ -158,8 +167,7 @@ def sensitivity_matrix(scenario, method_name: str) -> np.ndarray:
             model.rhs, provider, scenario.params_array(), scenario.initial_state(),
             time, method,
         )
-        pair = bundle.jacobians()
-        return np.hstack([pair.wrt_params, pair.wrt_init])
+        return np.hstack([_stacked(bundle.dy_dp), _stacked(bundle.dy_dy0)])
 
     g = trajectory_map(model, time, method)
     if method_name == "fd":

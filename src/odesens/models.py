@@ -242,13 +242,16 @@ class Scenario:
         model = get_model(self.model)
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}; choose 'euler' or 'rk23'")
+        for key, caster in SCENARIO_KEYS.items():
+            if caster is float and not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)!r}")
         if not self.t_end > self.t0:
             raise ValueError("t_end must exceed t0")
         if self.n_points < 1:
             raise ValueError("n_points must be at least 1")
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ValueError("dt must be positive")
-        if any(getattr(self, key) <= 0.0 for key in model.state_keys):
+        if any(not getattr(self, key) > 0.0 for key in model.state_keys):
             raise ValueError("initial populations must be positive")
         if self.model == "lv":
             LVParams(*self.params_array())
@@ -292,6 +295,8 @@ def parse_scenario_text(text: str, model: str = "lv") -> Scenario:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in SCENARIO_KEYS:
             raise ValueError(f"line {lineno}: unknown scenario key {key!r}")
+        if key in fields:
+            raise ValueError(f"line {lineno}: duplicate scenario key {key!r}")
         caster = SCENARIO_KEYS[key]
         try:
             fields[key] = caster(value)

@@ -203,15 +203,16 @@ def _scalar_array(values: Sequence) -> np.ndarray:
     return np.asarray(values)
 
 
+_dual_of = np.frompyfunc(Dual1, 2, 1)
+
+
 def lift_dual(x, seed) -> np.ndarray:
-    """Lift a vector into duals with the given tangent seeds."""
+    """Lift an array into duals with the given tangent seeds, element by element."""
     x = np.asarray(x)
     seed = np.asarray(seed)
     if x.shape != seed.shape:
         raise ValueError(f"seed shape {seed.shape} does not match input shape {x.shape}")
-    out = np.empty(x.shape[0], dtype=object)
-    out[:] = [Dual1(xi, si) for xi, si in zip(x, seed)]
-    return out
+    return _dual_of(x, seed)
 
 
 def primal_values(arr) -> np.ndarray:
@@ -239,24 +240,7 @@ def eval_jvp_dual(f: Callable, x, seed):
 def eval_jacobian_dual(f: Callable, x) -> np.ndarray:
     """Full Jacobian of ``f`` at ``x``, one unit-seed dual pass per column."""
     x = np.asarray(x)
-    n = x.shape[0]
-    columns = []
-    value = None
-    for k in range(n):
-        seed = np.zeros(n)
-        seed[k] = 1.0
-        value, column = eval_jvp_dual(f, x, seed)
-        columns.append(column)
-    if value is None:
-        value = np.asarray(f(x))
-    m = len(value)
-    if any(contains_dual(c) for c in columns):
-        jac = np.empty((m, n), dtype=object)
-    else:
-        jac = np.empty((m, n))
-    for k, column in enumerate(columns):
-        jac[:, k] = column
-    return jac
+    return np.column_stack([eval_jvp_dual(f, x, seed)[1] for seed in np.eye(x.shape[0])])
 
 
 def eval_second_directional(f: Callable, x, u, v):
@@ -271,10 +255,7 @@ def eval_second_directional(f: Callable, x, u, v):
     v = np.asarray(v)
     if x.shape != u.shape or x.shape != v.shape:
         raise ValueError("direction shapes must match the input shape")
-    lifted = np.empty(x.shape[0], dtype=object)
-    lifted[:] = [
-        Dual1(Dual1(xi, ui), Dual1(vi, 0.0)) for xi, ui, vi in zip(x, u, v)
-    ]
+    lifted = lift_dual(lift_dual(x, u), lift_dual(v, np.zeros(v.shape)))
     out = list(np.asarray(f(lifted)))
     value = _scalar_array([primal_part(primal_part(o)) for o in out])
     du = _scalar_array([tangent_part(primal_part(o)) for o in out])

@@ -18,11 +18,10 @@ from typing import Callable
 import numpy as np
 
 from .scalars import (
-    Dual1,
     contains_dual,
     eval_jacobian_dual,
+    lift_dual,
     primal_values,
-    tangent_part,
     tangent_values,
 )
 from .solvers import (
@@ -41,7 +40,6 @@ __all__ = [
     "dual_jacobians",
     "jacobian_provider",
     "SensitivityBundle",
-    "TrajectoryJacobians",
     "forward_sensitivity_solve",
     "jvp_solution",
     "vjp_solution",
@@ -160,18 +158,6 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
 
 
 @dataclass(frozen=True)
-class TrajectoryJacobians:
-    """Stacked Jacobians of the full output trajectory.
-
-    Row ``m * n_times + i`` corresponds to state component ``m`` at output
-    row ``i`` (the column-major flattening of the trajectory matrix).
-    """
-
-    wrt_params: np.ndarray   # (n_times * state_dim, n_params)
-    wrt_init: np.ndarray     # (n_times * state_dim, state_dim)
-
-
-@dataclass(frozen=True)
 class SensitivityBundle:
     """Solution plus both sensitivity blocks at every output time."""
 
@@ -188,17 +174,6 @@ class SensitivityBundle:
     @property
     def n_params(self) -> int:
         return self.dy_dp.shape[2]
-
-    def jacobians(self) -> TrajectoryJacobians:
-        n, m = self.y.shape
-        k = self.n_params
-        wrt_params = np.transpose(self.dy_dp, (1, 0, 2)).reshape(m * n, k)
-        wrt_init = np.transpose(self.dy_dy0, (1, 0, 2)).reshape(m * n, m)
-        return TrajectoryJacobians(wrt_params, wrt_init)
-
-
-def _to_trajectory_shape(flat: np.ndarray, n_times: int, state_dim: int) -> np.ndarray:
-    return flat.reshape(state_dim, n_times).T
 
 
 def forward_sensitivity_solve(
@@ -246,9 +221,7 @@ def jvp_solution(bundle: SensitivityBundle, g_y0, g_p) -> np.ndarray:
             f"seed shapes {g_y0.shape}, {g_p.shape} do not match "
             f"({bundle.state_dim},), ({bundle.n_params},)"
         )
-    pair = bundle.jacobians()
-    flat = pair.wrt_init.dot(g_y0) + pair.wrt_params.dot(g_p)
-    return _to_trajectory_shape(flat, bundle.times.shape[0], bundle.state_dim)
+    return bundle.dy_dy0.dot(g_y0) + bundle.dy_dp.dot(g_p)
 
 
 def vjp_solution(bundle: SensitivityBundle, a_y):
@@ -269,11 +242,7 @@ def vjp_solution(bundle: SensitivityBundle, a_y):
     n, m = bundle.times.shape[0], bundle.state_dim
     if a_y.shape != (n, m):
         raise ValueError(f"adjoint shape {a_y.shape} does not match trajectory ({n}, {m})")
-    pair = bundle.jacobians()
-    flat = a_y.T.reshape(m * n)
-    a_p = flat.dot(pair.wrt_params)
-    a_y0 = flat.dot(pair.wrt_init)
-    return a_y0, a_p
+    return np.tensordot(a_y, bundle.dy_dy0, 2), np.tensordot(a_y, bundle.dy_dp, 2)
 
 
 def dual_aware_solve(
@@ -288,9 +257,9 @@ def dual_aware_solve(
     Strips one payload level into seed vectors, integrates the augmented
     system of ``rhs`` once in the lower scalar kind (Jacobians obtained by
     one-level-lower dual lifting), and reassembles the output payload as
-    ``dy/dy0 @ seed(y0) + dy/dp @ seed(p)``.  Nested duals recurse: the
-    lower-kind solve routes through here again until the base kind is
-    real.
+    the JVP ``dy/dy0 @ seed(y0) + dy/dp @ seed(p)``.  Nested duals
+    recurse: the lower-kind solve routes through here again until the
+    base kind is real.
     """
     y0 = np.asarray(y0)
     p = np.asarray(p)
@@ -299,22 +268,10 @@ def dual_aware_solve(
             "dual_aware_solve needs dual-valued inputs; "
             "use the plain solver for real or complex states"
         )
-    y0_lower = primal_values(y0)
-    p_lower = primal_values(p)
-    seed_y0 = tangent_values(y0)
-    seed_p = tangent_values(p)
-
-    bundle = forward_sensitivity_solve(rhs, dual_jacobians(), p_lower, y0_lower, time, method)
-    pair = bundle.jacobians()
-    payload_flat = pair.wrt_init.dot(seed_y0) + pair.wrt_params.dot(seed_p)
-    n, m = bundle.times.shape[0], bundle.state_dim
-    payload = _to_trajectory_shape(payload_flat, n, m)
-
-    states = np.empty((n, m), dtype=object)
-    for i in range(n):
-        for j in range(m):
-            states[i, j] = Dual1(bundle.y[i, j], payload[i, j])
-    return Trajectory(bundle.times, states)
+    bundle = forward_sensitivity_solve(
+        rhs, dual_jacobians(), primal_values(p), primal_values(y0), time, method)
+    payload = jvp_solution(bundle, tangent_values(y0), tangent_values(p))
+    return Trajectory(bundle.times, lift_dual(bundle.y, payload))
 
 
 def hessian_forward_over_reverse(gradient: Callable, x0) -> np.ndarray:
@@ -329,9 +286,6 @@ def hessian_forward_over_reverse(gradient: Callable, x0) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float)
     n = x0.shape[0]
     hess = np.empty((n, n))
-    for j in range(n):
-        lifted = np.empty(n, dtype=object)
-        lifted[:] = [Dual1(x0[i], 1.0 if i == j else 0.0) for i in range(n)]
-        g = np.asarray(gradient(lifted))
-        hess[:, j] = [float(tangent_part(gi)) for gi in g]
+    for j, seed in enumerate(np.eye(n)):
+        hess[:, j] = tangent_values(gradient(lift_dual(x0, seed)))
     return hess

@@ -71,6 +71,8 @@ class Span:
     t_end: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.t0) and math.isfinite(self.t_end)):
+            raise ValueError(f"span [{self.t0}, {self.t_end}] must be finite")
         if not self.t_end > self.t0:
             raise ValueError(f"t_end ({self.t_end}) must exceed t0 ({self.t0})")
 
@@ -88,6 +90,8 @@ class Points:
         times = np.asarray(self.times, dtype=float)
         if times.ndim != 1 or times.shape[0] < 1:
             raise ValueError("prescribed time points must form a non-empty 1-D vector")
+        if not np.all(np.isfinite(times)):
+            raise ValueError("prescribed time points must be finite")
         if times.shape[0] > 1 and not np.all(np.diff(times) > 0.0):
             raise ValueError("prescribed time points must be strictly increasing")
         object.__setattr__(self, "times", times)
@@ -120,7 +124,10 @@ class ToleranceConfig:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
+        for name in ("rel_tol", "abs_tol", "safety", "min_factor", "max_factor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("tolerances must be positive")
         if not 0.0 < self.min_factor < 1.0 < self.max_factor:
             raise ValueError("need 0 < min_factor < 1 < max_factor")
@@ -196,7 +203,7 @@ def euler_solve(rhs: Callable, time: TimeSpec, y0, dt: float) -> Trajectory:
     Generic over the scalar kind of ``y0``; ``dt`` and the time grid stay
     real.
     """
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError("dt must be positive")
     y = _state_array(y0)
     step = 0
@@ -329,36 +336,34 @@ def rk23_solve(rhs: Callable, time: TimeSpec, y0, tol: ToleranceConfig | None = 
         else:
             factor = min(tol.max_factor, max(tol.min_factor, tol.safety * err ** (-1.0 / 3.0)))
         h = h_try * factor
-        if t < t_end and h < 16.0 * _EPS * abs(t):
+        if t < t_end and h < 16.0 * _EPS * max(abs(t), t_end - t0):
             raise StepUnderflowError(f"step size underflow at t = {t!r} (h = {h!r})")
 
     if points is None:
         return Trajectory(np.array(knot_t), np.array(knot_y))
 
-    kt = np.array(knot_t)
-    rows = []
-    for p in points:
-        idx = int(np.searchsorted(kt, p, side="right")) - 1
-        if idx == len(kt) - 1 or kt[idx] == p:
-            rows.append(knot_y[idx])
-        else:
-            rows.append(
-                hermite_interp(
-                    kt[idx], knot_y[idx], knot_f[idx],
-                    kt[idx + 1], knot_y[idx + 1], knot_f[idx + 1],
-                    float(p),
-                )
-            )
-    return Trajectory(points.copy(), np.array(rows))
+    kt, ky, kf = np.array(knot_t), np.array(knot_y), np.array(knot_f)
+    # rows on a knot (t_end included, as it is the last knot) copy it exactly;
+    # every other row lies strictly inside knot interval [idx, idx + 1]
+    idx = np.searchsorted(kt, points, side="right") - 1
+    states = ky[idx]
+    inner = np.flatnonzero(kt[idx] != points)
+    i = idx[inner]
+    states[inner] = hermite_interp(
+        kt[i, None], ky[i], kf[i], kt[i + 1, None], ky[i + 1], kf[i + 1], points[inner, None])
+    return Trajectory(points.copy(), states)
 
 
-def hermite_interp(t_a: float, y_a, f_a, t_b: float, y_b, f_b, t_query: float):
+def hermite_interp(t_a, y_a, f_a, t_b, y_b, f_b, t_query):
     """Cubic Hermite value between two solver knots.
 
     Exact at the endpoints and reproduces cubic polynomials exactly when
-    ``f_a``/``f_b`` are the endpoint derivatives.
+    ``f_a``/``f_b`` are the endpoint derivatives.  The times may be arrays
+    that broadcast against the states, one interval per query.
     """
-    if not t_a <= t_query <= t_b:
+    if not np.all(t_a < t_b):
+        raise ValueError(f"knot interval [{t_a}, {t_b}] is empty or reversed")
+    if not np.all((t_a <= t_query) & (t_query <= t_b)):
         raise ValueError(f"query time {t_query} outside knot interval [{t_a}, {t_b}]")
     h = t_b - t_a
     s = (t_query - t_a) / h

@@ -78,6 +78,14 @@ class TestSolve:
         assert run_cli(["solve", "--scenario", str(path)]) == 1
         assert "unknown scenario key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--dt", "nan"], "dt"),
+        (["--solver", "rk23", "--rel-tol", "nan"], "rel_tol"),
+    ])
+    def test_non_finite_flag_exits_one_naming_it(self, flags, field, capsys):
+        assert run_cli(["solve", *TINY, *flags]) == 1
+        assert f"error: {field} must be finite" in capsys.readouterr().err
+
     def test_failure_leaves_no_output_file(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
         code = run_cli([

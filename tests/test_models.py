@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,18 @@ class TestScenario:
     def test_bad_value_rejected(self):
         with pytest.raises(ValueError, match="cannot parse"):
             parse_scenario_text("n_points=many\n")
+
+    def test_duplicate_key_rejected(self):
+        with pytest.raises(ValueError, match="line 2: duplicate scenario key 'dt'"):
+            parse_scenario_text("dt=0.1\ndt=0.5\n")
+
+    @pytest.mark.parametrize("field, value", [
+        ("t_end", math.inf), ("eps1", math.inf), ("y0_1", math.nan),
+        ("dt", math.nan), ("rel_tol", math.nan), ("t0", -math.inf),
+    ])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            Scenario(**{field: value})
 
     def test_comments_and_blank_lines_ignored(self):
         sc = parse_scenario_text("# reference rates\neps1=0.02\n\ndt=0.5\n")

@@ -39,6 +39,12 @@ class TestTimeSpecs:
         with pytest.raises(ValueError):
             Points(np.array([0.0, 2.0, 1.0]))
 
+    def test_times_must_be_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            Span(0.0, math.inf)
+        with pytest.raises(ValueError, match="finite"):
+            Points(np.array([0.0, math.inf]))
+
     def test_single_point_grid_is_allowed(self):
         spec = Points(np.array([0.0]))
         assert spec.times.shape == (1,)
@@ -190,6 +196,9 @@ class TestRK23Solve:
 
         with pytest.raises(StepUnderflowError):
             rk23_solve(noisy, Span(1.0, 2.0), np.array([0.0]))
+        # the floor scales with the span too, so it also holds near t = 0
+        with pytest.raises(StepUnderflowError):
+            rk23_solve(noisy, Span(0.0, 1.0), np.array([0.0]))
 
     def test_tolerance_config_validation(self):
         with pytest.raises(ValueError):
@@ -198,6 +207,10 @@ class TestRK23Solve:
             ToleranceConfig(min_factor=1.5)
         with pytest.raises(ValueError):
             ToleranceConfig(safety=0.0)
+        with pytest.raises(ValueError, match="rel_tol must be finite"):
+            ToleranceConfig(rel_tol=math.inf)
+        with pytest.raises(ValueError, match="abs_tol must be finite"):
+            ToleranceConfig(abs_tol=math.nan)
 
     def test_single_point_grid_returns_initial_state(self):
         traj = rk23_solve(lv, Points(np.array([0.0])), np.array([1000.0, 20.0]))
@@ -226,6 +239,11 @@ class TestHermite:
         with pytest.raises(ValueError):
             hermite_interp(0.0, np.array([0.0]), np.array([0.0]),
                            1.0, np.array([1.0]), np.array([1.0]), 1.5)
+
+    def test_empty_interval(self):
+        with pytest.raises(ValueError, match="empty"):
+            hermite_interp(1.0, np.array([0.0]), np.array([0.0]),
+                           1.0, np.array([1.0]), np.array([1.0]), 1.0)
 
 
 class TestScalarKindGenericity:
