@@ -336,7 +336,9 @@ def rk23_solve(rhs: Callable, time: TimeSpec, y0, tol: ToleranceConfig | None = 
         else:
             factor = min(tol.max_factor, max(tol.min_factor, tol.safety * err ** (-1.0 / 3.0)))
         h = h_try * factor
-        if t < t_end and h < 16.0 * _EPS * max(abs(t), t_end - t0):
+        # only a rejected step signals underflow: a tiny start step (y0 = 0)
+        # that is accepted grows on its own
+        if err > 1.0 and h < 16.0 * _EPS * max(abs(t), t_end - t0):
             raise StepUnderflowError(f"step size underflow at t = {t!r} (h = {h!r})")
 
     if points is None:

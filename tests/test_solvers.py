@@ -200,6 +200,13 @@ class TestRK23Solve:
         with pytest.raises(StepUnderflowError):
             rk23_solve(noisy, Span(0.0, 1.0), np.array([0.0]))
 
+    def test_zero_start_over_long_span_completes(self):
+        # y0 = 0 gives the smallest start step, far below the span-scaled
+        # floor; accepted steps grow from it without tripping the guard
+        traj = rk23_solve(lambda t, y: np.ones(1), Span(0.0, 100.0), np.array([0.0]))
+        assert traj.times[-1] == 100.0
+        assert traj.states[-1, 0] == pytest.approx(100.0)
+
     def test_tolerance_config_validation(self):
         with pytest.raises(ValueError):
             ToleranceConfig(rel_tol=0.0)
