@@ -6,6 +6,7 @@ Every numeric routine in this package is written against plain arithmetic
 * ``float``    -- ordinary real arithmetic,
 * ``complex``  -- carrier for the complex-step derivative estimate,
 * ``Dual1``    -- first-order dual numbers (value, directional derivative),
+  whose tangent may also be a vector of several seed directions,
 * nested duals -- ``Dual1`` whose components are themselves ``Dual1``,
   giving second-order (and, recursively, higher) directional derivatives.
 
@@ -53,6 +54,12 @@ class Dual1:
     zero.  Components may themselves be ``Dual1``, which nests the type
     into a second-order carrier; nothing below distinguishes the two
     cases because only component arithmetic is used.
+
+    The tangent may also be a 1-D ndarray holding one derivative per seed
+    direction (vector forward mode).  The same rules then apply component
+    by component, so one pass carries every direction and each component
+    is bitwise the tangent a one-seed pass would give.  A constant keeps
+    the scalar tangent ``0.0``, which broadcasts against any vector.
 
     Division by a dual whose (bottom-level) primal is zero raises
     ``ZeroDivisionError``: none of the supported models divide, so such a
@@ -162,18 +169,22 @@ def _require_invertible(divisor):
 def magnitude(x) -> float:
     """Real magnitude of a scalar of any kind.
 
-    Duals report the largest magnitude over all payload slots so that a
-    perturbation carried in a tangent can influence adaptive step-size
-    control just as the primal does.
+    Duals report the largest magnitude over all payload slots, every
+    direction of a vector tangent included, so that a perturbation carried
+    in a tangent can influence adaptive step-size control just as the
+    primal does.  RK23 on a vector-seeded dual state therefore controls its
+    steps by the largest payload over all seeds, and can step differently
+    from separate one-seed solves.  No CLI path steps a dual state: the
+    dual-aware solve lowers dual inputs to real solves.
     """
     if isinstance(x, Dual1):
-        return max(magnitude(x.primal), magnitude(x.tangent))
+        return max(magnitude(x.primal), *map(magnitude, np.ravel(x.tangent)))
     return abs(x)
 
 
 def is_finite_scalar(x) -> bool:
     if isinstance(x, Dual1):
-        return is_finite_scalar(x.primal) and is_finite_scalar(x.tangent)
+        return is_finite_scalar(x.primal) and all(map(is_finite_scalar, np.ravel(x.tangent)))
     if isinstance(x, complex):
         return math.isfinite(x.real) and math.isfinite(x.imag)
     return math.isfinite(x)
@@ -207,12 +218,22 @@ _dual_of = np.frompyfunc(Dual1, 2, 1)
 
 
 def lift_dual(x, seed) -> np.ndarray:
-    """Lift an array into duals with the given tangent seeds, element by element."""
+    """Lift an array into duals with the given tangent seeds, element by element.
+
+    A seed of the shape of ``x`` gives each element a scalar tangent.  A
+    seed of shape ``x.shape + (n,)`` gives element ``i`` the tangent vector
+    ``seed[i]`` of ``n`` seed directions, so ``lift_dual(x, np.eye(n))``
+    seeds every coordinate of a length-``n`` vector at once.
+    """
     x = np.asarray(x)
     seed = np.asarray(seed)
-    if x.shape != seed.shape:
+    if seed.shape == x.shape:
+        return _dual_of(x, seed)
+    if seed.shape[:-1] != x.shape:
         raise ValueError(f"seed shape {seed.shape} does not match input shape {x.shape}")
-    return _dual_of(x, seed)
+    lifted = np.empty(x.shape, dtype=object)
+    lifted.flat[:] = list(map(Dual1, x.ravel().tolist(), seed.reshape(x.size, seed.shape[-1])))
+    return lifted
 
 
 def primal_values(arr) -> np.ndarray:
@@ -220,7 +241,18 @@ def primal_values(arr) -> np.ndarray:
 
 
 def tangent_values(arr) -> np.ndarray:
-    return _scalar_array([tangent_part(v) for v in np.asarray(arr)])
+    """Tangents of a 1-D array of duals and constants.
+
+    With scalar tangents the result has shape ``(len,)``.  If any entry
+    carries a vector of ``n`` seed directions it has shape ``(len, n)``,
+    and the scalar zero tangents of constants widen to ``n`` zeros.
+    """
+    tangents = [tangent_part(v) for v in np.asarray(arr)]
+    width = next((t.shape for t in tangents if isinstance(t, np.ndarray)), None)
+    if width is None:
+        return _scalar_array(tangents)
+    zeros = np.zeros(width)
+    return np.array([t if isinstance(t, np.ndarray) else t + zeros for t in tangents])
 
 
 def eval_jvp_dual(f: Callable, x, seed):
@@ -238,9 +270,16 @@ def eval_jvp_dual(f: Callable, x, seed):
 
 
 def eval_jacobian_dual(f: Callable, x) -> np.ndarray:
-    """Full Jacobian of ``f`` at ``x``, one unit-seed dual pass per column."""
+    """Full Jacobian of ``f`` at ``x`` from one dual pass seeded with the identity.
+
+    Each input carries the vector tangent of its unit seed, so ``f`` runs
+    once and the ``(len(f(x)), len(x))`` tangent block is the Jacobian.
+    """
     x = np.asarray(x)
-    return np.column_stack([eval_jvp_dual(f, x, seed)[1] for seed in np.eye(x.shape[0])])
+    n = x.shape[0]
+    jac = tangent_values(f(lift_dual(x, np.eye(n))))
+    # an output that never touched the input has only the scalar zero of a constant
+    return jac if jac.ndim == 2 else np.zeros((jac.shape[0], n))
 
 
 def eval_second_directional(f: Callable, x, u, v):

@@ -100,10 +100,11 @@ def analytic_jacobians(jac_y: Callable, jac_p: Callable):
 def dual_jacobians():
     """Jacobian provider that differentiates the right-hand side with duals.
 
-    The state and parameter vectors are lifted together, one unit seed per
-    column, so every value the function touches lives at the same lifting
-    level; this is what allows the provider to be applied on top of inputs
-    that are already dual-valued.
+    The state and parameter vectors are lifted together with one identity
+    seed block, so a single dual pass gives both Jacobians and every value
+    the function touches lives at the same lifting level; this is what
+    allows the provider to be applied on top of inputs that are already
+    dual-valued.
     """
 
     def provider(f, t, y, p):
@@ -212,14 +213,17 @@ def jvp_solution(bundle: SensitivityBundle, g_y0, g_p) -> np.ndarray:
     """Forward-mode seed propagation through the solution map.
 
     Returns the trajectory-shaped directional derivative
-    ``dy/dy0 @ g_y0 + dy/dp @ g_p`` at every output time.
+    ``dy/dy0 @ g_y0 + dy/dp @ g_p`` at every output time.  Seeds of shape
+    ``(m,)`` and ``(k,)`` give one direction, shape ``(n_times, m)``;
+    seeds of shape ``(m, n)`` and ``(k, n)`` give ``n`` directions at once,
+    shape ``(n_times, m, n)``.
     """
     g_y0 = np.asarray(g_y0)
     g_p = np.asarray(g_p)
-    if g_y0.shape != (bundle.state_dim,) or g_p.shape != (bundle.n_params,):
+    m, k = bundle.state_dim, bundle.n_params
+    if g_y0.ndim > 2 or g_y0.shape[:1] != (m,) or g_p.shape != (k,) + g_y0.shape[1:]:
         raise ValueError(
-            f"seed shapes {g_y0.shape}, {g_p.shape} do not match "
-            f"({bundle.state_dim},), ({bundle.n_params},)"
+            f"seed shapes {g_y0.shape}, {g_p.shape} do not match ({m}[, n]), ({k}[, n])"
         )
     return bundle.dy_dy0.dot(g_y0) + bundle.dy_dp.dot(g_p)
 
@@ -254,12 +258,14 @@ def dual_aware_solve(
 ) -> Trajectory:
     """Solve ``y' = rhs(t, y, p)`` for dual-valued ``y0`` and/or ``p``.
 
-    Strips one payload level into seed vectors, integrates the augmented
-    system of ``rhs`` once in the lower scalar kind (Jacobians obtained by
+    Strips one payload level into seeds, integrates the augmented system
+    of ``rhs`` once in the lower scalar kind (Jacobians obtained by
     one-level-lower dual lifting), and reassembles the output payload as
-    the JVP ``dy/dy0 @ seed(y0) + dy/dp @ seed(p)``.  Nested duals
-    recurse: the lower-kind solve routes through here again until the
-    base kind is real.
+    the JVP ``dy/dy0 @ seed(y0) + dy/dp @ seed(p)``.  Vector tangents of
+    ``n`` seed directions give ``(m, n)`` and ``(k, n)`` seed matrices and
+    a ``(n_times, m, n)`` payload, still from one lowered solve.  Nested
+    duals recurse: the lower-kind solve routes through here again until
+    the base kind is real.
     """
     y0 = np.asarray(y0)
     p = np.asarray(p)
@@ -270,22 +276,27 @@ def dual_aware_solve(
         )
     bundle = forward_sensitivity_solve(
         rhs, dual_jacobians(), primal_values(p), primal_values(y0), time, method)
-    payload = jvp_solution(bundle, tangent_values(y0), tangent_values(p))
+    # one call, so constants in either input widen to the seed count of the other
+    seeds = tangent_values(np.concatenate([y0, p]))
+    m = y0.shape[0]
+    payload = jvp_solution(bundle, seeds[:m], seeds[m:])
     return Trajectory(bundle.times, lift_dual(bundle.y, payload))
 
 
 def hessian_forward_over_reverse(gradient: Callable, x0) -> np.ndarray:
-    """Hessian columns from a reverse-gradient routine on dual inputs.
+    """Hessian from one call of a reverse-gradient routine on dual inputs.
 
-    Column ``j`` is the tangent payload of ``gradient`` evaluated with the
-    inputs lifted to duals and seeded with the unit vector ``e_j``; solves
-    inside the gradient routine dispatch through :func:`dual_aware_solve`.
-    ``gradient`` must accept a vector of any scalar kind and return the
-    gradient vector.
+    The inputs are lifted with vector tangents seeded by the identity, so a
+    single ``gradient`` call carries all ``n`` directions and its ``(n, n)``
+    tangent block is the Hessian: column ``j`` is the derivative of the
+    gradient along ``e_j``.  Solves inside the gradient routine dispatch
+    through :func:`dual_aware_solve`, which runs each distinct lowered solve
+    once for all directions.  ``gradient`` must accept a vector of any
+    scalar kind and return the gradient vector.
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.shape[0]
-    hess = np.empty((n, n))
-    for j, seed in enumerate(np.eye(n)):
-        hess[:, j] = tangent_values(gradient(lift_dual(x0, seed)))
+    hess = np.zeros((n, n))
+    # a gradient that ignores x returns constants, whose zero tangents broadcast
+    hess[...] = tangent_values(gradient(lift_dual(x0, np.eye(n))))
     return hess

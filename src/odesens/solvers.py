@@ -42,6 +42,9 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 
+# step budget of a solve: RK23 step attempts by default, Euler steps always
+_MAX_STEPS = 1_000_000
+
 
 class SolverError(RuntimeError):
     """Base class for integration failures."""
@@ -52,7 +55,7 @@ class NonFiniteStateError(SolverError):
 
 
 class MaxStepsExceededError(SolverError):
-    """The adaptive solver used up its step budget."""
+    """A solve needs more steps than its budget allows."""
 
 
 class StepUnderflowError(SolverError):
@@ -121,7 +124,7 @@ class ToleranceConfig:
     safety: float = 0.8
     min_factor: float = 0.2
     max_factor: float = 5.0
-    max_steps: int = 1_000_000
+    max_steps: int = _MAX_STEPS
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "safety", "min_factor", "max_factor"):
@@ -187,9 +190,12 @@ def _check_finite(v: np.ndarray, step: int, t: float):
         raise NonFiniteStateError(f"non-finite state at step {step} (t = {t!r})")
 
 
-def _substeps(gap: float, dt: float) -> int:
-    # The shave keeps a gap that equals dt up to roundoff at one substep.
-    return max(1, int(math.ceil((gap / dt) * (1.0 - 1e-12))))
+def _check_euler_budget(n_steps: float, dt: float, t0: float, t_end: float):
+    if n_steps > _MAX_STEPS:
+        raise MaxStepsExceededError(
+            f"Euler with dt = {dt!r} needs {n_steps:.6g} steps on [{t0!r}, {t_end!r}], "
+            f"above the budget of {_MAX_STEPS}"
+        )
 
 
 def euler_solve(rhs: Callable, time: TimeSpec, y0, dt: float) -> Trajectory:
@@ -201,7 +207,10 @@ def euler_solve(rhs: Callable, time: TimeSpec, y0, dt: float) -> Trajectory:
     most ``dt`` and only the requested rows are reported.
 
     Generic over the scalar kind of ``y0``; ``dt`` and the time grid stay
-    real.
+    real.  The step count is fixed by ``dt`` and the grid, so a solve that
+    would need more than the shared step budget (the default
+    ``ToleranceConfig.max_steps``) raises ``MaxStepsExceededError`` before
+    its first step.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
@@ -210,9 +219,13 @@ def euler_solve(rhs: Callable, time: TimeSpec, y0, dt: float) -> Trajectory:
 
     if isinstance(time, Points):
         pts = time.times
+        # the shave keeps a gap that equals dt up to roundoff at one substep;
+        # a subnormal dt overflows a count to inf, which the budget rejects
+        with np.errstate(over="ignore"):
+            n_subs = np.maximum(1.0, np.ceil((np.diff(pts) / dt) * (1.0 - 1e-12)))
+        _check_euler_budget(n_subs.sum(), dt, float(pts[0]), float(pts[-1]))
         rows = [y]
-        for a, b in zip(pts[:-1], pts[1:]):
-            n_sub = _substeps(b - a, dt)
+        for a, b, n_sub in zip(pts[:-1], pts[1:], n_subs.astype(int).tolist()):
             h = (b - a) / n_sub
             for j in range(n_sub):
                 y = y + h * rhs(a + j * h, y)
@@ -226,17 +239,19 @@ def euler_solve(rhs: Callable, time: TimeSpec, y0, dt: float) -> Trajectory:
 
     span = time.t_end - time.t0
     q = span / dt
-    n_full = int(math.floor(q))
+    n_full = math.floor(q) if q < math.inf else q  # q is inf for a subnormal dt
     if q - n_full > 1.0 - 1e-9:
         n_full += 1
+    # a shortened last step covers a remainder; t0 + dt * n_full is the last full-step time
+    n_steps = n_full + (time.t_end - (time.t0 + dt * n_full) > dt * 1e-9)
+    _check_euler_budget(n_steps, dt, time.t0, time.t_end)
     times = time.t0 + dt * np.arange(n_full + 1)
-    remainder = time.t_end - times[-1]
-    if remainder > dt * 1e-9:
+    if n_steps > n_full:
         times = np.append(times, time.t_end)
     times[-1] = time.t_end
 
     rows = [y]
-    for k in range(len(times) - 1):
+    for k in range(n_steps):
         h = times[k + 1] - times[k]
         y = y + h * rhs(times[k], y)
         step += 1

@@ -86,6 +86,10 @@ class TestSolve:
         assert run_cli(["solve", *TINY, *flags]) == 1
         assert f"error: {field} must be finite" in capsys.readouterr().err
 
+    def test_euler_step_budget_exits_one(self, capsys):
+        assert run_cli(["solve", *TINY, "--dt", "1e-300"]) == 1
+        assert "above the budget of 1000000" in capsys.readouterr().err
+
     def test_failure_leaves_no_output_file(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
         code = run_cli([

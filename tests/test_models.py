@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from odesens import models, sensitivity
 from odesens.models import (
     MODELS,
     LVParams,
@@ -11,6 +12,7 @@ from odesens.models import (
     fmain_gradient_fd,
     fmain_gradient_forward,
     fmain_gradient_reverse,
+    fmain_hessian,
     fmain_objective,
     format_scenario,
     get_model,
@@ -20,8 +22,10 @@ from odesens.models import (
     lv_rhs,
     parse_scenario_text,
 )
-from odesens.scalars import eval_jacobian_dual
-from odesens.solvers import EulerMethod, Points, Span, SpanModeError, euler_solve, rk23_solve, ToleranceConfig
+from odesens.scalars import contains_dual, eval_jacobian_dual
+from odesens.solvers import (
+    EulerMethod, Points, RK23Method, Span, SpanModeError, euler_solve, rk23_solve, ToleranceConfig,
+)
 
 P = np.array([0.015, 1e-4, 0.03, 1e-4])
 Y0 = np.array([1000.0, 20.0])
@@ -247,7 +251,48 @@ class TestGradients:
         )
         assert np.array_equal(grad, np.array([2.0, 2.0, 0.0, 0.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("method", [EulerMethod(0.1), RK23Method()])
+    @pytest.mark.parametrize("model, y0, p", [("lv", Y0, P), ("linear", Y0[:1], P[:1])])
+    def test_forward_equals_unit_seed_loop_bitwise(self, method, model, y0, p):
+        time = Points(np.linspace(0.0, 50.0, 501))
+        bundles = models._fmain_bundles(y0, p, time, method, MODELS[model], "analytic")
+        m, n = y0.shape[0], y0.shape[0] + p.shape[0]
+        # the whole-trajectory loop it replaced, kept as the reference
+        expected = np.empty(n)
+        for j, seed in enumerate(np.eye(n)):
+            d1 = sensitivity.jvp_solution(bundles[0], seed[:m], seed[m:])
+            d2 = sensitivity.jvp_solution(bundles[1], seed[:m], 0.5 * seed[m:])
+            expected[j] = float(np.sum(d1[-1]) + np.sum(d2[-1]))
+        grad = fmain_gradient_forward(y0, p, time, method, model=MODELS[model])
+        assert grad.tobytes() == expected.tobytes()
+
     def test_ad_provider_matches_analytic_provider(self):
         analytic = fmain_gradient_reverse(Y0, P, SHORT_TIME, EulerMethod(0.1), jac="analytic")
         ad = fmain_gradient_reverse(Y0, P, SHORT_TIME, EulerMethod(0.1), jac="ad")
         assert np.max(np.abs(analytic - ad)) <= 1e-13 * np.max(np.abs(analytic))
+
+
+def test_hessian_makes_one_gradient_call_and_two_lowered_solves(monkeypatch):
+    gradient_calls, lowered = [], []
+    solve = sensitivity.forward_sensitivity_solve
+    hessian = sensitivity.hessian_forward_over_reverse
+
+    def counted_solve(f, jac, p, y0, time, method):
+        if not (contains_dual(p) or contains_dual(y0)):
+            lowered.append(p)
+        return solve(f, jac, p, y0, time, method)
+
+    def counted_hessian(gradient, x0):
+        def counted_gradient(x):
+            gradient_calls.append(x)
+            return gradient(x)
+        return hessian(counted_gradient, x0)
+
+    monkeypatch.setattr(sensitivity, "forward_sensitivity_solve", counted_solve)
+    monkeypatch.setattr(models, "forward_sensitivity_solve", counted_solve)
+    monkeypatch.setattr(models, "hessian_forward_over_reverse", counted_hessian)
+    hess = fmain_hessian(Y0, P, Points(np.linspace(0.0, 2.0, 21)), EulerMethod(0.1))
+    assert hess.shape == (6, 6)
+    assert len(gradient_calls) == 1
+    # one lowered solve per distinct parameter vector of the objective
+    assert [list(q) for q in lowered] == [list(P), list(P / 2.0)]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odesens.models import lv_jac_p, lv_jac_y, lv_rhs
 from odesens.scalars import (
@@ -8,7 +10,10 @@ from odesens.scalars import (
     eval_jacobian_dual,
     eval_jvp_dual,
     eval_second_directional,
+    is_finite_scalar,
+    lift_dual,
     magnitude,
+    tangent_values,
 )
 
 LV_P = np.array([0.015, 1e-4, 0.03, 1e-4])
@@ -54,6 +59,56 @@ class TestDualArithmetic:
         assert magnitude(Dual1(1.0, -3.0)) == 3.0
         assert magnitude(Dual1(Dual1(1.0, 2.0), Dual1(0.5, -4.0))) == 4.0
         assert magnitude(3 + 4j) == 5.0
+        assert magnitude(Dual1(1.0, np.array([0.5, -6.0, 2.0]))) == 6.0
+
+    def test_finiteness_covers_every_seed(self):
+        assert is_finite_scalar(Dual1(1.0, np.array([0.5, 2.0])))
+        assert not is_finite_scalar(Dual1(1.0, np.array([0.5, np.nan])))
+        assert not is_finite_scalar(Dual1(Dual1(1.0, 0.0), np.array([0.5, np.inf])))
+
+
+class TestVectorTangents:
+    def test_vector_seed_shape(self):
+        lifted = lift_dual(np.array([1.0, 2.0]), np.array([[1.0, 0.0, 3.0], [0.0, 1.0, 4.0]]))
+        assert np.array_equal(lifted[1].tangent, [0.0, 1.0, 4.0])
+        with pytest.raises(ValueError):
+            lift_dual(np.array([1.0, 2.0]), np.zeros((3, 2)))
+
+    def test_constants_widen_to_the_seed_count(self):
+        lifted = lift_dual(np.array([3.0, 5.0]), np.eye(2))
+        out = np.array([lifted[0] * lifted[1], 7.0], dtype=object)
+        assert np.array_equal(tangent_values(out), [[5.0, 3.0], [0.0, 0.0]])
+
+    def test_jacobian_is_one_pass(self):
+        calls = []
+
+        def counted(z):
+            calls.append(z)
+            return lv_joint(z)
+
+        eval_jacobian_dual(counted, np.concatenate([LV_Y, LV_P]))
+        assert len(calls) == 1
+
+    def test_constant_function_has_zero_jacobian(self):
+        jac = eval_jacobian_dual(lambda z: np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0]))
+        assert np.array_equal(jac, np.zeros((3, 2)))
+
+
+_LV_POINT = st.tuples(
+    st.lists(st.floats(1e-3, 1e4), min_size=2, max_size=2),
+    st.lists(st.floats(1e-6, 1.0), min_size=4, max_size=4),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_LV_POINT)
+def test_vector_seeded_jacobian_equals_columns_and_analytic_bitwise(point):
+    y, p = (np.array(v) for v in point)
+    z = np.concatenate([y, p])
+    jac = eval_jacobian_dual(lv_joint, z)
+    columns = np.column_stack([eval_jvp_dual(lv_joint, z, seed)[1] for seed in np.eye(6)])
+    assert np.array_equal(jac, columns)
+    assert np.array_equal(jac, np.hstack([lv_jac_y(0.0, y, p), lv_jac_p(0.0, y, p)]))
 
 
 # Random compositions of +, -, *, / with an independent recursive

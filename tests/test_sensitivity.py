@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odesens.models import linear_rhs, lv_jac_p, lv_jac_y, lv_rhs
-from odesens.scalars import Dual1, primal_values, tangent_part, tangent_values
+from odesens.scalars import Dual1, lift_dual, primal_values, tangent_part, tangent_values
 from odesens.sensitivity import (
     _augmented_system,
     analytic_jacobians,
@@ -190,6 +192,16 @@ class TestJvpVjp:
         bundle = lv_bundle()
         assert np.all(jvp_solution(bundle, np.zeros(2), np.zeros(4)) == 0.0)
 
+    def test_seed_matrix_gives_one_direction_per_column(self):
+        bundle = lv_bundle()
+        seeds = np.random.default_rng(31).normal(size=(6, 3))
+        out = jvp_solution(bundle, seeds[:2], seeds[2:])
+        assert out.shape == (11, 2, 3)
+        for j in range(3):
+            assert np.array_equal(out[..., j], jvp_solution(bundle, seeds[:2, j], seeds[2:, j]))
+        with pytest.raises(ValueError):
+            jvp_solution(bundle, seeds[:2], seeds[2:, :2])
+
     def test_jvp_matches_central_fd_of_solver_map(self):
         pts = np.linspace(0.0, 10.0, 11)
         bundle = forward_sensitivity_solve(
@@ -247,6 +259,23 @@ class TestJvpVjp:
 
 
 class TestEulerCommutation:
+    def test_vector_seeded_euler_equals_one_seed_solves_bitwise(self):
+        pts = np.linspace(0.0, 10.0, 11)
+        seeds = np.random.default_rng(37).uniform(-1.0, 1.0, (6, 4))
+
+        def solve(s):
+            p_dual = lift_dual(LV_P, s[2:])
+            return euler_solve(
+                lambda t, y: lv_rhs(t, y, p_dual), Points(pts), lift_dual(LV_Y0, s[:2]), 0.1
+            ).states
+
+        together = solve(seeds)
+        for j in range(4):
+            alone = solve(seeds[:, j])
+            for row, row_j in zip(together, alone):
+                assert np.array_equal(primal_values(row), primal_values(row_j))
+                assert np.array_equal(tangent_values(row)[:, j], tangent_values(row_j))
+
     def test_dual_euler_equals_augmented_euler(self):
         # the Euler recurrence commutes with differentiation, so pushing a
         # parameter seed through the solver must match the variational solve
@@ -304,6 +333,23 @@ class TestDualAwareSolve:
             assert np.max(np.abs(payload - expected)[mask] / scale[mask], initial=0.0) <= 1e-13
             assert np.max(np.abs(payload - expected)) <= 1e-13 * max(np.max(np.abs(expected)), 1.0)
 
+    @pytest.mark.parametrize("method", [EulerMethod(0.1), RK23Method()])
+    def test_vector_seeds_match_one_seed_solves_bitwise(self, method):
+        pts = np.linspace(0.0, 10.0, 11)
+        seeds = np.random.default_rng(29).uniform(-1.0, 1.0, (6, 3))
+
+        def solve(s):
+            return dual_aware_solve(
+                lv_rhs, lift_dual(LV_P, s[2:]), lift_dual(LV_Y0, s[:2]), Points(pts), method
+            ).states
+
+        together = solve(seeds)
+        for j in range(3):
+            alone = solve(seeds[:, j])
+            for row, row_j in zip(together, alone):
+                assert np.array_equal(primal_values(row), primal_values(row_j))
+                assert np.array_equal(tangent_values(row)[:, j], tangent_values(row_j))
+
     def test_second_order_payload_matches_closed_form(self):
         # y' = a*y with a twice-seeded: d^2y/da^2 at t=1 is t^2*y0*e^(a t)
         a, y0 = 0.5, 2.0
@@ -360,3 +406,39 @@ class TestHessianDriver:
         ])
         hess = hessian_forward_over_reverse(lambda x: a.dot(x), np.array([1.0, -2.0, 0.5, 3.0]))
         assert np.array_equal(hess, a)
+
+    def test_constant_gradient_has_zero_hessian(self):
+        hess = hessian_forward_over_reverse(lambda x: np.array([1.0, 2.0]), np.array([3.0, 4.0]))
+        assert np.array_equal(hess, np.zeros((2, 2)))
+
+
+def _hessian_by_columns(gradient, x0):
+    """The one-seed-per-column driver, kept as the reference."""
+    n = x0.shape[0]
+    hess = np.empty((n, n))
+    for j, seed in enumerate(np.eye(n)):
+        hess[:, j] = tangent_values(gradient(lift_dual(x0, seed)))
+    return hess
+
+
+@st.composite
+def _cubic(draw):
+    n = draw(st.integers(1, 4))
+    coeffs = draw(st.lists(st.floats(-1.0, 1.0), min_size=n ** 3, max_size=n ** 3))
+    x0 = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    return np.array(coeffs).reshape(n, n, n), np.array(x0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_cubic())
+def test_hessian_of_cubic_equals_column_loop_bitwise_and_is_symmetric(cubic):
+    # f(x) = sum_ijk t_ijk x_i x_j x_k has gradient g_l = x^T g[l] x
+    t, x0 = cubic
+    g = t + t.transpose(1, 0, 2) + t.transpose(2, 0, 1)
+
+    def gradient(x):
+        return np.array([x.dot(g_l).dot(x) for g_l in g])
+
+    hess = hessian_forward_over_reverse(gradient, x0)
+    assert np.array_equal(hess, _hessian_by_columns(gradient, x0))
+    assert np.all(np.abs(hess - hess.T) <= 64 * np.finfo(float).eps * max(np.max(np.abs(hess)), 1.0))

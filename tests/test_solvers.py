@@ -88,6 +88,23 @@ class TestEuler:
         with pytest.raises(ValueError):
             euler_solve(lv, Span(0.0, 1.0), np.array([1.0, 1.0]), 0.0)
 
+    @pytest.mark.parametrize("time, dt", [
+        (Span(0.0, 1000.0), 1e-300),
+        (Points(np.linspace(0.0, 1000.0, 11)), 1e-300),
+        (Span(0.0, 1000.0), 5e-324),  # the step count overflows to inf
+        (Span(0.0, 1.0), 1e-6 * (1.0 - 1e-6)),  # one step above the budget
+    ])
+    def test_step_budget_raises_before_stepping(self, time, dt):
+        calls = []
+
+        def counted(t, y):
+            calls.append(t)
+            return y
+
+        with pytest.raises(MaxStepsExceededError, match=f"dt = {dt!r}"):
+            euler_solve(counted, time, np.array([1.0]), dt)
+        assert calls == []
+
     def test_non_finite_state_reported(self):
         def blowup(t, y):
             with np.errstate(over="ignore"):
