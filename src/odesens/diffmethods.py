@@ -20,13 +20,14 @@ import numpy as np
 
 from .scalars import DEFAULT_CS_STEP, complex_step_column
 from .sensitivity import forward_sensitivity_solve, jacobian_provider
-from .solvers import Points, SpanModeError, TimeSpec, run_solver
+from .solvers import EulerMethod, Points, SpanModeError, TimeSpec, run_solver
 
 __all__ = [
     "fd_jacobian",
     "central_fd_jacobian",
     "cs_jacobian",
     "relative_error",
+    "solve_columns",
     "trajectory_map",
     "sensitivity_matrix",
     "CrossTable",
@@ -45,6 +46,13 @@ def _relative_steps(x: np.ndarray, factor: float) -> np.ndarray:
     return factor * np.where(x != 0.0, np.abs(x), 1.0)
 
 
+def _shifted_columns(x: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """``(d, d)`` matrix whose column ``k`` is ``x`` with ``steps[k]`` added to entry ``k``."""
+    columns = np.repeat(x[:, None], x.shape[0], axis=1)
+    columns[np.diag_indices(x.shape[0])] += steps
+    return columns
+
+
 def fd_jacobian(g: Callable, x, steps=None) -> np.ndarray:
     """One-sided forward-difference Jacobian of a vector function.
 
@@ -52,6 +60,11 @@ def fd_jacobian(g: Callable, x, steps=None) -> np.ndarray:
     increment ``h_k = sqrt(eps) * |x_k|`` (``sqrt(eps)`` for a zero
     coordinate).  Accuracy is at best about half the machine precision.
     ``steps`` overrides the per-coordinate increments.
+
+    ``g`` is called once, on the ``(d, d + 1)`` matrix whose columns are
+    ``x`` and the ``d`` shifted points, so it must follow numpy's
+    vectorised convention: ``(d,) -> (out,)`` and ``(d, B) -> (out, B)``,
+    column by column.
     """
     x = np.asarray(x, dtype=float)
     if steps is None:
@@ -60,13 +73,8 @@ def fd_jacobian(g: Callable, x, steps=None) -> np.ndarray:
         steps = np.asarray(steps, dtype=float)
         if steps.shape != x.shape:
             raise ValueError("steps must provide one increment per coordinate")
-    base = np.asarray(g(x), dtype=float)
-    jac = np.empty((base.shape[0], x.shape[0]))
-    for k in range(x.shape[0]):
-        shifted = x.copy()
-        shifted[k] += steps[k]
-        jac[:, k] = (np.asarray(g(shifted), dtype=float) - base) / steps[k]
-    return jac
+    values = np.asarray(g(np.column_stack([x, _shifted_columns(x, steps)])), dtype=float)
+    return (values[:, 1:] - values[:, :1]) / steps
 
 
 def central_fd_jacobian(g: Callable, x, factor: float = _SQRT_EPS) -> np.ndarray:
@@ -74,19 +82,16 @@ def central_fd_jacobian(g: Callable, x, factor: float = _SQRT_EPS) -> np.ndarray
 
     Column ``k`` is ``(g(x + h_k e_k) - g(x - h_k e_k)) / (2 h_k)`` with the
     relative increment ``h_k = factor * |x_k|`` (``factor`` for a zero
-    coordinate).
+    coordinate).  ``g`` is called once, on the ``(d, 2d)`` matrix of the
+    ``d`` points shifted up followed by the ``d`` shifted down, and follows
+    the vectorised convention of :func:`fd_jacobian`.
     """
     x = np.asarray(x, dtype=float)
     steps = _relative_steps(x, factor)
-    columns = []
-    for k in range(x.shape[0]):
-        hi = x.copy()
-        lo = x.copy()
-        hi[k] += steps[k]
-        lo[k] -= steps[k]
-        diff = np.asarray(g(hi), dtype=float) - np.asarray(g(lo), dtype=float)
-        columns.append(diff / (2.0 * steps[k]))
-    return np.column_stack(columns)
+    d = x.shape[0]
+    values = np.asarray(
+        g(np.hstack([_shifted_columns(x, steps), _shifted_columns(x, -steps)])), dtype=float)
+    return (values[:, :d] - values[:, d:]) / (2.0 * steps)
 
 
 def cs_jacobian(g: Callable, x, h: float = DEFAULT_CS_STEP) -> np.ndarray:
@@ -94,7 +99,10 @@ def cs_jacobian(g: Callable, x, h: float = DEFAULT_CS_STEP) -> np.ndarray:
 
     Column ``k`` is ``Im(g(x + i*h*e_k)) / h``; no subtractive
     cancellation, so the tiny default step gives near machine-precision
-    columns whenever ``g`` is evaluable on complex inputs.
+    columns whenever ``g`` is evaluable on complex inputs.  ``g`` is called
+    once per column on a 1-D complex point, never on a matrix of columns:
+    numpy's array complex multiply rounds differently from its scalar one,
+    so complex lanes would not reproduce the one-point columns bitwise.
     """
     x = np.asarray(x, dtype=float)
     return np.column_stack([complex_step_column(g, x, k, h) for k in range(x.shape[0])])
@@ -126,24 +134,43 @@ def _stacked(per_row: np.ndarray) -> np.ndarray:
     return per_row.swapaxes(0, 1).reshape((m * n,) + per_row.shape[2:])
 
 
+def solve_columns(model, time: TimeSpec, method, x) -> np.ndarray:
+    """States of the solves started from each column of ``x = (y0 || p)``.
+
+    A 1-D ``x`` gives one solve with states ``(n_times, m)``; a ``(d, B)``
+    matrix gives ``(n_times, m, B)``, lane ``b`` being the solve of column
+    ``b``.  Euler runs all columns as lanes of one solve, because its steps
+    do not depend on the state.
+    """
+    m = model.state_dim
+
+    def solve(point):
+        p = point[m:]
+        return run_solver(lambda t, y: model.rhs(t, y, p), time, point[:m], method).states
+
+    if x.ndim == 1 or isinstance(method, EulerMethod):
+        return solve(x)
+    # RK23 picks each step from the error of the whole state, so lanes would share steps
+    return np.stack([solve(column) for column in x.T], axis=-1)
+
+
 def trajectory_map(model, time: TimeSpec, method) -> Callable:
     """The map ``(y0 || p) -> column-major flattened trajectory``.
 
     Requires a prescribed-points time specification so that every
-    perturbed run reports its states on exactly the same grid.
+    perturbed run reports its states on exactly the same grid.  The map
+    follows the vectorised convention of :func:`fd_jacobian`: a ``(d, B)``
+    matrix of inputs gives a ``(m * n_times, B)`` matrix, one column per
+    input column, from :func:`solve_columns`.
     """
     if not isinstance(time, Points):
         raise SpanModeError(
             "differencing a solver run requires prescribed output points; "
             "a plain span lets the output grid move with the perturbation"
         )
-    m = model.state_dim
 
     def g(x):
-        y0 = x[:m]
-        p = x[m:]
-        traj = run_solver(lambda t, y: model.rhs(t, y, p), time, y0, method)
-        return _stacked(traj.states)
+        return _stacked(solve_columns(model, time, method, x))
 
     return g
 

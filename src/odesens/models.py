@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .diffmethods import central_fd_jacobian, cs_jacobian
+from .diffmethods import central_fd_jacobian, cs_jacobian, solve_columns
 from .sensitivity import (
     forward_sensitivity_solve,
     hessian_forward_over_reverse,
@@ -32,7 +32,6 @@ from .solvers import (
     SpanModeError,
     TimeSpec,
     ToleranceConfig,
-    run_solver,
 )
 
 __all__ = [
@@ -330,15 +329,26 @@ def _resolve(model: Optional[OdeModel], jac: str):
 
 
 def fmain_objective(y0, p, time: TimeSpec, method: SolverMethod, model: Optional[OdeModel] = None):
-    """Scalar objective: solve at ``p`` and at ``p/2``, sum the final rows."""
+    """Scalar objective: solve at ``p`` and at ``p/2``, sum the final rows.
+
+    Columns ``y0`` of shape ``(m, B)`` and ``p`` of shape ``(k, B)`` give
+    the ``B`` objectives of the column pairs, from ``2B`` lanes of one
+    :func:`solve_columns` call.  1-D inputs run the two solves one by one,
+    so the complex inputs of the complex step never become lanes (see
+    :func:`cs_jacobian`).
+    """
     _require_points(time)
     model = model if model is not None else MODELS["lv"]
     y0 = np.asarray(y0)
     p = np.asarray(p)
-    p2 = p / 2.0
-    first = run_solver(lambda t, y: model.rhs(t, y, p), time, y0, method)
-    second = run_solver(lambda t, y: model.rhs(t, y, p2), time, y0, method)
-    return np.sum(first.states[-1]) + np.sum(second.states[-1])
+    if y0.ndim == 1:
+        first = solve_columns(model, time, method, np.concatenate([y0, p]))
+        second = solve_columns(model, time, method, np.concatenate([y0, p / 2.0]))
+        return np.sum(first[-1]) + np.sum(second[-1])
+    b = y0.shape[1]
+    x = np.vstack([np.hstack([y0, y0]), np.hstack([p, p / 2.0])])
+    last = solve_columns(model, time, method, x)[-1]
+    return np.sum(last[:, :b], axis=0) + np.sum(last[:, b:], axis=0)
 
 
 def _fmain_bundles(y0, p, time, method, model, jac):
@@ -397,7 +407,8 @@ def _of_stacked_input(fn: Callable, y0, p, time, method, **kwargs):
     m = y0.shape[0]
 
     def g(x):
-        return np.atleast_1d(fn(x[:m], x[m:], time, method, **kwargs))
+        # a scalar objective becomes one output row, (1,) or (1, B)
+        return np.reshape(fn(x[:m], x[m:], time, method, **kwargs), (-1,) + x.shape[1:])
 
     return g, np.concatenate([y0, p])
 
@@ -439,4 +450,8 @@ def fmain_hessian_fd(
     """Central finite differences of the reverse gradient, step 1e-5*|x_k|."""
     gradient, x0 = _of_stacked_input(
         fmain_gradient_reverse, y0, p, time, method, model=model, jac=jac)
-    return central_fd_jacobian(gradient, x0, _HESSIAN_FD_STEP)
+
+    def columns(x):
+        return np.column_stack([gradient(column) for column in x.T])
+
+    return central_fd_jacobian(columns, x0, _HESSIAN_FD_STEP)

@@ -236,7 +236,8 @@ def vjp_solution(bundle: SensitivityBundle, a_y):
     parameters.  The bundle must come from a prescribed-points solve: the
     caller is stuck with the shape of the incoming adjoint, so the output
     grid has to be known up front rather than discovered by re-running the
-    primal solve.
+    primal solve.  Only the rows where ``a_y`` is nonzero are contracted,
+    so a final-row adjoint costs one row whatever the trajectory length.
     """
     if isinstance(bundle.time_spec, Span):
         raise SpanModeError(
@@ -246,7 +247,9 @@ def vjp_solution(bundle: SensitivityBundle, a_y):
     n, m = bundle.times.shape[0], bundle.state_dim
     if a_y.shape != (n, m):
         raise ValueError(f"adjoint shape {a_y.shape} does not match trajectory ({n}, {m})")
-    return np.tensordot(a_y, bundle.dy_dy0, 2), np.tensordot(a_y, bundle.dy_dp, 2)
+    rows = np.flatnonzero(np.any(a_y != 0, axis=1))
+    a_y = a_y[rows]
+    return np.tensordot(a_y, bundle.dy_dy0[rows], 2), np.tensordot(a_y, bundle.dy_dp[rows], 2)
 
 
 def dual_aware_solve(

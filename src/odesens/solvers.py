@@ -168,6 +168,8 @@ def run_solver(rhs: Callable, time: TimeSpec, y0, method: SolverMethod) -> Traje
 
 def _state_array(y0) -> np.ndarray:
     y = np.asarray(y0)
+    # no lanes for RK23: its step control takes the largest error over every
+    # component, so lanes stacked in one state would change each other's steps
     if y.ndim != 1:
         raise ValueError("initial state must be a 1-D vector")
     return y.copy()
@@ -181,7 +183,7 @@ def _magnitudes(v: np.ndarray) -> np.ndarray:
 
 def _all_finite(v: np.ndarray) -> bool:
     if v.dtype == object:
-        return all(is_finite_scalar(x) for x in v)
+        return all(is_finite_scalar(x) for x in v.flat)
     return bool(np.all(np.isfinite(v)))
 
 
@@ -207,14 +209,21 @@ def euler_solve(rhs: Callable, time: TimeSpec, y0, dt: float) -> Trajectory:
     most ``dt`` and only the requested rows are reported.
 
     Generic over the scalar kind of ``y0``; ``dt`` and the time grid stay
-    real.  The step count is fixed by ``dt`` and the grid, so a solve that
-    would need more than the shared step budget (the default
+    real.  The steps depend only on ``dt`` and the grid, never on the
+    state, so ``y0`` may also be an ``(m, B)`` matrix of ``B`` independent
+    lanes that take the same steps; ``rhs`` then receives and returns
+    ``(m, B)`` states and the result holds ``(n_times, m, B)`` states, each
+    lane bitwise the one-lane solve of its column for real elementwise
+    arithmetic.  The step count is fixed by ``dt`` and the grid, so a
+    solve that would need more than the shared step budget (the default
     ``ToleranceConfig.max_steps``) raises ``MaxStepsExceededError`` before
     its first step.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    y = _state_array(y0)
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    y = np.array(y0)
+    if y.ndim == 0:
+        raise ValueError("initial state must be a vector or an (m, B) matrix of lanes")
     step = 0
 
     if isinstance(time, Points):

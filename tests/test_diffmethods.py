@@ -40,6 +40,22 @@ class TestFdJacobian:
             fd_jacobian(lambda x: x, np.ones(3), steps=np.ones(2))
 
 
+@pytest.mark.parametrize("jacobian, n_columns", [(fd_jacobian, 4), (central_fd_jacobian, 6)])
+def test_g_is_called_once_on_every_point(jacobian, n_columns):
+    inputs = []
+
+    def g(x):
+        inputs.append(x.copy())
+        return np.array([x[0] * x[1], x[2] ** 2])
+
+    x = np.array([1.0, -2.0, 0.0])
+    jac = jacobian(g, x)
+    assert [a.shape for a in inputs] == [(3, n_columns)]
+    # every column differs from x in at most one coordinate
+    assert np.all(np.sum(inputs[0] != x[:, None], axis=0) <= 1)
+    assert np.abs(jac - np.array([[-2.0, 1.0, 0.0], [0.0, 0.0, 0.0]])).max() <= 1e-7
+
+
 class TestCentralFdJacobian:
     def test_quadratic_is_exact_to_roundoff(self):
         jac = central_fd_jacobian(lambda x: np.array([x[0] * x[0], 3.0 * x[1]]), np.array([1.0, 0.0]))
@@ -149,6 +165,20 @@ class TestCrossCompare:
         mats = {name: sensitivity_matrix(SMALL, name) for name in CROSS_METHODS}
         shapes = {m.shape for m in mats.values()}
         assert shapes == {(2 * 501, 6)}
+
+    @pytest.mark.parametrize("solver, method_name, shapes", [
+        ("euler", "fd", [(2, 7)]),
+        ("rk23", "fd", [(2,)] * 7),
+        ("euler", "cs", [(2,)] * 6),
+        ("rk23", "cs", [(2,)] * 6),
+    ])
+    def test_numerical_matrix_solves(self, solve_shapes, solver, method_name, shapes):
+        # Euler runs the seven FD points as lanes of one solve; RK23 and the
+        # complex step run one solve per column
+        sc = Scenario(t_end=2.0, n_points=21, solver=solver)
+        jac = sensitivity_matrix(sc, method_name)
+        assert jac.shape == (42, 6)
+        assert solve_shapes == shapes
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from odesens import models, sensitivity
 from odesens.models import (
     MODELS,
+    SOLVERS,
     LVParams,
     Scenario,
     fmain_gradient_cs,
@@ -209,6 +212,17 @@ class TestObjective:
         with pytest.raises(SpanModeError):
             fmain_objective(Y0, P, Span(0.0, 10.0), EulerMethod(0.1))
 
+    @pytest.mark.parametrize("method", [EulerMethod(0.1), RK23Method()])
+    def test_columns_equal_one_by_one_bitwise(self, method):
+        rng = np.random.default_rng(53)
+        y0 = Y0[:, None] * rng.uniform(0.9, 1.1, (2, 3))
+        p = P[:, None] * rng.uniform(0.9, 1.1, (4, 3))
+        time = Points(np.linspace(0.0, 20.0, 21))
+        z = fmain_objective(y0, p, time, method)
+        assert z.shape == (3,)
+        for b in range(3):
+            assert z[b] == fmain_objective(y0[:, b], p[:, b], time, method)
+
 
 SHORT_TIME = Points(np.linspace(0.0, 100.0, 1001))
 
@@ -296,3 +310,41 @@ def test_hessian_makes_one_gradient_call_and_two_lowered_solves(monkeypatch):
     assert len(gradient_calls) == 1
     # one lowered solve per distinct parameter vector of the objective
     assert [list(q) for q in lowered] == [list(P), list(P / 2.0)]
+
+
+@pytest.mark.parametrize("method, gradient, shapes", [
+    # the 12 central points of the 6 inputs, at p and p/2, as 24 lanes of one solve
+    (EulerMethod(0.1), fmain_gradient_fd, [(2, 24)]),
+    (RK23Method(), fmain_gradient_fd, [(2,)] * 24),
+    # complex inputs: one solve per column and per parameter vector
+    (EulerMethod(0.1), fmain_gradient_cs, [(2,)] * 12),
+    (RK23Method(), fmain_gradient_cs, [(2,)] * 12),
+])
+def test_numerical_gradient_solves(solve_shapes, method, gradient, shapes):
+    grad = gradient(Y0, P, Points(np.linspace(0.0, 2.0, 21)), method)
+    assert grad.shape == (6,)
+    assert solve_shapes == shapes
+
+
+_POSITIVE = st.floats(1e-300, 1e300)
+
+
+@st.composite
+def _scenarios(draw):
+    t0 = draw(st.floats(-1e6, 1e6))
+    return Scenario(
+        model=draw(st.sampled_from(sorted(MODELS))),
+        **{key: draw(_POSITIVE) for key in ("eps1", "gamma1", "eps2", "gamma2", "y0_1", "y0_2")},
+        t0=t0,
+        t_end=t0 + draw(st.floats(1e-3, 1e6)),
+        n_points=draw(st.integers(1, 10 ** 6)),
+        solver=draw(st.sampled_from(SOLVERS)),
+        dt=draw(_POSITIVE),
+        rel_tol=draw(_POSITIVE),
+        abs_tol=draw(_POSITIVE),
+    )
+
+
+@given(_scenarios())
+def test_scenario_text_round_trip(scenario):
+    assert parse_scenario_text(format_scenario(scenario), model=scenario.model) == scenario

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from odesens.models import lv_jac_p, lv_jac_y, lv_rhs
@@ -100,7 +100,6 @@ _LV_POINT = st.tuples(
 )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
 @given(_LV_POINT)
 def test_vector_seeded_jacobian_equals_columns_and_analytic_bitwise(point):
     y, p = (np.array(v) for v in point)

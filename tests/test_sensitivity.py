@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from odesens.models import linear_rhs, lv_jac_p, lv_jac_y, lv_rhs
 from odesens.scalars import Dual1, lift_dual, primal_values, tangent_part, tangent_values
@@ -238,6 +239,29 @@ class TestJvpVjp:
             assert np.array_equal(a_y0, bundle.dy_dy0[r, m, :])
             assert np.array_equal(a_p, bundle.dy_dp[r, m, :])
 
+    def test_vjp_contracts_touched_rows_like_all_rows(self):
+        # the all-row contraction is the reference
+        def all_rows(bundle, adjoint):
+            return (np.tensordot(adjoint, bundle.dy_dy0, 2), np.tensordot(adjoint, bundle.dy_dp, 2))
+
+        bundle = lv_bundle(t_end=50.0, n_points=51)
+        selector = np.zeros((51, 2))
+        selector[-1] = 1.0
+        for got, expected in zip(vjp_solution(bundle, selector), all_rows(bundle, selector)):
+            assert got.tobytes() == expected.tobytes()
+        dense = np.random.default_rng(19).normal(size=(51, 2))
+        for got, expected in zip(vjp_solution(bundle, dense), all_rows(bundle, dense)):
+            assert np.all(np.abs(got - expected) <= 1e-13 * np.abs(expected).max())
+        # the Hessian's case: a final-row selector on a dual-valued bundle
+        dual = forward_sensitivity_solve(
+            lv_rhs, LV_ANALYTIC, lift_dual(LV_P, np.eye(4)), LV_Y0,
+            Points(np.linspace(0.0, 2.0, 21)), EulerMethod(0.1))
+        selector = np.zeros((21, 2))
+        selector[-1] = 1.0
+        for got, expected in zip(vjp_solution(dual, selector), all_rows(dual, selector)):
+            assert primal_values(got).tobytes() == primal_values(expected).tobytes()
+            assert tangent_values(got).tobytes() == tangent_values(expected).tobytes()
+
     def test_vjp_rejects_span_mode(self):
         bundle = forward_sensitivity_solve(
             lv_rhs, LV_ANALYTIC, LV_P, LV_Y0, Span(0.0, 10.0), EulerMethod(0.1)
@@ -256,6 +280,26 @@ class TestJvpVjp:
             a_y0, a_p = vjp_solution(bundle, adjoint)
             reverse = float(a_y0 @ g_y0 + a_p @ g_p)
             assert abs(forward - reverse) <= 1e-13 * abs(forward)
+
+
+_IDENTITY_BUNDLE = lv_bundle(t_end=50.0, n_points=51)
+
+
+@given(
+    arrays(float, 2, elements=st.floats(-1.0, 1.0)),
+    arrays(float, 4, elements=st.floats(-1.0, 1.0)),
+    arrays(float, (51, 2), elements=st.floats(-1.0, 1.0)),
+)
+def test_jvp_vjp_bilinear_identity(g_y0, g_p, adjoint):
+    # a . jvp(g) = a_y0 . g_y0 + a_p . g_p, up to the roundoff of summing every term
+    bundle = _IDENTITY_BUNDLE
+    forward = np.sum(adjoint * jvp_solution(bundle, g_y0, g_p))
+    a_y0, a_p = vjp_solution(bundle, adjoint)
+    reverse = a_y0 @ g_y0 + a_p @ g_p
+    a = np.abs(adjoint)[..., None]
+    terms = np.abs(a * bundle.dy_dy0 * g_y0).sum() + np.abs(a * bundle.dy_dp * g_p).sum()
+    n_terms = adjoint.size * (g_y0.size + g_p.size)
+    assert abs(forward - reverse) <= 2 * n_terms * np.finfo(float).eps * terms
 
 
 class TestEulerCommutation:
@@ -429,7 +473,6 @@ def _cubic(draw):
     return np.array(coeffs).reshape(n, n, n), np.array(x0)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
 @given(_cubic())
 def test_hessian_of_cubic_equals_column_loop_bitwise_and_is_symmetric(cubic):
     # f(x) = sum_ijk t_ijk x_i x_j x_k has gradient g_l = x^T g[l] x

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from odesens.models import lv_rhs
 from odesens.scalars import Dual1, primal_values, tangent_values
@@ -88,6 +91,19 @@ class TestEuler:
         with pytest.raises(ValueError):
             euler_solve(lv, Span(0.0, 1.0), np.array([1.0, 1.0]), 0.0)
 
+    @pytest.mark.parametrize("time", [Span(0.0, 5.0), Points(np.array([0.0, 2.0, 5.0]))])
+    @pytest.mark.parametrize("dt", [math.inf, math.nan])
+    def test_non_finite_dt_rejected_before_stepping(self, time, dt):
+        calls = []
+
+        def counted(t, y):
+            calls.append(t)
+            return y
+
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            euler_solve(counted, time, np.array([1.0]), dt)
+        assert calls == []
+
     @pytest.mark.parametrize("time, dt", [
         (Span(0.0, 1000.0), 1e-300),
         (Points(np.linspace(0.0, 1000.0, 11)), 1e-300),
@@ -112,6 +128,45 @@ class TestEuler:
 
         with pytest.raises(NonFiniteStateError):
             euler_solve(blowup, Span(0.0, 1.0), np.array([1.0]), 0.1)
+
+    def test_dual_lanes_equal_one_lane_solves_and_are_checked_for_finiteness(self):
+        lanes = np.array([[Dual1(1.0, 1.0), Dual1(2.0, 0.5)]], dtype=object)
+        traj = euler_solve(lambda t, y: 0.5 * y, Span(0.0, 1.0), lanes, 0.1)
+        assert traj.states.shape == (11, 1, 2)
+        for b in range(2):
+            one = euler_solve(lambda t, y: 0.5 * y, Span(0.0, 1.0), lanes[:, b], 0.1)
+            assert np.array_equal(primal_values(traj.states[:, 0, b]), primal_values(one.states[:, 0]))
+            assert np.array_equal(tangent_values(traj.states[:, 0, b]), tangent_values(one.states[:, 0]))
+        # only the tangent of the second lane overflows
+        lanes = np.array([[Dual1(1.0, 1.0), Dual1(1.0, 1e300)]], dtype=object)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteStateError):
+            euler_solve(lambda t, y: 1e10 * y, Span(0.0, 1.0), lanes, 0.1)
+
+
+@st.composite
+def _lv_lanes(draw):
+    """Random positive LV columns ``(y0 || p)``, a step size and an output grid."""
+    n_lanes = draw(st.integers(1, 4))
+    y0 = draw(arrays(float, (2, n_lanes), elements=st.floats(1.0, 2000.0)))
+    rates = draw(arrays(float, (2, n_lanes), elements=st.floats(1e-3, 0.1)))
+    gammas = draw(arrays(float, (2, n_lanes), elements=st.floats(1e-7, 1e-5)))
+    # (eps1, gamma1, eps2, gamma2): small enough that no lane leaves the finite range
+    p = np.stack([rates[0], gammas[0], rates[1], gammas[1]])
+    t_end = draw(st.floats(0.5, 10.0))
+    dt = draw(st.floats(0.01, 0.5))
+    n_points = draw(st.integers(1, 12))
+    return y0, p, dt, t_end, n_points
+
+
+@given(_lv_lanes())
+def test_euler_lanes_equal_one_column_solves_bitwise(case):
+    y0, p, dt, t_end, n_points = case
+    for time in (Span(0.0, t_end), Points(np.linspace(0.0, t_end, n_points))):
+        lanes = euler_solve(lambda t, y: lv_rhs(t, y, p), time, y0, dt)
+        for b in range(y0.shape[1]):
+            one = euler_solve(lambda t, y: lv_rhs(t, y, p[:, b]), time, y0[:, b], dt)
+            assert lanes.times.tobytes() == one.times.tobytes()
+            assert lanes.states[..., b].tobytes() == one.states.tobytes()
 
 
 class TestRK23Step:
@@ -235,6 +290,10 @@ class TestRK23Solve:
             ToleranceConfig(rel_tol=math.inf)
         with pytest.raises(ValueError, match="abs_tol must be finite"):
             ToleranceConfig(abs_tol=math.nan)
+
+    def test_lanes_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            rk23_solve(lv, Span(0.0, 1.0), np.ones((2, 3)))
 
     def test_single_point_grid_returns_initial_state(self):
         traj = rk23_solve(lv, Points(np.array([0.0])), np.array([1000.0, 20.0]))
