@@ -40,8 +40,6 @@ from .sensitivity import (
     forward_sensitivity_solve,
     hessian_forward_over_reverse,
     jvp_solution,
-    pack_state,
-    unpack_state,
     vjp_solution,
 )
 from .models import (

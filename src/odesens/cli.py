@@ -16,6 +16,8 @@ import tempfile
 import time as _time
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .diffmethods import CROSS_METHODS, CrossTable, cross_compare, sensitivity_matrix
 from .models import (
     MODELS,
@@ -30,7 +32,7 @@ from .models import (
     fmain_hessian_fd,
     load_scenario,
 )
-from .sensitivity import forward_sensitivity_solve, jacobian_provider, pack_state
+from .sensitivity import forward_sensitivity_solve, jacobian_provider
 from .solvers import SolverError, run_solver
 
 __all__ = ["main"]
@@ -38,6 +40,11 @@ __all__ = ["main"]
 
 def _fmt(x) -> str:
     return repr(float(x))
+
+
+def _csv_rows(table: np.ndarray) -> list:
+    """One CSV line per row of a 2-D float array, each cell its shortest round-trip repr."""
+    return [",".join(map(repr, row.tolist())) for row in table]
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -104,8 +111,7 @@ def _cmd_solve(args) -> int:
         scenario.method(),
     )
     lines = ["t," + ",".join(_state_labels(model.state_dim))]
-    for i in range(traj.times.shape[0]):
-        lines.append(",".join([_fmt(traj.times[i])] + [_fmt(v) for v in traj.states[i]]))
+    lines += _csv_rows(np.column_stack([traj.times, traj.states]))
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -129,12 +135,10 @@ def _cmd_sens(args) -> int:
     else:
         keep = list(range(len(sens_labels)))
     header = ["t"] + _state_labels(m) + [sens_labels[i] for i in keep]
-    columns = [m + i for i in keep]
-    lines = [",".join(header)]
-    packed = pack_state(bundle.y, bundle.dy_dp, bundle.dy_dy0)
-    for t, row in zip(bundle.times, packed):
-        cells = [_fmt(t)] + [_fmt(v) for v in row[:m]] + [_fmt(row[c]) for c in columns]
-        lines.append(",".join(cells))
+    columns = list(range(m)) + [m + i for i in keep]
+    # each composite row ravels to [y; vec(dy/dp); vec(dy/dy0)], the label order
+    packed = bundle.states.reshape(bundle.times.shape[0], -1)[:, columns]
+    lines = [",".join(header)] + _csv_rows(np.column_stack([bundle.times, packed]))
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -213,9 +217,7 @@ def _cmd_hessian(args) -> int:
     else:
         hess = fmain_hessian_fd(y0, p, time_spec, method, model=model, jac=args.jac)
     labels = _input_labels(scenario)
-    lines = [",".join(labels)]
-    for row in hess:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [",".join(labels)] + _csv_rows(hess)
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 

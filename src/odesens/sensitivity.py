@@ -3,7 +3,8 @@
 The original system ``y' = f(t, y, p)`` is extended with the variational
 equations for the parameter sensitivity ``dy/dp`` (initialised to zero)
 and the initial-condition sensitivity ``dy/dy0`` (initialised to the
-identity), and the whole composite state is integrated in one pass.  On
+identity).  The composite state is the row stack
+``[y; (dy/dp)^T; (dy/dy0)^T]``, integrated as one system in one pass.  On
 top of the resulting per-time-point Jacobians this module offers forward
 seed propagation, reverse adjoint contraction, solves with dual-valued
 inputs (by stripping the payload, augmenting, and reassembling), and a
@@ -34,8 +35,6 @@ from .solvers import (
 )
 
 __all__ = [
-    "pack_state",
-    "unpack_state",
     "analytic_jacobians",
     "dual_jacobians",
     "jacobian_provider",
@@ -46,46 +45,6 @@ __all__ = [
     "dual_aware_solve",
     "hessian_forward_over_reverse",
 ]
-
-
-def pack_state(y, dy_dp, dy_dy0) -> np.ndarray:
-    """Pack ``(y, dy/dp, dy/dy0)`` into one flat vector.
-
-    Layout is ``[y; vec(dy/dp); vec(dy/dy0)]`` with column-major ``vec``,
-    so for a 2-state, 4-parameter system the slices are 0:2, 2:10 and
-    10:14.  Leading axes are stacked rows: ``(n, m)``, ``(n, m, k)`` and
-    ``(n, m, m)`` pack into ``(n, m + m*k + m*m)``.
-    """
-    y = np.asarray(y)
-    dy_dp = np.asarray(dy_dp)
-    dy_dy0 = np.asarray(dy_dy0)
-    if y.ndim == 0 or dy_dp.ndim != y.ndim + 1 or dy_dy0.ndim != y.ndim + 1:
-        raise ValueError("expected a state vector and two sensitivity matrices")
-    lead, m = y.shape[:-1], y.shape[-1]
-    if dy_dp.shape[:-1] != lead + (m,) or dy_dy0.shape != lead + (m, m):
-        raise ValueError(
-            f"sensitivity shapes {dy_dp.shape}, {dy_dy0.shape} do not match state length {m}"
-        )
-    k = dy_dp.shape[-1]
-    return np.concatenate([
-        y,
-        dy_dp.swapaxes(-1, -2).reshape(lead + (m * k,)),
-        dy_dy0.swapaxes(-1, -2).reshape(lead + (m * m,)),
-    ], axis=-1)
-
-
-def unpack_state(x, state_dim: int, n_params: int):
-    """Inverse of :func:`pack_state`, for one composite row or a stack of them."""
-    x = np.asarray(x)
-    m, k = state_dim, n_params
-    expected = m + m * k + m * m
-    if x.ndim == 0 or x.shape[-1] != expected:
-        raise ValueError(f"composite state has shape {x.shape}, expected (..., {expected})")
-    lead = x.shape[:-1]
-    y = x[..., :m]
-    dy_dp = x[..., m:m + m * k].reshape(lead + (k, m)).swapaxes(-1, -2)
-    dy_dy0 = x[..., m + m * k:].reshape(lead + (m, m)).swapaxes(-1, -2)
-    return y, dy_dp, dy_dy0
 
 
 def analytic_jacobians(jac_y: Callable, jac_p: Callable):
@@ -136,14 +95,18 @@ def jacobian_provider(model, kind: str):
 def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
     """Composite right-hand side with the parameter vector threaded through.
 
-    Maps ``(t, x, p)`` with ``x`` a packed composite state to its packed
-    derivative ``[f; vec(f_y V + f_p); vec(f_y W)]``; ``jac`` supplies the
-    two partial derivative matrices of ``f``.
+    Maps ``(t, x, p)`` with ``x`` the ``(1 + k + m, m)`` row stack
+    ``[y; V^T; W^T]`` to its derivative ``[f; (f_y V + f_p)^T; (f_y W)^T]``
+    in the shape of ``x``; ``jac`` supplies the two partial derivative
+    matrices of ``f``.  A flat ``x``, the C-order ravel of the stack, is
+    accepted too: that is how a dual Jacobian provider sees the state one
+    payload level down.
     """
     m, k = state_dim, n_params
 
     def aug(t, x, p):
-        y, dy_dp, dy_dy0 = unpack_state(x, m, k)
+        rows = x.reshape(1 + k + m, m)
+        y = rows[0]
         f_y, f_p = jac(f, t, y, p)
         if f_y.shape != (m, m) or f_p.shape != (m, k):
             raise ValueError(
@@ -151,30 +114,49 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
                 f"expected ({m}, {m}) and ({m}, {k})"
             )
         dy = np.asarray(f(t, y, p))
-        dv = f_y.dot(dy_dp) + f_p
-        dw = f_y.dot(dy_dy0)
-        return pack_state(dy, dv, dw)
+        dv = f_y.dot(rows[1:1 + k].T) + f_p
+        dw = f_y.dot(rows[1 + k:].T)
+        return np.concatenate([dy[None], dv.T, dw.T]).reshape(x.shape)
 
     return aug
 
 
 @dataclass(frozen=True)
 class SensitivityBundle:
-    """Solution plus both sensitivity blocks at every output time."""
+    """Solution plus both sensitivity blocks at every output time.
+
+    ``states[i]`` is the composite state at ``times[i]``, the row stack of
+    ``y``, the ``k`` columns of ``dy/dp`` and the ``m`` columns of
+    ``dy/dy0``; its C-order ravel is ``[y; vec(dy/dp); vec(dy/dy0)]`` with
+    column-major ``vec``.  ``y``, ``dy_dp`` and ``dy_dy0`` are views into it.
+    """
 
     times: np.ndarray
-    y: np.ndarray        # (n_times, state_dim)
-    dy_dp: np.ndarray    # (n_times, state_dim, n_params)
-    dy_dy0: np.ndarray   # (n_times, state_dim, state_dim)
+    states: np.ndarray   # (n_times, 1 + n_params + state_dim, state_dim)
     time_spec: TimeSpec
 
     @property
     def state_dim(self) -> int:
-        return self.y.shape[1]
+        return self.states.shape[2]
 
     @property
     def n_params(self) -> int:
-        return self.dy_dp.shape[2]
+        return self.states.shape[1] - 1 - self.state_dim
+
+    @property
+    def y(self) -> np.ndarray:
+        """``(n_times, state_dim)``"""
+        return self.states[:, 0]
+
+    @property
+    def dy_dp(self) -> np.ndarray:
+        """``(n_times, state_dim, n_params)``"""
+        return self.states[:, 1:-self.state_dim].swapaxes(1, 2)
+
+    @property
+    def dy_dy0(self) -> np.ndarray:
+        """``(n_times, state_dim, state_dim)``"""
+        return self.states[:, -self.state_dim:].swapaxes(1, 2)
 
 
 def forward_sensitivity_solve(
@@ -185,28 +167,27 @@ def forward_sensitivity_solve(
     time: TimeSpec,
     method: SolverMethod,
 ) -> SensitivityBundle:
-    """Integrate the augmented system and unpack every output row.
+    """Integrate the augmented system as one solve of its composite state.
 
-    Starts from ``pack(y0, 0, I)``.  ``jac=None`` selects the dual-lifting
-    Jacobian provider.  If ``y0`` or ``p`` carry dual payloads the
-    composite integration is routed through :func:`dual_aware_solve`,
-    which strips one payload level and recurses.
+    Starts from the row stack ``[y0; 0; I]`` of shape ``(1 + k + m, m)``.
+    ``jac=None`` selects the dual-lifting Jacobian provider.  If ``y0`` or
+    ``p`` carry dual payloads the composite integration is routed through
+    :func:`dual_aware_solve` on the ravelled stack, which strips one
+    payload level and recurses.
     """
     if jac is None:
         jac = dual_jacobians()
     y0 = np.asarray(y0)
     p = np.asarray(p)
     m, k = y0.shape[0], p.shape[0]
-    x0 = pack_state(y0, np.zeros((m, k)), np.eye(m))
+    x0 = np.concatenate([y0[None], np.zeros((k, m)), np.eye(m)])
     system = _augmented_system(f, jac, m, k)
 
-    if contains_dual(x0) or contains_dual(p):
-        traj = dual_aware_solve(system, p, x0, time, method)
+    if contains_dual(y0) or contains_dual(p):
+        traj = dual_aware_solve(system, p, x0.ravel(), time, method)
     else:
         traj = run_solver(lambda t, x: system(t, x, p), time, x0, method)
-
-    y, dy_dp, dy_dy0 = unpack_state(traj.states, m, k)
-    return SensitivityBundle(traj.times, y, dy_dp, dy_dy0, time_spec=time)
+    return SensitivityBundle(traj.times, traj.states.reshape((-1,) + x0.shape), time)
 
 
 def jvp_solution(bundle: SensitivityBundle, g_y0, g_p) -> np.ndarray:

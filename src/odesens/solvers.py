@@ -167,24 +167,22 @@ def run_solver(rhs: Callable, time: TimeSpec, y0, method: SolverMethod) -> Traje
 
 
 def _state_array(y0) -> np.ndarray:
-    y = np.asarray(y0)
-    # no lanes for RK23: its step control takes the largest error over every
-    # component, so lanes stacked in one state would change each other's steps
-    if y.ndim != 1:
-        raise ValueError("initial state must be a 1-D vector")
-    return y.copy()
+    y = np.array(y0)
+    if y.ndim == 0:
+        raise ValueError("initial state must be an array of at least one dimension")
+    return y
 
 
 def _magnitudes(v: np.ndarray) -> np.ndarray:
     if v.dtype == object:
-        return np.array([magnitude(x) for x in v])
+        return np.array([magnitude(x) for x in v.flat]).reshape(v.shape)
     return np.abs(v)
 
 
 def _all_finite(v: np.ndarray) -> bool:
     if v.dtype == object:
         return all(is_finite_scalar(x) for x in v.flat)
-    return bool(np.all(np.isfinite(v)))
+    return bool(np.isfinite(v).all())
 
 
 def _check_finite(v: np.ndarray, step: int, t: float):
@@ -209,21 +207,20 @@ def euler_solve(rhs: Callable, time: TimeSpec, y0, dt: float) -> Trajectory:
     most ``dt`` and only the requested rows are reported.
 
     Generic over the scalar kind of ``y0``; ``dt`` and the time grid stay
-    real.  The steps depend only on ``dt`` and the grid, never on the
-    state, so ``y0`` may also be an ``(m, B)`` matrix of ``B`` independent
-    lanes that take the same steps; ``rhs`` then receives and returns
-    ``(m, B)`` states and the result holds ``(n_times, m, B)`` states, each
-    lane bitwise the one-lane solve of its column for real elementwise
-    arithmetic.  The step count is fixed by ``dt`` and the grid, so a
-    solve that would need more than the shared step budget (the default
+    real.  ``y0`` may have any shape of at least one dimension: ``rhs``
+    receives and returns states of that shape and the result holds
+    ``(n_times,) + y0.shape`` states.  The steps depend only on ``dt`` and
+    the grid, never on the state, so the columns of an ``(m, B)`` state may
+    be ``B`` independent lanes that take the same steps, each lane bitwise
+    the one-lane solve of its column for real elementwise arithmetic.  The
+    step count is fixed by ``dt`` and the grid, so a solve that would need
+    more than the shared step budget (the default
     ``ToleranceConfig.max_steps``) raises ``MaxStepsExceededError`` before
     its first step.
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    y = np.array(y0)
-    if y.ndim == 0:
-        raise ValueError("initial state must be a vector or an (m, B) matrix of lanes")
+    y = _state_array(y0)
     step = 0
 
     if isinstance(time, Points):
@@ -313,6 +310,13 @@ def rk23_solve(rhs: Callable, time: TimeSpec, y0, tol: ToleranceConfig | None = 
     carried there influence step selection.  With prescribed points the
     step sequence is identical to the plain-span run and requested rows are
     filled from the cubic Hermite extension of the accepted steps.
+
+    ``y0`` may have any shape of at least one dimension, and is always one
+    coupled system: the norm runs over every entry, so the steps and states
+    are bitwise those of the solve of ``y0.ravel()``.  Independent lanes
+    stacked in one state would share steps and change each other's
+    results; running them separately is the job of
+    ``diffmethods.solve_columns``.
     """
     tol = tol if tol is not None else ToleranceConfig()
     points = None
@@ -375,8 +379,11 @@ def rk23_solve(rhs: Callable, time: TimeSpec, y0, tol: ToleranceConfig | None = 
     states = ky[idx]
     inner = np.flatnonzero(kt[idx] != points)
     i = idx[inner]
+    # one time per query row, broadcast over the axes of the state
+    column = (-1,) + (1,) * (ky.ndim - 1)
     states[inner] = hermite_interp(
-        kt[i, None], ky[i], kf[i], kt[i + 1, None], ky[i + 1], kf[i + 1], points[inner, None])
+        kt[i].reshape(column), ky[i], kf[i], kt[i + 1].reshape(column), ky[i + 1], kf[i + 1],
+        points[inner].reshape(column))
     return Trajectory(points.copy(), states)
 
 

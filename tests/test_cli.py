@@ -1,10 +1,17 @@
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from odesens.cli import main
-from odesens.models import format_scenario, Scenario
+from odesens.cli import _csv_rows, _fmt, main
+from odesens.models import SCENARIO_KEYS, SOLVERS, format_scenario, Scenario
+from odesens.sensitivity import forward_sensitivity_solve, jacobian_provider
+from odesens.solvers import run_solver
 
 SMALL = ["--t-end", "50", "--n-points", "51"]
 TINY = ["--t-end", "5", "--n-points", "6"]
@@ -206,3 +213,46 @@ class TestBench:
         assert [r[0] for r in rows] == ["euler", "rk23"]
         for row in rows:
             assert all(float(v) > 0.0 for v in row[1:])
+
+
+@given(arrays(float, (3, 4), elements=st.floats(allow_nan=False)))
+def test_csv_rows_match_per_cell_repr(table):
+    # hypothesis draws -0.0, subnormals and infinities among the doubles
+    assert _csv_rows(table) == [",".join(_fmt(v) for v in row) for row in table]
+
+
+@st.composite
+def _small_scenarios(draw):
+    rate, coupling = st.floats(1e-3, 0.1), st.floats(1e-5, 1e-3)
+    return Scenario(
+        model=draw(st.sampled_from(("lv", "linear"))),
+        eps1=draw(rate), gamma1=draw(coupling), eps2=draw(rate), gamma2=draw(coupling),
+        y0_1=draw(st.floats(1.0, 2000.0)), y0_2=draw(st.floats(1.0, 100.0)),
+        t_end=draw(st.floats(0.5, 20.0)), n_points=draw(st.integers(1, 25)),
+        solver=draw(st.sampled_from(SOLVERS)), dt=draw(st.floats(0.05, 0.5)),
+    )
+
+
+def _cli_table(args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(args) == 0
+    return np.array([[float(cell) for cell in line.split(",")]
+                     for line in out.getvalue().splitlines()[1:]])
+
+
+@given(_small_scenarios(), st.sampled_from(("analytic", "ad")))
+def test_solve_and_sens_csv_round_trip_every_double(scenario, jac):
+    flags = ["--model", scenario.model]
+    for key in SCENARIO_KEYS:
+        flags += ["--" + key.replace("_", "-"), str(getattr(scenario, key))]
+    model, p, y0 = scenario.ode_model(), scenario.params_array(), scenario.initial_state()
+    time, method = scenario.time_spec(), scenario.method()
+
+    traj = run_solver(lambda t, y: model.rhs(t, y, p), time, y0, method)
+    expected = np.column_stack([traj.times, traj.states])
+    assert _cli_table(["solve", *flags]).tobytes() == expected.tobytes()
+
+    bundle = forward_sensitivity_solve(model.rhs, jacobian_provider(model, jac), p, y0, time, method)
+    expected = np.column_stack([bundle.times, bundle.states.reshape(bundle.times.shape[0], -1)])
+    assert _cli_table(["sens", "--jac", jac, *flags]).tobytes() == expected.tobytes()

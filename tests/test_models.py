@@ -312,6 +312,12 @@ def test_hessian_makes_one_gradient_call_and_two_lowered_solves(monkeypatch):
     assert [list(q) for q in lowered] == [list(P), list(P / 2.0)]
 
 
+def test_hessian_lowered_solves_are_two_composite_solves(solve_shapes):
+    fmain_hessian(Y0, P, Points(np.linspace(0.0, 2.0, 21)), EulerMethod(0.1))
+    # one level down the (7, 2) composite is a flat 14-state with 4 parameters
+    assert solve_shapes == [(19, 14)] * 2
+
+
 @pytest.mark.parametrize("method, gradient, shapes", [
     # the 12 central points of the 6 inputs, at p and p/2, as 24 lanes of one solve
     (EulerMethod(0.1), fmain_gradient_fd, [(2, 24)]),

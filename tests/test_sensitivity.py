@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from odesens.models import linear_rhs, lv_jac_p, lv_jac_y, lv_rhs
 from odesens.scalars import Dual1, lift_dual, primal_values, tangent_part, tangent_values
 from odesens.sensitivity import (
+    SensitivityBundle,
     _augmented_system,
     analytic_jacobians,
     dual_aware_solve,
@@ -16,8 +17,6 @@ from odesens.sensitivity import (
     forward_sensitivity_solve,
     hessian_forward_over_reverse,
     jvp_solution,
-    pack_state,
-    unpack_state,
     vjp_solution,
 )
 from odesens.solvers import (
@@ -35,62 +34,75 @@ LV_Y0 = np.array([1000.0, 20.0])
 LV_ANALYTIC = analytic_jacobians(lv_jac_y, lv_jac_p)
 
 
+def _rows(y, v, w):
+    """The composite row stack ``[y; V^T; W^T]``."""
+    return np.concatenate([y[None], v.T, w.T])
+
+
 class TestPackUnpack:
+    """The composite state ravels to ``[y; vec V; vec W]``; the bundle reads it back as views."""
+
     def test_layout_matches_composite_index_ranges(self):
-        packed = pack_state(np.array([1.0, 2.0]), np.zeros((2, 4)), np.eye(2))
+        bundle = forward_sensitivity_solve(
+            lv_rhs, LV_ANALYTIC, LV_P, np.array([1.0, 2.0]), Points(np.array([0.0])),
+            EulerMethod(0.1))
+        assert bundle.states.shape == (1, 7, 2)
         expected = np.array([1.0, 2.0] + [0.0] * 8 + [1.0, 0.0, 0.0, 1.0])
-        assert np.array_equal(packed, expected)
+        assert np.array_equal(bundle.states[0].ravel(), expected)
 
     def test_round_trip(self):
-        rng = np.random.default_rng(5)
-        y = rng.normal(size=2)
-        v = rng.normal(size=(2, 4))
-        w = rng.normal(size=(2, 2))
-        y2, v2, w2 = unpack_state(pack_state(y, v, w), 2, 4)
-        assert np.array_equal(y, y2)
-        assert np.array_equal(v, v2)
-        assert np.array_equal(w, w2)
+        states = np.random.default_rng(5).normal(size=(3, 7, 2))
+        bundle = SensitivityBundle(np.arange(3.0), states, Points(np.arange(3.0)))
+        assert (bundle.state_dim, bundle.n_params) == (2, 4)
+        for block in (bundle.y, bundle.dy_dp, bundle.dy_dy0):
+            assert np.shares_memory(block, states)
+        for i in range(3):
+            assert np.array_equal(_rows(bundle.y[i], bundle.dy_dp[i], bundle.dy_dy0[i]), states[i])
 
     def test_scalar_system(self):
-        packed = pack_state(np.array([3.0]), np.array([[4.0]]), np.array([[5.0]]))
-        assert np.array_equal(packed, np.array([3.0, 4.0, 5.0]))
-
-    def test_unpack_wrong_length(self):
-        with pytest.raises(ValueError):
-            unpack_state(np.zeros(13), 2, 4)
-
-    def test_pack_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            pack_state(np.zeros(2), np.zeros((3, 4)), np.eye(2))
+        bundle = forward_sensitivity_solve(
+            linear_rhs, dual_jacobians(), np.array([0.5]), np.array([3.0]),
+            Points(np.array([0.0, 1.0])), EulerMethod(0.1))
+        assert bundle.states.shape == (2, 3, 1)
+        assert np.array_equal(bundle.states[0].ravel(), np.array([3.0, 0.0, 1.0]))
+        last = np.array([bundle.y[1, 0], bundle.dy_dp[1, 0, 0], bundle.dy_dy0[1, 0, 0]])
+        assert np.array_equal(bundle.states[1].ravel(), last)
 
     def test_stacked_rows_match_row_by_row(self):
-        rng = np.random.default_rng(6)
-        rows = rng.normal(size=(5, 14))
-        y, v, w = unpack_state(rows, 2, 4)
+        states = np.random.default_rng(6).normal(size=(5, 7, 2))
+        bundle = SensitivityBundle(np.arange(5.0), states, Points(np.arange(5.0)))
+        y, v, w = bundle.y, bundle.dy_dp, bundle.dy_dy0
         assert (y.shape, v.shape, w.shape) == ((5, 2), (5, 2, 4), (5, 2, 2))
         for i in range(5):
-            y_i, v_i, w_i = unpack_state(rows[i], 2, 4)
-            assert np.array_equal(y[i], y_i)
-            assert np.array_equal(v[i], v_i)
-            assert np.array_equal(w[i], w_i)
-        assert np.array_equal(pack_state(y, v, w), rows)
+            assert np.array_equal(y[i], states[i, 0])
+            assert np.array_equal(v[i], states[i, 1:5].T)
+            assert np.array_equal(w[i], states[i, 5:].T)
 
     def test_column_major_ordering(self):
-        v = np.array([[11.0, 12.0], [21.0, 22.0]])
-        packed = pack_state(np.zeros(2), v, np.eye(2))
-        assert np.array_equal(packed[2:6], np.array([11.0, 21.0, 12.0, 22.0]))
+        bundle = lv_bundle()
+        flat = bundle.states.reshape(11, 14)
+        assert np.array_equal(
+            flat[:, 2:6],
+            np.column_stack([bundle.dy_dp[:, 0, 0], bundle.dy_dp[:, 1, 0],
+                             bundle.dy_dp[:, 0, 1], bundle.dy_dp[:, 1, 1]]))
+        for j in range(2):
+            for i in range(2):
+                assert np.array_equal(flat[:, 10 + 2 * j + i], bundle.dy_dy0[:, i, j])
 
 
 class TestAugmentRhs:
     def test_lv_initial_composite_derivative(self):
         aug = _augmented_system(lv_rhs, LV_ANALYTIC, 2, 4)
-        x0 = pack_state(LV_Y0, np.zeros((2, 4)), np.eye(2))
-        dx = aug(0.0, x0, LV_P)
-        dy, dv, dw = unpack_state(dx, 2, 4)
-        # with V = 0 and W = I the sensitivity equations reduce to f_p and f_y
-        assert dy == pytest.approx([13.0, 1.4], rel=1e-15)
-        assert np.array_equal(dv, lv_jac_p(0.0, LV_Y0, LV_P))
-        assert np.array_equal(dw, lv_jac_y(0.0, LV_Y0, LV_P))
+        x0 = _rows(LV_Y0, np.zeros((2, 4)), np.eye(2))
+        for x in (x0, x0.ravel()):
+            dx = aug(0.0, x, LV_P)
+            assert dx.shape == x.shape
+            rows = dx.reshape(7, 2)
+            dy, dv, dw = rows[0], rows[1:5].T, rows[5:].T
+            # with V = 0 and W = I the sensitivity equations reduce to f_p and f_y
+            assert dy == pytest.approx([13.0, 1.4], rel=1e-15)
+            assert np.array_equal(dv, lv_jac_p(0.0, LV_Y0, LV_P))
+            assert np.array_equal(dw, lv_jac_y(0.0, LV_Y0, LV_P))
 
     def test_zero_system(self):
         def zero(t, y, p):
@@ -100,8 +112,9 @@ class TestAugmentRhs:
             lambda t, y, p: np.zeros((2, 2)), lambda t, y, p: np.zeros((2, 4))
         )
         aug = _augmented_system(zero, provider, 2, 4)
-        x = pack_state(np.array([1.0, 2.0]), np.ones((2, 4)), np.ones((2, 2)))
+        x = _rows(np.array([1.0, 2.0]), np.ones((2, 4)), np.ones((2, 2)))
         assert np.all(aug(0.0, x, LV_P) == 0.0)
+        assert np.all(aug(0.0, x.ravel(), LV_P) == 0.0)
 
     def test_analytic_and_dual_providers_agree(self):
         rng = np.random.default_rng(9)
@@ -116,6 +129,9 @@ class TestAugmentRhs:
             a = aug_an(0.0, x, LV_P)
             b = aug_ad(0.0, x, LV_P)
             assert np.all(np.abs(a - b) <= 1e-15 * np.maximum(np.abs(a), np.abs(b)))
+            # the row stack and its ravel are the same system
+            assert np.array_equal(aug_an(0.0, x.reshape(7, 2), LV_P), a.reshape(7, 2))
+            assert np.array_equal(aug_ad(0.0, x.reshape(7, 2), LV_P), b.reshape(7, 2))
 
 
 def lv_bundle(t_end=10.0, n_points=11, dt=0.1, jac=LV_ANALYTIC):
@@ -178,6 +194,16 @@ class TestForwardSensitivitySolve:
         defaulted = lv_bundle(jac=None)
         assert np.array_equal(explicit.dy_dp, defaulted.dy_dp)
         assert np.array_equal(explicit.dy_dy0, defaulted.dy_dy0)
+
+    @pytest.mark.parametrize("rhs, p, y0, shape", [
+        (lv_rhs, LV_P, LV_Y0, (7, 2)),
+        (linear_rhs, np.array([0.5]), np.array([3.0]), (3, 1)),
+    ])
+    def test_one_solve_of_the_row_stack(self, solve_shapes, rhs, p, y0, shape):
+        for method in (EulerMethod(0.1), RK23Method()):
+            solve_shapes.clear()
+            forward_sensitivity_solve(rhs, None, p, y0, Points(np.linspace(0.0, 1.0, 3)), method)
+            assert solve_shapes == [shape]
 
 
 class TestJvpVjp:
@@ -339,6 +365,20 @@ class TestEulerCommutation:
             expected = bundle.dy_dp[:, :, k]
             scale = np.maximum(np.abs(expected), 1.0)
             assert np.max(np.abs(tangents - expected) / scale) <= 1e-13
+
+
+@given(arrays(float, 6, elements=st.floats(-1.0, 1.0)))
+def test_dual_euler_equals_dual_aware_payload(seed):
+    # the Euler recurrence commutes with differentiation; the primal is the
+    # same float solve, the tangent is summed in a different order
+    pts = np.linspace(0.0, 10.0, 11)
+    y0, p = lift_dual(LV_Y0, seed[:2]), lift_dual(LV_P, seed[2:])
+    direct = euler_solve(lambda t, y: lv_rhs(t, y, p), Points(pts), y0, 0.1).states
+    lowered = dual_aware_solve(lv_rhs, p, y0, Points(pts), EulerMethod(0.1)).states
+    for row, row_lowered in zip(direct, lowered):
+        assert primal_values(row).tobytes() == primal_values(row_lowered).tobytes()
+        tangent, expected = tangent_values(row), tangent_values(row_lowered)
+        assert np.all(np.abs(tangent - expected) <= 1e-13 * np.maximum(np.abs(expected), 1.0))
 
 
 class TestDualAwareSolve:

@@ -6,8 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from odesens.models import lv_rhs
-from odesens.scalars import Dual1, primal_values, tangent_values
+from odesens.models import lv_jac_p, lv_jac_y, lv_rhs
+from odesens.scalars import Dual1, lift_dual, primal_values, tangent_values
+from odesens.sensitivity import _augmented_system, analytic_jacobians
 from odesens.solvers import (
     MaxStepsExceededError,
     NonFiniteStateError,
@@ -31,6 +32,14 @@ def lv(t, y):
 
 def expgrow(t, y):
     return y.copy()
+
+
+def _bits(states):
+    """Bytes of every number in a float or dual array: primals, then tangents."""
+    if states.dtype != object:
+        return states.tobytes()
+    flat = states.ravel()
+    return primal_values(flat).tobytes() + tangent_values(flat).tobytes()
 
 
 class TestTimeSpecs:
@@ -126,7 +135,8 @@ class TestEuler:
             with np.errstate(over="ignore"):
                 return y * y * 1e200
 
-        with pytest.raises(NonFiniteStateError):
+        # step 1 gives 1e199, step 2 overflows
+        with pytest.raises(NonFiniteStateError, match=r"at step 2 \("):
             euler_solve(blowup, Span(0.0, 1.0), np.array([1.0]), 0.1)
 
     def test_dual_lanes_equal_one_lane_solves_and_are_checked_for_finiteness(self):
@@ -291,9 +301,25 @@ class TestRK23Solve:
         with pytest.raises(ValueError, match="abs_tol must be finite"):
             ToleranceConfig(abs_tol=math.nan)
 
-    def test_lanes_rejected(self):
-        with pytest.raises(ValueError, match="1-D"):
-            rk23_solve(lv, Span(0.0, 1.0), np.ones((2, 3)))
+    def test_composite_state_equals_its_ravel_bitwise(self):
+        # the (7, 2) composite of the LV sensitivity system is one coupled system
+        aug = _augmented_system(lv_rhs, analytic_jacobians(lv_jac_y, lv_jac_p), 2, 4)
+        x0 = np.concatenate([[[1000.0, 20.0]], np.zeros((4, 2)), np.eye(2)])
+        seeds = np.random.default_rng(41).uniform(-1.0, 1.0, (7, 2))
+        for start in (x0, lift_dual(x0, seeds)):
+            for time in (Span(0.0, 20.0), Points(np.linspace(0.0, 20.0, 9))):
+                shapes = []
+
+                def rhs(t, x):
+                    shapes.append(x.shape)
+                    return aug(t, x, LV_P)
+
+                composite = rk23_solve(rhs, time, start)
+                flat = rk23_solve(rhs, time, start.ravel())
+                assert composite.states.shape == (composite.times.shape[0], 7, 2)
+                assert composite.times.tobytes() == flat.times.tobytes()
+                assert _bits(composite.states) == _bits(flat.states)
+                assert shapes.count((7, 2)) == shapes.count((14,)) > 4
 
     def test_single_point_grid_returns_initial_state(self):
         traj = rk23_solve(lv, Points(np.array([0.0])), np.array([1000.0, 20.0]))
