@@ -43,7 +43,6 @@ from .sensitivity import (
     vjp_solution,
 )
 from .models import (
-    LVParams,
     MODELS,
     OdeModel,
     Scenario,

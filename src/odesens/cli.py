@@ -21,7 +21,6 @@ import numpy as np
 from .diffmethods import CROSS_METHODS, CrossTable, cross_compare, sensitivity_matrix
 from .models import (
     MODELS,
-    SCENARIO_KEYS,
     SOLVERS,
     Scenario,
     fmain_gradient_cs,
@@ -31,6 +30,7 @@ from .models import (
     fmain_hessian,
     fmain_hessian_fd,
     load_scenario,
+    scenario_keys,
 )
 from .sensitivity import forward_sensitivity_solve, jacobian_provider
 from .solvers import SolverError, run_solver
@@ -68,18 +68,16 @@ def _scenario_from_args(args) -> Scenario:
         scenario = load_scenario(args.scenario, model=args.model)
     else:
         scenario = Scenario(model=args.model)
-    overrides = {key: getattr(args, key) for key in SCENARIO_KEYS
+    overrides = {key: getattr(args, key) for key in scenario_keys()
                  if getattr(args, key) is not None}
-    if overrides:
-        scenario = scenario.with_updates(**overrides)
-    return scenario
+    return scenario.with_updates(**overrides)
 
 
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", help="key=value scenario file")
     parser.add_argument("--model", default="lv", choices=tuple(MODELS),
                         help="model to run (linear uses eps1 as rate, y0_1 as start)")
-    for key, caster in SCENARIO_KEYS.items():
+    for key, caster in scenario_keys().items():
         choices = SOLVERS if key == "solver" else None
         parser.add_argument("--" + key.replace("_", "-"), dest=key, type=caster, choices=choices)
     parser.add_argument("--output", help="write here instead of stdout (atomic)")
@@ -97,7 +95,7 @@ def _sens_labels(m: int, k: int) -> list:
 
 def _input_labels(scenario: Scenario) -> list:
     model = scenario.ode_model()
-    return list(model.state_keys + model.param_keys)
+    return [*model.states, *model.params]
 
 
 def _cmd_solve(args) -> int:

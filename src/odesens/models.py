@@ -2,17 +2,20 @@
 
 The centrepiece is the two-species predator-prey system with its
 hand-derived Jacobians; a one-state linear model (closed-form solution
-available) and a zero right-hand-side stub serve as test oracles.  The
-module also carries the scenario description shared by the library and
-the CLI, and the objective ``z = sum(last row of solve(y0, p)) + sum(last
-row of solve(y0, p/2))`` together with its forward- and reverse-mode
-gradient drivers.
+available) and a zero right-hand-side stub serve as test oracles.  Each
+model declares its input keys with their defaults and which must be
+positive, and :data:`MODELS` is the registry that scenarios, scenario
+files and the CLI flags are built from.  The module also carries the
+scenario description shared by the library and the CLI, and the objective
+``z = sum(last row of solve(y0, p)) + sum(last row of solve(y0, p/2))``
+together with its forward- and reverse-mode gradient drivers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,7 +38,6 @@ from .solvers import (
 )
 
 __all__ = [
-    "LVParams",
     "OdeModel",
     "MODELS",
     "get_model",
@@ -46,7 +48,7 @@ __all__ = [
     "linear_rhs",
     "zero_rhs",
     "Scenario",
-    "SCENARIO_KEYS",
+    "scenario_keys",
     "SOLVERS",
     "parse_scenario_text",
     "load_scenario",
@@ -62,24 +64,6 @@ __all__ = [
 
 # relative increment of the differenced reverse gradient in fmain_hessian_fd
 _HESSIAN_FD_STEP = 1e-5
-
-
-@dataclass(frozen=True)
-class LVParams:
-    """Rates of the predator-prey system; all four must be positive."""
-
-    eps1: float
-    gamma1: float
-    eps2: float
-    gamma2: float
-
-    def __post_init__(self):
-        for name in ("eps1", "gamma1", "eps2", "gamma2"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"parameter {name} must be positive")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.eps1, self.gamma1, self.eps2, self.gamma2])
 
 
 def lv_rhs(t, y, p):
@@ -152,35 +136,40 @@ def _zero_jac_p(t, y, p):
 
 @dataclass(frozen=True)
 class OdeModel:
-    """A right-hand side, its Jacobians and the scenario keys it reads.
+    """A right-hand side, its Jacobians and the scenario inputs it reads.
 
-    ``state_keys`` name the initial values and ``param_keys`` the
-    parameters, in the order the right-hand side expects them.
+    ``states`` maps each initial-value key to its default and ``params``
+    each parameter key to its default, in the order the right-hand side
+    expects them; ``positive`` names the keys a scenario must hold
+    positive.  An entry in :data:`MODELS` is all a model needs for
+    scenarios, scenario files and CLI flags to accept its keys.
     """
 
     name: str
     rhs: Callable
     jac_y: Optional[Callable]
     jac_p: Optional[Callable]
-    state_keys: tuple
-    param_keys: tuple
+    states: dict
+    params: dict
+    positive: tuple
 
     @property
     def state_dim(self) -> int:
-        return len(self.state_keys)
-
-    @property
-    def param_dim(self) -> int:
-        return len(self.param_keys)
+        return len(self.states)
 
 
-_LV_STATE = ("y0_1", "y0_2")
-_LV_PARAMS = ("eps1", "gamma1", "eps2", "gamma2")
+_LV_STATES = {"y0_1": 1000.0, "y0_2": 20.0}
+_LV_PARAMS = {"eps1": 0.015, "gamma1": 0.0001, "eps2": 0.03, "gamma2": 0.0001}
 
 MODELS = {
-    "lv": OdeModel("lv", lv_rhs, lv_jac_y, lv_jac_p, _LV_STATE, _LV_PARAMS),
-    "linear": OdeModel("linear", linear_rhs, _linear_jac_y, _linear_jac_p, ("y0_1",), ("eps1",)),
-    "zero": OdeModel("zero", zero_rhs, _zero_jac_y, _zero_jac_p, _LV_STATE, _LV_PARAMS),
+    "lv": OdeModel("lv", lv_rhs, lv_jac_y, lv_jac_p, _LV_STATES, _LV_PARAMS,
+                   (*_LV_STATES, *_LV_PARAMS)),
+    # the rate may have any sign
+    "linear": OdeModel("linear", linear_rhs, _linear_jac_y, _linear_jac_p,
+                       {"y0_1": 1000.0}, {"eps1": 0.015}, ("y0_1",)),
+    # the stub reads the predator-prey inputs and checks only its start
+    "zero": OdeModel("zero", zero_rhs, _zero_jac_y, _zero_jac_p, _LV_STATES, _LV_PARAMS,
+                     tuple(_LV_STATES)),
 }
 
 
@@ -193,41 +182,34 @@ def get_model(name: str) -> OdeModel:
 
 SOLVERS = ("euler", "rk23")
 
-# Scenario file schema: one key=value per line, '#' starts a comment.
-SCENARIO_KEYS = {
-    "eps1": float,
-    "gamma1": float,
-    "eps2": float,
-    "gamma2": float,
-    "y0_1": float,
-    "y0_2": float,
-    "t0": float,
-    "t_end": float,
-    "n_points": int,
-    "solver": str,
-    "dt": float,
-    "rel_tol": float,
-    "abs_tol": float,
-}
+
+def scenario_keys() -> dict:
+    """Scenario file schema, ``{key: type}``, built from :data:`MODELS` on each call.
+
+    Every registered model's parameters, then every model's states, then
+    the run settings: a newly registered model's keys are accepted at once.
+    """
+    models = MODELS.values()
+    inputs = [key for model in models for key in model.params]
+    inputs += [key for model in models for key in model.states]
+    return {**dict.fromkeys(inputs, float), **_RUN_KEYS}
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully pinned experiment: model, parameters, grid and solver.
+    """A fully pinned experiment: model, its inputs, grid and solver.
 
-    The defaults reproduce the reference setup: rates
-    (0.015, 0.0001, 0.03, 0.0001), initial populations (1000, 20), the
-    window [0, 1000] sampled at 10001 points, and a 0.1 Euler step.  The
-    model's ``state_keys`` and ``param_keys`` select which fields it reads.
+    ``values`` holds the model's inputs by key, parameters then states;
+    keys left out take the model's defaults.  A key that only other
+    registered models read is dropped, so one scenario file or set of
+    flags serves every model; a key that no registered model reads is
+    rejected.  The defaults reproduce the reference setup: predator-prey
+    rates (0.015, 0.0001, 0.03, 0.0001), initial populations (1000, 20),
+    the window [0, 1000] sampled at 10001 points, and a 0.1 Euler step.
     """
 
     model: str = "lv"
-    eps1: float = 0.015
-    gamma1: float = 0.0001
-    eps2: float = 0.03
-    gamma2: float = 0.0001
-    y0_1: float = 1000.0
-    y0_2: float = 20.0
+    values: dict = field(default_factory=dict)
     t0: float = 0.0
     t_end: float = 1000.0
     n_points: int = 10001
@@ -238,30 +220,40 @@ class Scenario:
 
     def __post_init__(self):
         model = get_model(self.model)
+        values = {**model.params, **model.states}
+        for key, value in self.values.items():
+            if key in values:
+                values[key] = value
+            elif key not in scenario_keys() or key in _RUN_KEYS:
+                raise ValueError(f"unknown scenario key {key!r}")
+        object.__setattr__(self, "values", values)
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}; choose 'euler' or 'rk23'")
-        for key, caster in SCENARIO_KEYS.items():
-            if caster is float and not math.isfinite(getattr(self, key)):
-                raise ValueError(f"{key} must be finite, got {getattr(self, key)!r}")
+        run = {key: getattr(self, key) for key, kind in _RUN_KEYS.items() if kind is float}
+        for key, value in {**values, **run}.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
         if not self.t_end > self.t0:
             raise ValueError("t_end must exceed t0")
+        if not isinstance(self.n_points, numbers.Integral):
+            raise ValueError(f"n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 1:
             raise ValueError("n_points must be at least 1")
         if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
-        if any(not getattr(self, key) > 0.0 for key in model.state_keys):
-            raise ValueError("initial populations must be positive")
-        if self.model == "lv":
-            LVParams(*self.params_array())
+            raise ValueError(f"dt must be positive, got {self.dt!r}")
+        self.tolerance()  # the tolerances are checked even where Euler never reads them
+        for key in model.positive:
+            if not values[key] > 0.0:
+                raise ValueError(f"{key} must be positive, got {values[key]!r}")
 
     def ode_model(self) -> OdeModel:
         return get_model(self.model)
 
     def params_array(self) -> np.ndarray:
-        return np.array([getattr(self, key) for key in self.ode_model().param_keys])
+        return np.array([self.values[key] for key in self.ode_model().params])
 
     def initial_state(self) -> np.ndarray:
-        return np.array([getattr(self, key) for key in self.ode_model().state_keys])
+        return np.array([self.values[key] for key in self.ode_model().states])
 
     def points(self) -> np.ndarray:
         return np.linspace(self.t0, self.t_end, self.n_points)
@@ -278,12 +270,20 @@ class Scenario:
         return RK23Method(self.tolerance())
 
     def with_updates(self, **changes) -> "Scenario":
-        return replace(self, **changes)
+        """Copy with the model, run settings or model inputs replaced, all given by key."""
+        inputs = {key: changes.pop(key) for key in list(changes)
+                  if key != "model" and key not in _RUN_KEYS}
+        return replace(self, values={**self.values, **inputs}, **changes)
+
+
+# the run settings of a scenario and their types, in file order after the model inputs
+_RUN_KEYS = {f.name: type(f.default) for f in fields(Scenario) if f.name not in ("model", "values")}
 
 
 def parse_scenario_text(text: str, model: str = "lv") -> Scenario:
-    """Parse the key=value scenario format; unknown keys are rejected."""
-    fields = {}
+    """Parse the key=value scenario format; keys outside :func:`scenario_keys` are rejected."""
+    keys = scenario_keys()
+    entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -291,18 +291,18 @@ def parse_scenario_text(text: str, model: str = "lv") -> Scenario:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in SCENARIO_KEYS:
+        if key not in keys:
             raise ValueError(f"line {lineno}: unknown scenario key {key!r}")
-        if key in fields:
+        if key in entries:
             raise ValueError(f"line {lineno}: duplicate scenario key {key!r}")
-        caster = SCENARIO_KEYS[key]
+        caster = keys[key]
         try:
-            fields[key] = caster(value)
+            entries[key] = caster(value)
         except ValueError:
             raise ValueError(
                 f"line {lineno}: cannot parse {value!r} as {caster.__name__} for key {key!r}"
             ) from None
-    return Scenario(model=model, **fields)
+    return Scenario(model=model).with_updates(**entries)
 
 
 def load_scenario(path, model: str = "lv") -> Scenario:
@@ -311,11 +311,10 @@ def load_scenario(path, model: str = "lv") -> Scenario:
 
 
 def format_scenario(scenario: Scenario) -> str:
-    def fmt(value):
-        return value if isinstance(value, str) else repr(value)
-
-    lines = [f"{key}={fmt(getattr(scenario, key))}" for key in SCENARIO_KEYS]
-    return "\n".join(lines) + "\n"
+    """The key=value text of a scenario: its model's inputs, then the run settings."""
+    settings = {**scenario.values, **{key: getattr(scenario, key) for key in _RUN_KEYS}}
+    # a float formats as its shortest round-trip repr, a string bare
+    return "".join(f"{key}={value}\n" for key, value in settings.items())
 
 
 def _require_points(time: TimeSpec):
@@ -323,9 +322,8 @@ def _require_points(time: TimeSpec):
         raise SpanModeError("this objective requires a prescribed-points time specification")
 
 
-def _resolve(model: Optional[OdeModel], jac: str):
-    model = model if model is not None else MODELS["lv"]
-    return model, jacobian_provider(model, jac)
+def _model_or_lv(model: Optional[OdeModel]) -> OdeModel:
+    return model if model is not None else MODELS["lv"]
 
 
 def fmain_objective(y0, p, time: TimeSpec, method: SolverMethod, model: Optional[OdeModel] = None):
@@ -338,7 +336,7 @@ def fmain_objective(y0, p, time: TimeSpec, method: SolverMethod, model: Optional
     :func:`cs_jacobian`).
     """
     _require_points(time)
-    model = model if model is not None else MODELS["lv"]
+    model = _model_or_lv(model)
     y0 = np.asarray(y0)
     p = np.asarray(p)
     if y0.ndim == 1:
@@ -352,7 +350,8 @@ def fmain_objective(y0, p, time: TimeSpec, method: SolverMethod, model: Optional
 
 
 def _fmain_bundles(y0, p, time, method, model, jac):
-    model, provider = _resolve(model, jac)
+    model = _model_or_lv(model)
+    provider = jacobian_provider(model, jac)
     p = np.asarray(p)
     bundle1 = forward_sensitivity_solve(model.rhs, provider, p, y0, time, method)
     bundle2 = forward_sensitivity_solve(model.rhs, provider, p / 2.0, y0, time, method)

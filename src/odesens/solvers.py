@@ -130,8 +130,9 @@ class ToleranceConfig:
         for name in ("rel_tol", "abs_tol", "safety", "min_factor", "max_factor"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be positive")
+        for name in ("rel_tol", "abs_tol"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         if not 0.0 < self.min_factor < 1.0 < self.max_factor:
             raise ValueError("need 0 < min_factor < 1 < max_factor")
         if not 0.0 < self.safety <= 1.0:

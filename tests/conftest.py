@@ -1,4 +1,4 @@
-"""Shared test set-up: the Hypothesis profile and a solve counter.
+"""Shared test set-up: the Hypothesis profile, a solve counter and a test model.
 
 One Hypothesis profile: examples come from a fixed derivation rather than
 a random seed, no example is timed against a deadline (the machine may be
@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
+
+from odesens.models import MODELS, OdeModel
 
 settings.register_profile(
     "odesens", max_examples=60, deadline=None, derandomize=True, database=None)
@@ -44,3 +46,45 @@ def solve_shapes(monkeypatch):
         if getattr(module, "run_solver", None) is original:
             monkeypatch.setattr(module, "run_solver", counted)
     return shapes
+
+
+def _binding_rhs(t, y, p):
+    bound = p[0] * y[0] * y[1]
+    released = p[1] * y[2]
+    return np.array([released - bound, -bound, bound - released])
+
+
+def _binding_jac_y(t, y, p):
+    zero = 0.0 * y[0]
+    return np.array([
+        [-(p[0] * y[1]), -(p[0] * y[0]), p[1]],
+        [-(p[0] * y[1]), -(p[0] * y[0]), zero],
+        [p[0] * y[1], p[0] * y[0], -p[1]],
+    ])
+
+
+def _binding_jac_p(t, y, p):
+    zero = 0.0 * y[0]
+    return np.array([
+        [-(y[0] * y[1]), y[2]],
+        [-(y[0] * y[1]), zero],
+        [y[0] * y[1], -y[2]],
+    ])
+
+
+# Reversible binding A + B <-> C at rates k_on and k_off: m = 3 states and
+# k = 2 rates, a layout none of the packaged models has.  Binding removes
+# molecules, so the objective (sums of final states) moves with every
+# input.  The complex starts at zero, the one input not required positive.
+BINDING = OdeModel(
+    "binding", _binding_rhs, _binding_jac_y, _binding_jac_p,
+    {"a0": 1.0, "b0": 2.0, "c0": 0.0}, {"k_on": 0.5, "k_off": 0.3},
+    ("a0", "b0", "k_on", "k_off"),
+)
+
+
+@pytest.fixture
+def binding(monkeypatch):
+    """Registers :data:`BINDING` as the model ``binding`` for the duration of a test."""
+    monkeypatch.setitem(MODELS, "binding", BINDING)
+    return BINDING

@@ -1,6 +1,8 @@
+import argparse
 import contextlib
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from odesens.cli import _csv_rows, _fmt, main
-from odesens.models import SCENARIO_KEYS, SOLVERS, format_scenario, Scenario
+from odesens.cli import _csv_rows, _fmt, build_parser, main
+from odesens.models import SOLVERS, format_scenario, Scenario
 from odesens.sensitivity import forward_sensitivity_solve, jacobian_provider
 from odesens.solvers import run_solver
 
@@ -92,6 +94,23 @@ class TestSolve:
     def test_non_finite_flag_exits_one_naming_it(self, flags, field, capsys):
         assert run_cli(["solve", *TINY, *flags]) == 1
         assert f"error: {field} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--rel-tol", "-1"], "rel_tol must be positive, got -1.0"),
+        (["--solver", "rk23", "--abs-tol", "-1"], "abs_tol must be positive, got -1.0"),
+        (["--model", "linear", "--y0-1", "-1"], "y0_1 must be positive, got -1.0"),
+        (["--gamma2", "0"], "gamma2 must be positive, got 0.0"),
+    ])
+    def test_bad_setting_exits_one_naming_it(self, flags, message, capsys):
+        # Euler never reads the tolerances, so they are checked where they enter
+        assert run_cli(["solve", *TINY, *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_keys_of_other_models_are_ignored(self, capsys):
+        assert run_cli(["solve", "--model", "linear", *TINY]) == 0
+        expected = capsys.readouterr().out
+        assert run_cli(["solve", "--model", "linear", *TINY, "--gamma1", "-5", "--y0-2", "nan"]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_euler_step_budget_exits_one(self, capsys):
         assert run_cli(["solve", *TINY, "--dt", "1e-300"]) == 1
@@ -224,10 +243,12 @@ def test_csv_rows_match_per_cell_repr(table):
 @st.composite
 def _small_scenarios(draw):
     rate, coupling = st.floats(1e-3, 0.1), st.floats(1e-5, 1e-3)
+    values = {
+        "eps1": draw(rate), "gamma1": draw(coupling), "eps2": draw(rate), "gamma2": draw(coupling),
+        "y0_1": draw(st.floats(1.0, 2000.0)), "y0_2": draw(st.floats(1.0, 100.0)),
+    }
     return Scenario(
-        model=draw(st.sampled_from(("lv", "linear"))),
-        eps1=draw(rate), gamma1=draw(coupling), eps2=draw(rate), gamma2=draw(coupling),
-        y0_1=draw(st.floats(1.0, 2000.0)), y0_2=draw(st.floats(1.0, 100.0)),
+        model=draw(st.sampled_from(("lv", "linear"))), values=values,
         t_end=draw(st.floats(0.5, 20.0)), n_points=draw(st.integers(1, 25)),
         solver=draw(st.sampled_from(SOLVERS)), dt=draw(st.floats(0.05, 0.5)),
     )
@@ -244,8 +265,9 @@ def _cli_table(args):
 @given(_small_scenarios(), st.sampled_from(("analytic", "ad")))
 def test_solve_and_sens_csv_round_trip_every_double(scenario, jac):
     flags = ["--model", scenario.model]
-    for key in SCENARIO_KEYS:
-        flags += ["--" + key.replace("_", "-"), str(getattr(scenario, key))]
+    for line in format_scenario(scenario).splitlines():
+        key, value = line.split("=")
+        flags += ["--" + key.replace("_", "-"), value]
     model, p, y0 = scenario.ode_model(), scenario.params_array(), scenario.initial_state()
     time, method = scenario.time_spec(), scenario.method()
 
@@ -256,3 +278,141 @@ def test_solve_and_sens_csv_round_trip_every_double(scenario, jac):
     bundle = forward_sensitivity_solve(model.rhs, jacobian_provider(model, jac), p, y0, time, method)
     expected = np.column_stack([bundle.times, bundle.states.reshape(bundle.times.shape[0], -1)])
     assert _cli_table(["sens", "--jac", jac, *flags]).tobytes() == expected.tobytes()
+
+
+# The option surface of every subcommand as recorded before the scenario
+# keys came from the model declarations: (option strings, dest, type,
+# choices, default), in parser order.
+_SCENARIO_OPTIONS = [
+    (("-h", "--help"), "help", None, None, argparse.SUPPRESS),
+    (("--scenario",), "scenario", None, None, None),
+    (("--model",), "model", None, ("lv", "linear", "zero"), "lv"),
+    (("--eps1",), "eps1", float, None, None),
+    (("--gamma1",), "gamma1", float, None, None),
+    (("--eps2",), "eps2", float, None, None),
+    (("--gamma2",), "gamma2", float, None, None),
+    (("--y0-1",), "y0_1", float, None, None),
+    (("--y0-2",), "y0_2", float, None, None),
+    (("--t0",), "t0", float, None, None),
+    (("--t-end",), "t_end", float, None, None),
+    (("--n-points",), "n_points", int, None, None),
+    (("--solver",), "solver", str, ("euler", "rk23"), None),
+    (("--dt",), "dt", float, None, None),
+    (("--rel-tol",), "rel_tol", float, None, None),
+    (("--abs-tol",), "abs_tol", float, None, None),
+    (("--output",), "output", None, None, None),
+]
+_OPTION_SURFACE = {
+    "solve": _SCENARIO_OPTIONS,
+    "sens": _SCENARIO_OPTIONS + [
+        (("--jac",), "jac", None, ("analytic", "ad"), "ad"),
+        (("--seed-columns",), "seed_columns", None, None, None),
+    ],
+    "compare": _SCENARIO_OPTIONS,
+    "gradient": _SCENARIO_OPTIONS + [
+        (("--mode",), "mode", None, ("fm", "rm", "fd", "cs"), "rm"),
+        (("--jac",), "jac", None, ("analytic", "ad"), "analytic"),
+    ],
+    "hessian": _SCENARIO_OPTIONS + [
+        (("--method",), "method", None, ("for", "fd"), "for"),
+        (("--jac",), "jac", None, ("analytic", "ad"), "analytic"),
+    ],
+    "bench": _SCENARIO_OPTIONS,
+}
+
+
+def test_option_surface_is_pinned():
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    surface = {
+        name: [(tuple(a.option_strings), a.dest, a.type, a.choices, a.default)
+               for a in parser._actions]
+        for name, parser in commands.items()
+    }
+    assert surface == _OPTION_SURFACE
+
+
+def test_readme_scenario_example_is_the_default_scenario():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("Scenario files are plain", 1)[1].split("```\n", 2)[1]
+    assert example == format_scenario(Scenario())
+
+
+class TestThreeStateTwoRateModel:
+    """A model registered only through its ``MODELS`` entry runs through every command."""
+
+    SETTINGS = {"values": {"k_on": 0.6, "c0": 0.25}, "t_end": 5.0, "n_points": 11}
+
+    @pytest.fixture(params=["flags", "file"])
+    def args(self, request, binding, tmp_path):
+        if request.param == "flags":
+            return ["--model", "binding", "--t-end", "5", "--n-points", "11",
+                    "--k-on", "0.6", "--c0", "0.25"]
+        path = tmp_path / "binding.scn"
+        path.write_text(format_scenario(Scenario(model="binding", **self.SETTINGS)))
+        return ["--model", "binding", "--scenario", str(path)]
+
+    def test_flags_and_file_give_the_same_run(self, args, binding, capsys):
+        sc = Scenario(model="binding", **self.SETTINGS)
+        p = sc.params_array()
+        traj = run_solver(lambda t, y: binding.rhs(t, y, p), sc.time_spec(), sc.initial_state(), sc.method())
+        assert run_cli(["solve", *args]) == 0
+        header, _ = parse_csv(capsys.readouterr().out)
+        assert header == ["t", "Y1", "Y2", "Y3"]
+        expected = np.column_stack([traj.times, traj.states])
+        assert _cli_table(["solve", *args]).tobytes() == expected.tobytes()
+        assert list(expected[0]) == [0.0, 1.0, 2.0, 0.25]
+
+    def test_sens_labels_seed_columns_and_providers(self, args, capsys):
+        assert run_cli(["sens", "--jac", "analytic", *args]) == 0
+        analytic = capsys.readouterr().out
+        assert run_cli(["sens", "--jac", "ad", *args]) == 0
+        assert capsys.readouterr().out == analytic
+        header, rows = parse_csv(analytic)
+        assert header == ["t", "Y1", "Y2", "Y3"] + [
+            f"dY{i}d{seed}{j}" for seed, n in (("p", 2), ("y0", 3))
+            for j in range(1, n + 1) for i in (1, 2, 3)
+        ]
+        assert [float(v) for v in rows[0][4:]] == [0.0] * 6 + list(np.eye(3).ravel())
+        assert run_cli(["sens", *args, "--seed-columns", "dY3dp1,dY1dy03"]) == 0
+        sub_header, sub_rows = parse_csv(capsys.readouterr().out)
+        assert sub_header == ["t", "Y1", "Y2", "Y3", "dY3dp1", "dY1dy03"]
+        keep = [0, 1, 2, 3, header.index("dY3dp1"), header.index("dY1dy03")]
+        assert sub_rows == [[row[i] for i in keep] for row in rows]
+
+    def test_compare_runs_fd_as_lanes(self, args, capsys, solve_shapes):
+        assert run_cli(["compare", *args]) == 0
+        _, rows = parse_csv(capsys.readouterr().out.split("\n\n", 1)[1])
+        errors = {(r[0], r[1]): float(r[2]) for r in rows}
+        assert len(errors) == 6
+        assert errors[("analytic", "ad")] == 0.0
+        assert errors[("analytic", "cs")] <= 1e-14
+        assert errors[("analytic", "fd")] <= 1e-6
+        # two (1 + k + m, m) composite solves, the d + 1 = 6 FD points as lanes
+        # of one Euler solve, then one complex solve per input
+        assert solve_shapes == [(6, 3), (6, 3), (3, 6)] + [(3,)] * 5
+
+    def test_gradient_modes_agree(self, args, capsys):
+        grads = {}
+        for mode in ("fm", "rm", "fd", "cs"):
+            assert run_cli(["gradient", *args, "--mode", mode]) == 0
+            header, rows = parse_csv(capsys.readouterr().out)
+            assert header == ["input", "dz"]
+            assert [r[0] for r in rows] == ["a0", "b0", "c0", "k_on", "k_off"]
+            grads[mode] = np.array([float(r[1]) for r in rows])
+        scale = np.max(np.abs(grads["rm"]))
+        assert np.max(np.abs(grads["fm"] - grads["rm"])) <= 1e-13 * scale
+        assert np.max(np.abs(grads["cs"] - grads["rm"])) <= 1e-13 * scale
+        assert np.max(np.abs(grads["fd"] - grads["rm"])) <= 1e-6 * scale
+
+    def test_hessian_methods_agree(self, args, capsys):
+        hessians = {}
+        for method in ("for", "fd"):
+            assert run_cli(["hessian", *args, "--method", method]) == 0
+            header, rows = parse_csv(capsys.readouterr().out)
+            assert header == ["a0", "b0", "c0", "k_on", "k_off"]
+            hessians[method] = np.array([[float(v) for v in r] for r in rows])
+        h_for, h_fd = hessians["for"], hessians["fd"]
+        assert h_for.shape == (5, 5)
+        assert np.linalg.norm(h_for - h_for.T) <= 1e-12 * np.linalg.norm(h_for)
+        assert np.linalg.norm(h_for - h_fd) <= 1e-7 * np.linalg.norm(h_for)

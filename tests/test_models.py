@@ -1,15 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import BINDING
 from odesens import models, sensitivity
 from odesens.models import (
     MODELS,
     SOLVERS,
-    LVParams,
     Scenario,
     fmain_gradient_cs,
     fmain_gradient_fd,
@@ -158,38 +159,72 @@ class TestScenario:
     ])
     def test_non_finite_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
+            Scenario().with_updates(**{field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_points", 2.5, "n_points must be an integer, got 2.5"),
+        ("rel_tol", -1.0, "rel_tol must be positive, got -1.0"),
+        ("abs_tol", 0.0, "abs_tol must be positive, got 0.0"),
+        ("dt", -0.5, "dt must be positive, got -0.5"),
+    ])
+    def test_bad_run_setting_rejected_naming_it(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             Scenario(**{field: value})
+
+    def test_numpy_integer_n_points_accepted(self):
+        assert Scenario(n_points=np.int64(3)).points().shape == (3,)
 
     def test_comments_and_blank_lines_ignored(self):
         sc = parse_scenario_text("# reference rates\neps1=0.02\n\ndt=0.5\n")
-        assert sc.eps1 == 0.02
+        assert sc.values["eps1"] == 0.02
         assert sc.dt == 0.5
 
     def test_validation(self):
         with pytest.raises(ValueError):
             Scenario(solver="rk99")
         with pytest.raises(ValueError):
-            Scenario(y0_1=-5.0)
+            Scenario(values={"y0_1": -5.0})
         with pytest.raises(ValueError):
-            LVParams(0.0, 1.0, 1.0, 1.0)
+            Scenario(values={"eps1": 0.0, "gamma1": 1.0, "eps2": 1.0, "gamma2": 1.0})
         with pytest.raises(ValueError):
             get_model("unknown")
 
     def test_positivity_checked_only_on_the_model_state(self):
         # linear reads y0_1 alone, so the unused y0_2 is not validated
-        sc = Scenario(model="linear", y0_2=-1.0)
+        sc = Scenario(model="linear", values={"y0_2": -1.0})
         assert np.array_equal(sc.initial_state(), np.array([1000.0]))
         with pytest.raises(ValueError, match="must be positive"):
-            Scenario(model="linear", y0_1=-1.0)
+            Scenario(model="linear", values={"y0_1": -1.0})
         with pytest.raises(ValueError, match="must be positive"):
-            Scenario(model="lv", y0_2=-1.0)
+            Scenario(model="lv", values={"y0_2": -1.0})
+
+    def test_keys_of_other_models_ignored_and_unread_keys_rejected(self):
+        assert parse_scenario_text("gamma1=5.0\ny0_2=-1.0\n", model="linear") == Scenario(model="linear")
+        assert Scenario(model="linear", values={"gamma1": -5.0}) == Scenario(model="linear")
+        with pytest.raises(ValueError, match="unknown scenario key 'wibble'"):
+            Scenario(values={"wibble": 1.0})
+        # a run setting is a field of its own, not a model input
+        with pytest.raises(ValueError, match="unknown scenario key 'dt'"):
+            Scenario(values={"dt": 0.5})
+
+    def test_linear_file_with_every_predator_prey_key_still_parses(self):
+        # a linear scenario as format_scenario wrote it when every scenario
+        # carried all six predator-prey inputs
+        text = (
+            "eps1=-0.5\ngamma1=0.0001\neps2=0.03\ngamma2=0.0001\ny0_1=2.0\ny0_2=20.0\n"
+            "t0=0.0\nt_end=1.0\nn_points=2\nsolver=rk23\ndt=0.1\nrel_tol=1e-08\nabs_tol=1e-10\n"
+        )
+        expected = Scenario(model="linear", values={"eps1": -0.5, "y0_1": 2.0}, t_end=1.0,
+                            n_points=2, solver="rk23", rel_tol=1e-8, abs_tol=1e-10)
+        assert parse_scenario_text(text, model="linear") == expected
+        assert format_scenario(expected).startswith("eps1=-0.5\ny0_1=2.0\nt0=0.0\n")
 
     def test_keys_follow_the_model(self):
-        sc = Scenario(model="linear", eps1=0.5, y0_1=3.0)
+        sc = Scenario(model="linear", values={"eps1": 0.5, "y0_1": 3.0})
         assert np.array_equal(sc.params_array(), np.array([0.5]))
         for name, model in MODELS.items():
-            assert (model.state_dim, model.param_dim) == (len(model.state_keys), len(model.param_keys))
-            assert Scenario(model=name).params_array().shape == (model.param_dim,)
+            assert model.state_dim == len(model.states)
+            assert Scenario(model=name).params_array().shape == (len(model.params),)
 
 
 class TestObjective:
@@ -333,14 +368,17 @@ def test_numerical_gradient_solves(solve_shapes, method, gradient, shapes):
 
 
 _POSITIVE = st.floats(1e-300, 1e300)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
 def _scenarios(draw):
+    model = MODELS[draw(st.sampled_from(sorted(MODELS)))]
     t0 = draw(st.floats(-1e6, 1e6))
     return Scenario(
-        model=draw(st.sampled_from(sorted(MODELS))),
-        **{key: draw(_POSITIVE) for key in ("eps1", "gamma1", "eps2", "gamma2", "y0_1", "y0_2")},
+        model=model.name,
+        values={key: draw(_POSITIVE if key in model.positive else _FINITE)
+                for key in (*model.params, *model.states)},
         t0=t0,
         t_end=t0 + draw(st.floats(1e-3, 1e6)),
         n_points=draw(st.integers(1, 10 ** 6)),
@@ -351,6 +389,10 @@ def _scenarios(draw):
     )
 
 
-@given(_scenarios())
-def test_scenario_text_round_trip(scenario):
-    assert parse_scenario_text(format_scenario(scenario), model=scenario.model) == scenario
+@given(st.data())
+def test_scenario_text_round_trip(data):
+    # every registered model with its own keys, the three-state test model included
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(MODELS, "binding", BINDING)
+        scenario = data.draw(_scenarios())
+        assert parse_scenario_text(format_scenario(scenario), model=scenario.model) == scenario

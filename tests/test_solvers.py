@@ -290,8 +290,10 @@ class TestRK23Solve:
         assert traj.states[-1, 0] == pytest.approx(100.0)
 
     def test_tolerance_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rel_tol must be positive, got 0.0"):
             ToleranceConfig(rel_tol=0.0)
+        with pytest.raises(ValueError, match="abs_tol must be positive, got -1.0"):
+            ToleranceConfig(abs_tol=-1.0)
         with pytest.raises(ValueError):
             ToleranceConfig(min_factor=1.5)
         with pytest.raises(ValueError):
