@@ -10,6 +10,7 @@ failing run never leaves partial output behind.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -283,9 +284,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser_for(registry: tuple) -> argparse.ArgumentParser:
+    """:func:`build_parser` once per model registry; ``registry`` is only the cache key."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # the flags follow the registered models, so a newly registered model gets a new parser
+    args = _parser_for((tuple(MODELS), tuple(scenario_keys().items()))).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, SolverError, OSError) as exc:

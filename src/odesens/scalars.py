@@ -205,13 +205,13 @@ def contains_dual(arr) -> bool:
     return any(isinstance(v, Dual1) for v in arr.flat)
 
 
-def _scalar_array(values: Sequence) -> np.ndarray:
+def _scalar_array(values: Sequence, shape=(-1,)) -> np.ndarray:
     values = list(values)
     if any(isinstance(v, Dual1) for v in values):
         out = np.empty(len(values), dtype=object)
         out[:] = values
-        return out
-    return np.asarray(values)
+        return out.reshape(shape)
+    return np.asarray(values).reshape(shape)
 
 
 _dual_of = np.frompyfunc(Dual1, 2, 1)
@@ -237,22 +237,27 @@ def lift_dual(x, seed) -> np.ndarray:
 
 
 def primal_values(arr) -> np.ndarray:
-    return _scalar_array([primal_part(v) for v in np.asarray(arr)])
+    """Primals of an array of duals and constants, in the array's shape."""
+    arr = np.asarray(arr)
+    return _scalar_array(map(primal_part, arr.flat), arr.shape)
 
 
 def tangent_values(arr) -> np.ndarray:
-    """Tangents of a 1-D array of duals and constants.
+    """Tangents of an array of duals and constants.
 
-    With scalar tangents the result has shape ``(len,)``.  If any entry
-    carries a vector of ``n`` seed directions it has shape ``(len, n)``,
-    and the scalar zero tangents of constants widen to ``n`` zeros.
+    With scalar tangents the result has the shape of ``arr``.  If any entry
+    carries a vector of ``n`` seed directions it has shape
+    ``arr.shape + (n,)``, and the scalar zero tangents of constants widen
+    to ``n`` zeros.
     """
-    tangents = [tangent_part(v) for v in np.asarray(arr)]
+    arr = np.asarray(arr)
+    tangents = [tangent_part(v) for v in arr.flat]
     width = next((t.shape for t in tangents if isinstance(t, np.ndarray)), None)
     if width is None:
-        return _scalar_array(tangents)
+        return _scalar_array(tangents, arr.shape)
     zeros = np.zeros(width)
-    return np.array([t if isinstance(t, np.ndarray) else t + zeros for t in tangents])
+    widened = [t if isinstance(t, np.ndarray) else t + zeros for t in tangents]
+    return np.array(widened).reshape(arr.shape + width)
 
 
 def eval_jvp_dual(f: Callable, x, seed):

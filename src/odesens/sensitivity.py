@@ -9,6 +9,13 @@ top of the resulting per-time-point Jacobians this module offers forward
 seed propagation, reverse adjoint contraction, solves with dual-valued
 inputs (by stripping the payload, augmenting, and reassembling), and a
 forward-over-reverse Hessian driver.
+
+The augmented system is linear in its sensitivity blocks, so it carries a
+structured Jacobian of its own.  Lowering a dual-valued sensitivity solve,
+as the Hessian driver does, integrates the augmented system of the
+augmented system; its Jacobian then costs one ``m + k``-seed dual pass
+over the model's Jacobians per step instead of a dual pass with one seed
+per composite state and parameter.
 """
 
 from __future__ import annotations
@@ -99,25 +106,68 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
     ``[y; V^T; W^T]`` to its derivative ``[f; (f_y V + f_p)^T; (f_y W)^T]``
     in the shape of ``x``; ``jac`` supplies the two partial derivative
     matrices of ``f``.  A flat ``x``, the C-order ravel of the stack, is
-    accepted too: that is how a dual Jacobian provider sees the state one
+    accepted too: that is how a Jacobian provider sees the state one
     payload level down.
+
+    The returned function carries its own Jacobian provider as the
+    attribute ``jacobians``.  The system is linear in ``(V, W)``, so with
+    ``n = (1 + k + m) m`` its ``(n, n)`` and ``(n, k)`` Jacobians are
+    assembled from blocks: ``[f_y, 0 | f_p]`` in row block 0, ``I (x) f_y``
+    in the ``V``/``W`` columns, and in the ``y`` and ``p`` columns of row
+    block ``1 + l`` the second-order terms ``sum_q d f_y[:, q] S[q, l]``
+    (plus ``d f_p[:, l]`` in the ``V`` rows) with ``S = [V | W]``.  One dual
+    pass of ``jac`` with ``m + k`` seeds gives ``f_y``, ``f_p`` and their
+    derivatives in ``(y, p)``.  The sum over ``q`` runs in the order in
+    which the system's object dot sums, ``q = 0`` first and ``f_p`` last.
+    Where ``jac`` equals a dual pass over ``f``, as it does for every
+    packaged model, the blocks therefore equal, value for value, a dual
+    pass over the whole system with ``n + k`` seeds; only the sign of an
+    exact zero may differ.
     """
     m, k = state_dim, n_params
+    seeds = np.eye(m + k)
 
-    def aug(t, x, p):
-        rows = x.reshape(1 + k + m, m)
-        y = rows[0]
+    def partials(t, y, p):
         f_y, f_p = jac(f, t, y, p)
         if f_y.shape != (m, m) or f_p.shape != (m, k):
             raise ValueError(
                 f"jacobian provider returned shapes {f_y.shape}, {f_p.shape}; "
                 f"expected ({m}, {m}) and ({m}, {k})"
             )
+        return f_y, f_p
+
+    def aug(t, x, p):
+        rows = x.reshape(1 + k + m, m)
+        y = rows[0]
+        f_y, f_p = partials(t, y, p)
         dy = np.asarray(f(t, y, p))
         dv = f_y.dot(rows[1:1 + k].T) + f_p
         dw = f_y.dot(rows[1 + k:].T)
         return np.concatenate([dy[None], dv.T, dw.T]).reshape(x.shape)
 
+    def jacobians(_aug, t, x, p):
+        rows = x.reshape(1 + k + m, m)
+        seeded = lift_dual(np.concatenate([rows[0], p]), seeds)
+        lifted = np.hstack(partials(t, seeded[:m], seeded[m:]))
+        first = primal_values(lifted)      # [f_y | f_p]
+        second = tangent_values(lifted)    # its derivatives in (y, p), (m, m + k, m + k)
+        if second.ndim == 2:               # no duals: the partials are constants
+            second = np.zeros(second.shape + (m + k,))
+        f_y = first[:, :m]
+        # rows[1 + l] is column l of S; cross[l] is row block 1 + l, columns (y, p)
+        cross = second[:, 0] * rows[1:, 0, None, None]
+        for q in range(1, m):
+            cross = cross + second[:, q] * rows[1:, q, None, None]
+        cross[:k] = cross[:k] + second[:, m:].swapaxes(0, 1)
+        cross = cross.reshape((k + m) * m, m + k)
+        n = (1 + k + m) * m
+        j_x = np.zeros((n, n), np.result_type(first, cross))
+        j_x[m:, :m] = cross[:, :m]
+        for b in range(0, n, m):
+            j_x[b:b + m, b:b + m] = f_y
+        return j_x, np.concatenate([first[:, m:], cross[:, m:]])
+
+    aug.jacobians = jacobians
     return aug
 
 
@@ -243,13 +293,18 @@ def dual_aware_solve(
     """Solve ``y' = rhs(t, y, p)`` for dual-valued ``y0`` and/or ``p``.
 
     Strips one payload level into seeds, integrates the augmented system
-    of ``rhs`` once in the lower scalar kind (Jacobians obtained by
-    one-level-lower dual lifting), and reassembles the output payload as
-    the JVP ``dy/dy0 @ seed(y0) + dy/dp @ seed(p)``.  Vector tangents of
-    ``n`` seed directions give ``(m, n)`` and ``(k, n)`` seed matrices and
-    a ``(n_times, m, n)`` payload, still from one lowered solve.  Nested
-    duals recurse: the lower-kind solve routes through here again until
-    the base kind is real.
+    of ``rhs`` once in the lower scalar kind, and reassembles the output
+    payload as the JVP ``dy/dy0 @ seed(y0) + dy/dp @ seed(p)``.  Vector
+    tangents of ``n`` seed directions give ``(m, n)`` and ``(k, n)`` seed
+    matrices and a ``(n_times, m, n)`` payload, still from one lowered
+    solve.  Nested duals recurse: the lower-kind solve routes through here
+    again until the base kind is real.
+
+    The lowered solve needs the Jacobians of ``rhs``.  An augmented system
+    built by this module, which is what a dual-valued
+    :func:`forward_sensitivity_solve` hands over, brings its own structured
+    provider (see :func:`_augmented_system`); any other ``rhs`` is
+    differentiated by one dual pass per step (:func:`dual_jacobians`).
     """
     y0 = np.asarray(y0)
     p = np.asarray(p)
@@ -258,8 +313,9 @@ def dual_aware_solve(
             "dual_aware_solve needs dual-valued inputs; "
             "use the plain solver for real or complex states"
         )
+    jac = getattr(rhs, "jacobians", None) or dual_jacobians()
     bundle = forward_sensitivity_solve(
-        rhs, dual_jacobians(), primal_values(p), primal_values(y0), time, method)
+        rhs, jac, primal_values(p), primal_values(y0), time, method)
     # one call, so constants in either input widen to the seed count of the other
     seeds = tangent_values(np.concatenate([y0, p]))
     m = y0.shape[0]

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import math
 from pathlib import Path
@@ -10,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from odesens import cli
 from odesens.cli import _csv_rows, _fmt, build_parser, main
 from odesens.models import SOLVERS, format_scenario, Scenario
 from odesens.sensitivity import forward_sensitivity_solve, jacobian_provider
@@ -332,6 +334,28 @@ def test_option_surface_is_pinned():
     assert surface == _OPTION_SURFACE
 
 
+def test_parser_is_built_once_per_model_registry(monkeypatch, request, capsys):
+    built = []
+
+    def counted():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    assert run_cli(["solve", *TINY]) == 0
+    assert run_cli(["gradient", *TINY]) == 0
+    assert len(built) <= 1
+    before = len(built)
+    # a model registered after the first call still gets its flags
+    request.getfixturevalue("binding")
+    capsys.readouterr()
+    assert run_cli(["solve", "--model", "binding", "--k-on", "0.7", *TINY]) == 0
+    header, rows = parse_csv(capsys.readouterr().out)
+    assert header == ["t", "Y1", "Y2", "Y3"] and len(rows) == 6
+    assert run_cli(["sens", "--model", "binding", "--c0", "0.5", *TINY]) == 0
+    assert len(built) == before + 1
+
+
 def test_readme_scenario_example_is_the_default_scenario():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     example = readme.split("Scenario files are plain", 1)[1].split("```\n", 2)[1]
@@ -404,6 +428,24 @@ class TestThreeStateTwoRateModel:
         assert np.max(np.abs(grads["fm"] - grads["rm"])) <= 1e-13 * scale
         assert np.max(np.abs(grads["cs"] - grads["rm"])) <= 1e-13 * scale
         assert np.max(np.abs(grads["fd"] - grads["rm"])) <= 1e-6 * scale
+
+    # SHA-256 of the `hessian --method for` output file, recorded before the
+    # lowered solve had a structured Jacobian; m = 3 reaches sums of 3 terms
+    HESSIAN_DIGESTS = {
+        "analytic": "fb9ab68b4b8ad32e65a711dadad06315a604b47e03de8bf0ba56494e68d3d261",
+        "ad": "fb9ab68b4b8ad32e65a711dadad06315a604b47e03de8bf0ba56494e68d3d261",
+        "rk23": "71417df059830ec039d4247a59f5f70d4df67d18718a2871fd7ce422cee13758",
+    }
+
+    @pytest.mark.parametrize("variant, extra", [
+        ("analytic", ["--jac", "analytic"]),
+        ("ad", ["--jac", "ad"]),
+        ("rk23", ["--solver", "rk23"]),
+    ])
+    def test_hessian_digest_is_pinned(self, args, variant, extra, tmp_path):
+        out = tmp_path / "hessian.csv"
+        assert run_cli(["hessian", *args, "--method", "for", *extra, "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.HESSIAN_DIGESTS[variant]
 
     def test_hessian_methods_agree(self, args, capsys):
         hessians = {}

@@ -67,6 +67,13 @@ GOLDEN = {
     # analytic and AD Jacobians agree bitwise, so this equals hessian-for
     "hessian-for-ad": (["hessian", "--method", "for", "--jac", "ad", *HESS],
         "3c61fc3d9e1774b57cd1bb6dcc6f8fe7467629e2c53a4f2be862eddefd4b856a"),
+    # m = 1, a model with no second derivative in y, and a 200-step window
+    "hessian-for-linear": (["hessian", "--method", "for", "--model", "linear", *HESS],
+        "32e51cdcf86765d0075c832defd50a42c0821786984e986b07dfaebb26801a29"),
+    "hessian-for-zero": (["hessian", "--method", "for", "--model", "zero", *HESS],
+        "1d53ec5d58018ee57012cc08454f750b1e23420dbea0fb447a85109e59c9fdac"),
+    "hessian-for-t20": (["hessian", "--method", "for", "--t-end", "20", "--n-points", "201"],
+        "2d7b39186bf11aa12627c49a8edf6d642754452c3b0fdf0b40927d6ca00ea370"),
     "gradient-rm-rk23": (["gradient", "--mode", "rm", *RK23],
         "f3c74c4aa006204185556f07b6d131ff235c7fad65d301de421137e17a901313"),
     "gradient-fm-rk23": (["gradient", "--mode", "fm", *RK23],

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -26,7 +27,7 @@ from odesens.models import (
     lv_rhs,
     parse_scenario_text,
 )
-from odesens.scalars import contains_dual, eval_jacobian_dual
+from odesens.scalars import Dual1, contains_dual, eval_jacobian_dual
 from odesens.solvers import (
     EulerMethod, Points, RK23Method, Span, SpanModeError, euler_solve, rk23_solve, ToleranceConfig,
 )
@@ -351,6 +352,29 @@ def test_hessian_lowered_solves_are_two_composite_solves(solve_shapes):
     fmain_hessian(Y0, P, Points(np.linspace(0.0, 2.0, 21)), EulerMethod(0.1))
     # one level down the (7, 2) composite is a flat 14-state with 4 parameters
     assert solve_shapes == [(19, 14)] * 2
+
+
+@pytest.mark.parametrize("jac, passes", [("analytic", []), ("ad", [6] * 80)])
+def test_hessian_lowered_jacobian_makes_no_pass_over_the_augmented_rhs(monkeypatch, jac, passes):
+    columns, seeded = [], []
+    jacobian_dual = sensitivity.eval_jacobian_dual
+
+    def counted_jacobian(f, x):
+        columns.append(np.asarray(x).shape[0])
+        return jacobian_dual(f, x)
+
+    def counted_jac_y(t, y, p):
+        if isinstance(y[0], Dual1):
+            seeded.append(np.shape(y[0].tangent))
+        return lv_jac_y(t, y, p)
+
+    monkeypatch.setattr(sensitivity, "eval_jacobian_dual", counted_jacobian)
+    model = dataclasses.replace(MODELS["lv"], jac_y=counted_jac_y)
+    fmain_hessian(Y0, P, Points(np.linspace(0.0, 2.0, 21)), EulerMethod(0.1), model=model, jac=jac)
+    # 2 lowered solves of 20 Euler steps; with AD each step runs the model's
+    # 6-seed provider once for the lowered Jacobian and once for the RHS
+    assert sorted(columns) == passes
+    assert seeded == ([(6,)] * 40 if jac == "analytic" else [])
 
 
 @pytest.mark.parametrize("method, gradient, shapes", [

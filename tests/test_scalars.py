@@ -13,6 +13,7 @@ from odesens.scalars import (
     is_finite_scalar,
     lift_dual,
     magnitude,
+    primal_values,
     tangent_values,
 )
 
@@ -78,6 +79,27 @@ class TestVectorTangents:
         lifted = lift_dual(np.array([3.0, 5.0]), np.eye(2))
         out = np.array([lifted[0] * lifted[1], 7.0], dtype=object)
         assert np.array_equal(tangent_values(out), [[5.0, 3.0], [0.0, 0.0]])
+
+    def test_values_keep_the_input_shape(self):
+        grid = np.array([[1.0, -2.0], [3.0, 4.0]])
+        lifted = lift_dual(grid, np.array([[5.0, 6.0], [-7.0, 8.0]]))
+        lifted[1, 0] = 2.5
+        primal = primal_values(lifted)
+        assert primal.dtype == float and np.array_equal(primal, [[1.0, -2.0], [2.5, 4.0]])
+        assert np.array_equal(tangent_values(lifted), [[5.0, 6.0], [0.0, 8.0]])
+        seeds = np.arange(12.0).reshape(2, 2, 3)
+        vector = lift_dual(grid, seeds)
+        vector[0, 1] = 9.0
+        seeds[0, 1] = 0.0
+        assert np.array_equal(primal_values(vector), [[1.0, 9.0], [3.0, 4.0]])
+        assert np.array_equal(tangent_values(vector), seeds)
+
+    def test_values_of_nested_duals_peel_one_level(self):
+        inner = lift_dual(np.array([[1.0, 2.0], [3.0, 4.0]]), np.ones((2, 2, 3)))
+        outer = lift_dual(inner, np.full((2, 2, 5), 0.5))
+        primal, tangent = primal_values(outer), tangent_values(outer)
+        assert primal.shape == (2, 2) and all(p is q for p, q in zip(primal.flat, inner.flat))
+        assert tangent.shape == (2, 2, 5) and np.all(tangent == 0.5)
 
     def test_jacobian_is_one_pass(self):
         calls = []

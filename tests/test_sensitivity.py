@@ -6,7 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from odesens.models import linear_rhs, lv_jac_p, lv_jac_y, lv_rhs
+from conftest import BINDING
+from odesens import sensitivity
+from odesens.models import MODELS, OdeModel, linear_rhs, lv_jac_p, lv_jac_y, lv_rhs
 from odesens.scalars import Dual1, lift_dual, primal_values, tangent_part, tangent_values
 from odesens.sensitivity import (
     SensitivityBundle,
@@ -16,6 +18,7 @@ from odesens.sensitivity import (
     dual_jacobians,
     forward_sensitivity_solve,
     hessian_forward_over_reverse,
+    jacobian_provider,
     jvp_solution,
     vjp_solution,
 )
@@ -132,6 +135,91 @@ class TestAugmentRhs:
             # the row stack and its ravel are the same system
             assert np.array_equal(aug_an(0.0, x.reshape(7, 2), LV_P), a.reshape(7, 2))
             assert np.array_equal(aug_ad(0.0, x.reshape(7, 2), LV_P), b.reshape(7, 2))
+
+
+def _triple_rhs(t, y, p):
+    s = y[0] * y[1] * y[2]
+    return np.array([p[0] * s, p[1] * s, -(p[0] * s)])
+
+
+def _triple_jac_y(t, y, p):
+    ds = np.array([y[1] * y[2], y[0] * y[2], y[0] * y[1]])
+    return np.array([p[0] * ds, p[1] * ds, -(p[0] * ds)])
+
+
+def _triple_jac_p(t, y, p):
+    s, zero = y[0] * y[1] * y[2], 0.0 * y[0]
+    return np.array([[s, zero], [zero, s], [-s, zero]])
+
+
+# Every entry of its f_y depends on p[0], so a second-order sum over q has
+# m = 3 nonzero terms and its rounding depends on the order they are summed.
+# In binding no such sum has more than two.
+TRIPLE = OdeModel("triple", _triple_rhs, _triple_jac_y, _triple_jac_p,
+                  {"u0": 1.0, "v0": 1.0, "w0": 1.0}, {"a": 1.0, "b": 1.0}, ())
+
+_STRUCTURED_MODELS = {name: MODELS[name] for name in ("lv", "linear", "zero")}
+_STRUCTURED_MODELS.update(binding=BINDING, triple=TRIPLE)
+_STRUCTURED_CASES = [(name, kind) for name in _STRUCTURED_MODELS for kind in ("analytic", "ad")]
+_CASE_IDS = [f"{name}-{kind}" for name, kind in _STRUCTURED_CASES]
+
+
+def _augmented_of(name, kind):
+    model = _STRUCTURED_MODELS[name]
+    m, k = model.state_dim, len(model.params)
+    return _augmented_system(model.rhs, jacobian_provider(model, kind), m, k), m, k
+
+
+@pytest.mark.parametrize("case", _STRUCTURED_CASES, ids=_CASE_IDS)
+@given(data=st.data())
+def test_structured_jacobian_equals_dual_pass(case, data):
+    aug, m, k = _augmented_of(*case)
+    entries = st.floats(-1e3, 1e3)
+    x = data.draw(arrays(float, (1 + k + m) * m, elements=entries), label="x")
+    p = data.draw(arrays(float, k, elements=entries), label="p")
+    j_x, j_p = aug.jacobians(aug, 0.0, x, p)
+    expected_x, expected_p = dual_jacobians()(aug, 0.0, x, p)
+    assert j_x.dtype == float and j_p.dtype == float
+    # equal in value; only the sign of some exact zeros may differ
+    assert np.array_equal(j_x, expected_x)
+    assert np.array_equal(j_p, expected_p)
+
+
+@pytest.mark.parametrize("case", _STRUCTURED_CASES, ids=_CASE_IDS)
+def test_structured_jacobian_of_dual_inputs_equals_dual_pass(case):
+    # one payload level deeper, where a lowered solve of nested duals calls it
+    aug, m, k = _augmented_of(*case)
+    rng = np.random.default_rng(5)
+    x = lift_dual(rng.normal(scale=10.0, size=(1 + k + m) * m), rng.normal(size=((1 + k + m) * m, 3)))
+    p = lift_dual(rng.normal(size=k), rng.normal(size=(k, 3)))
+    for got, expected in zip(aug.jacobians(aug, 0.0, x, p), dual_jacobians()(aug, 0.0, x, p)):
+        assert np.array_equal(primal_values(got), primal_values(expected))
+        assert np.array_equal(tangent_values(got), tangent_values(expected))
+
+
+def test_dual_aware_solve_lowers_an_augmented_system_with_its_own_jacobian(monkeypatch):
+    providers, made = [], []
+    solve, factory = sensitivity.forward_sensitivity_solve, sensitivity.dual_jacobians
+
+    def recorded(f, jac, p, y0, time, method):
+        providers.append(jac)
+        return solve(f, jac, p, y0, time, method)
+
+    def counted_factory():
+        made.append(factory())
+        return made[-1]
+
+    monkeypatch.setattr(sensitivity, "forward_sensitivity_solve", recorded)
+    monkeypatch.setattr(sensitivity, "dual_jacobians", counted_factory)
+    aug = _augmented_system(lv_rhs, LV_ANALYTIC, 2, 4)
+    time = Points(np.array([0.0, 0.2]))
+    p = lift_dual(LV_P, np.eye(4))
+    x0 = _rows(LV_Y0, np.zeros((2, 4)), np.eye(2)).ravel()
+    dual_aware_solve(aug, p, x0, time, EulerMethod(0.1))
+    assert providers == [aug.jacobians] and made == []
+    # a plain right-hand side is still differentiated by a dual pass
+    dual_aware_solve(lv_rhs, p, LV_Y0, time, EulerMethod(0.1))
+    assert providers[1:] == made and len(made) == 1
 
 
 def lv_bundle(t_end=10.0, n_points=11, dt=0.1, jac=LV_ANALYTIC):
