@@ -107,7 +107,10 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
     in the shape of ``x``; ``jac`` supplies the two partial derivative
     matrices of ``f``.  A flat ``x``, the C-order ravel of the stack, is
     accepted too: that is how a Jacobian provider sees the state one
-    payload level down.
+    payload level down.  The derivative is one product, the row stack
+    times ``f_y^T``, whose row 0 is then replaced by ``f`` and whose ``V``
+    rows get ``f_p^T`` added: the products of ``f_y [V | W]``, summed in
+    ``q`` order, with ``f_p`` last.
 
     The returned function carries its own Jacobian provider as the
     attribute ``jacobians``.  The system is linear in ``(V, W)``, so with
@@ -140,10 +143,10 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
         rows = x.reshape(1 + k + m, m)
         y = rows[0]
         f_y, f_p = partials(t, y, p)
-        dy = np.asarray(f(t, y, p))
-        dv = f_y.dot(rows[1:1 + k].T) + f_p
-        dw = f_y.dot(rows[1 + k:].T)
-        return np.concatenate([dy[None], dv.T, dw.T]).reshape(x.shape)
+        out = rows.dot(f_y.T)
+        out[0] = f(t, y, p)
+        out[1:1 + k] += f_p.T
+        return out.reshape(x.shape)
 
     def jacobians(_aug, t, x, p):
         rows = x.reshape(1 + k + m, m)

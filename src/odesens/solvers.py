@@ -186,9 +186,13 @@ def _all_finite(v: np.ndarray) -> bool:
     return bool(np.isfinite(v).all())
 
 
-def _check_finite(v: np.ndarray, step: int, t: float):
+def _at(step: int, t, h) -> str:
+    return f"at step {step} (t = {float(t)!r}, h = {float(h)!r})"
+
+
+def _check_finite(v: np.ndarray, step: int, t: float, h: float):
     if not _all_finite(v):
-        raise NonFiniteStateError(f"non-finite state at step {step} (t = {t!r})")
+        raise NonFiniteStateError(f"non-finite state {_at(step, t, h)}")
 
 
 def _check_euler_budget(n_steps: float, dt: float, t0: float, t_end: float):
@@ -199,13 +203,29 @@ def _check_euler_budget(n_steps: float, dt: float, t0: float, t_end: float):
         )
 
 
+def _check_euler_rows(states: np.ndarray, grid: np.ndarray, n_subs: np.ndarray):
+    """Raise for the first non-finite row after row 0, naming the step that made it."""
+    rows = states[1:]
+    if rows.dtype == object:
+        bad = np.array([not _all_finite(row) for row in rows], dtype=bool)
+    else:
+        bad = ~np.isfinite(rows).all(axis=tuple(range(1, rows.ndim)))
+    if bad.any():
+        gap = int(bad.argmax())
+        h = (grid[gap + 1] - grid[gap]) / n_subs[gap]
+        raise NonFiniteStateError(
+            f"non-finite state {_at(int(n_subs[:gap + 1].sum()), grid[gap + 1], h)}")
+
+
 def euler_solve(rhs: Callable, time: TimeSpec, y0, dt: float) -> Trajectory:
     """Integrate ``y' = rhs(t, y)`` with the explicit Euler recurrence.
 
     For a plain span the states follow ``y_{k+1} = y_k + dt * rhs(t_k, y_k)``
     with the final step shortened to land exactly on ``t_end``.  For
     prescribed points each gap is covered with uniform substeps of size at
-    most ``dt`` and only the requested rows are reported.
+    most ``dt`` and only the requested rows are reported.  Both run as one
+    loop over the gaps of the output grid, on Python floats: a span is its
+    step grid with one substep per gap.
 
     Generic over the scalar kind of ``y0``; ``dt`` and the time grid stay
     real.  ``y0`` may have any shape of at least one dimension: ``rhs``
@@ -218,53 +238,55 @@ def euler_solve(rhs: Callable, time: TimeSpec, y0, dt: float) -> Trajectory:
     more than the shared step budget (the default
     ``ToleranceConfig.max_steps``) raises ``MaxStepsExceededError`` before
     its first step.
+
+    Finiteness is checked once, after the loop, over every row but the
+    initial one.  A non-finite component stays non-finite under
+    ``y + h * f``, so the first non-finite row is the gap end a check after
+    every gap would have stopped at, and the error names the same step.  A
+    failing solve therefore finishes its fixed steps first (at most the
+    budget) and may print one more numpy ``RuntimeWarning``.  If ``rhs``
+    raises after a non-finite row, that row is still what is reported.
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    y = _state_array(y0)
-    step = 0
-
     if isinstance(time, Points):
-        pts = time.times
+        grid = time.times.copy()
         # the shave keeps a gap that equals dt up to roundoff at one substep;
         # a subnormal dt overflows a count to inf, which the budget rejects
         with np.errstate(over="ignore"):
-            n_subs = np.maximum(1.0, np.ceil((np.diff(pts) / dt) * (1.0 - 1e-12)))
-        _check_euler_budget(n_subs.sum(), dt, float(pts[0]), float(pts[-1]))
-        rows = [y]
-        for a, b, n_sub in zip(pts[:-1], pts[1:], n_subs.astype(int).tolist()):
-            h = (b - a) / n_sub
-            for j in range(n_sub):
-                y = y + h * rhs(a + j * h, y)
-                step += 1
-            _check_finite(y, step, b)
-            rows.append(y)
-        return Trajectory(pts.copy(), np.array(rows))
-
-    if not isinstance(time, Span):
+            n_subs = np.maximum(1.0, np.ceil((np.diff(grid) / dt) * (1.0 - 1e-12)))
+        _check_euler_budget(n_subs.sum(), dt, float(grid[0]), float(grid[-1]))
+        n_subs = n_subs.astype(int)
+    elif isinstance(time, Span):
+        q = (time.t_end - time.t0) / dt
+        n_full = math.floor(q) if q < math.inf else q  # q is inf for a subnormal dt
+        if q - n_full > 1.0 - 1e-9:
+            n_full += 1
+        # a shortened last step covers a remainder; t0 + dt * n_full is the last full-step time
+        n_steps = n_full + (time.t_end - (time.t0 + dt * n_full) > dt * 1e-9)
+        _check_euler_budget(n_steps, dt, time.t0, time.t_end)
+        grid = time.t0 + dt * np.arange(n_full + 1)
+        if n_steps > n_full:
+            grid = np.append(grid, time.t_end)
+        grid[-1] = time.t_end
+        n_subs = np.ones(n_steps, dtype=int)
+    else:
         raise TypeError(f"unknown time specification: {time!r}")
 
-    span = time.t_end - time.t0
-    q = span / dt
-    n_full = math.floor(q) if q < math.inf else q  # q is inf for a subnormal dt
-    if q - n_full > 1.0 - 1e-9:
-        n_full += 1
-    # a shortened last step covers a remainder; t0 + dt * n_full is the last full-step time
-    n_steps = n_full + (time.t_end - (time.t0 + dt * n_full) > dt * 1e-9)
-    _check_euler_budget(n_steps, dt, time.t0, time.t_end)
-    times = time.t0 + dt * np.arange(n_full + 1)
-    if n_steps > n_full:
-        times = np.append(times, time.t_end)
-    times[-1] = time.t_end
-
+    y = _state_array(y0)
     rows = [y]
-    for k in range(n_steps):
-        h = times[k + 1] - times[k]
-        y = y + h * rhs(times[k], y)
-        step += 1
-        _check_finite(y, step, times[k + 1])
-        rows.append(y)
-    return Trajectory(times, np.array(rows))
+    gaps = zip(grid[:-1].tolist(), (np.diff(grid) / n_subs).tolist(), n_subs.tolist())
+    try:
+        for a, h, n_sub in gaps:
+            for j in range(n_sub):
+                y = y + h * rhs(a + j * h, y)
+            rows.append(y)
+    except Exception:
+        _check_euler_rows(np.array(rows), grid, n_subs)
+        raise
+    states = np.array(rows)
+    _check_euler_rows(states, grid, n_subs)
+    return Trajectory(grid, states)
 
 
 def rk23_step(rhs: Callable, t: float, y: np.ndarray, h: float, k1=None):
@@ -334,8 +356,8 @@ def rk23_solve(rhs: Callable, time: TimeSpec, y0, tol: ToleranceConfig | None = 
         return Trajectory(points.copy(), np.array([y]))
 
     f = np.asarray(rhs(t0, y))
-    _check_finite(f, 0, t0)
     h = _initial_step(t0, t_end, y, f, tol)
+    _check_finite(f, 0, t0, h)
 
     knot_t = [t0]
     knot_y = [y]
@@ -346,12 +368,11 @@ def rk23_solve(rhs: Callable, time: TimeSpec, y0, tol: ToleranceConfig | None = 
         attempts += 1
         if attempts > tol.max_steps:
             raise MaxStepsExceededError(
-                f"exceeded {tol.max_steps} step attempts at t = {t!r}"
-            )
+                f"exceeded {tol.max_steps} step attempts {_at(attempts, t, h)}")
         clamped = h >= t_end - t
         h_try = (t_end - t) if clamped else h
         y_next, err_vec, k4 = rk23_step(rhs, t, y, h_try, k1=f)
-        _check_finite(np.asarray(y_next), attempts, t + h_try)
+        _check_finite(np.asarray(y_next), attempts, t + h_try, h_try)
         err = _error_norm(np.asarray(err_vec), np.asarray(y), np.asarray(y_next), tol)
         if err <= 1.0:
             t = t_end if clamped else t + h_try
@@ -368,7 +389,7 @@ def rk23_solve(rhs: Callable, time: TimeSpec, y0, tol: ToleranceConfig | None = 
         # only a rejected step signals underflow: a tiny start step (y0 = 0)
         # that is accepted grows on its own
         if err > 1.0 and h < 16.0 * _EPS * max(abs(t), t_end - t0):
-            raise StepUnderflowError(f"step size underflow at t = {t!r} (h = {h!r})")
+            raise StepUnderflowError(f"step size underflow {_at(attempts, t, h)}")
 
     if points is None:
         return Trajectory(np.array(knot_t), np.array(knot_y))

@@ -118,6 +118,12 @@ class TestSolve:
         assert run_cli(["solve", *TINY, "--dt", "1e-300"]) == 1
         assert "above the budget of 1000000" in capsys.readouterr().err
 
+    def test_solver_failure_names_step_t_and_h(self, capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli(["solve", "--eps1", "1e300", "--t-end", "10", "--n-points", "11"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: non-finite state at step 10 (t = 1.0, h = 0.1)\n"
+
     def test_failure_leaves_no_output_file(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
         code = run_cli([

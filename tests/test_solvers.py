@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from odesens.models import lv_jac_p, lv_jac_y, lv_rhs
-from odesens.scalars import Dual1, lift_dual, primal_values, tangent_values
+from odesens.scalars import Dual1, is_finite_scalar, lift_dual, primal_values, tangent_values
 from odesens.sensitivity import _augmented_system, analytic_jacobians
 from odesens.solvers import (
     MaxStepsExceededError,
@@ -147,10 +148,141 @@ class TestEuler:
             one = euler_solve(lambda t, y: 0.5 * y, Span(0.0, 1.0), lanes[:, b], 0.1)
             assert np.array_equal(primal_values(traj.states[:, 0, b]), primal_values(one.states[:, 0]))
             assert np.array_equal(tangent_values(traj.states[:, 0, b]), tangent_values(one.states[:, 0]))
-        # only the tangent of the second lane overflows
+        # only the tangent of the second lane overflows, in the first step
         lanes = np.array([[Dual1(1.0, 1.0), Dual1(1.0, 1e300)]], dtype=object)
-        with np.errstate(over="ignore"), pytest.raises(NonFiniteStateError):
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteStateError, match=r"at step 1 \("):
             euler_solve(lambda t, y: 1e10 * y, Span(0.0, 1.0), lanes, 0.1)
+
+    def test_blow_up_on_points_names_the_step_that_ends_the_first_bad_gap(self):
+        def blowup(t, y):
+            with np.errstate(over="ignore"):
+                return y * y * 1e200
+
+        # the first gap takes three substeps and overflows in its second
+        with pytest.raises(NonFiniteStateError, match=r"at step 3 \("):
+            euler_solve(blowup, Points(np.array([0.0, 0.25, 0.5, 1.0])), np.array([1.0]), 0.1)
+
+    @pytest.mark.parametrize("time, step", [
+        (Span(0.0, 1.0), 1),
+        (Points(np.linspace(0.0, 1.0, 4)), 4),  # gaps of 1/3 take four 0.1 substeps
+    ])
+    def test_non_finite_initial_state_is_reported_at_the_first_row_after_it(self, time, step):
+        with pytest.raises(NonFiniteStateError, match=rf"at step {step} \("):
+            euler_solve(lambda t, y: -y, time, np.array([math.nan, 1.0]), 0.1)
+
+    def test_one_point_grid_returns_the_initial_state_unchecked(self):
+        traj = euler_solve(lambda t, y: -y, Points(np.array([2.0])), np.array([math.nan, 1.0]), 0.1)
+        assert traj.times.tolist() == [2.0]
+        assert math.isnan(traj.states[0, 0]) and traj.states[0, 1] == 1.0
+
+    def test_rhs_that_rejects_a_non_finite_state_still_gets_the_step_reported(self):
+        def strict_blowup(t, y):
+            if not np.isfinite(y).all():
+                raise ValueError("the rhs got a non-finite state")
+            with np.errstate(over="ignore"):
+                return y * y * 1e200
+
+        # step 2 overflows; step 3 would hand the rhs an infinite state
+        with pytest.raises(NonFiniteStateError, match=r"at step 2 \("):
+            euler_solve(strict_blowup, Span(0.0, 1.0), np.array([1.0]), 0.1)
+
+    def test_points_solve_keeps_no_per_substep_table(self):
+        tracemalloc.start()
+        try:
+            traj = euler_solve(lambda t, y: -y, Points(np.array([0.0, 1.0])), np.array([1.0]), 1e-5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.states[-1, 0] == pytest.approx(math.exp(-1.0), rel=1e-4)
+        # 100,000 substeps: a table of one float per substep alone would hold 2.4 MB
+        assert peak < 1_000_000
+
+
+def _reference_euler(rhs, time, y0, dt):
+    """Euler as two loops, one per time spec, checked after every gap: the reference."""
+
+    def check(v, step, t):
+        if not all(is_finite_scalar(x) for x in v.flat):
+            raise NonFiniteStateError(f"non-finite state at step {step} (t = {t!r})")
+
+    y = np.array(y0)
+    step = 0
+    if isinstance(time, Points):
+        pts = time.times
+        n_subs = np.maximum(1.0, np.ceil((np.diff(pts) / dt) * (1.0 - 1e-12)))
+        rows = [y]
+        for a, b, n_sub in zip(pts[:-1], pts[1:], n_subs.astype(int).tolist()):
+            h = (b - a) / n_sub
+            for j in range(n_sub):
+                y = y + h * rhs(a + j * h, y)
+                step += 1
+            check(y, step, b)
+            rows.append(y)
+        return Trajectory(pts.copy(), np.array(rows))
+
+    span = time.t_end - time.t0
+    q = span / dt
+    n_full = math.floor(q)
+    if q - n_full > 1.0 - 1e-9:
+        n_full += 1
+    n_steps = n_full + (time.t_end - (time.t0 + dt * n_full) > dt * 1e-9)
+    times = time.t0 + dt * np.arange(n_full + 1)
+    if n_steps > n_full:
+        times = np.append(times, time.t_end)
+    times[-1] = time.t_end
+    rows = [y]
+    for k in range(n_steps):
+        h = times[k + 1] - times[k]
+        y = y + h * rhs(times[k], y)
+        step += 1
+        check(y, step, times[k + 1])
+        rows.append(y)
+    return Trajectory(times, np.array(rows))
+
+
+@st.composite
+def _euler_cases(draw):
+    """A float, complex or dual state, one lane or ``(m, B)`` lanes, and a time spec."""
+    kind = draw(st.sampled_from(["float", "complex", "dual"]))
+    shape = (draw(st.integers(1, 3)),) + draw(st.sampled_from([(), (1,), (3,)]))
+    values = draw(arrays(float, shape, elements=st.floats(-1.5, 1.5)))
+    extra = draw(arrays(float, shape, elements=st.floats(-1.0, 1.0)))
+    if kind == "complex":
+        y0 = values + 1j * extra
+    elif kind == "dual":
+        y0 = np.array([Dual1(v, e) for v, e in zip(values.flat, extra.flat)], dtype=object)
+        y0 = y0.reshape(shape)
+    else:
+        y0 = values
+    dt = draw(st.floats(0.05, 0.5))
+    t0 = draw(st.floats(-3.0, 3.0))
+    if draw(st.booleans()):
+        # whole steps plus a shortened last one
+        time = Span(t0, t0 + dt * (draw(st.integers(0, 12)) + draw(st.floats(0.1, 0.9))))
+    else:
+        # uneven gaps, up to 20 substeps each, and down to a one-point grid
+        gaps = draw(st.lists(st.floats(0.01, 1.0), max_size=5))
+        time = Points(t0 + np.concatenate([[0.0], np.cumsum(gaps)]))
+    return y0, dt, time
+
+
+@given(_euler_cases())
+def test_euler_equals_the_two_loop_reference_bitwise(case):
+    y0, dt, time = case
+
+    def recorded(calls):
+        def rhs(t, y):
+            calls.append(t)
+            return 0.5 * y - 0.2 * y * y * y + 0.1 * t
+        return rhs
+
+    got_t, ref_t = [], []
+    got = euler_solve(recorded(got_t), time, y0, dt)
+    ref = _reference_euler(recorded(ref_t), time, y0, dt)
+    assert got.times.tobytes() == ref.times.tobytes()
+    assert got.states.dtype == ref.states.dtype and got.states.shape == ref.states.shape
+    assert _bits(got.states) == _bits(ref.states)
+    assert np.array(got_t).tobytes() == np.array(ref_t).tobytes()
 
 
 @st.composite
@@ -281,6 +413,25 @@ class TestRK23Solve:
         # the floor scales with the span too, so it also holds near t = 0
         with pytest.raises(StepUnderflowError):
             rk23_solve(noisy, Span(0.0, 1.0), np.array([0.0]))
+
+    def test_failures_name_the_step_t_and_h_as_plain_floats(self):
+        def blowup(t, y):
+            with np.errstate(over="ignore"):
+                return y * y * 1e200
+
+        where = r"at step \d+ \(t = [-+.e\d]+, h = [-+.e\d]+\)$"
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteStateError, match="non-finite state " + where):
+            rk23_solve(blowup, Span(0.0, 1.0), np.array([1.0]))
+        with pytest.raises(NonFiniteStateError, match=r"at step 0 \(t = 0.0, h = "):
+            rk23_solve(lambda t, y: np.array([math.inf]), Span(0.0, 1.0), np.array([1.0]))
+        tol = ToleranceConfig(rel_tol=1e-10, abs_tol=1e-12, max_steps=5)
+        with pytest.raises(MaxStepsExceededError, match="exceeded 5 step attempts at step 6 \\(t = "):
+            rk23_solve(lv, Span(0.0, 1000.0), np.array([1000.0, 20.0]), tol)
+        with pytest.raises(StepUnderflowError, match="step size underflow " + where):
+            rk23_solve(lambda t, y: np.array([1e12 * math.cos(1e18 * t)]), Span(1.0, 2.0),
+                       np.array([0.0]))
+        with pytest.raises(NonFiniteStateError, match=r"at step 2 \(t = 0.2, h = 0.1\)$"):
+            euler_solve(blowup, Span(0.0, 1.0), np.array([1.0]), 0.1)
 
     def test_zero_start_over_long_span_completes(self):
         # y0 = 0 gives the smallest start step, far below the span-scaled
