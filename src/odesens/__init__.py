@@ -24,7 +24,6 @@ from .solvers import (
     Span,
     SpanModeError,
     StepUnderflowError,
-    ToleranceConfig,
     Trajectory,
     euler_solve,
     hermite_interp,

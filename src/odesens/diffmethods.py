@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .scalars import DEFAULT_CS_STEP, complex_step_column
+from .scalars import complex_step_column
 from .sensitivity import forward_sensitivity_solve, jacobian_provider
 from .solvers import EulerMethod, Points, SpanModeError, TimeSpec, run_solver
 
@@ -53,13 +53,12 @@ def _shifted_columns(x: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return columns
 
 
-def fd_jacobian(g: Callable, x, steps=None) -> np.ndarray:
+def fd_jacobian(g: Callable, x) -> np.ndarray:
     """One-sided forward-difference Jacobian of a vector function.
 
-    Column ``k`` is ``(g(x + h_k e_k) - g(x)) / h_k`` with the default
+    Column ``k`` is ``(g(x + h_k e_k) - g(x)) / h_k`` with the relative
     increment ``h_k = sqrt(eps) * |x_k|`` (``sqrt(eps)`` for a zero
     coordinate).  Accuracy is at best about half the machine precision.
-    ``steps`` overrides the per-coordinate increments.
 
     ``g`` is called once, on the ``(d, d + 1)`` matrix whose columns are
     ``x`` and the ``d`` shifted points, so it must follow numpy's
@@ -67,12 +66,7 @@ def fd_jacobian(g: Callable, x, steps=None) -> np.ndarray:
     column by column.
     """
     x = np.asarray(x, dtype=float)
-    if steps is None:
-        steps = _relative_steps(x, _SQRT_EPS)
-    else:
-        steps = np.asarray(steps, dtype=float)
-        if steps.shape != x.shape:
-            raise ValueError("steps must provide one increment per coordinate")
+    steps = _relative_steps(x, _SQRT_EPS)
     values = np.asarray(g(np.column_stack([x, _shifted_columns(x, steps)])), dtype=float)
     return (values[:, 1:] - values[:, :1]) / steps
 
@@ -94,18 +88,18 @@ def central_fd_jacobian(g: Callable, x, factor: float = _SQRT_EPS) -> np.ndarray
     return (values[:, :d] - values[:, d:]) / (2.0 * steps)
 
 
-def cs_jacobian(g: Callable, x, h: float = DEFAULT_CS_STEP) -> np.ndarray:
+def cs_jacobian(g: Callable, x) -> np.ndarray:
     """Complex-step Jacobian of a real-analytic vector function.
 
-    Column ``k`` is ``Im(g(x + i*h*e_k)) / h``; no subtractive
-    cancellation, so the tiny default step gives near machine-precision
+    Column ``k`` is ``Im(g(x + i*h*e_k)) / h`` with ``h = 1e-100``; no
+    subtractive cancellation, so the tiny step gives near machine-precision
     columns whenever ``g`` is evaluable on complex inputs.  ``g`` is called
     once per column on a 1-D complex point, never on a matrix of columns:
     numpy's array complex multiply rounds differently from its scalar one,
     so complex lanes would not reproduce the one-point columns bitwise.
     """
     x = np.asarray(x, dtype=float)
-    return np.column_stack([complex_step_column(g, x, k, h) for k in range(x.shape[0])])
+    return np.column_stack([complex_step_column(g, x, k) for k in range(x.shape[0])])
 
 
 def relative_error(a, b) -> float:
@@ -229,9 +223,9 @@ class CrossTable:
                 yield self.methods[i], self.methods[j], float(self.errors[i, j])
 
 
-def cross_compare(scenario, methods: Sequence[str] = CROSS_METHODS) -> CrossTable:
-    """Compare every method's sensitivity matrix of a ``Scenario`` against every other's."""
-    methods = tuple(methods)
+def cross_compare(scenario) -> CrossTable:
+    """Compare the sensitivity matrices of a ``Scenario`` from each of :data:`CROSS_METHODS`."""
+    methods = CROSS_METHODS
     matrices = {name: sensitivity_matrix(scenario, name) for name in methods}
     n = len(methods)
     errors = np.zeros((n, n))

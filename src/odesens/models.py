@@ -34,7 +34,6 @@ from .solvers import (
     SolverMethod,
     SpanModeError,
     TimeSpec,
-    ToleranceConfig,
 )
 
 __all__ = [
@@ -241,7 +240,7 @@ class Scenario:
             raise ValueError("n_points must be at least 1")
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
-        self.tolerance()  # the tolerances are checked even where Euler never reads them
+        RK23Method(self.rel_tol, self.abs_tol)  # checked even where Euler never reads them
         for key in model.positive:
             if not values[key] > 0.0:
                 raise ValueError(f"{key} must be positive, got {values[key]!r}")
@@ -255,19 +254,13 @@ class Scenario:
     def initial_state(self) -> np.ndarray:
         return np.array([self.values[key] for key in self.ode_model().states])
 
-    def points(self) -> np.ndarray:
-        return np.linspace(self.t0, self.t_end, self.n_points)
-
     def time_spec(self) -> Points:
-        return Points(self.points())
-
-    def tolerance(self) -> ToleranceConfig:
-        return ToleranceConfig(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
+        return Points(np.linspace(self.t0, self.t_end, self.n_points))
 
     def method(self) -> SolverMethod:
         if self.solver == "euler":
             return EulerMethod(self.dt)
-        return RK23Method(self.tolerance())
+        return RK23Method(self.rel_tol, self.abs_tol)
 
     def with_updates(self, **changes) -> "Scenario":
         """Copy with the model, run settings or model inputs replaced, all given by key."""

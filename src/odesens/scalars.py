@@ -205,7 +205,7 @@ def contains_dual(arr) -> bool:
     return any(isinstance(v, Dual1) for v in arr.flat)
 
 
-def _scalar_array(values: Sequence, shape=(-1,)) -> np.ndarray:
+def _scalar_array(values: Sequence, shape) -> np.ndarray:
     values = list(values)
     if any(isinstance(v, Dual1) for v in values):
         out = np.empty(len(values), dtype=object)
@@ -299,27 +299,23 @@ def eval_second_directional(f: Callable, x, u, v):
     v = np.asarray(v)
     if x.shape != u.shape or x.shape != v.shape:
         raise ValueError("direction shapes must match the input shape")
-    lifted = lift_dual(lift_dual(x, u), lift_dual(v, np.zeros(v.shape)))
-    out = list(np.asarray(f(lifted)))
-    value = _scalar_array([primal_part(primal_part(o)) for o in out])
-    du = _scalar_array([tangent_part(primal_part(o)) for o in out])
-    dv = _scalar_array([primal_part(tangent_part(o)) for o in out])
-    duv = _scalar_array([tangent_part(tangent_part(o)) for o in out])
-    return value, du, dv, duv
+    # the outer primal is the u-dual (value, du), the outer tangent (dv, duv)
+    value_u, tangent_v = eval_jvp_dual(f, lift_dual(x, u), lift_dual(v, np.zeros(v.shape)))
+    return (primal_values(value_u), tangent_values(value_u),
+            primal_values(tangent_v), tangent_values(tangent_v))
 
 
-def complex_step_column(f: Callable, x, k: int, h: float = DEFAULT_CS_STEP) -> np.ndarray:
+def complex_step_column(f: Callable, x, k: int) -> np.ndarray:
     """Column ``k`` of the Jacobian of real-analytic ``f`` via a complex step.
 
-    Returns ``Im(f(x + i*h*e_k)) / h``, which is cancellation-free at first
-    order and therefore exact to roundoff for polynomial ``f``.
+    Returns ``Im(f(x + i*h*e_k)) / h`` with ``h = DEFAULT_CS_STEP``, which
+    is cancellation-free at first order and therefore exact to roundoff for
+    polynomial ``f``.
     """
     x = np.asarray(x, dtype=float)
     if not 0 <= k < x.shape[0]:
         raise IndexError(f"column index {k} out of range for input of length {x.shape[0]}")
-    if h <= 0.0:
-        raise ValueError("complex-step increment must be positive")
     z = x.astype(complex)
-    z[k] += 1j * h
+    z[k] += 1j * DEFAULT_CS_STEP
     out = np.asarray(f(z))
-    return np.imag(out) / h
+    return np.imag(out) / DEFAULT_CS_STEP

@@ -28,6 +28,7 @@ import numpy as np
 from .scalars import (
     contains_dual,
     eval_jacobian_dual,
+    eval_jvp_dual,
     lift_dual,
     primal_values,
     tangent_values,
@@ -150,10 +151,9 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
 
     def jacobians(_aug, t, x, p):
         rows = x.reshape(1 + k + m, m)
-        seeded = lift_dual(np.concatenate([rows[0], p]), seeds)
-        lifted = np.hstack(partials(t, seeded[:m], seeded[m:]))
-        first = primal_values(lifted)      # [f_y | f_p]
-        second = tangent_values(lifted)    # its derivatives in (y, p), (m, m + k, m + k)
+        # first is [f_y | f_p], second its derivatives in (y, p), (m, m + k, m + k)
+        first, second = eval_jvp_dual(
+            lambda z: np.hstack(partials(t, z[:m], z[m:])), np.concatenate([rows[0], p]), seeds)
         if second.ndim == 2:               # no duals: the partials are constants
             second = np.zeros(second.shape + (m + k,))
         f_y = first[:, :m]
@@ -223,13 +223,11 @@ def forward_sensitivity_solve(
     """Integrate the augmented system as one solve of its composite state.
 
     Starts from the row stack ``[y0; 0; I]`` of shape ``(1 + k + m, m)``.
-    ``jac=None`` selects the dual-lifting Jacobian provider.  If ``y0`` or
-    ``p`` carry dual payloads the composite integration is routed through
-    :func:`dual_aware_solve` on the ravelled stack, which strips one
-    payload level and recurses.
+    ``jac`` is a Jacobian provider such as :func:`analytic_jacobians` or
+    :func:`dual_jacobians`.  If ``y0`` or ``p`` carry dual payloads the
+    composite integration is routed through :func:`dual_aware_solve` on
+    the ravelled stack, which strips one payload level and recurses.
     """
-    if jac is None:
-        jac = dual_jacobians()
     y0 = np.asarray(y0)
     p = np.asarray(p)
     m, k = y0.shape[0], p.shape[0]

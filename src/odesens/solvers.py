@@ -12,7 +12,7 @@ extension of accepted steps, so they never influence step selection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -24,7 +24,6 @@ __all__ = [
     "Points",
     "TimeSpec",
     "Trajectory",
-    "ToleranceConfig",
     "EulerMethod",
     "RK23Method",
     "SolverMethod",
@@ -42,8 +41,14 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 
-# step budget of a solve: RK23 step attempts by default, Euler steps always
+# step budget of a solve: RK23 step attempts, Euler steps
 _MAX_STEPS = 1_000_000
+
+# RK23 step control, fixed as in ode23: the new step is the old one times
+# _SAFETY * err^(-1/3), bounded to [_MIN_FACTOR, _MAX_FACTOR]
+_SAFETY = 0.8
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 5.0
 
 
 class SolverError(RuntimeError):
@@ -68,7 +73,11 @@ class SpanModeError(ValueError):
 
 @dataclass(frozen=True)
 class Span:
-    """Integration window ``[t0, t_end]``; the solver picks output times."""
+    """Integration window ``[t0, t_end]``; the solver picks output times.
+
+    The endpoints are stored as Python floats, whatever real type they
+    arrive as.
+    """
 
     t0: float
     t_end: float
@@ -76,6 +85,8 @@ class Span:
     def __post_init__(self):
         if not (math.isfinite(self.t0) and math.isfinite(self.t_end)):
             raise ValueError(f"span [{self.t0}, {self.t_end}] must be finite")
+        object.__setattr__(self, "t0", float(self.t0))
+        object.__setattr__(self, "t_end", float(self.t_end))
         if not self.t_end > self.t0:
             raise ValueError(f"t_end ({self.t_end}) must exceed t0 ({self.t0})")
 
@@ -112,36 +123,6 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class ToleranceConfig:
-    """Error tolerances and step-control constants for the adaptive solver.
-
-    The defaults mirror the documented defaults of the MATLAB-style solver
-    family this scheme comes from (rel 1e-3, abs 1e-6).
-    """
-
-    rel_tol: float = 1e-3
-    abs_tol: float = 1e-6
-    safety: float = 0.8
-    min_factor: float = 0.2
-    max_factor: float = 5.0
-    max_steps: int = _MAX_STEPS
-
-    def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "safety", "min_factor", "max_factor"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        for name in ("rel_tol", "abs_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        if not 0.0 < self.min_factor < 1.0 < self.max_factor:
-            raise ValueError("need 0 < min_factor < 1 < max_factor")
-        if not 0.0 < self.safety <= 1.0:
-            raise ValueError("safety must lie in (0, 1]")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
-
-
-@dataclass(frozen=True)
 class EulerMethod:
     """Fixed-step explicit Euler with step size ``dt``."""
 
@@ -150,9 +131,21 @@ class EulerMethod:
 
 @dataclass(frozen=True)
 class RK23Method:
-    """Adaptive embedded 3(2) Runge-Kutta."""
+    """Adaptive embedded 3(2) Runge-Kutta with error tolerances.
 
-    tol: ToleranceConfig = field(default_factory=ToleranceConfig)
+    The defaults are those of ``ode23`` (rel 1e-3, abs 1e-6).
+    """
+
+    rel_tol: float = 1e-3
+    abs_tol: float = 1e-6
+
+    def __post_init__(self):
+        for name in ("rel_tol", "abs_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name in ("rel_tol", "abs_tol"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
 
 
 SolverMethod = Union[EulerMethod, RK23Method]
@@ -163,7 +156,7 @@ def run_solver(rhs: Callable, time: TimeSpec, y0, method: SolverMethod) -> Traje
     if isinstance(method, EulerMethod):
         return euler_solve(rhs, time, y0, method.dt)
     if isinstance(method, RK23Method):
-        return rk23_solve(rhs, time, y0, method.tol)
+        return rk23_solve(rhs, time, y0, method)
     raise TypeError(f"unknown solver method: {method!r}")
 
 
@@ -235,9 +228,8 @@ def euler_solve(rhs: Callable, time: TimeSpec, y0, dt: float) -> Trajectory:
     be ``B`` independent lanes that take the same steps, each lane bitwise
     the one-lane solve of its column for real elementwise arithmetic.  The
     step count is fixed by ``dt`` and the grid, so a solve that would need
-    more than the shared step budget (the default
-    ``ToleranceConfig.max_steps``) raises ``MaxStepsExceededError`` before
-    its first step.
+    more than the step budget it shares with RK23 raises
+    ``MaxStepsExceededError`` before its first step.
 
     Finiteness is checked once, after the loop, over every row but the
     initial one.  A non-finite component stays non-finite under
@@ -309,12 +301,12 @@ def rk23_step(rhs: Callable, t: float, y: np.ndarray, h: float, k1=None):
     return y_next, err, k4
 
 
-def _error_norm(err, y_old, y_new, tol: ToleranceConfig) -> float:
+def _error_norm(err, y_old, y_new, tol: RK23Method) -> float:
     scale = tol.abs_tol + tol.rel_tol * np.maximum(_magnitudes(y_old), _magnitudes(y_new))
     return float(np.max(_magnitudes(err) / scale))
 
 
-def _initial_step(t0: float, t_end: float, y0, f0, tol: ToleranceConfig) -> float:
+def _initial_step(t0: float, t_end: float, y0, f0, tol: RK23Method) -> float:
     scale = tol.abs_tol + tol.rel_tol * _magnitudes(y0)
     d0 = float(np.max(_magnitudes(y0) / scale))
     d1 = float(np.max(_magnitudes(f0) / scale))
@@ -324,7 +316,7 @@ def _initial_step(t0: float, t_end: float, y0, f0, tol: ToleranceConfig) -> floa
     return min(h, t_end - t0)
 
 
-def rk23_solve(rhs: Callable, time: TimeSpec, y0, tol: ToleranceConfig | None = None) -> Trajectory:
+def rk23_solve(rhs: Callable, time: TimeSpec, y0, method: RK23Method = RK23Method()) -> Trajectory:
     """Adaptive 3(2) integration with FSAL stage reuse.
 
     A step is accepted when the scaled error norm
@@ -340,8 +332,11 @@ def rk23_solve(rhs: Callable, time: TimeSpec, y0, tol: ToleranceConfig | None = 
     stacked in one state would share steps and change each other's
     results; running them separately is the job of
     ``diffmethods.solve_columns``.
+
+    ``method`` supplies the two tolerances.  The step-control constants
+    are fixed, as in ``ode23``: safety factor 0.8, step change bounded to
+    [0.2, 5], and at most the shared budget of step attempts.
     """
-    tol = tol if tol is not None else ToleranceConfig()
     points = None
     if isinstance(time, Points):
         points = time.times
@@ -356,7 +351,7 @@ def rk23_solve(rhs: Callable, time: TimeSpec, y0, tol: ToleranceConfig | None = 
         return Trajectory(points.copy(), np.array([y]))
 
     f = np.asarray(rhs(t0, y))
-    h = _initial_step(t0, t_end, y, f, tol)
+    h = _initial_step(t0, t_end, y, f, method)
     _check_finite(f, 0, t0, h)
 
     knot_t = [t0]
@@ -366,14 +361,14 @@ def rk23_solve(rhs: Callable, time: TimeSpec, y0, tol: ToleranceConfig | None = 
     attempts = 0
     while t < t_end:
         attempts += 1
-        if attempts > tol.max_steps:
+        if attempts > _MAX_STEPS:
             raise MaxStepsExceededError(
-                f"exceeded {tol.max_steps} step attempts {_at(attempts, t, h)}")
+                f"exceeded {_MAX_STEPS} step attempts {_at(attempts, t, h)}")
         clamped = h >= t_end - t
         h_try = (t_end - t) if clamped else h
         y_next, err_vec, k4 = rk23_step(rhs, t, y, h_try, k1=f)
         _check_finite(np.asarray(y_next), attempts, t + h_try, h_try)
-        err = _error_norm(np.asarray(err_vec), np.asarray(y), np.asarray(y_next), tol)
+        err = _error_norm(np.asarray(err_vec), np.asarray(y), np.asarray(y_next), method)
         if err <= 1.0:
             t = t_end if clamped else t + h_try
             y = y_next
@@ -382,9 +377,9 @@ def rk23_solve(rhs: Callable, time: TimeSpec, y0, tol: ToleranceConfig | None = 
             knot_y.append(y)
             knot_f.append(f)
         if err == 0.0:
-            factor = tol.max_factor
+            factor = _MAX_FACTOR
         else:
-            factor = min(tol.max_factor, max(tol.min_factor, tol.safety * err ** (-1.0 / 3.0)))
+            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** (-1.0 / 3.0)))
         h = h_try * factor
         # only a rejected step signals underflow: a tiny start step (y0 = 0)
         # that is accepted grows on its own

@@ -29,7 +29,6 @@ from odesens.solvers import (
     Points,
     RK23Method,
     Span,
-    ToleranceConfig,
     euler_solve,
     rk23_step,
 )
@@ -106,7 +105,7 @@ def test_criterion_3_closed_form_linear_oracle():
     bundle = forward_sensitivity_solve(
         linear_rhs, dual_jacobians(), np.array([a]), np.array([y0]),
         Points(np.array([0.0, 1.0])),
-        RK23Method(ToleranceConfig(rel_tol=1e-8, abs_tol=1e-12)),
+        RK23Method(rel_tol=1e-8, abs_tol=1e-12),
     )
     v_exact = 1.0 * y0 * math.exp(a * 1.0)
     w_exact = math.exp(a * 1.0)
@@ -159,7 +158,7 @@ def test_criterion_6_hessian_forward_over_reverse():
     vs_fd = np.linalg.norm(hess - hess_fd) / np.linalg.norm(hess)
 
     rk_spec = Points(np.linspace(0.0, 20.0, 201))
-    rk_hess = fmain_hessian(Y0, P, rk_spec, RK23Method(ToleranceConfig()))
+    rk_hess = fmain_hessian(Y0, P, rk_spec, RK23Method())
     _criterion(6, "forward-over-reverse Hessian (incl. adaptive-solver dispatch)", [
         (sym <= 1e-10, f"symmetry defect {sym:g} > 1e-10"),
         (vs_fd <= 1e-5, f"vs differenced gradient {vs_fd:g} > 1e-5"),

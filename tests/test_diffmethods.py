@@ -31,14 +31,6 @@ class TestFdJacobian:
         jac = fd_jacobian(lambda x: np.array([x[0] * x[0]]), np.array([1.0]))
         assert abs(jac[0, 0] - 2.0) <= 3e-8
 
-    def test_custom_steps(self):
-        jac = fd_jacobian(lambda x: np.array([x[0] ** 2]), np.array([1.0]), steps=np.array([1e-6]))
-        assert abs(jac[0, 0] - 2.0) <= 2e-6
-
-    def test_steps_shape_checked(self):
-        with pytest.raises(ValueError):
-            fd_jacobian(lambda x: x, np.ones(3), steps=np.ones(2))
-
 
 @pytest.mark.parametrize("jacobian, n_columns", [(fd_jacobian, 4), (central_fd_jacobian, 6)])
 def test_g_is_called_once_on_every_point(jacobian, n_columns):

@@ -29,7 +29,7 @@ from odesens.models import (
 )
 from odesens.scalars import Dual1, contains_dual, eval_jacobian_dual
 from odesens.solvers import (
-    EulerMethod, Points, RK23Method, Span, SpanModeError, euler_solve, rk23_solve, ToleranceConfig,
+    EulerMethod, Points, RK23Method, Span, SpanModeError, euler_solve, rk23_solve,
 )
 
 P = np.array([0.015, 1e-4, 0.03, 1e-4])
@@ -122,7 +122,7 @@ class TestInvariant:
         drift_euler = max(abs(lv_invariant(y, P) - inv0) for y in coarse.states)
         fine = rk23_solve(
             lambda t, y: lv_rhs(t, y, P), Span(0.0, 1000.0), Y0,
-            ToleranceConfig(rel_tol=1e-6, abs_tol=1e-9),
+            RK23Method(rel_tol=1e-6, abs_tol=1e-9),
         )
         drift_rk = max(abs(lv_invariant(y, P) - inv0) for y in fine.states)
         assert drift_rk < drift_euler
@@ -133,8 +133,9 @@ class TestScenario:
         sc = Scenario()
         assert sc.params_array() == pytest.approx([0.015, 1e-4, 0.03, 1e-4], abs=0.0)
         assert np.array_equal(sc.initial_state(), np.array([1000.0, 20.0]))
-        assert sc.points().shape == (10001,)
-        assert sc.points()[0] == 0.0 and sc.points()[-1] == 1000.0
+        times = sc.time_spec().times
+        assert times.shape == (10001,)
+        assert times[0] == 0.0 and times[-1] == 1000.0
         assert isinstance(sc.method(), EulerMethod)
 
     def test_round_trip_through_text(self):
@@ -173,7 +174,7 @@ class TestScenario:
             Scenario(**{field: value})
 
     def test_numpy_integer_n_points_accepted(self):
-        assert Scenario(n_points=np.int64(3)).points().shape == (3,)
+        assert Scenario(n_points=np.int64(3)).time_spec().times.shape == (3,)
 
     def test_comments_and_blank_lines_ignored(self):
         sc = parse_scenario_text("# reference rates\neps1=0.02\n\ndt=0.5\n")

@@ -28,7 +28,6 @@ from odesens.solvers import (
     RK23Method,
     Span,
     SpanModeError,
-    ToleranceConfig,
     euler_solve,
 )
 
@@ -244,14 +243,13 @@ class TestForwardSensitivitySolve:
     def test_linear_model_closed_form(self):
         # y' = a*y: dy/da = t*y0*e^(a t), dy/dy0 = e^(a t)
         a, y0 = 0.5, 2.0
-        tol = ToleranceConfig(rel_tol=1e-8, abs_tol=1e-10)
         bundle = forward_sensitivity_solve(
             linear_rhs,
             dual_jacobians(),
             np.array([a]),
             np.array([y0]),
             Points(np.array([0.0, 1.0])),
-            RK23Method(tol),
+            RK23Method(rel_tol=1e-8, abs_tol=1e-10),
         )
         assert bundle.dy_dp[-1, 0, 0] == pytest.approx(1.0 * y0 * math.exp(a), rel=1e-6)
         assert bundle.dy_dy0[-1, 0, 0] == pytest.approx(math.exp(a), rel=1e-6)
@@ -277,12 +275,6 @@ class TestForwardSensitivitySolve:
             b = getattr(b_ad, field)
             assert np.all(np.abs(a - b) <= 1e-14 * np.maximum(np.abs(a), np.abs(b)))
 
-    def test_default_provider_is_dual_lifting(self):
-        explicit = lv_bundle(jac=dual_jacobians())
-        defaulted = lv_bundle(jac=None)
-        assert np.array_equal(explicit.dy_dp, defaulted.dy_dp)
-        assert np.array_equal(explicit.dy_dy0, defaulted.dy_dy0)
-
     @pytest.mark.parametrize("rhs, p, y0, shape", [
         (lv_rhs, LV_P, LV_Y0, (7, 2)),
         (linear_rhs, np.array([0.5]), np.array([3.0]), (3, 1)),
@@ -290,7 +282,7 @@ class TestForwardSensitivitySolve:
     def test_one_solve_of_the_row_stack(self, solve_shapes, rhs, p, y0, shape):
         for method in (EulerMethod(0.1), RK23Method()):
             solve_shapes.clear()
-            forward_sensitivity_solve(rhs, None, p, y0, Points(np.linspace(0.0, 1.0, 3)), method)
+            forward_sensitivity_solve(rhs, dual_jacobians(), p, y0, Points(np.linspace(0.0, 1.0, 3)), method)
             assert solve_shapes == [shape]
 
 
@@ -531,9 +523,9 @@ class TestDualAwareSolve:
         y0_dual2 = np.array(
             [Dual1(Dual1(y0, 0.0), Dual1(0.0, 0.0))], dtype=object
         )
-        tol = ToleranceConfig(rel_tol=1e-8, abs_tol=1e-10)
         traj = dual_aware_solve(
-            linear_rhs, p_dual2, y0_dual2, Points(np.array([0.0, 1.0])), RK23Method(tol)
+            linear_rhs, p_dual2, y0_dual2, Points(np.array([0.0, 1.0])),
+            RK23Method(rel_tol=1e-8, abs_tol=1e-10),
         )
         out = traj.states[-1, 0]
         expected = 1.0 * y0 * math.exp(a)

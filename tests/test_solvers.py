@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from odesens import solvers
 from odesens.models import lv_jac_p, lv_jac_y, lv_rhs
 from odesens.scalars import Dual1, is_finite_scalar, lift_dual, primal_values, tangent_values
 from odesens.sensitivity import _augmented_system, analytic_jacobians
@@ -14,9 +15,9 @@ from odesens.solvers import (
     MaxStepsExceededError,
     NonFiniteStateError,
     Points,
+    RK23Method,
     Span,
     StepUnderflowError,
-    ToleranceConfig,
     Trajectory,
     euler_solve,
     hermite_interp,
@@ -61,6 +62,15 @@ class TestTimeSpecs:
     def test_single_point_grid_is_allowed(self):
         spec = Points(np.array([0.0]))
         assert spec.times.shape == (1,)
+
+    def test_span_endpoints_become_python_floats(self):
+        span = Span(np.float64(0), np.int64(1000))
+        assert type(span.t0) is float and type(span.t_end) is float
+        with pytest.raises(TypeError):
+            Span("0", 1.0)
+        # with numpy endpoints, t0 + dt * n_full would meet a 10^303 Python int
+        with pytest.raises(MaxStepsExceededError, match="above the budget"):
+            euler_solve(expgrow, Span(np.float64(0), np.float64(1000)), np.array([1.0]), 1e-300)
 
 
 class TestEuler:
@@ -351,13 +361,13 @@ class TestRK23Solve:
         assert np.all(traj.states == np.array([5.0, 6.0]))
 
     def test_exponential_oracle(self):
-        tol = ToleranceConfig(rel_tol=1e-6, abs_tol=1e-9)
+        tol = RK23Method(rel_tol=1e-6, abs_tol=1e-9)
         traj = rk23_solve(expgrow, Points(np.array([0.0, 1.0])), np.array([1.0]), tol)
         assert abs(traj.states[-1, 0] - math.e) <= 1e-5
 
     def test_tolerance_monotonicity(self):
         def end_error(rel_tol):
-            tol = ToleranceConfig(rel_tol=rel_tol, abs_tol=1e-12)
+            tol = RK23Method(rel_tol=rel_tol, abs_tol=1e-12)
             traj = rk23_solve(expgrow, Points(np.array([0.0, 5.0])), np.array([1.0]), tol)
             return abs(traj.states[-1, 0] - math.exp(5.0))
 
@@ -365,7 +375,7 @@ class TestRK23Solve:
 
     def test_points_equal_span_plus_interpolation_bitwise(self):
         pts = np.linspace(0.0, 50.0, 37)
-        tol = ToleranceConfig()
+        tol = RK23Method()
         got = rk23_solve(lv, Points(pts), np.array([1000.0, 20.0]), tol)
         span = rk23_solve(lv, Span(0.0, 50.0), np.array([1000.0, 20.0]), tol)
         knot_f = np.array([lv(t, y) for t, y in zip(span.times, span.states)])
@@ -397,8 +407,9 @@ class TestRK23Solve:
         assert prey.max() > prey[0]
         assert prey.min() < prey[0]
 
-    def test_max_steps_budget(self):
-        tol = ToleranceConfig(rel_tol=1e-10, abs_tol=1e-12, max_steps=5)
+    def test_max_steps_budget(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_MAX_STEPS", 5)
+        tol = RK23Method(rel_tol=1e-10, abs_tol=1e-12)
         with pytest.raises(MaxStepsExceededError):
             rk23_solve(lv, Span(0.0, 1000.0), np.array([1000.0, 20.0]), tol)
 
@@ -414,7 +425,7 @@ class TestRK23Solve:
         with pytest.raises(StepUnderflowError):
             rk23_solve(noisy, Span(0.0, 1.0), np.array([0.0]))
 
-    def test_failures_name_the_step_t_and_h_as_plain_floats(self):
+    def test_failures_name_the_step_t_and_h_as_plain_floats(self, monkeypatch):
         def blowup(t, y):
             with np.errstate(over="ignore"):
                 return y * y * 1e200
@@ -424,9 +435,11 @@ class TestRK23Solve:
             rk23_solve(blowup, Span(0.0, 1.0), np.array([1.0]))
         with pytest.raises(NonFiniteStateError, match=r"at step 0 \(t = 0.0, h = "):
             rk23_solve(lambda t, y: np.array([math.inf]), Span(0.0, 1.0), np.array([1.0]))
-        tol = ToleranceConfig(rel_tol=1e-10, abs_tol=1e-12, max_steps=5)
-        with pytest.raises(MaxStepsExceededError, match="exceeded 5 step attempts at step 6 \\(t = "):
-            rk23_solve(lv, Span(0.0, 1000.0), np.array([1000.0, 20.0]), tol)
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_MAX_STEPS", 5)
+            tol = RK23Method(rel_tol=1e-10, abs_tol=1e-12)
+            with pytest.raises(MaxStepsExceededError, match="exceeded 5 step attempts at step 6 \\(t = "):
+                rk23_solve(lv, Span(0.0, 1000.0), np.array([1000.0, 20.0]), tol)
         with pytest.raises(StepUnderflowError, match="step size underflow " + where):
             rk23_solve(lambda t, y: np.array([1e12 * math.cos(1e18 * t)]), Span(1.0, 2.0),
                        np.array([0.0]))
@@ -442,17 +455,13 @@ class TestRK23Solve:
 
     def test_tolerance_config_validation(self):
         with pytest.raises(ValueError, match="rel_tol must be positive, got 0.0"):
-            ToleranceConfig(rel_tol=0.0)
+            RK23Method(rel_tol=0.0)
         with pytest.raises(ValueError, match="abs_tol must be positive, got -1.0"):
-            ToleranceConfig(abs_tol=-1.0)
-        with pytest.raises(ValueError):
-            ToleranceConfig(min_factor=1.5)
-        with pytest.raises(ValueError):
-            ToleranceConfig(safety=0.0)
+            RK23Method(abs_tol=-1.0)
         with pytest.raises(ValueError, match="rel_tol must be finite"):
-            ToleranceConfig(rel_tol=math.inf)
+            RK23Method(rel_tol=math.inf)
         with pytest.raises(ValueError, match="abs_tol must be finite"):
-            ToleranceConfig(abs_tol=math.nan)
+            RK23Method(abs_tol=math.nan)
 
     def test_composite_state_equals_its_ravel_bitwise(self):
         # the (7, 2) composite of the LV sensitivity system is one coupled system
@@ -526,7 +535,7 @@ class TestScalarKindGenericity:
     def test_rk23_runs_on_dual_states(self):
         y0 = np.array([Dual1(1.0, 1.0)], dtype=object)
         traj = rk23_solve(expgrow, Points(np.array([0.0, 1.0])), y0,
-                          ToleranceConfig(rel_tol=1e-6, abs_tol=1e-9))
+                          RK23Method(rel_tol=1e-6, abs_tol=1e-9))
         primal = primal_values(traj.states[-1])[0]
         tangent = tangent_values(traj.states[-1])[0]
         assert abs(primal - math.e) <= 1e-5
