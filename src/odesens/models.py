@@ -95,6 +95,22 @@ def lv_jac_p(t, y, p):
     ])
 
 
+def _lv_second(t, y, p):
+    """Derivatives of ``[lv_jac_y | lv_jac_p]`` in ``(y, p)``; each entry there is one product."""
+    return np.array([
+        [[0.0, -p[1], 1.0, -y[1], 0.0, 0.0],
+         [-p[1], 0.0, 0.0, -y[0], 0.0, 0.0],
+         [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+         [-y[1], -y[0], 0.0, 0.0, 0.0, 0.0],
+         [0.0] * 6, [0.0] * 6],
+        [[0.0, p[3], 0.0, 0.0, 0.0, y[1]],
+         [p[3], 0.0, 0.0, 0.0, -1.0, y[0]],
+         [0.0] * 6, [0.0] * 6,
+         [0.0, -1.0, 0.0, 0.0, 0.0, 0.0],
+         [y[1], y[0], 0.0, 0.0, 0.0, 0.0]],
+    ])
+
+
 def lv_invariant(y, p) -> float:
     """Conserved quantity of the exact predator-prey flow.
 
@@ -120,6 +136,10 @@ def _linear_jac_p(t, y, p):
     return np.array([[y[0]]])
 
 
+def _linear_second(t, y, p):
+    return np.array([[[0.0, 1.0], [1.0, 0.0]]])
+
+
 def zero_rhs(t, y, p):
     """Stub model with a frozen zero derivative (any scalar kind)."""
     return 0.0 * np.asarray(y)
@@ -133,6 +153,10 @@ def _zero_jac_p(t, y, p):
     return np.zeros((len(y), len(p)))
 
 
+def _zero_second(t, y, p):
+    return np.zeros((len(y), len(y) + len(p), len(y) + len(p)))
+
+
 @dataclass(frozen=True)
 class OdeModel:
     """A right-hand side, its Jacobians and the scenario inputs it reads.
@@ -142,6 +166,12 @@ class OdeModel:
     expects them; ``positive`` names the keys a scenario must hold
     positive.  An entry in :data:`MODELS` is all a model needs for
     scenarios, scenario files and CLI flags to accept its keys.
+
+    ``second(t, y, p)``, optional, returns the ``(m, m + k, m + k)``
+    derivative of ``[f_y | f_p]`` in ``(y, p)``.  With analytic Jacobians
+    the lowered solves of a Hessian build their step Jacobian from it
+    instead of a dual pass over ``jac_y``/``jac_p``, so it must round as
+    that pass does.
     """
 
     name: str
@@ -151,6 +181,7 @@ class OdeModel:
     states: dict
     params: dict
     positive: tuple
+    second: Optional[Callable] = None
 
     @property
     def state_dim(self) -> int:
@@ -162,13 +193,13 @@ _LV_PARAMS = {"eps1": 0.015, "gamma1": 0.0001, "eps2": 0.03, "gamma2": 0.0001}
 
 MODELS = {
     "lv": OdeModel("lv", lv_rhs, lv_jac_y, lv_jac_p, _LV_STATES, _LV_PARAMS,
-                   (*_LV_STATES, *_LV_PARAMS)),
+                   (*_LV_STATES, *_LV_PARAMS), _lv_second),
     # the rate may have any sign
     "linear": OdeModel("linear", linear_rhs, _linear_jac_y, _linear_jac_p,
-                       {"y0_1": 1000.0}, {"eps1": 0.015}, ("y0_1",)),
+                       {"y0_1": 1000.0}, {"eps1": 0.015}, ("y0_1",), _linear_second),
     # the stub reads the predator-prey inputs and checks only its start
     "zero": OdeModel("zero", zero_rhs, _zero_jac_y, _zero_jac_p, _LV_STATES, _LV_PARAMS,
-                     tuple(_LV_STATES)),
+                     tuple(_LV_STATES), _zero_second),
 }
 
 

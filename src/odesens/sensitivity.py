@@ -13,15 +13,15 @@ forward-over-reverse Hessian driver.
 The augmented system is linear in its sensitivity blocks, so it carries a
 structured Jacobian of its own.  Lowering a dual-valued sensitivity solve,
 as the Hessian driver does, integrates the augmented system of the
-augmented system; its Jacobian then costs one ``m + k``-seed dual pass
-over the model's Jacobians per step instead of a dual pass with one seed
-per composite state and parameter.
+augmented system; its Jacobian then needs the model's second derivatives
+once per step.  A model's hand-written ``second`` supplies them; without
+one they cost one ``m + k``-seed dual pass over the model's Jacobians.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -55,12 +55,13 @@ __all__ = [
 ]
 
 
-def analytic_jacobians(jac_y: Callable, jac_p: Callable):
-    """Jacobian provider backed by hand-derived formulas."""
+def analytic_jacobians(jac_y: Callable, jac_p: Callable, second: Optional[Callable] = None):
+    """Jacobian provider backed by hand-derived formulas, carrying ``second`` (see ``OdeModel``)."""
 
     def provider(f, t, y, p):
         return np.asarray(jac_y(t, y, p)), np.asarray(jac_p(t, y, p))
 
+    provider.second = second
     return provider
 
 
@@ -94,7 +95,7 @@ def jacobian_provider(model, kind: str):
     if kind == "analytic":
         if model.jac_y is None or model.jac_p is None:
             raise ValueError(f"model {model.name!r} has no analytic Jacobians")
-        return analytic_jacobians(model.jac_y, model.jac_p)
+        return analytic_jacobians(model.jac_y, model.jac_p, model.second)
     if kind == "ad":
         return dual_jacobians()
     raise ValueError(f"unknown jacobian provider {kind!r}; choose 'analytic' or 'ad'")
@@ -119,17 +120,20 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
     assembled from blocks: ``[f_y, 0 | f_p]`` in row block 0, ``I (x) f_y``
     in the ``V``/``W`` columns, and in the ``y`` and ``p`` columns of row
     block ``1 + l`` the second-order terms ``sum_q d f_y[:, q] S[q, l]``
-    (plus ``d f_p[:, l]`` in the ``V`` rows) with ``S = [V | W]``.  One dual
-    pass of ``jac`` with ``m + k`` seeds gives ``f_y``, ``f_p`` and their
-    derivatives in ``(y, p)``.  The sum over ``q`` runs in the order in
-    which the system's object dot sums, ``q = 0`` first and ``f_p`` last.
-    Where ``jac`` equals a dual pass over ``f``, as it does for every
+    (plus ``d f_p[:, l]`` in the ``V`` rows) with ``S = [V | W]``.  The
+    derivatives of ``f_y`` and ``f_p`` in ``(y, p)`` come from
+    ``jac.second`` when ``jac`` has one and the inputs carry no duals, and
+    otherwise from one dual pass of ``jac`` with ``m + k`` seeds.  The sum
+    over ``q`` runs in the order in which the system's object dot sums,
+    ``q = 0`` first and ``f_p`` last.  Where ``jac`` equals a dual pass over
+    ``f`` and ``jac.second`` a dual pass over ``jac``, as they do for every
     packaged model, the blocks therefore equal, value for value, a dual
     pass over the whole system with ``n + k`` seeds; only the sign of an
     exact zero may differ.
     """
     m, k = state_dim, n_params
     seeds = np.eye(m + k)
+    second_of = getattr(jac, "second", None)
 
     def partials(t, y, p):
         f_y, f_p = jac(f, t, y, p)
@@ -152,10 +156,17 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
     def jacobians(_aug, t, x, p):
         rows = x.reshape(1 + k + m, m)
         # first is [f_y | f_p], second its derivatives in (y, p), (m, m + k, m + k)
-        first, second = eval_jvp_dual(
-            lambda z: np.hstack(partials(t, z[:m], z[m:])), np.concatenate([rows[0], p]), seeds)
-        if second.ndim == 2:               # no duals: the partials are constants
-            second = np.zeros(second.shape + (m + k,))
+        if second_of is not None and x.dtype != object and p.dtype != object:
+            first = np.hstack(partials(t, rows[0], p))
+            second = np.asarray(second_of(t, rows[0], p))
+            if second.shape != (m, m + k, m + k):
+                raise ValueError(f"second derivative returned shape {second.shape}; "
+                                 f"expected ({m}, {m + k}, {m + k})")
+        else:
+            first, second = eval_jvp_dual(
+                lambda z: np.hstack(partials(t, z[:m], z[m:])), np.concatenate([rows[0], p]), seeds)
+            if second.ndim == 2:           # no duals: the partials are constants
+                second = np.zeros(second.shape + (m + k,))
         f_y = first[:, :m]
         # rows[1 + l] is column l of S; cross[l] is row block 1 + l, columns (y, p)
         cross = second[:, 0] * rows[1:, 0, None, None]
@@ -163,11 +174,11 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
             cross = cross + second[:, q] * rows[1:, q, None, None]
         cross[:k] = cross[:k] + second[:, m:].swapaxes(0, 1)
         cross = cross.reshape((k + m) * m, m + k)
-        n = (1 + k + m) * m
-        j_x = np.zeros((n, n), np.result_type(first, cross))
+        b = 1 + k + m
+        j_x = np.zeros((b * m, b * m), np.result_type(first, cross))
         j_x[m:, :m] = cross[:, :m]
-        for b in range(0, n, m):
-            j_x[b:b + m, b:b + m] = f_y
+        blocks = np.arange(b)
+        j_x.reshape(b, m, b, m)[blocks, :, blocks] = f_y    # the diagonal blocks, I (x) f_y
         return j_x, np.concatenate([first[:, m:], cross[:, m:]])
 
     aug.jacobians = jacobians

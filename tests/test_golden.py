@@ -74,6 +74,11 @@ GOLDEN = {
         "1d53ec5d58018ee57012cc08454f750b1e23420dbea0fb447a85109e59c9fdac"),
     "hessian-for-t20": (["hessian", "--method", "for", "--t-end", "20", "--n-points", "201"],
         "2d7b39186bf11aa12627c49a8edf6d642754452c3b0fdf0b40927d6ca00ea370"),
+    # the reference grid, [0, 1000] at 10001 points: 10000 lowered Euler steps per solve
+    "hessian-for-ref": (["hessian", "--method", "for"],
+        "5f85f19a4f67b26ede7b95f139bc196edc8ef0d35bdaf6ef961814e4d390acf7"),
+    "hessian-for-ref-rk23": (["hessian", "--method", "for", "--solver", "rk23"],
+        "5aa5bcecca4e8e9bbe76902b828df7d504060f1cd0c74ef904a180d3980ecbed"),
     "gradient-rm-rk23": (["gradient", "--mode", "rm", *RK23],
         "f3c74c4aa006204185556f07b6d131ff235c7fad65d301de421137e17a901313"),
     "gradient-fm-rk23": (["gradient", "--mode", "fm", *RK23],

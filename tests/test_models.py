@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import BINDING
 from odesens import models, sensitivity
@@ -27,7 +28,7 @@ from odesens.models import (
     lv_rhs,
     parse_scenario_text,
 )
-from odesens.scalars import Dual1, contains_dual, eval_jacobian_dual
+from odesens.scalars import Dual1, contains_dual, eval_jacobian_dual, eval_jvp_dual
 from odesens.solvers import (
     EulerMethod, Points, RK23Method, Span, SpanModeError, euler_solve, rk23_solve,
 )
@@ -357,12 +358,16 @@ def test_hessian_lowered_solves_are_two_composite_solves(solve_shapes):
 
 @pytest.mark.parametrize("jac, passes", [("analytic", []), ("ad", [6] * 80)])
 def test_hessian_lowered_jacobian_makes_no_pass_over_the_augmented_rhs(monkeypatch, jac, passes):
-    columns, seeded = [], []
-    jacobian_dual = sensitivity.eval_jacobian_dual
+    columns, seeded, jvp_seeds = [], [], []
+    jacobian_dual, jvp_dual = sensitivity.eval_jacobian_dual, sensitivity.eval_jvp_dual
 
     def counted_jacobian(f, x):
         columns.append(np.asarray(x).shape[0])
         return jacobian_dual(f, x)
+
+    def counted_jvp(f, x, seed):
+        jvp_seeds.append(np.shape(seed))
+        return jvp_dual(f, x, seed)
 
     def counted_jac_y(t, y, p):
         if isinstance(y[0], Dual1):
@@ -370,12 +375,41 @@ def test_hessian_lowered_jacobian_makes_no_pass_over_the_augmented_rhs(monkeypat
         return lv_jac_y(t, y, p)
 
     monkeypatch.setattr(sensitivity, "eval_jacobian_dual", counted_jacobian)
+    monkeypatch.setattr(sensitivity, "eval_jvp_dual", counted_jvp)
     model = dataclasses.replace(MODELS["lv"], jac_y=counted_jac_y)
     fmain_hessian(Y0, P, Points(np.linspace(0.0, 2.0, 21)), EulerMethod(0.1), model=model, jac=jac)
     # 2 lowered solves of 20 Euler steps; with AD each step runs the model's
     # 6-seed provider once for the lowered Jacobian and once for the RHS
     assert sorted(columns) == passes
-    assert seeded == ([(6,)] * 40 if jac == "analytic" else [])
+    # analytic: the model's second derivatives replace the 6-seed pass over
+    # its Jacobians, so no step builds a Dual1
+    assert jvp_seeds == ([] if jac == "analytic" else [(6, 6)] * 40)
+    assert seeded == []
+
+
+@pytest.mark.parametrize("name", ["lv", "linear", "zero"])
+@given(data=st.data())
+def test_second_derivatives_equal_the_dual_pass(name, data):
+    model = MODELS[name]
+    m, k = model.state_dim, len(model.params)
+    entries = st.floats(-1e3, 1e3)
+    y = data.draw(arrays(float, m, elements=entries), label="y")
+    p = data.draw(arrays(float, k, elements=entries), label="p")
+    second = model.second(0.0, y, p)
+    _, expected = eval_jvp_dual(
+        lambda z: np.hstack([model.jac_y(0.0, z[:m], z[m:]), model.jac_p(0.0, z[:m], z[m:])]),
+        np.concatenate([y, p]), np.eye(m + k))
+    assert second.shape == (m, m + k, m + k)
+    # constant Jacobians, as in zero, carry only the scalar zero tangent
+    expected = np.broadcast_to(expected.reshape(m, m + k, -1), second.shape)
+    # equal in value; only the sign of an exact zero may differ
+    assert np.array_equal(second, expected)
+
+
+def test_second_derivatives_of_the_wrong_shape_are_rejected():
+    model = dataclasses.replace(MODELS["lv"], second=lambda t, y, p: np.zeros((2, 6, 4)))
+    with pytest.raises(ValueError, match=re.escape("shape (2, 6, 4); expected (2, 6, 6)")):
+        fmain_hessian(Y0, P, Points(np.linspace(0.0, 2.0, 21)), EulerMethod(0.1), model=model)
 
 
 @pytest.mark.parametrize("method, gradient, shapes", [

@@ -2,7 +2,8 @@
 
 The counterpart of the CLI's option-surface test: every parameter of the
 entry points that once took tuning options, and every field of the solver
-settings types, is recorded here, so an option cannot come back unnoticed.
+settings types and of ``OdeModel``, is recorded here, so an option cannot
+come back unnoticed.
 """
 
 import dataclasses
@@ -12,8 +13,9 @@ import inspect
 import pytest
 
 from odesens.diffmethods import cross_compare, cs_jacobian, fd_jacobian
+from odesens.models import OdeModel
 from odesens.scalars import complex_step_column
-from odesens.sensitivity import forward_sensitivity_solve
+from odesens.sensitivity import analytic_jacobians, forward_sensitivity_solve
 from odesens.solvers import EulerMethod, RK23Method, euler_solve, rk23_solve, run_solver
 
 _NONE = inspect.Parameter.empty
@@ -29,11 +31,14 @@ _PARAMETERS = {
     forward_sensitivity_solve: [
         ("f", _NONE), ("jac", _NONE), ("p", _NONE), ("y0", _NONE), ("time", _NONE),
         ("method", _NONE)],
+    analytic_jacobians: [("jac_y", _NONE), ("jac_p", _NONE), ("second", None)],
 }
 
 _FIELDS = {
     RK23Method: [("rel_tol", 1e-3), ("abs_tol", 1e-6)],
     EulerMethod: [("dt", dataclasses.MISSING)],
+    OdeModel: [(name, dataclasses.MISSING) for name in (
+        "name", "rhs", "jac_y", "jac_p", "states", "params", "positive")] + [("second", None)],
 }
 
 
