@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands run a scenario and emit CSV (full shortest-round-trip double
-precision) plus, for the comparison and benchmark tables, an aligned
-text rendering.  Output goes to stdout unless ``--output`` is given, in
-which case the file is written atomically (temp file + rename) so a
-failing run never leaves partial output behind.
+Each subcommand takes the resolved scenario and returns its rows: CSV
+lines (full shortest-round-trip double precision) and, for the comparison
+and benchmark tables, an aligned text table.  Only :func:`main` writes:
+the table to stdout, then the CSV to stdout after a blank line, or to
+``--output``, written atomically (temp file + rename) so that a failing
+run never leaves partial output behind.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .diffmethods import CROSS_METHODS, CrossTable, cross_compare, sensitivity_matrix
+from .diffmethods import CROSS_METHODS, CrossTable, cross_compare, sensitivity_matrix, solve_columns
 from .models import (
     MODELS,
     SOLVERS,
@@ -34,7 +35,7 @@ from .models import (
     scenario_keys,
 )
 from .sensitivity import forward_sensitivity_solve, jacobian_provider
-from .solvers import SolverError, run_solver
+from .solvers import SolverError
 
 __all__ = ["main"]
 
@@ -99,24 +100,16 @@ def _input_labels(scenario: Scenario) -> list:
     return [*model.states, *model.params]
 
 
-def _cmd_solve(args) -> int:
-    scenario = _scenario_from_args(args)
+def _cmd_solve(scenario, args):
     model = scenario.ode_model()
-    p = scenario.params_array()
-    traj = run_solver(
-        lambda t, y: model.rhs(t, y, p),
-        scenario.time_spec(),
-        scenario.initial_state(),
-        scenario.method(),
-    )
+    time = scenario.time_spec()
+    x = np.concatenate([scenario.initial_state(), scenario.params_array()])
+    states = solve_columns(model, time, scenario.method(), x)
     lines = ["t," + ",".join(_state_labels(model.state_dim))]
-    lines += _csv_rows(np.column_stack([traj.times, traj.states]))
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return None, lines + _csv_rows(np.column_stack([time.times, states]))
 
 
-def _cmd_sens(args) -> int:
-    scenario = _scenario_from_args(args)
+def _cmd_sens(scenario, args):
     model = scenario.ode_model()
     provider = jacobian_provider(model, args.jac)
     bundle = forward_sensitivity_solve(
@@ -137,9 +130,7 @@ def _cmd_sens(args) -> int:
     columns = list(range(m)) + [m + i for i in keep]
     # each composite row ravels to [y; vec(dy/dp); vec(dy/dy0)], the label order
     packed = bundle.states.reshape(bundle.times.shape[0], -1)[:, columns]
-    lines = [",".join(header)] + _csv_rows(np.column_stack([bundle.times, packed]))
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return None, [",".join(header)] + _csv_rows(np.column_stack([bundle.times, packed]))
 
 
 def _aligned(rows: list) -> str:
@@ -149,16 +140,6 @@ def _aligned(rows: list) -> str:
         "  ".join(cell.ljust(widths[c]) for c, cell in enumerate(r)).rstrip()
         for r in rows
     ) + "\n"
-
-
-def _emit_table(text: str, csv_lines: list, output: Optional[str]) -> None:
-    """Print the text table; the CSV goes to ``output`` or follows on stdout."""
-    sys.stdout.write(text)
-    csv_text = "\n".join(csv_lines) + "\n"
-    if output is not None:
-        _emit(csv_text, output)
-    else:
-        sys.stdout.write("\n" + csv_text)
 
 
 def _table_text(table: CrossTable) -> str:
@@ -172,57 +153,39 @@ def _table_text(table: CrossTable) -> str:
     return _aligned(rows)
 
 
-def _cmd_compare(args) -> int:
-    scenario = _scenario_from_args(args)
+def _cmd_compare(scenario, args):
     table = cross_compare(scenario)
     csv_lines = ["method_a,method_b,rel_error"]
-    for a, b, err in table.entries():
-        csv_lines.append(f"{a},{b},{_fmt(err)}")
-    _emit_table(_table_text(table), csv_lines, args.output)
-    return 0
+    csv_lines += [f"{a},{b},{_fmt(err)}" for a, b, err in table.entries()]
+    return _table_text(table), csv_lines
 
 
-def _cmd_gradient(args) -> int:
-    scenario = _scenario_from_args(args)
-    model = scenario.ode_model()
-    y0 = scenario.initial_state()
-    p = scenario.params_array()
-    time_spec = scenario.time_spec()
-    method = scenario.method()
+def _objective_driver(driver, scenario, **kwargs) -> np.ndarray:
+    """Run an ``fmain_*`` driver on the scenario's inputs, grid, solver and model."""
+    return driver(scenario.initial_state(), scenario.params_array(), scenario.time_spec(),
+                  scenario.method(), model=scenario.ode_model(), **kwargs)
+
+
+def _cmd_gradient(scenario, args):
     if args.mode == "fm":
-        grad = fmain_gradient_forward(y0, p, time_spec, method, model=model, jac=args.jac)
+        grad = _objective_driver(fmain_gradient_forward, scenario, jac=args.jac)
     elif args.mode == "rm":
-        grad = fmain_gradient_reverse(y0, p, time_spec, method, model=model, jac=args.jac)
+        grad = _objective_driver(fmain_gradient_reverse, scenario, jac=args.jac)
     elif args.mode == "fd":
-        grad = fmain_gradient_fd(y0, p, time_spec, method, model=model)
+        grad = _objective_driver(fmain_gradient_fd, scenario)
     else:
-        grad = fmain_gradient_cs(y0, p, time_spec, method, model=model)
+        grad = _objective_driver(fmain_gradient_cs, scenario)
     labels = _input_labels(scenario)
-    lines = ["input,dz"]
-    lines += [f"{label},{_fmt(value)}" for label, value in zip(labels, grad)]
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return None, ["input,dz"] + [f"{label},{_fmt(value)}" for label, value in zip(labels, grad)]
 
 
-def _cmd_hessian(args) -> int:
-    scenario = _scenario_from_args(args)
-    model = scenario.ode_model()
-    y0 = scenario.initial_state()
-    p = scenario.params_array()
-    time_spec = scenario.time_spec()
-    method = scenario.method()
-    if args.method == "for":
-        hess = fmain_hessian(y0, p, time_spec, method, model=model, jac=args.jac)
-    else:
-        hess = fmain_hessian_fd(y0, p, time_spec, method, model=model, jac=args.jac)
-    labels = _input_labels(scenario)
-    lines = [",".join(labels)] + _csv_rows(hess)
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+def _cmd_hessian(scenario, args):
+    driver = fmain_hessian if args.method == "for" else fmain_hessian_fd
+    hess = _objective_driver(driver, scenario, jac=args.jac)
+    return None, [",".join(_input_labels(scenario))] + _csv_rows(hess)
 
 
-def _cmd_bench(args) -> int:
-    scenario = _scenario_from_args(args)
+def _cmd_bench(scenario, args):
     rows = []
     for solver in SOLVERS:
         timed = [solver]
@@ -234,10 +197,8 @@ def _cmd_bench(args) -> int:
     header = ["solver"] + list(CROSS_METHODS)
     text = _aligned([header] + [[r[0]] + [f"{v:.6g}" for v in r[1:]] for r in rows])
     csv_lines = [",".join(header)]
-    for r in rows:
-        csv_lines.append(",".join([r[0]] + [_fmt(v) for v in r[1:]]))
-    _emit_table(text, csv_lines, args.output)
-    return 0
+    csv_lines += [",".join([r[0]] + [_fmt(v) for v in r[1:]]) for r in rows]
+    return text, csv_lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,10 +255,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # the flags follow the registered models, so a newly registered model gets a new parser
     args = _parser_for((tuple(MODELS), tuple(scenario_keys().items()))).parse_args(argv)
     try:
-        return args.func(args)
+        table, csv_lines = args.func(_scenario_from_args(args), args)
+        if table is not None:
+            # on stdout a blank line separates the table from the CSV
+            sys.stdout.write(table if args.output is not None else table + "\n")
+        _emit("\n".join(csv_lines) + "\n", args.output)
     except (ValueError, SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

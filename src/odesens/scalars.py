@@ -10,9 +10,10 @@ Every numeric routine in this package is written against plain arithmetic
 * nested duals -- ``Dual1`` whose components are themselves ``Dual1``,
   giving second-order (and, recursively, higher) directional derivatives.
 
-The helpers at the bottom evaluate Jacobian-vector products, full
-Jacobians, and second directional derivatives of arbitrary vector
-functions by lifting their inputs into the appropriate kind.
+The helpers at the bottom evaluate Jacobian-vector products and full
+Jacobians of arbitrary vector functions by lifting their inputs into
+duals; lifting inputs that are already duals gives second directional
+derivatives.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "contains_dual",
     "eval_jvp_dual",
     "eval_jacobian_dual",
-    "eval_second_directional",
     "complex_step_column",
 ]
 
@@ -260,49 +260,44 @@ def tangent_values(arr) -> np.ndarray:
     return np.array(widened).reshape(arr.shape + width)
 
 
+def _seeded_tangents(out, n: int) -> np.ndarray:
+    """Tangents of an ``n``-seed dual pass, in shape ``out.shape + (n,)``.
+
+    An output that never touched the input carries only the scalar zero
+    tangent of a constant, which widens to ``n`` zeros.
+    """
+    out = np.asarray(out)
+    tangent = tangent_values(out)
+    return tangent if tangent.ndim > out.ndim else np.zeros(out.shape + (n,))
+
+
 def eval_jvp_dual(f: Callable, x, seed):
     """Evaluate ``(f(x), J_f(x) @ seed)`` with one dual-lifted pass.
 
     The tangent is the exact derivative of the floating-point composition
     of ``f`` in the seed direction.  ``f`` must accept a vector of any
-    scalar kind and return a vector.
+    scalar kind and return an array.  A seed of shape ``x.shape + (n,)``
+    carries ``n`` directions, and the tangent then has shape
+    ``f(x).shape + (n,)``, constant outputs included.
     """
-    lifted = lift_dual(x, seed)
-    out = f(lifted)
-    value = primal_values(out)
-    tangent = tangent_values(out)
-    return value, tangent
+    x = np.asarray(x)
+    seed = np.asarray(seed)
+    out = f(lift_dual(x, seed))
+    if seed.ndim > x.ndim:
+        return primal_values(out), _seeded_tangents(out, seed.shape[-1])
+    return primal_values(out), tangent_values(out)
 
 
 def eval_jacobian_dual(f: Callable, x) -> np.ndarray:
     """Full Jacobian of ``f`` at ``x`` from one dual pass seeded with the identity.
 
     Each input carries the vector tangent of its unit seed, so ``f`` runs
-    once and the ``(len(f(x)), len(x))`` tangent block is the Jacobian.
+    once and the tangent block, of shape ``f(x).shape + (len(x),)``, is the
+    Jacobian.
     """
     x = np.asarray(x)
     n = x.shape[0]
-    jac = tangent_values(f(lift_dual(x, np.eye(n))))
-    # an output that never touched the input has only the scalar zero of a constant
-    return jac if jac.ndim == 2 else np.zeros((jac.shape[0], n))
-
-
-def eval_second_directional(f: Callable, x, u, v):
-    """Value and first/second directional derivatives of ``f`` at ``x``.
-
-    Seeds a nested dual in the directions ``u`` (inner) and ``v`` (outer);
-    the returned ``duv`` equals ``u^T H v`` per output component for twice
-    differentiable ``f`` and is symmetric in the two directions.
-    """
-    x = np.asarray(x)
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if x.shape != u.shape or x.shape != v.shape:
-        raise ValueError("direction shapes must match the input shape")
-    # the outer primal is the u-dual (value, du), the outer tangent (dv, duv)
-    value_u, tangent_v = eval_jvp_dual(f, lift_dual(x, u), lift_dual(v, np.zeros(v.shape)))
-    return (primal_values(value_u), tangent_values(value_u),
-            primal_values(tangent_v), tangent_values(tangent_v))
+    return _seeded_tangents(f(lift_dual(x, np.eye(n))), n)
 
 
 def complex_step_column(f: Callable, x, k: int) -> np.ndarray:

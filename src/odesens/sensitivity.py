@@ -122,14 +122,14 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
     block ``1 + l`` the second-order terms ``sum_q d f_y[:, q] S[q, l]``
     (plus ``d f_p[:, l]`` in the ``V`` rows) with ``S = [V | W]``.  The
     derivatives of ``f_y`` and ``f_p`` in ``(y, p)`` come from
-    ``jac.second`` when ``jac`` has one and the inputs carry no duals, and
-    otherwise from one dual pass of ``jac`` with ``m + k`` seeds.  The sum
-    over ``q`` runs in the order in which the system's object dot sums,
-    ``q = 0`` first and ``f_p`` last.  Where ``jac`` equals a dual pass over
-    ``f`` and ``jac.second`` a dual pass over ``jac``, as they do for every
-    packaged model, the blocks therefore equal, value for value, a dual
-    pass over the whole system with ``n + k`` seeds; only the sign of an
-    exact zero may differ.
+    ``jac.second`` when ``jac`` has one, whatever the scalar kind of the
+    inputs, and otherwise from one dual pass of ``jac`` with ``m + k``
+    seeds.  The sum over ``q`` runs in the order in which the system's
+    object dot sums, ``q = 0`` first and ``f_p`` last.  Where ``jac``
+    equals a dual pass over ``f`` and ``jac.second`` a dual pass over
+    ``jac``, as they do for every packaged model, the blocks therefore
+    equal, value for value, a dual pass over the whole system with
+    ``n + k`` seeds; only the sign of an exact zero may differ.
     """
     m, k = state_dim, n_params
     seeds = np.eye(m + k)
@@ -156,7 +156,7 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
     def jacobians(_aug, t, x, p):
         rows = x.reshape(1 + k + m, m)
         # first is [f_y | f_p], second its derivatives in (y, p), (m, m + k, m + k)
-        if second_of is not None and x.dtype != object and p.dtype != object:
+        if second_of is not None:
             first = np.hstack(partials(t, rows[0], p))
             second = np.asarray(second_of(t, rows[0], p))
             if second.shape != (m, m + k, m + k):
@@ -165,8 +165,6 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
         else:
             first, second = eval_jvp_dual(
                 lambda z: np.hstack(partials(t, z[:m], z[m:])), np.concatenate([rows[0], p]), seeds)
-            if second.ndim == 2:           # no duals: the partials are constants
-                second = np.zeros(second.shape + (m + k,))
         f_y = first[:, :m]
         # rows[1 + l] is column l of S; cross[l] is row block 1 + l, columns (y, p)
         cross = second[:, 0] * rows[1:, 0, None, None]

@@ -61,7 +61,7 @@ GOLDEN = {
         "3c61fc3d9e1774b57cd1bb6dcc6f8fe7467629e2c53a4f2be862eddefd4b856a"),
     "hessian-fd": (["hessian", "--method", "fd", *HESS],
         "e863187d52bed2776a36dc67565547f40625e3fae90ddb4b9f6193df9d780582"),
-    # dual-valued states through the RK23 Hermite fill
+    # the lowered solves step real (19, 14) states, with the RK23 Hermite fill
     "hessian-for-rk23": (["hessian", "--method", "for", "--solver", "rk23", *HESS],
         "3399c8886728cec987f2cc19d6987381a5d95af25b10c83834a6b4cbf7159e66"),
     # analytic and AD Jacobians agree bitwise, so this equals hessian-for
@@ -102,6 +102,9 @@ def test_output_file_digest(case, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main([*argv, "--output", str(out)]) == 0
     assert _digest(out.read_bytes()) == digest
+    captured = capsys.readouterr()
+    assert captured.err == ""
     if case in GOLDEN_COMPARE_TABLE:
-        stdout = capsys.readouterr().out
-        assert _digest(stdout.encode("utf-8")) == GOLDEN_COMPARE_TABLE[case]
+        assert _digest(captured.out.encode("utf-8")) == GOLDEN_COMPARE_TABLE[case]
+    else:
+        assert captured.out == ""

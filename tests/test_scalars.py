@@ -9,7 +9,6 @@ from odesens.scalars import (
     complex_step_column,
     eval_jacobian_dual,
     eval_jvp_dual,
-    eval_second_directional,
     is_finite_scalar,
     lift_dual,
     magnitude,
@@ -112,8 +111,17 @@ class TestVectorTangents:
         assert len(calls) == 1
 
     def test_constant_function_has_zero_jacobian(self):
-        jac = eval_jacobian_dual(lambda z: np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0]))
+        x = np.array([1.0, 2.0])
+        jac = eval_jacobian_dual(lambda z: np.array([1.0, 2.0, 3.0]), x)
         assert np.array_equal(jac, np.zeros((3, 2)))
+        # a 2-D output keeps its shape and gains the seed axis, constant or not
+        jac = eval_jacobian_dual(lambda z: np.ones((2, 3)), x)
+        assert np.array_equal(jac, np.zeros((2, 3, 2)))
+        jac = eval_jacobian_dual(lambda z: np.outer(z, np.ones(3)), x)
+        assert np.array_equal(jac, np.eye(2)[:, None, :] * np.ones((2, 3, 2)))
+        value, tangent = eval_jvp_dual(lambda z: np.array([5.0, 6.0, 7.0]), x, np.eye(2))
+        assert np.array_equal(value, [5.0, 6.0, 7.0])
+        assert np.array_equal(tangent, np.zeros((3, 2)))
 
 
 _LV_POINT = st.tuples(
@@ -251,43 +259,6 @@ class TestJvpAndJacobian:
                                      np.concatenate([y, p])).astype(float)
             expected = np.hstack([lv_jac_y(0.0, y, p), lv_jac_p(0.0, y, p)])
             assert np.all(np.abs(jac - expected) <= 1e-15 * np.maximum(np.abs(jac), np.abs(expected)))
-
-
-class TestSecondDirectional:
-    def test_square(self):
-        value, du, dv, duv = eval_second_directional(
-            lambda z: np.array([z[0] * z[0]]), np.array([3.0]), np.array([1.0]), np.array([1.0])
-        )
-        assert (value[0], du[0], dv[0], duv[0]) == (9.0, 6.0, 6.0, 2.0)
-
-    def test_linear_has_zero_curvature(self):
-        value, du, dv, duv = eval_second_directional(
-            lambda z: np.array([2.0 * z[0] - z[1]]),
-            np.array([1.0, 4.0]), np.array([0.3, 0.7]), np.array([-1.0, 2.0]),
-        )
-        assert duv[0] == 0.0
-
-    def test_mixed_partial_of_product(self):
-        _, _, _, duv = eval_second_directional(
-            lambda z: np.array([z[0] * z[1]]),
-            np.array([2.0, 7.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-        )
-        assert duv[0] == 1.0
-
-    def test_symmetry_under_direction_swap(self):
-        rng = np.random.default_rng(11)
-
-        def smooth(z):
-            return np.array([z[0] * z[1] / (1.0 + z[2] * z[2]), z[0] * z[0] * z[2] + z[1]])
-
-        for _ in range(20):
-            x = rng.uniform(0.5, 2.0, 3)
-            u = rng.uniform(-1.0, 1.0, 3)
-            v = rng.uniform(-1.0, 1.0, 3)
-            _, _, _, duv = eval_second_directional(smooth, x, u, v)
-            _, _, _, dvu = eval_second_directional(smooth, x, v, u)
-            scale = np.maximum(np.abs(duv), np.abs(dvu))
-            assert np.all(np.abs(duv - dvu) <= 1e-13 * np.maximum(scale, 1e-30))
 
 
 class TestComplexStep:
