@@ -48,8 +48,7 @@ from .models import (
     get_model,
     load_scenario,
     lv_invariant,
-    lv_jac_p,
-    lv_jac_y,
+    lv_jac,
     lv_rhs,
     parse_scenario_text,
 )

@@ -41,8 +41,7 @@ __all__ = [
     "MODELS",
     "get_model",
     "lv_rhs",
-    "lv_jac_y",
-    "lv_jac_p",
+    "lv_jac",
     "lv_invariant",
     "linear_rhs",
     "zero_rhs",
@@ -78,25 +77,17 @@ def lv_rhs(t, y, p):
     ])
 
 
-def lv_jac_y(t, y, p):
-    """State Jacobian of :func:`lv_rhs`."""
-    return np.array([
-        [p[0] - p[1] * y[1], -(p[1] * y[0])],
-        [p[3] * y[1], -(p[2] - p[3] * y[0])],
-    ])
-
-
-def lv_jac_p(t, y, p):
-    """Parameter Jacobian of :func:`lv_rhs`."""
+def lv_jac(t, y, p):
+    """``[f_y | f_p]`` of :func:`lv_rhs`: the state columns, then the parameter columns."""
     zero = 0.0 * y[0]
     return np.array([
-        [y[0], -(y[1] * y[0]), zero, zero],
-        [zero, zero, -y[1], y[0] * y[1]],
+        [p[0] - p[1] * y[1], -(p[1] * y[0]), y[0], -(y[1] * y[0]), zero, zero],
+        [p[3] * y[1], -(p[2] - p[3] * y[0]), zero, zero, -y[1], y[0] * y[1]],
     ])
 
 
 def _lv_second(t, y, p):
-    """Derivatives of ``[lv_jac_y | lv_jac_p]`` in ``(y, p)``; each entry there is one product."""
+    """Derivatives of :func:`lv_jac` in ``(y, p)``; each entry there is one product."""
     return np.array([
         [[0.0, -p[1], 1.0, -y[1], 0.0, 0.0],
          [-p[1], 0.0, 0.0, -y[0], 0.0, 0.0],
@@ -128,12 +119,8 @@ def linear_rhs(t, y, p):
     return np.array([p[0] * y[0]])
 
 
-def _linear_jac_y(t, y, p):
-    return np.array([[p[0]]])
-
-
-def _linear_jac_p(t, y, p):
-    return np.array([[y[0]]])
+def _linear_jac(t, y, p):
+    return np.array([[p[0], y[0]]])
 
 
 def _linear_second(t, y, p):
@@ -145,12 +132,8 @@ def zero_rhs(t, y, p):
     return 0.0 * np.asarray(y)
 
 
-def _zero_jac_y(t, y, p):
-    return np.zeros((len(y), len(y)))
-
-
-def _zero_jac_p(t, y, p):
-    return np.zeros((len(y), len(p)))
+def _zero_jac(t, y, p):
+    return np.zeros((len(y), len(y) + len(p)))
 
 
 def _zero_second(t, y, p):
@@ -159,25 +142,25 @@ def _zero_second(t, y, p):
 
 @dataclass(frozen=True)
 class OdeModel:
-    """A right-hand side, its Jacobians and the scenario inputs it reads.
+    """A right-hand side, its first derivatives and the scenario inputs it reads.
 
-    ``states`` maps each initial-value key to its default and ``params``
-    each parameter key to its default, in the order the right-hand side
-    expects them; ``positive`` names the keys a scenario must hold
-    positive.  An entry in :data:`MODELS` is all a model needs for
-    scenarios, scenario files and CLI flags to accept its keys.
+    ``rhs(t, y, p)`` gives ``f`` for ``m`` states and ``k`` parameters, and
+    ``jac(t, y, p)`` its ``(m, m + k)`` derivative ``[f_y | f_p]`` in
+    ``(y, p)``, states first.  ``states`` maps each initial-value key to its
+    default and ``params`` each parameter key to its default, in the order
+    the right-hand side expects them; ``positive`` names the keys a
+    scenario must hold positive.  An entry in :data:`MODELS` is all a model
+    needs for scenarios, scenario files and CLI flags to accept its keys.
 
     ``second(t, y, p)``, optional, returns the ``(m, m + k, m + k)``
     derivative of ``[f_y | f_p]`` in ``(y, p)``.  With analytic Jacobians
     the lowered solves of a Hessian build their step Jacobian from it
-    instead of a dual pass over ``jac_y``/``jac_p``, so it must round as
-    that pass does.
+    instead of a dual pass over ``jac``, so it must round as that pass does.
     """
 
     name: str
     rhs: Callable
-    jac_y: Optional[Callable]
-    jac_p: Optional[Callable]
+    jac: Callable
     states: dict
     params: dict
     positive: tuple
@@ -192,13 +175,13 @@ _LV_STATES = {"y0_1": 1000.0, "y0_2": 20.0}
 _LV_PARAMS = {"eps1": 0.015, "gamma1": 0.0001, "eps2": 0.03, "gamma2": 0.0001}
 
 MODELS = {
-    "lv": OdeModel("lv", lv_rhs, lv_jac_y, lv_jac_p, _LV_STATES, _LV_PARAMS,
+    "lv": OdeModel("lv", lv_rhs, lv_jac, _LV_STATES, _LV_PARAMS,
                    (*_LV_STATES, *_LV_PARAMS), _lv_second),
     # the rate may have any sign
-    "linear": OdeModel("linear", linear_rhs, _linear_jac_y, _linear_jac_p,
-                       {"y0_1": 1000.0}, {"eps1": 0.015}, ("y0_1",), _linear_second),
+    "linear": OdeModel("linear", linear_rhs, _linear_jac, {"y0_1": 1000.0}, {"eps1": 0.015},
+                       ("y0_1",), _linear_second),
     # the stub reads the predator-prey inputs and checks only its start
-    "zero": OdeModel("zero", zero_rhs, _zero_jac_y, _zero_jac_p, _LV_STATES, _LV_PARAMS,
+    "zero": OdeModel("zero", zero_rhs, _zero_jac, _LV_STATES, _LV_PARAMS,
                      tuple(_LV_STATES), _zero_second),
 }
 
@@ -261,11 +244,14 @@ class Scenario:
             raise ValueError(f"unknown solver {self.solver!r}; choose 'euler' or 'rk23'")
         run = {key: getattr(self, key) for key, kind in _RUN_KEYS.items() if kind is float}
         for key, value in {**values, **run}.items():
+            # a bool is an int to Python, but no scenario file can hold one
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{key} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value!r}")
         if not self.t_end > self.t0:
             raise ValueError("t_end must exceed t0")
-        if not isinstance(self.n_points, numbers.Integral):
+        if isinstance(self.n_points, bool) or not isinstance(self.n_points, numbers.Integral):
             raise ValueError(f"n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 1:
             raise ValueError("n_points must be at least 1")

@@ -15,7 +15,7 @@ structured Jacobian of its own.  Lowering a dual-valued sensitivity solve,
 as the Hessian driver does, integrates the augmented system of the
 augmented system; its Jacobian then needs the model's second derivatives
 once per step.  A model's hand-written ``second`` supplies them; without
-one they cost one ``m + k``-seed dual pass over the model's Jacobians.
+one they cost one ``m + k``-seed dual pass over its ``[f_y | f_p]``.
 """
 
 from __future__ import annotations
@@ -55,11 +55,14 @@ __all__ = [
 ]
 
 
-def analytic_jacobians(jac_y: Callable, jac_p: Callable, second: Optional[Callable] = None):
-    """Jacobian provider backed by hand-derived formulas, carrying ``second`` (see ``OdeModel``)."""
+def analytic_jacobians(jac: Callable, second: Optional[Callable] = None):
+    """Jacobian provider of a hand-written ``[f_y | f_p]`` that carries ``second``.
+
+    ``jac`` and ``second`` take ``(t, y, p)``; see ``OdeModel``.
+    """
 
     def provider(f, t, y, p):
-        return np.asarray(jac_y(t, y, p)), np.asarray(jac_p(t, y, p))
+        return np.asarray(jac(t, y, p))
 
     provider.second = second
     return provider
@@ -69,23 +72,15 @@ def dual_jacobians():
     """Jacobian provider that differentiates the right-hand side with duals.
 
     The state and parameter vectors are lifted together with one identity
-    seed block, so a single dual pass gives both Jacobians and every value
+    seed block, so a single dual pass gives ``[f_y | f_p]`` and every value
     the function touches lives at the same lifting level; this is what
     allows the provider to be applied on top of inputs that are already
     dual-valued.
     """
 
     def provider(f, t, y, p):
-        y = np.asarray(y)
-        p = np.asarray(p)
-        m = y.shape[0]
-        z = np.concatenate([y, p])
-
-        def joint(w):
-            return f(t, w[:m], w[m:])
-
-        jac = eval_jacobian_dual(joint, z)
-        return jac[:, :m], jac[:, m:]
+        m = len(y)
+        return eval_jacobian_dual(lambda z: f(t, z[:m], z[m:]), np.concatenate([y, p]))
 
     return provider
 
@@ -93,9 +88,7 @@ def dual_jacobians():
 def jacobian_provider(model, kind: str):
     """Resolve ``"analytic"`` or ``"ad"`` to a Jacobian provider for an ``OdeModel``."""
     if kind == "analytic":
-        if model.jac_y is None or model.jac_p is None:
-            raise ValueError(f"model {model.name!r} has no analytic Jacobians")
-        return analytic_jacobians(model.jac_y, model.jac_p, model.second)
+        return analytic_jacobians(model.jac, model.second)
     if kind == "ad":
         return dual_jacobians()
     raise ValueError(f"unknown jacobian provider {kind!r}; choose 'analytic' or 'ad'")
@@ -106,78 +99,80 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
 
     Maps ``(t, x, p)`` with ``x`` the ``(1 + k + m, m)`` row stack
     ``[y; V^T; W^T]`` to its derivative ``[f; (f_y V + f_p)^T; (f_y W)^T]``
-    in the shape of ``x``; ``jac`` supplies the two partial derivative
-    matrices of ``f``.  A flat ``x``, the C-order ravel of the stack, is
-    accepted too: that is how a Jacobian provider sees the state one
-    payload level down.  The derivative is one product, the row stack
-    times ``f_y^T``, whose row 0 is then replaced by ``f`` and whose ``V``
-    rows get ``f_p^T`` added: the products of ``f_y [V | W]``, summed in
-    ``q`` order, with ``f_p`` last.
+    in the shape of ``x``; ``jac`` supplies ``[f_y | f_p]``, the
+    ``(m, m + k)`` derivative of ``f`` in ``(y, p)``.  A flat ``x``, the
+    C-order ravel of the stack, is accepted too: that is how a Jacobian
+    provider sees the state one payload level down.  The derivative is one
+    product, the row stack times ``f_y^T``, whose row 0 is then replaced by
+    ``f`` and whose ``V`` rows get ``f_p^T`` added: the products of
+    ``f_y [V | W]``, summed in ``q`` order, with ``f_p`` last.
 
     The returned function carries its own Jacobian provider as the
     attribute ``jacobians``.  The system is linear in ``(V, W)``, so with
-    ``n = (1 + k + m) m`` its ``(n, n)`` and ``(n, k)`` Jacobians are
+    ``n = (1 + k + m) m`` its ``(n, n + k)`` derivative in ``(x, p)`` is
     assembled from blocks: ``[f_y, 0 | f_p]`` in row block 0, ``I (x) f_y``
     in the ``V``/``W`` columns, and in the ``y`` and ``p`` columns of row
     block ``1 + l`` the second-order terms ``sum_q d f_y[:, q] S[q, l]``
     (plus ``d f_p[:, l]`` in the ``V`` rows) with ``S = [V | W]``.  The
-    derivatives of ``f_y`` and ``f_p`` in ``(y, p)`` come from
-    ``jac.second`` when ``jac`` has one, whatever the scalar kind of the
-    inputs, and otherwise from one dual pass of ``jac`` with ``m + k``
-    seeds.  The sum over ``q`` runs in the order in which the system's
-    object dot sums, ``q = 0`` first and ``f_p`` last.  Where ``jac``
-    equals a dual pass over ``f`` and ``jac.second`` a dual pass over
-    ``jac``, as they do for every packaged model, the blocks therefore
-    equal, value for value, a dual pass over the whole system with
-    ``n + k`` seeds; only the sign of an exact zero may differ.
+    derivatives of ``[f_y | f_p]`` in ``(y, p)`` come from ``jac.second``
+    when ``jac`` has one, whatever the scalar kind of the inputs, and
+    otherwise from one dual pass of ``jac`` with ``m + k`` seeds.  The sum
+    over ``q`` runs in the order in which the system's object dot sums,
+    ``q = 0`` first and ``f_p`` last.  Where ``jac`` equals a dual pass
+    over ``f`` and ``jac.second`` a dual pass over ``jac``, as they do for
+    every packaged model, the blocks therefore equal, value for value, a
+    dual pass over the whole system with ``n + k`` seeds; only the sign of
+    an exact zero may differ.
     """
     m, k = state_dim, n_params
+    n = (1 + k + m) * m
     seeds = np.eye(m + k)
     second_of = getattr(jac, "second", None)
+    # the y and p columns of the (n, n + k) block, and the index of the
+    # diagonal blocks I (x) f_y in the V/W rows and columns
+    y_p = np.r_[:m, n:n + k]
+    lanes = np.arange(m, n).reshape(k + m, m)
+    diagonal = (lanes[:, :, None], lanes[:, None, :])
 
     def partials(t, y, p):
-        f_y, f_p = jac(f, t, y, p)
-        if f_y.shape != (m, m) or f_p.shape != (m, k):
-            raise ValueError(
-                f"jacobian provider returned shapes {f_y.shape}, {f_p.shape}; "
-                f"expected ({m}, {m}) and ({m}, {k})"
-            )
-        return f_y, f_p
+        first = jac(f, t, y, p)
+        if first.shape != (m, m + k):
+            raise ValueError(f"jacobian provider returned shape {first.shape}; "
+                             f"expected ({m}, {m + k})")
+        return first
 
     def aug(t, x, p):
         rows = x.reshape(1 + k + m, m)
         y = rows[0]
-        f_y, f_p = partials(t, y, p)
-        out = rows.dot(f_y.T)
+        first = partials(t, y, p)
+        # the product with a strided view of f_y may round differently
+        out = rows.dot(np.ascontiguousarray(first[:, :m]).T)
         out[0] = f(t, y, p)
-        out[1:1 + k] += f_p.T
+        out[1:1 + k] += first[:, m:].T
         return out.reshape(x.shape)
 
     def jacobians(_aug, t, x, p):
         rows = x.reshape(1 + k + m, m)
         # first is [f_y | f_p], second its derivatives in (y, p), (m, m + k, m + k)
         if second_of is not None:
-            first = np.hstack(partials(t, rows[0], p))
+            first = partials(t, rows[0], p)
             second = np.asarray(second_of(t, rows[0], p))
             if second.shape != (m, m + k, m + k):
                 raise ValueError(f"second derivative returned shape {second.shape}; "
                                  f"expected ({m}, {m + k}, {m + k})")
         else:
             first, second = eval_jvp_dual(
-                lambda z: np.hstack(partials(t, z[:m], z[m:])), np.concatenate([rows[0], p]), seeds)
-        f_y = first[:, :m]
+                lambda z: partials(t, z[:m], z[m:]), np.concatenate([rows[0], p]), seeds)
         # rows[1 + l] is column l of S; cross[l] is row block 1 + l, columns (y, p)
         cross = second[:, 0] * rows[1:, 0, None, None]
         for q in range(1, m):
             cross = cross + second[:, q] * rows[1:, q, None, None]
         cross[:k] = cross[:k] + second[:, m:].swapaxes(0, 1)
-        cross = cross.reshape((k + m) * m, m + k)
-        b = 1 + k + m
-        j_x = np.zeros((b * m, b * m), np.result_type(first, cross))
-        j_x[m:, :m] = cross[:, :m]
-        blocks = np.arange(b)
-        j_x.reshape(b, m, b, m)[blocks, :, blocks] = f_y    # the diagonal blocks, I (x) f_y
-        return j_x, np.concatenate([first[:, m:], cross[:, m:]])
+        j = np.zeros((n, n + k), np.result_type(first, cross))
+        j[:m, y_p] = first
+        j[m:, y_p] = cross.reshape(n - m, m + k)
+        j[diagonal] = first[:, :m]
+        return j
 
     aug.jacobians = jacobians
     return aug

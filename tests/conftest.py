@@ -54,21 +54,12 @@ def _binding_rhs(t, y, p):
     return np.array([released - bound, -bound, bound - released])
 
 
-def _binding_jac_y(t, y, p):
+def _binding_jac(t, y, p):
     zero = 0.0 * y[0]
     return np.array([
-        [-(p[0] * y[1]), -(p[0] * y[0]), p[1]],
-        [-(p[0] * y[1]), -(p[0] * y[0]), zero],
-        [p[0] * y[1], p[0] * y[0], -p[1]],
-    ])
-
-
-def _binding_jac_p(t, y, p):
-    zero = 0.0 * y[0]
-    return np.array([
-        [-(y[0] * y[1]), y[2]],
-        [-(y[0] * y[1]), zero],
-        [y[0] * y[1], -y[2]],
+        [-(p[0] * y[1]), -(p[0] * y[0]), p[1], -(y[0] * y[1]), y[2]],
+        [-(p[0] * y[1]), -(p[0] * y[0]), zero, -(y[0] * y[1]), zero],
+        [p[0] * y[1], p[0] * y[0], -p[1], y[0] * y[1], -y[2]],
     ])
 
 
@@ -77,7 +68,7 @@ def _binding_jac_p(t, y, p):
 # molecules, so the objective (sums of final states) moves with every
 # input.  The complex starts at zero, the one input not required positive.
 BINDING = OdeModel(
-    "binding", _binding_rhs, _binding_jac_y, _binding_jac_p,
+    "binding", _binding_rhs, _binding_jac,
     {"a0": 1.0, "b0": 2.0, "c0": 0.0}, {"k_on": 0.5, "k_off": 0.3},
     ("a0", "b0", "k_on", "k_off"),
 )

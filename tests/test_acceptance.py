@@ -61,11 +61,11 @@ def rk23_table():
 
 @pytest.fixture(scope="module")
 def euler_bundle():
-    from odesens.models import lv_jac_p, lv_jac_y, lv_rhs
+    from odesens.models import lv_jac, lv_rhs
     from odesens.sensitivity import analytic_jacobians
 
     return forward_sensitivity_solve(
-        lv_rhs, analytic_jacobians(lv_jac_y, lv_jac_p), P, Y0, FULL_POINTS, EulerMethod(0.1)
+        lv_rhs, analytic_jacobians(lv_jac), P, Y0, FULL_POINTS, EulerMethod(0.1)
     )
 
 

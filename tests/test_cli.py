@@ -362,10 +362,22 @@ def test_parser_is_built_once_per_model_registry(monkeypatch, request, capsys):
     assert len(built) == before + 1
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_scenario_example_is_the_default_scenario():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     example = readme.split("Scenario files are plain", 1)[1].split("```\n", 2)[1]
     assert example == format_scenario(Scenario())
+
+
+def test_readme_library_quick_start_runs():
+    quick_start = README.read_text(encoding="utf-8").split("## Library quick start", 1)[1]
+    code = quick_start.split("```python\n", 1)[1].split("```\n", 1)[0]
+    names = {}
+    exec(code, names)
+    assert names["bundle"].dy_dp[-1].shape == (2, 4) and names["a_p"].shape == (4,)
+    assert np.array_equal(names["same"].states, names["bundle"].states)
 
 
 class TestThreeStateTwoRateModel:

@@ -23,8 +23,7 @@ from odesens.models import (
     format_scenario,
     get_model,
     lv_invariant,
-    lv_jac_p,
-    lv_jac_y,
+    lv_jac,
     lv_rhs,
     parse_scenario_text,
 )
@@ -83,14 +82,14 @@ class TestLVSystem:
 
 class TestLVJacobians:
     def test_state_jacobian_reference_values(self):
-        assert np.array_equal(lv_jac_y(0.0, Y0, P), np.array([[0.013, -0.1], [0.002, 0.07]]))
+        assert np.array_equal(lv_jac(0.0, Y0, P)[:, :2], np.array([[0.013, -0.1], [0.002, 0.07]]))
 
     def test_param_jacobian_reference_values(self):
         expected = np.array([[1000.0, -20000.0, 0.0, 0.0], [0.0, 0.0, -20.0, 20000.0]])
-        assert np.array_equal(lv_jac_p(0.0, Y0, P), expected)
+        assert np.array_equal(lv_jac(0.0, Y0, P)[:, 2:], expected)
 
     def test_param_jacobian_vanishes_at_origin(self):
-        assert np.all(lv_jac_p(0.0, np.zeros(2), P) == 0.0)
+        assert np.all(lv_jac(0.0, np.zeros(2), P)[:, 2:] == 0.0)
 
     def test_agreement_with_dual_lifting_at_random_points(self):
         rng = np.random.default_rng(41)
@@ -100,7 +99,7 @@ class TestLVJacobians:
             dual = eval_jacobian_dual(
                 lambda z: lv_rhs(0.0, z[:2], z[2:]), np.concatenate([y, p])
             ).astype(float)
-            analytic = np.hstack([lv_jac_y(0.0, y, p), lv_jac_p(0.0, y, p)])
+            analytic = lv_jac(0.0, y, p)
             assert np.all(
                 np.abs(dual - analytic) <= 1e-15 * np.maximum(np.abs(dual), np.abs(analytic))
             )
@@ -173,6 +172,17 @@ class TestScenario:
     def test_bad_run_setting_rejected_naming_it(self, field, value, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             Scenario(**{field: value})
+
+    @pytest.mark.parametrize("field", [
+        "eps1", "gamma1", "eps2", "gamma2", "y0_1", "y0_2",
+        "t0", "t_end", "n_points", "dt", "rel_tol", "abs_tol",
+    ])
+    @pytest.mark.parametrize("value", [True, np.False_, "1.0", 1j],
+                             ids=["bool", "numpy-bool", "str", "complex"])
+    def test_non_number_rejected_naming_it(self, field, value):
+        # format_scenario would write a bool as True, which parse_scenario_text rejects
+        with pytest.raises(ValueError, match=f"^{field} must be (a real number|an integer), got"):
+            Scenario().with_updates(**{field: value})
 
     def test_numpy_integer_n_points_accepted(self):
         assert Scenario(n_points=np.int64(3)).time_spec().times.shape == (3,)
@@ -369,14 +379,14 @@ def test_hessian_lowered_jacobian_makes_no_pass_over_the_augmented_rhs(monkeypat
         jvp_seeds.append(np.shape(seed))
         return jvp_dual(f, x, seed)
 
-    def counted_jac_y(t, y, p):
+    def counted_jac(t, y, p):
         if isinstance(y[0], Dual1):
             seeded.append(np.shape(y[0].tangent))
-        return lv_jac_y(t, y, p)
+        return lv_jac(t, y, p)
 
     monkeypatch.setattr(sensitivity, "eval_jacobian_dual", counted_jacobian)
     monkeypatch.setattr(sensitivity, "eval_jvp_dual", counted_jvp)
-    model = dataclasses.replace(MODELS["lv"], jac_y=counted_jac_y)
+    model = dataclasses.replace(MODELS["lv"], jac=counted_jac)
     fmain_hessian(Y0, P, Points(np.linspace(0.0, 2.0, 21)), EulerMethod(0.1), model=model, jac=jac)
     # 2 lowered solves of 20 Euler steps; with AD each step runs the model's
     # 6-seed provider once for the lowered Jacobian and once for the RHS
@@ -395,15 +405,32 @@ def test_second_derivatives_equal_the_dual_pass(name, data):
     entries = st.floats(-1e3, 1e3)
     y = data.draw(arrays(float, m, elements=entries), label="y")
     p = data.draw(arrays(float, k, elements=entries), label="p")
+    y_p = np.concatenate([y, p])
+    # the first derivatives equal the dual pass over the right-hand side
+    first = eval_jacobian_dual(lambda z: model.rhs(0.0, z[:m], z[m:]), y_p)
+    assert np.array_equal(model.jac(0.0, y, p), first)
     second = model.second(0.0, y, p)
-    _, expected = eval_jvp_dual(
-        lambda z: np.hstack([model.jac_y(0.0, z[:m], z[m:]), model.jac_p(0.0, z[:m], z[m:])]),
-        np.concatenate([y, p]), np.eye(m + k))
+    _, expected = eval_jvp_dual(lambda z: model.jac(0.0, z[:m], z[m:]), y_p, np.eye(m + k))
     assert second.shape == (m, m + k, m + k)
     # constant Jacobians, as in zero, carry only the scalar zero tangent
     expected = np.broadcast_to(expected.reshape(m, m + k, -1), second.shape)
     # equal in value; only the sign of an exact zero may differ
     assert np.array_equal(second, expected)
+
+
+def test_first_derivatives_of_the_wrong_shape_are_rejected():
+    calls = []
+
+    def jac(t, y, p):
+        calls.append(t)
+        return np.zeros((2, 4))
+
+    model = dataclasses.replace(MODELS["lv"], jac=jac)
+    time = Points(np.linspace(0.0, 2.0, 21))
+    with pytest.raises(ValueError, match=re.escape("shape (2, 4); expected (2, 6)")):
+        fmain_gradient_forward(Y0, P, time, EulerMethod(0.1), model=model)
+    # rejected at the first step, before the solve goes on
+    assert calls == [0.0]
 
 
 def test_second_derivatives_of_the_wrong_shape_are_rejected():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from odesens.models import lv_jac_p, lv_jac_y, lv_rhs
+from odesens.models import lv_jac, lv_rhs
 from odesens.scalars import (
     Dual1,
     complex_step_column,
@@ -137,7 +137,7 @@ def test_vector_seeded_jacobian_equals_columns_and_analytic_bitwise(point):
     jac = eval_jacobian_dual(lv_joint, z)
     columns = np.column_stack([eval_jvp_dual(lv_joint, z, seed)[1] for seed in np.eye(6)])
     assert np.array_equal(jac, columns)
-    assert np.array_equal(jac, np.hstack([lv_jac_y(0.0, y, p), lv_jac_p(0.0, y, p)]))
+    assert np.array_equal(jac, lv_jac(0.0, y, p))
 
 
 # Random compositions of +, -, *, / with an independent recursive
@@ -257,7 +257,7 @@ class TestJvpAndJacobian:
             p = rng.uniform(1e-5, 1.0, 4)
             jac = eval_jacobian_dual(lambda z: lv_rhs(0.0, z[:2], z[2:]),
                                      np.concatenate([y, p])).astype(float)
-            expected = np.hstack([lv_jac_y(0.0, y, p), lv_jac_p(0.0, y, p)])
+            expected = lv_jac(0.0, y, p)
             assert np.all(np.abs(jac - expected) <= 1e-15 * np.maximum(np.abs(jac), np.abs(expected)))
 
 
@@ -277,7 +277,7 @@ class TestComplexStep:
 
     def test_lv_all_six_columns_match_analytic(self):
         x = np.concatenate([LV_Y, LV_P])
-        expected = np.hstack([lv_jac_y(0.0, LV_Y, LV_P), lv_jac_p(0.0, LV_Y, LV_P)])
+        expected = lv_jac(0.0, LV_Y, LV_P)
         for k in range(6):
             col = complex_step_column(lv_joint, x, k)
             assert np.all(np.abs(col - expected[:, k])

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import BINDING
 from odesens import sensitivity
-from odesens.models import MODELS, OdeModel, linear_rhs, lv_jac_p, lv_jac_y, lv_rhs
+from odesens.models import MODELS, OdeModel, linear_rhs, lv_jac, lv_rhs
 from odesens.scalars import Dual1, lift_dual, primal_values, tangent_part, tangent_values
 from odesens.sensitivity import (
     SensitivityBundle,
@@ -33,7 +33,7 @@ from odesens.solvers import (
 
 LV_P = np.array([0.015, 1e-4, 0.03, 1e-4])
 LV_Y0 = np.array([1000.0, 20.0])
-LV_ANALYTIC = analytic_jacobians(lv_jac_y, lv_jac_p)
+LV_ANALYTIC = analytic_jacobians(lv_jac)
 
 
 def _rows(y, v, w):
@@ -103,16 +103,14 @@ class TestAugmentRhs:
             dy, dv, dw = rows[0], rows[1:5].T, rows[5:].T
             # with V = 0 and W = I the sensitivity equations reduce to f_p and f_y
             assert dy == pytest.approx([13.0, 1.4], rel=1e-15)
-            assert np.array_equal(dv, lv_jac_p(0.0, LV_Y0, LV_P))
-            assert np.array_equal(dw, lv_jac_y(0.0, LV_Y0, LV_P))
+            assert np.array_equal(dv, lv_jac(0.0, LV_Y0, LV_P)[:, 2:])
+            assert np.array_equal(dw, lv_jac(0.0, LV_Y0, LV_P)[:, :2])
 
     def test_zero_system(self):
         def zero(t, y, p):
             return 0.0 * np.asarray(y)
 
-        provider = analytic_jacobians(
-            lambda t, y, p: np.zeros((2, 2)), lambda t, y, p: np.zeros((2, 4))
-        )
+        provider = analytic_jacobians(lambda t, y, p: np.zeros((2, 6)))
         aug = _augmented_system(zero, provider, 2, 4)
         x = _rows(np.array([1.0, 2.0]), np.ones((2, 4)), np.ones((2, 2)))
         assert np.all(aug(0.0, x, LV_P) == 0.0)
@@ -141,20 +139,20 @@ def _triple_rhs(t, y, p):
     return np.array([p[0] * s, p[1] * s, -(p[0] * s)])
 
 
-def _triple_jac_y(t, y, p):
-    ds = np.array([y[1] * y[2], y[0] * y[2], y[0] * y[1]])
-    return np.array([p[0] * ds, p[1] * ds, -(p[0] * ds)])
-
-
-def _triple_jac_p(t, y, p):
+def _triple_jac(t, y, p):
+    yz, xz, xy = y[1] * y[2], y[0] * y[2], y[0] * y[1]
     s, zero = y[0] * y[1] * y[2], 0.0 * y[0]
-    return np.array([[s, zero], [zero, s], [-s, zero]])
+    return np.array([
+        [p[0] * yz, p[0] * xz, p[0] * xy, s, zero],
+        [p[1] * yz, p[1] * xz, p[1] * xy, zero, s],
+        [-(p[0] * yz), -(p[0] * xz), -(p[0] * xy), -s, zero],
+    ])
 
 
 # Every entry of its f_y depends on p[0], so a second-order sum over q has
 # m = 3 nonzero terms and its rounding depends on the order they are summed.
 # In binding no such sum has more than two.
-TRIPLE = OdeModel("triple", _triple_rhs, _triple_jac_y, _triple_jac_p,
+TRIPLE = OdeModel("triple", _triple_rhs, _triple_jac,
                   {"u0": 1.0, "v0": 1.0, "w0": 1.0}, {"a": 1.0, "b": 1.0}, ())
 
 _STRUCTURED_MODELS = {name: MODELS[name] for name in ("lv", "linear", "zero")}
@@ -176,12 +174,10 @@ def test_structured_jacobian_equals_dual_pass(case, data):
     entries = st.floats(-1e3, 1e3)
     x = data.draw(arrays(float, (1 + k + m) * m, elements=entries), label="x")
     p = data.draw(arrays(float, k, elements=entries), label="p")
-    j_x, j_p = aug.jacobians(aug, 0.0, x, p)
-    expected_x, expected_p = dual_jacobians()(aug, 0.0, x, p)
-    assert j_x.dtype == float and j_p.dtype == float
+    j = aug.jacobians(aug, 0.0, x, p)
+    assert j.dtype == float
     # equal in value; only the sign of some exact zeros may differ
-    assert np.array_equal(j_x, expected_x)
-    assert np.array_equal(j_p, expected_p)
+    assert np.array_equal(j, dual_jacobians()(aug, 0.0, x, p))
 
 
 @pytest.mark.parametrize("case", _STRUCTURED_CASES, ids=_CASE_IDS)
@@ -191,9 +187,9 @@ def test_structured_jacobian_of_dual_inputs_equals_dual_pass(case):
     rng = np.random.default_rng(5)
     x = lift_dual(rng.normal(scale=10.0, size=(1 + k + m) * m), rng.normal(size=((1 + k + m) * m, 3)))
     p = lift_dual(rng.normal(size=k), rng.normal(size=(k, 3)))
-    for got, expected in zip(aug.jacobians(aug, 0.0, x, p), dual_jacobians()(aug, 0.0, x, p)):
-        assert np.array_equal(primal_values(got), primal_values(expected))
-        assert np.array_equal(tangent_values(got), tangent_values(expected))
+    got, expected = aug.jacobians(aug, 0.0, x, p), dual_jacobians()(aug, 0.0, x, p)
+    assert np.array_equal(primal_values(got), primal_values(expected))
+    assert np.array_equal(tangent_values(got), tangent_values(expected))
 
 
 def test_dual_aware_solve_lowers_an_augmented_system_with_its_own_jacobian(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from odesens import solvers
-from odesens.models import lv_jac_p, lv_jac_y, lv_rhs
+from odesens.models import lv_jac, lv_rhs
 from odesens.scalars import Dual1, is_finite_scalar, lift_dual, primal_values, tangent_values
 from odesens.sensitivity import _augmented_system, analytic_jacobians
 from odesens.solvers import (
@@ -465,7 +465,7 @@ class TestRK23Solve:
 
     def test_composite_state_equals_its_ravel_bitwise(self):
         # the (7, 2) composite of the LV sensitivity system is one coupled system
-        aug = _augmented_system(lv_rhs, analytic_jacobians(lv_jac_y, lv_jac_p), 2, 4)
+        aug = _augmented_system(lv_rhs, analytic_jacobians(lv_jac), 2, 4)
         x0 = np.concatenate([[[1000.0, 20.0]], np.zeros((4, 2)), np.eye(2)])
         seeds = np.random.default_rng(41).uniform(-1.0, 1.0, (7, 2))
         for start in (x0, lift_dual(x0, seeds)):
