@@ -20,7 +20,7 @@ import numpy as np
 
 from .scalars import complex_step_column
 from .sensitivity import forward_sensitivity_solve, jacobian_provider
-from .solvers import EulerMethod, Points, SpanModeError, TimeSpec, run_solver
+from .solvers import Points, SpanModeError, TimeSpec, run_columns, run_solver
 
 __all__ = [
     "fd_jacobian",
@@ -133,8 +133,8 @@ def solve_columns(model, time: TimeSpec, method, x) -> np.ndarray:
 
     A 1-D ``x`` gives one solve with states ``(n_times, m)``; a ``(d, B)``
     matrix gives ``(n_times, m, B)``, lane ``b`` being the solve of column
-    ``b``.  Euler runs all columns as lanes of one solve, because its steps
-    do not depend on the state.
+    ``b``: Euler runs all columns as lanes of one solve, RK23 one solve per
+    column (see :func:`~odesens.solvers.run_columns`).
     """
     m = model.state_dim
 
@@ -142,10 +142,7 @@ def solve_columns(model, time: TimeSpec, method, x) -> np.ndarray:
         p = point[m:]
         return run_solver(lambda t, y: model.rhs(t, y, p), time, point[:m], method).states
 
-    if x.ndim == 1 or isinstance(method, EulerMethod):
-        return solve(x)
-    # RK23 picks each step from the error of the whole state, so lanes would share steps
-    return np.stack([solve(column) for column in x.T], axis=-1)
+    return run_columns(solve, x, method)
 
 
 def trajectory_map(model, time: TimeSpec, method) -> Callable:

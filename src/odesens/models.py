@@ -21,7 +21,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .diffmethods import central_fd_jacobian, cs_jacobian, solve_columns
+from .scalars import is_finite_scalar
 from .sensitivity import (
+    SensitivityBundle,
     forward_sensitivity_solve,
     hessian_forward_over_reverse,
     jacobian_provider,
@@ -34,6 +36,7 @@ from .solvers import (
     SolverMethod,
     SpanModeError,
     TimeSpec,
+    run_columns,
 )
 
 __all__ = [
@@ -133,7 +136,7 @@ def zero_rhs(t, y, p):
 
 
 def _zero_jac(t, y, p):
-    return np.zeros((len(y), len(y) + len(p)))
+    return np.zeros((len(y), len(y) + len(p)) + np.shape(y)[1:])
 
 
 def _zero_second(t, y, p):
@@ -151,6 +154,12 @@ class OdeModel:
     the right-hand side expects them; ``positive`` names the keys a
     scenario must hold positive.  An entry in :data:`MODELS` is all a model
     needs for scenarios, scenario files and CLI flags to accept its keys.
+
+    ``rhs`` and ``jac`` must work elementwise over a trailing lane axis:
+    ``y`` of shape ``(m, B)`` and ``p`` of shape ``(k, B)`` give ``f`` of
+    shape ``(m, B)`` and ``[f_y | f_p]`` of shape ``(m, m + k, B)``, lane
+    ``b`` bitwise the value at column ``b``.  Euler solves and their
+    sensitivities run many inputs as such lanes.
 
     ``second(t, y, p)``, optional, returns the ``(m, m + k, m + k)``
     derivative of ``[f_y | f_p]`` in ``(y, p)``.  With analytic Jacobians
@@ -247,7 +256,7 @@ class Scenario:
             # a bool is an int to Python, but no scenario file can hold one
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{key} must be a real number, got {value!r}")
-            if not math.isfinite(value):
+            if not is_finite_scalar(value):
                 raise ValueError(f"{key} must be finite, got {value!r}")
         if not self.t_end > self.t0:
             raise ValueError("t_end must exceed t0")
@@ -359,13 +368,11 @@ def fmain_objective(y0, p, time: TimeSpec, method: SolverMethod, model: Optional
     return np.sum(last[:, :b], axis=0) + np.sum(last[:, b:], axis=0)
 
 
-def _fmain_bundles(y0, p, time, method, model, jac):
+def _sensitivity_solver(model, jac, time, method) -> Callable:
+    """``(y0, p) ->`` the sensitivity bundle of the model with the named Jacobian provider."""
     model = _model_or_lv(model)
     provider = jacobian_provider(model, jac)
-    p = np.asarray(p)
-    bundle1 = forward_sensitivity_solve(model.rhs, provider, p, y0, time, method)
-    bundle2 = forward_sensitivity_solve(model.rhs, provider, p / 2.0, y0, time, method)
-    return bundle1, bundle2
+    return lambda y0, p: forward_sensitivity_solve(model.rhs, provider, p, y0, time, method)
 
 
 def fmain_gradient_forward(
@@ -380,12 +387,24 @@ def fmain_gradient_forward(
     only the final row, so only the final-row sensitivities are contracted.
     """
     _require_points(time)
-    bundle1, bundle2 = _fmain_bundles(y0, p, time, method, model, jac)
+    solve = _sensitivity_solver(model, jac, time, method)
+    p = np.asarray(p)
+    bundle1, bundle2 = solve(y0, p), solve(y0, p / 2.0)
     m = bundle1.state_dim
     seeds = np.eye(m + bundle1.n_params)
     d1 = bundle1.dy_dy0[-1].dot(seeds[:m]) + bundle1.dy_dp[-1].dot(seeds[m:])
     d2 = bundle2.dy_dy0[-1].dot(seeds[:m]) + bundle2.dy_dp[-1].dot(0.5 * seeds[m:])
     return d1.sum(axis=0) + d2.sum(axis=0)
+
+
+def _pair_gradient(bundle1, bundle2) -> np.ndarray:
+    """The objective's gradient from the bundles of its solves at ``p`` and ``p/2``."""
+    n, m = bundle1.times.shape[0], bundle1.state_dim
+    adjoint = np.zeros((n, m))
+    adjoint[-1, :] = 1.0
+    a_y0_1, a_p_1 = vjp_solution(bundle1, adjoint)
+    a_y0_2, a_p_2 = vjp_solution(bundle2, adjoint)
+    return np.concatenate([a_y0_1 + a_y0_2, a_p_1 + 0.5 * a_p_2])
 
 
 def fmain_gradient_reverse(
@@ -398,15 +417,29 @@ def fmain_gradient_reverse(
     elsewhere; the parameter adjoint of the half-scaled solve is folded in
     with the chain-rule factor 1/2.  Runs on dual-valued inputs unchanged,
     which is what the forward-over-reverse Hessian driver relies on.
+
+    Columns ``y0`` of shape ``(m, B)`` and ``p`` of shape ``(k, B)`` give
+    the ``(m + k, B)`` gradients of the column pairs, each column bitwise
+    its 1-D gradient.  Euler integrates the ``2B`` sensitivity systems of
+    ``[p | p/2]`` as lanes of one solve; RK23 runs the 1-D gradient of
+    each column (see :func:`run_columns`).  1-D inputs run the two solves
+    one by one.
     """
     _require_points(time)
-    bundle1, bundle2 = _fmain_bundles(y0, p, time, method, model, jac)
-    n, m = bundle1.times.shape[0], bundle1.state_dim
-    adjoint = np.zeros((n, m))
-    adjoint[-1, :] = 1.0
-    a_y0_1, a_p_1 = vjp_solution(bundle1, adjoint)
-    a_y0_2, a_p_2 = vjp_solution(bundle2, adjoint)
-    return np.concatenate([a_y0_1 + a_y0_2, a_p_1 + 0.5 * a_p_2])
+    solve = _sensitivity_solver(model, jac, time, method)
+    y0 = np.asarray(y0)
+    m = y0.shape[0]
+
+    def gradient(x):
+        y0, p = x[:m], x[m:]
+        if x.ndim == 1:
+            return _pair_gradient(solve(y0, p), solve(y0, p / 2.0))
+        b = x.shape[1]
+        both = solve(np.hstack([y0, y0]), np.hstack([p, p / 2.0]))
+        lanes = [SensitivityBundle(both.times, both.states[:, j], time) for j in range(2 * b)]
+        return np.column_stack([_pair_gradient(lanes[j], lanes[b + j]) for j in range(b)])
+
+    return run_columns(gradient, np.concatenate([y0, np.asarray(p)]), method)
 
 
 def _of_stacked_input(fn: Callable, y0, p, time, method, **kwargs):
@@ -456,11 +489,12 @@ def fmain_hessian_fd(
     y0, p, time: TimeSpec, method: SolverMethod,
     model: Optional[OdeModel] = None, jac: str = "analytic",
 ) -> np.ndarray:
-    """Central finite differences of the reverse gradient, step 1e-5*|x_k|."""
+    """Central finite differences of the reverse gradient, step 1e-5*|x_k|.
+
+    The ``2d`` shifted points of the ``d`` inputs are one call of the
+    column-vectorised :func:`fmain_gradient_reverse`: under Euler ``4d``
+    sensitivity lanes of one solve, under RK23 two solves per point.
+    """
     gradient, x0 = _of_stacked_input(
         fmain_gradient_reverse, y0, p, time, method, model=model, jac=jac)
-
-    def columns(x):
-        return np.column_stack([gradient(column) for column in x.T])
-
-    return central_fd_jacobian(columns, x0, _HESSIAN_FD_STEP)
+    return central_fd_jacobian(gradient, x0, _HESSIAN_FD_STEP)

@@ -187,7 +187,10 @@ def is_finite_scalar(x) -> bool:
         return is_finite_scalar(x.primal) and all(map(is_finite_scalar, np.ravel(x.tangent)))
     if isinstance(x, complex):
         return math.isfinite(x.real) and math.isfinite(x.imag)
-    return math.isfinite(x)
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def primal_part(x):

@@ -8,7 +8,8 @@ identity).  The composite state is the row stack
 top of the resulting per-time-point Jacobians this module offers forward
 seed propagation, reverse adjoint contraction, solves with dual-valued
 inputs (by stripping the payload, augmenting, and reassembling), and a
-forward-over-reverse Hessian driver.
+forward-over-reverse Hessian driver.  Real inputs with a trailing column
+axis are integrated as lanes of one solve, each lane its own system.
 
 The augmented system is linear in its sensitivity blocks, so it carries a
 structured Jacobian of its own.  Lowering a dual-valued sensitivity solve,
@@ -75,10 +76,13 @@ def dual_jacobians():
     seed block, so a single dual pass gives ``[f_y | f_p]`` and every value
     the function touches lives at the same lifting level; this is what
     allows the provider to be applied on top of inputs that are already
-    dual-valued.
+    dual-valued.  Lanes, ``y`` of shape ``(m, B)`` and ``p`` of shape
+    ``(k, B)``, take one pass each, stacked on a last axis.
     """
 
     def provider(f, t, y, p):
+        if y.ndim == 2:
+            return np.stack([provider(f, t, *lane) for lane in zip(y.T, p.T)], axis=-1)
         m = len(y)
         return eval_jacobian_dual(lambda z: f(t, z[:m], z[m:]), np.concatenate([y, p]))
 
@@ -107,7 +111,14 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
     ``f`` and whose ``V`` rows get ``f_p^T`` added: the products of
     ``f_y [V | W]``, summed in ``q`` order, with ``f_p`` last.
 
-    The returned function carries its own Jacobian provider as the
+    The lane form, the attribute ``lanes`` of the returned function, takes
+    a ``(B, 1 + k + m, m)`` ``x``, one row stack per column of a ``(k, B)``
+    ``p``.  ``f`` and ``jac`` then see ``y`` of shape ``(m, B)`` and ``p``,
+    and ``jac`` returns ``(m, m + k, B)``.  The product is one stacked
+    ``matmul`` over C-contiguous lanes of ``f_y``, the BLAS call of the
+    one-lane product, so each lane is bitwise its own system.
+
+    The returned function also carries its own Jacobian provider as the
     attribute ``jacobians``.  The system is linear in ``(V, W)``, so with
     ``n = (1 + k + m) m`` its ``(n, n + k)`` derivative in ``(x, p)`` is
     assembled from blocks: ``[f_y, 0 | f_p]`` in row block 0, ``I (x) f_y``
@@ -133,13 +144,23 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
     y_p = np.r_[:m, n:n + k]
     lanes = np.arange(m, n).reshape(k + m, m)
     diagonal = (lanes[:, :, None], lanes[:, None, :])
+    block = (m, m + k)
 
-    def partials(t, y, p):
+    def partials(t, y, p, shape=block):
         first = jac(f, t, y, p)
-        if first.shape != (m, m + k):
+        if first.shape != shape:
             raise ValueError(f"jacobian provider returned shape {first.shape}; "
-                             f"expected ({m}, {m + k})")
+                             f"expected {shape}")
         return first
+
+    def aug_lanes(t, x, p):
+        y = x[:, 0].T
+        first = partials(t, y, p, block + (x.shape[0],))
+        f_y = np.ascontiguousarray(first[:, :m].transpose(2, 0, 1))
+        out = np.matmul(x, f_y.swapaxes(1, 2))
+        out[:, 0] = f(t, y, p).T
+        out[:, 1:1 + k] += first[:, m:].T
+        return out
 
     def aug(t, x, p):
         rows = x.reshape(1 + k + m, m)
@@ -175,6 +196,7 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
         return j
 
     aug.jacobians = jacobians
+    aug.lanes = aug_lanes
     return aug
 
 
@@ -186,34 +208,36 @@ class SensitivityBundle:
     ``y``, the ``k`` columns of ``dy/dp`` and the ``m`` columns of
     ``dy/dy0``; its C-order ravel is ``[y; vec(dy/dp); vec(dy/dy0)]`` with
     column-major ``vec``.  ``y``, ``dy_dp`` and ``dy_dy0`` are views into it.
+    A lane solve's states carry a lane axis after the time axis, and so do
+    the views; ``states[:, b]`` is the bundle of lane ``b``.
     """
 
     times: np.ndarray
-    states: np.ndarray   # (n_times, 1 + n_params + state_dim, state_dim)
+    states: np.ndarray   # (n_times, [lanes,] 1 + n_params + state_dim, state_dim)
     time_spec: TimeSpec
 
     @property
     def state_dim(self) -> int:
-        return self.states.shape[2]
+        return self.states.shape[-1]
 
     @property
     def n_params(self) -> int:
-        return self.states.shape[1] - 1 - self.state_dim
+        return self.states.shape[-2] - 1 - self.state_dim
 
     @property
     def y(self) -> np.ndarray:
         """``(n_times, state_dim)``"""
-        return self.states[:, 0]
+        return self.states[..., 0, :]
 
     @property
     def dy_dp(self) -> np.ndarray:
         """``(n_times, state_dim, n_params)``"""
-        return self.states[:, 1:-self.state_dim].swapaxes(1, 2)
+        return self.states[..., 1:-self.state_dim, :].swapaxes(-1, -2)
 
     @property
     def dy_dy0(self) -> np.ndarray:
         """``(n_times, state_dim, state_dim)``"""
-        return self.states[:, -self.state_dim:].swapaxes(1, 2)
+        return self.states[..., -self.state_dim:, :].swapaxes(-1, -2)
 
 
 def forward_sensitivity_solve(
@@ -231,17 +255,32 @@ def forward_sensitivity_solve(
     :func:`dual_jacobians`.  If ``y0`` or ``p`` carry dual payloads the
     composite integration is routed through :func:`dual_aware_solve` on
     the ravelled stack, which strips one payload level and recurses.
+
+    Real ``y0`` of shape ``(m, B)`` and ``p`` of shape ``(k, B)`` are ``B``
+    lanes of one solve: the state is ``(B, 1 + k + m, m)``, lane ``b`` the
+    stack of column ``b``, and the bundle's states gain the lane axis after
+    the time axis.  Under Euler each lane is bitwise the solve of its
+    column; RK23 would couple the lanes' steps, so run its columns one by
+    one (see :func:`~odesens.solvers.run_columns`).
     """
     y0 = np.asarray(y0)
     p = np.asarray(p)
     m, k = y0.shape[0], p.shape[0]
-    x0 = np.concatenate([y0[None], np.zeros((k, m)), np.eye(m)])
+
+    def row_stack(y):
+        return np.concatenate([y[None], np.zeros((k, m)), np.eye(m)])
+
+    # [y0; 0; I], and for lanes one stack per column of y0, lanes first
+    x0 = row_stack(y0) if y0.ndim == 1 else np.stack([row_stack(y) for y in y0.T])
     system = _augmented_system(f, jac, m, k)
 
     if contains_dual(y0) or contains_dual(p):
+        if y0.ndim > 1:
+            raise ValueError("sensitivity lanes take real inputs only")
         traj = dual_aware_solve(system, p, x0.ravel(), time, method)
     else:
-        traj = run_solver(lambda t, x: system(t, x, p), time, x0, method)
+        rhs = system.lanes if y0.ndim > 1 else system
+        traj = run_solver(lambda t, x: rhs(t, x, p), time, x0, method)
     return SensitivityBundle(traj.times, traj.states.reshape((-1,) + x0.shape), time)
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "rk23_solve",
     "hermite_interp",
     "run_solver",
+    "run_columns",
 ]
 
 _EPS = float(np.finfo(float).eps)
@@ -83,8 +84,9 @@ class Span:
     t_end: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.t0) and math.isfinite(self.t_end)):
-            raise ValueError(f"span [{self.t0}, {self.t_end}] must be finite")
+        for name in ("t0", "t_end"):
+            if not is_finite_scalar(getattr(self, name)):
+                raise ValueError(f"span {name} must be finite, got {getattr(self, name)!r}")
         object.__setattr__(self, "t0", float(self.t0))
         object.__setattr__(self, "t_end", float(self.t_end))
         if not self.t_end > self.t0:
@@ -141,7 +143,7 @@ class RK23Method:
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol"):
-            if not math.isfinite(getattr(self, name)):
+            if not is_finite_scalar(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         for name in ("rel_tol", "abs_tol"):
             if not getattr(self, name) > 0.0:
@@ -158,6 +160,21 @@ def run_solver(rhs: Callable, time: TimeSpec, y0, method: SolverMethod) -> Traje
     if isinstance(method, RK23Method):
         return rk23_solve(rhs, time, y0, method)
     raise TypeError(f"unknown solver method: {method!r}")
+
+
+def run_columns(solve: Callable, x, method: SolverMethod):
+    """``solve`` of each column of ``x``, stacked on a last axis.
+
+    A 1-D ``x`` is one call, ``solve(x)``.  For a ``(d, B)`` matrix Euler
+    makes one call on the whole matrix, so ``solve`` must treat its columns
+    as lanes and return their results on a last axis: Euler's steps depend
+    only on ``dt`` and the grid, so each lane is bitwise its own solve.
+    RK23 picks each step from the error of the whole state, so lanes would
+    share steps; it calls ``solve`` once per column instead.
+    """
+    if x.ndim == 1 or isinstance(method, EulerMethod):
+        return solve(x)
+    return np.stack([solve(column) for column in x.T], axis=-1)
 
 
 def _state_array(y0) -> np.ndarray:
@@ -239,7 +256,7 @@ def euler_solve(rhs: Callable, time: TimeSpec, y0, dt: float) -> Trajectory:
     budget) and may print one more numpy ``RuntimeWarning``.  If ``rhs``
     raises after a non-finite row, that row is still what is reported.
     """
-    if not (dt > 0.0 and math.isfinite(dt)):
+    if not (dt > 0.0 and is_finite_scalar(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if isinstance(time, Points):
         grid = time.times.copy()
@@ -330,8 +347,7 @@ def rk23_solve(rhs: Callable, time: TimeSpec, y0, method: RK23Method = RK23Metho
     coupled system: the norm runs over every entry, so the steps and states
     are bitwise those of the solve of ``y0.ravel()``.  Independent lanes
     stacked in one state would share steps and change each other's
-    results; running them separately is the job of
-    ``diffmethods.solve_columns``.
+    results; running them separately is the job of :func:`run_columns`.
 
     ``method`` supplies the two tolerances.  The step-control constants
     are fixed, as in ``ode23``: safety factor 0.8, step change bounded to

@@ -79,6 +79,21 @@ GOLDEN = {
         "5f85f19a4f67b26ede7b95f139bc196edc8ef0d35bdaf6ef961814e4d390acf7"),
     "hessian-for-ref-rk23": (["hessian", "--method", "for", "--solver", "rk23"],
         "5aa5bcecca4e8e9bbe76902b828df7d504060f1cd0c74ef904a180d3980ecbed"),
+    # the central-difference Hessian differences the reverse gradient at 12 points
+    "hessian-fd-t20": (["hessian", "--method", "fd", "--t-end", "20", "--n-points", "201"],
+        "b0d99823da167ac9646d21606cc9e788cfa023b1e266fc8260d7229f783fe206"),
+    "hessian-fd-ref": (["hessian", "--method", "fd"],
+        "40697cb56c5eb1679e94a1565a2b7ed694fe55e6b6d0fa059f7601c3b9c37c05"),
+    # analytic and AD Jacobians agree bitwise, so this equals hessian-fd
+    "hessian-fd-ad": (["hessian", "--method", "fd", "--jac", "ad", *HESS],
+        "e863187d52bed2776a36dc67565547f40625e3fae90ddb4b9f6193df9d780582"),
+    "hessian-fd-linear": (["hessian", "--method", "fd", "--model", "linear", *HESS],
+        "85074aadb1a75073f51c621238d1c94b86b0c9d88c96978a647903c1a104072c"),
+    # a zero gradient differences to the zero Hessian, so this equals hessian-for-zero
+    "hessian-fd-zero": (["hessian", "--method", "fd", "--model", "zero", *HESS],
+        "1d53ec5d58018ee57012cc08454f750b1e23420dbea0fb447a85109e59c9fdac"),
+    "hessian-fd-rk23": (["hessian", "--method", "fd", "--solver", "rk23", *HESS],
+        "871306089ece3ba66351c23f9c74bbd28a8b5577effd76b30e48adeb00ae5925"),
     "gradient-rm-rk23": (["gradient", "--mode", "rm", *RK23],
         "f3c74c4aa006204185556f07b6d131ff235c7fad65d301de421137e17a901313"),
     "gradient-fm-rk23": (["gradient", "--mode", "fm", *RK23],

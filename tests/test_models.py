@@ -19,6 +19,7 @@ from odesens.models import (
     fmain_gradient_forward,
     fmain_gradient_reverse,
     fmain_hessian,
+    fmain_hessian_fd,
     fmain_objective,
     format_scenario,
     get_model,
@@ -317,7 +318,8 @@ class TestGradients:
     @pytest.mark.parametrize("model, y0, p", [("lv", Y0, P), ("linear", Y0[:1], P[:1])])
     def test_forward_equals_unit_seed_loop_bitwise(self, method, model, y0, p):
         time = Points(np.linspace(0.0, 50.0, 501))
-        bundles = models._fmain_bundles(y0, p, time, method, MODELS[model], "analytic")
+        solve = models._sensitivity_solver(MODELS[model], "analytic", time, method)
+        bundles = solve(y0, p), solve(y0, p / 2.0)
         m, n = y0.shape[0], y0.shape[0] + p.shape[0]
         # the whole-trajectory loop it replaced, kept as the reference
         expected = np.empty(n)
@@ -368,7 +370,7 @@ def test_hessian_lowered_solves_are_two_composite_solves(solve_shapes):
 
 @pytest.mark.parametrize("jac, passes", [("analytic", []), ("ad", [6] * 80)])
 def test_hessian_lowered_jacobian_makes_no_pass_over_the_augmented_rhs(monkeypatch, jac, passes):
-    columns, seeded, jvp_seeds = [], [], []
+    columns, jac_inputs, jvp_seeds = [], [], []
     jacobian_dual, jvp_dual = sensitivity.eval_jacobian_dual, sensitivity.eval_jvp_dual
 
     def counted_jacobian(f, x):
@@ -380,8 +382,7 @@ def test_hessian_lowered_jacobian_makes_no_pass_over_the_augmented_rhs(monkeypat
         return jvp_dual(f, x, seed)
 
     def counted_jac(t, y, p):
-        if isinstance(y[0], Dual1):
-            seeded.append(np.shape(y[0].tangent))
+        jac_inputs.append(type(y[0]))
         return lv_jac(t, y, p)
 
     monkeypatch.setattr(sensitivity, "eval_jacobian_dual", counted_jacobian)
@@ -394,7 +395,12 @@ def test_hessian_lowered_jacobian_makes_no_pass_over_the_augmented_rhs(monkeypat
     # analytic: the model's second derivatives replace the 6-seed pass over
     # its Jacobians, so no step builds a Dual1
     assert jvp_seeds == ([] if jac == "analytic" else [(6, 6)] * 40)
-    assert seeded == []
+    if jac == "analytic":
+        # the model's own Jacobian runs on the real lowered states only
+        assert jac_inputs and Dual1 not in jac_inputs
+    else:
+        # the AD provider differentiates the right-hand side, never the model's jac
+        assert jac_inputs == []
 
 
 @pytest.mark.parametrize("name", ["lv", "linear", "zero"])
@@ -451,6 +457,76 @@ def test_numerical_gradient_solves(solve_shapes, method, gradient, shapes):
     grad = gradient(Y0, P, Points(np.linspace(0.0, 2.0, 21)), method)
     assert grad.shape == (6,)
     assert solve_shapes == shapes
+
+
+@pytest.mark.parametrize("key, make", [
+    ("t0", lambda v: Scenario(t0=v)),
+    ("t_end", lambda v: Scenario(t_end=v)),
+    ("dt", lambda v: Scenario(dt=v)),
+    ("eps1", lambda v: Scenario(values={"eps1": v})),
+    ("y0_2", lambda v: Scenario(values={"y0_2": v})),
+    ("t0", lambda v: Span(v, 1.0)),
+    ("t_end", lambda v: Span(0.0, v)),
+    ("rel_tol", lambda v: RK23Method(rel_tol=v)),
+    ("abs_tol", lambda v: RK23Method(abs_tol=v)),
+    ("dt", lambda v: euler_solve(lv_rhs, Span(0.0, 1.0), Y0, v)),
+], ids=["scenario-t0", "scenario-t_end", "scenario-dt", "scenario-eps1", "scenario-y0_2",
+        "span-t0", "span-t_end", "rk23-rel_tol", "rk23-abs_tol", "euler-dt"])
+@pytest.mark.parametrize("value", [10 ** 400, -(10 ** 400)], ids=["huge", "-huge"])
+def test_int_beyond_the_float_range_rejected_naming_it(key, make, value):
+    # math.isfinite raises OverflowError for such an int
+    with pytest.raises(ValueError, match=f"(^| ){key} must be (positive and )?finite"):
+        make(value)
+
+
+@pytest.mark.parametrize("method, shapes", [
+    # 12 central points, each solved at p and p/2, as 24 lanes of one solve
+    (EulerMethod(0.1), [(24, 7, 2)]),
+    (RK23Method(), [(7, 2)] * 24),
+])
+def test_fd_hessian_solves(solve_shapes, method, shapes):
+    hess = fmain_hessian_fd(Y0, P, Points(np.linspace(0.0, 2.0, 21)), method)
+    assert hess.shape == (6, 6)
+    assert solve_shapes == shapes
+
+
+def _input_columns(model, b):
+    """``b`` columns of the model's default inputs, each entry scaled by a factor in [0.9, 1.1]."""
+    rng = np.random.default_rng(7)
+    y0 = np.array(list(model.states.values()))[:, None] * rng.uniform(0.9, 1.1, (model.state_dim, b))
+    p = np.array(list(model.params.values()))[:, None] * rng.uniform(0.9, 1.1, (len(model.params), b))
+    return y0, p
+
+
+@pytest.mark.parametrize("name", ["lv", "linear", "zero", "binding"])
+def test_model_rhs_and_jac_are_elementwise_over_lanes(binding, name):
+    model = MODELS[name]
+    y0, p = _input_columns(model, 3)
+    m, k = y0.shape[0], p.shape[0]
+    f, first = model.rhs(0.5, y0, p), model.jac(0.5, y0, p)
+    assert f.shape == (m, 3) and first.shape == (m, m + k, 3)
+    for b in range(3):
+        assert f[:, b].tobytes() == model.rhs(0.5, y0[:, b], p[:, b]).tobytes()
+        assert first[..., b].tobytes() == model.jac(0.5, y0[:, b], p[:, b]).tobytes()
+
+
+@pytest.mark.parametrize("jac", ["analytic", "ad"])
+@pytest.mark.parametrize("name", ["lv", "linear", "zero", "binding"])
+@pytest.mark.parametrize("method", [EulerMethod(0.1), RK23Method()], ids=["euler", "rk23"])
+def test_reverse_gradient_of_columns_equals_the_column_gradients(
+        binding, solve_shapes, name, jac, method):
+    model = MODELS[name]
+    y0, p = _input_columns(model, 3)
+    m, k = y0.shape[0], p.shape[0]
+    time = Points(np.linspace(0.0, 2.0, 21))
+    lanes = fmain_gradient_reverse(y0, p, time, method, model=model, jac=jac)
+    # Euler: the 6 systems of [p | p/2] as lanes of one solve; RK23: one solve each
+    assert solve_shapes == ([(6, 1 + k + m, m)] if isinstance(method, EulerMethod)
+                            else [(1 + k + m, m)] * 6)
+    columns = [fmain_gradient_reverse(y0[:, b], p[:, b], time, method, model=model, jac=jac)
+               for b in range(3)]
+    assert lanes.shape == (m + k, 3)
+    assert lanes.tobytes() == np.column_stack(columns).tobytes()
 
 
 _POSITIVE = st.floats(1e-300, 1e300)

@@ -282,6 +282,36 @@ class TestForwardSensitivitySolve:
             assert solve_shapes == [shape]
 
 
+class TestLanes:
+    """Real ``(m, B)``/``(k, B)`` inputs: ``B`` lanes of one Euler solve, each its own solve."""
+
+    @pytest.mark.parametrize("model", [MODELS["lv"], MODELS["linear"], MODELS["zero"], BINDING],
+                             ids=lambda model: model.name)
+    @pytest.mark.parametrize("kind", ["analytic", "ad"])
+    def test_every_lane_is_bitwise_its_own_solve(self, solve_shapes, model, kind):
+        rng = np.random.default_rng(11)
+        m, k = model.state_dim, len(model.params)
+        y0 = np.array(list(model.states.values()))[:, None] * rng.uniform(0.5, 1.5, (m, 4))
+        p = np.array(list(model.params.values()))[:, None] * rng.uniform(0.5, 1.5, (k, 4))
+        provider = jacobian_provider(model, kind)
+        time = Points(np.linspace(0.0, 3.0, 7))
+        lanes = forward_sensitivity_solve(model.rhs, provider, p, y0, time, EulerMethod(0.1))
+        assert solve_shapes == [(4, 1 + k + m, m)]
+        assert lanes.states.shape == (7, 4, 1 + k + m, m)
+        assert (lanes.state_dim, lanes.n_params) == (m, k)
+        assert lanes.dy_dp.shape == (7, 4, m, k)
+        for b in range(4):
+            alone = forward_sensitivity_solve(
+                model.rhs, provider, p[:, b], y0[:, b], time, EulerMethod(0.1))
+            assert lanes.states[:, b].tobytes() == alone.states.tobytes()
+
+    def test_dual_lanes_are_rejected(self):
+        y0 = lift_dual(np.ones((2, 3)), np.ones((2, 3, 1)))
+        with pytest.raises(ValueError, match="lanes take real inputs"):
+            forward_sensitivity_solve(lv_rhs, LV_ANALYTIC, np.ones((4, 3)), y0,
+                                      Points(np.linspace(0.0, 1.0, 3)), EulerMethod(0.1))
+
+
 class TestJvpVjp:
     def test_unit_init_seed_selects_init_sensitivity_column(self):
         bundle = lv_bundle()
