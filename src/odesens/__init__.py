@@ -53,7 +53,6 @@ from .models import (
     parse_scenario_text,
 )
 from .diffmethods import (
-    CrossTable,
     central_fd_jacobian,
     cross_compare,
     cs_jacobian,

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .diffmethods import CROSS_METHODS, CrossTable, cross_compare, sensitivity_matrix, solve_columns
+from .diffmethods import CROSS_METHODS, cross_compare, sensitivity_matrix, solve_columns
 from .models import (
     MODELS,
     SOLVERS,
@@ -142,22 +142,20 @@ def _aligned(rows: list) -> str:
     ) + "\n"
 
 
-def _table_text(table: CrossTable) -> str:
-    methods = table.methods
-    rows = [[""] + [f"vs. {name}" for name in methods[1:]]]
-    for i, name in enumerate(methods[:-1]):
-        row = [name]
-        for j in range(1, len(methods)):
-            row.append(f"{table.errors[i, j]:.6g}" if j > i else "")
-        rows.append(row)
+def _table_text(errors: dict) -> str:
+    """The pairwise errors of :func:`cross_compare` as an upper triangle, one row per method."""
+    rows = [[""] + [f"vs. {name}" for name in CROSS_METHODS[1:]]]
+    for a in CROSS_METHODS[:-1]:
+        rows.append([a] + [f"{errors[a, b]:.6g}" if (a, b) in errors else ""
+                           for b in CROSS_METHODS[1:]])
     return _aligned(rows)
 
 
 def _cmd_compare(scenario, args):
-    table = cross_compare(scenario)
+    errors = cross_compare(scenario)
     csv_lines = ["method_a,method_b,rel_error"]
-    csv_lines += [f"{a},{b},{_fmt(err)}" for a, b, err in table.entries()]
-    return _table_text(table), csv_lines
+    csv_lines += [f"{a},{b},{_fmt(err)}" for (a, b), err in errors.items()]
+    return _table_text(errors), csv_lines
 
 
 def _objective_driver(driver, scenario, **kwargs) -> np.ndarray:

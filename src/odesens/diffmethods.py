@@ -12,8 +12,8 @@ pair.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,7 +30,6 @@ __all__ = [
     "solve_columns",
     "trajectory_map",
     "sensitivity_matrix",
-    "CrossTable",
     "cross_compare",
     "CROSS_METHODS",
 ]
@@ -198,35 +197,13 @@ def sensitivity_matrix(scenario, method_name: str) -> np.ndarray:
     return np.hstack([jac[:, m:], jac[:, :m]])
 
 
-@dataclass(frozen=True)
-class CrossTable:
-    """All-vs-all relative errors between differentiation methods."""
+def cross_compare(scenario) -> dict:
+    """Relative errors between the sensitivity matrices of a ``Scenario``, one per method pair.
 
-    methods: tuple
-    errors: np.ndarray  # upper triangle holds the pairwise errors
-
-    def pair(self, first: str, second: str) -> float:
-        i = self.methods.index(first)
-        j = self.methods.index(second)
-        if i == j:
-            return 0.0
-        i, j = min(i, j), max(i, j)
-        return float(self.errors[i, j])
-
-    def entries(self):
-        n = len(self.methods)
-        for i in range(n):
-            for j in range(i + 1, n):
-                yield self.methods[i], self.methods[j], float(self.errors[i, j])
-
-
-def cross_compare(scenario) -> CrossTable:
-    """Compare the sensitivity matrices of a ``Scenario`` from each of :data:`CROSS_METHODS`."""
-    methods = CROSS_METHODS
-    matrices = {name: sensitivity_matrix(scenario, name) for name in methods}
-    n = len(methods)
-    errors = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            errors[i, j] = relative_error(matrices[methods[i]], matrices[methods[j]])
-    return CrossTable(methods, errors)
+    Maps each pair ``(a, b)`` of :data:`CROSS_METHODS`, ``a`` listed before
+    ``b``, to ``relative_error`` of their matrices; the error is symmetric,
+    so each unordered pair appears once.
+    """
+    matrices = {name: sensitivity_matrix(scenario, name) for name in CROSS_METHODS}
+    return {(a, b): relative_error(matrices[a], matrices[b])
+            for a, b in itertools.combinations(CROSS_METHODS, 2)}

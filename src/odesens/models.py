@@ -4,11 +4,13 @@ The centrepiece is the two-species predator-prey system with its
 hand-derived Jacobians; a one-state linear model (closed-form solution
 available) and a zero right-hand-side stub serve as test oracles.  Each
 model declares its input keys with their defaults and which must be
-positive, and :data:`MODELS` is the registry that scenarios, scenario
-files and the CLI flags are built from.  The module also carries the
-scenario description shared by the library and the CLI, and the objective
+positive, and :data:`MODELS` is the registry, keyed by model name, that
+scenarios, scenario files and the CLI flags are built from.  The module
+also carries the scenario description shared by the library and the CLI,
+and the objective
 ``z = sum(last row of solve(y0, p)) + sum(last row of solve(y0, p/2))``
-together with its forward- and reverse-mode gradient drivers.
+together with its gradient and Hessian drivers; each driver takes the
+``OdeModel`` it runs, none defaults to one.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ __all__ = [
     "lv_jac",
     "lv_invariant",
     "linear_rhs",
-    "zero_rhs",
     "Scenario",
     "scenario_keys",
     "SOLVERS",
@@ -130,7 +131,7 @@ def _linear_second(t, y, p):
     return np.array([[[0.0, 1.0], [1.0, 0.0]]])
 
 
-def zero_rhs(t, y, p):
+def _zero_rhs(t, y, p):
     """Stub model with a frozen zero derivative (any scalar kind)."""
     return 0.0 * np.asarray(y)
 
@@ -152,8 +153,9 @@ class OdeModel:
     ``(y, p)``, states first.  ``states`` maps each initial-value key to its
     default and ``params`` each parameter key to its default, in the order
     the right-hand side expects them; ``positive`` names the keys a
-    scenario must hold positive.  An entry in :data:`MODELS` is all a model
-    needs for scenarios, scenario files and CLI flags to accept its keys.
+    scenario must hold positive.  A model has no name of its own: its key
+    in :data:`MODELS` is its name, and that entry is all a model needs for
+    scenarios, scenario files and CLI flags to accept its keys.
 
     ``rhs`` and ``jac`` must work elementwise over a trailing lane axis:
     ``y`` of shape ``(m, B)`` and ``p`` of shape ``(k, B)`` give ``f`` of
@@ -167,7 +169,6 @@ class OdeModel:
     instead of a dual pass over ``jac``, so it must round as that pass does.
     """
 
-    name: str
     rhs: Callable
     jac: Callable
     states: dict
@@ -184,13 +185,13 @@ _LV_STATES = {"y0_1": 1000.0, "y0_2": 20.0}
 _LV_PARAMS = {"eps1": 0.015, "gamma1": 0.0001, "eps2": 0.03, "gamma2": 0.0001}
 
 MODELS = {
-    "lv": OdeModel("lv", lv_rhs, lv_jac, _LV_STATES, _LV_PARAMS,
+    "lv": OdeModel(lv_rhs, lv_jac, _LV_STATES, _LV_PARAMS,
                    (*_LV_STATES, *_LV_PARAMS), _lv_second),
     # the rate may have any sign
-    "linear": OdeModel("linear", linear_rhs, _linear_jac, {"y0_1": 1000.0}, {"eps1": 0.015},
+    "linear": OdeModel(linear_rhs, _linear_jac, {"y0_1": 1000.0}, {"eps1": 0.015},
                        ("y0_1",), _linear_second),
     # the stub reads the predator-prey inputs and checks only its start
-    "zero": OdeModel("zero", zero_rhs, _zero_jac, _LV_STATES, _LV_PARAMS,
+    "zero": OdeModel(_zero_rhs, _zero_jac, _LV_STATES, _LV_PARAMS,
                      tuple(_LV_STATES), _zero_second),
 }
 
@@ -259,11 +260,11 @@ class Scenario:
             if not is_finite_scalar(value):
                 raise ValueError(f"{key} must be finite, got {value!r}")
         if not self.t_end > self.t0:
-            raise ValueError("t_end must exceed t0")
+            raise ValueError(f"t_end ({self.t_end!r}) must exceed t0 ({self.t0!r})")
         if isinstance(self.n_points, bool) or not isinstance(self.n_points, numbers.Integral):
             raise ValueError(f"n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 1:
-            raise ValueError("n_points must be at least 1")
+            raise ValueError(f"n_points must be at least 1, got {self.n_points!r}")
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
         RK23Method(self.rel_tol, self.abs_tol)  # checked even where Euler never reads them
@@ -341,12 +342,8 @@ def _require_points(time: TimeSpec):
         raise SpanModeError("this objective requires a prescribed-points time specification")
 
 
-def _model_or_lv(model: Optional[OdeModel]) -> OdeModel:
-    return model if model is not None else MODELS["lv"]
-
-
-def fmain_objective(y0, p, time: TimeSpec, method: SolverMethod, model: Optional[OdeModel] = None):
-    """Scalar objective: solve at ``p`` and at ``p/2``, sum the final rows.
+def fmain_objective(y0, p, time: TimeSpec, method: SolverMethod, model: OdeModel):
+    """Scalar objective: solve ``model`` at ``p`` and at ``p/2``, sum the final rows.
 
     Columns ``y0`` of shape ``(m, B)`` and ``p`` of shape ``(k, B)`` give
     the ``B`` objectives of the column pairs, from ``2B`` lanes of one
@@ -355,7 +352,6 @@ def fmain_objective(y0, p, time: TimeSpec, method: SolverMethod, model: Optional
     :func:`cs_jacobian`).
     """
     _require_points(time)
-    model = _model_or_lv(model)
     y0 = np.asarray(y0)
     p = np.asarray(p)
     if y0.ndim == 1:
@@ -370,14 +366,13 @@ def fmain_objective(y0, p, time: TimeSpec, method: SolverMethod, model: Optional
 
 def _sensitivity_solver(model, jac, time, method) -> Callable:
     """``(y0, p) ->`` the sensitivity bundle of the model with the named Jacobian provider."""
-    model = _model_or_lv(model)
     provider = jacobian_provider(model, jac)
     return lambda y0, p: forward_sensitivity_solve(model.rhs, provider, p, y0, time, method)
 
 
 def fmain_gradient_forward(
     y0, p, time: TimeSpec, method: SolverMethod,
-    model: Optional[OdeModel] = None, jac: str = "analytic",
+    model: OdeModel, jac: str = "analytic",
 ) -> np.ndarray:
     """Gradient of the objective from unit-seed forward propagations.
 
@@ -409,7 +404,7 @@ def _pair_gradient(bundle1, bundle2) -> np.ndarray:
 
 def fmain_gradient_reverse(
     y0, p, time: TimeSpec, method: SolverMethod,
-    model: Optional[OdeModel] = None, jac: str = "analytic",
+    model: OdeModel, jac: str = "analytic",
 ) -> np.ndarray:
     """Gradient of the objective from one adjoint contraction per solve.
 
@@ -456,7 +451,7 @@ def _of_stacked_input(fn: Callable, y0, p, time, method, **kwargs):
 
 
 def fmain_gradient_fd(
-    y0, p, time: TimeSpec, method: SolverMethod, model: Optional[OdeModel] = None,
+    y0, p, time: TimeSpec, method: SolverMethod, model: OdeModel,
 ) -> np.ndarray:
     """Central finite differences of the objective, step sqrt(eps)*|x_k|."""
     objective, x0 = _of_stacked_input(fmain_objective, y0, p, time, method, model=model)
@@ -464,7 +459,7 @@ def fmain_gradient_fd(
 
 
 def fmain_gradient_cs(
-    y0, p, time: TimeSpec, method: SolverMethod, model: Optional[OdeModel] = None,
+    y0, p, time: TimeSpec, method: SolverMethod, model: OdeModel,
 ) -> np.ndarray:
     """Complex-step derivative of the objective in each input direction."""
     objective, x0 = _of_stacked_input(fmain_objective, y0, p, time, method, model=model)
@@ -473,7 +468,7 @@ def fmain_gradient_cs(
 
 def fmain_hessian(
     y0, p, time: TimeSpec, method: SolverMethod,
-    model: Optional[OdeModel] = None, jac: str = "analytic",
+    model: OdeModel, jac: str = "analytic",
 ) -> np.ndarray:
     """Forward-over-reverse Hessian of the objective.
 
@@ -487,7 +482,7 @@ def fmain_hessian(
 
 def fmain_hessian_fd(
     y0, p, time: TimeSpec, method: SolverMethod,
-    model: Optional[OdeModel] = None, jac: str = "analytic",
+    model: OdeModel, jac: str = "analytic",
 ) -> np.ndarray:
     """Central finite differences of the reverse gradient, step 1e-5*|x_k|.
 

@@ -25,10 +25,8 @@ import numpy as np
 
 __all__ = [
     "Dual1",
-    "DEFAULT_CS_STEP",
     "magnitude",
     "is_finite_scalar",
-    "primal_part",
     "tangent_part",
     "lift_dual",
     "primal_values",
@@ -41,7 +39,7 @@ __all__ = [
 
 # With a first-order method there is no subtractive cancellation, so the
 # increment can sit far below sqrt(eps) without loss.
-DEFAULT_CS_STEP = 1e-100
+_CS_STEP = 1e-100
 
 _REAL_KINDS = (int, float, np.integer, np.floating)
 
@@ -193,7 +191,7 @@ def is_finite_scalar(x) -> bool:
         return False
 
 
-def primal_part(x):
+def _primal_part(x):
     return x.primal if isinstance(x, Dual1) else x
 
 
@@ -242,7 +240,7 @@ def lift_dual(x, seed) -> np.ndarray:
 def primal_values(arr) -> np.ndarray:
     """Primals of an array of duals and constants, in the array's shape."""
     arr = np.asarray(arr)
-    return _scalar_array(map(primal_part, arr.flat), arr.shape)
+    return _scalar_array(map(_primal_part, arr.flat), arr.shape)
 
 
 def tangent_values(arr) -> np.ndarray:
@@ -306,7 +304,7 @@ def eval_jacobian_dual(f: Callable, x) -> np.ndarray:
 def complex_step_column(f: Callable, x, k: int) -> np.ndarray:
     """Column ``k`` of the Jacobian of real-analytic ``f`` via a complex step.
 
-    Returns ``Im(f(x + i*h*e_k)) / h`` with ``h = DEFAULT_CS_STEP``, which
+    Returns ``Im(f(x + i*h*e_k)) / h`` with ``h = 1e-100``, which
     is cancellation-free at first order and therefore exact to roundoff for
     polynomial ``f``.
     """
@@ -314,6 +312,6 @@ def complex_step_column(f: Callable, x, k: int) -> np.ndarray:
     if not 0 <= k < x.shape[0]:
         raise IndexError(f"column index {k} out of range for input of length {x.shape[0]}")
     z = x.astype(complex)
-    z[k] += 1j * DEFAULT_CS_STEP
+    z[k] += 1j * _CS_STEP
     out = np.asarray(f(z))
-    return np.imag(out) / DEFAULT_CS_STEP
+    return np.imag(out) / _CS_STEP

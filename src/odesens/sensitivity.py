@@ -9,7 +9,7 @@ top of the resulting per-time-point Jacobians this module offers forward
 seed propagation, reverse adjoint contraction, solves with dual-valued
 inputs (by stripping the payload, augmenting, and reassembling), and a
 forward-over-reverse Hessian driver.  Real inputs with a trailing column
-axis are integrated as lanes of one solve, each lane its own system.
+axis are integrated as lanes of one Euler solve, each lane its own system.
 
 The augmented system is linear in its sensitivity blocks, so it carries a
 structured Jacobian of its own.  Lowering a dual-valued sensitivity solve,
@@ -35,6 +35,7 @@ from .scalars import (
     tangent_values,
 )
 from .solvers import (
+    RK23Method,
     SolverMethod,
     Span,
     SpanModeError,
@@ -259,13 +260,22 @@ def forward_sensitivity_solve(
     Real ``y0`` of shape ``(m, B)`` and ``p`` of shape ``(k, B)`` are ``B``
     lanes of one solve: the state is ``(B, 1 + k + m, m)``, lane ``b`` the
     stack of column ``b``, and the bundle's states gain the lane axis after
-    the time axis.  Under Euler each lane is bitwise the solve of its
-    column; RK23 would couple the lanes' steps, so run its columns one by
-    one (see :func:`~odesens.solvers.run_columns`).
+    the time axis.  Each lane is bitwise the solve of its column, which
+    only Euler gives: RK23 would pick every step from the error of all the
+    lanes together, so RK23 lanes are rejected; run RK23 columns one by one
+    (see :func:`~odesens.solvers.run_columns`).  Lanes with dual payloads
+    are rejected too.
     """
     y0 = np.asarray(y0)
     p = np.asarray(p)
     m, k = y0.shape[0], p.shape[0]
+    dual = contains_dual(y0) or contains_dual(p)
+    if y0.ndim > 1:
+        if dual:
+            raise ValueError("sensitivity lanes take real inputs only")
+        if isinstance(method, RK23Method):
+            raise ValueError("RK23 would couple the steps of sensitivity lanes; "
+                             "solve their columns one by one with run_columns")
 
     def row_stack(y):
         return np.concatenate([y[None], np.zeros((k, m)), np.eye(m)])
@@ -274,9 +284,7 @@ def forward_sensitivity_solve(
     x0 = row_stack(y0) if y0.ndim == 1 else np.stack([row_stack(y) for y in y0.T])
     system = _augmented_system(f, jac, m, k)
 
-    if contains_dual(y0) or contains_dual(p):
-        if y0.ndim > 1:
-            raise ValueError("sensitivity lanes take real inputs only")
+    if dual:
         traj = dual_aware_solve(system, p, x0.ravel(), time, method)
     else:
         rhs = system.lanes if y0.ndim > 1 else system

@@ -283,18 +283,23 @@ def euler_solve(rhs: Callable, time: TimeSpec, y0, dt: float) -> Trajectory:
         raise TypeError(f"unknown time specification: {time!r}")
 
     y = _state_array(y0)
-    rows = [y]
+    states = y[None]
+    filled = 1
     gaps = zip(grid[:-1].tolist(), (np.diff(grid) / n_subs).tolist(), n_subs.tolist())
     try:
         for a, h, n_sub in gaps:
             for j in range(n_sub):
                 y = y + h * rhs(a + j * h, y)
-            rows.append(y)
-    except Exception:
-        _check_euler_rows(np.array(rows), grid, n_subs)
-        raise
-    states = np.array(rows)
-    _check_euler_rows(states, grid, n_subs)
+            if filled == len(states) or y.dtype != states.dtype:
+                # the full grid, in the kind of every row so far: a real y0 under a
+                # complex or dual rhs promotes, as stacking the rows would
+                grown = np.empty(grid.shape + y.shape, np.result_type(states, y))
+                grown[:filled] = states[:filled]
+                states = grown
+            states[filled] = y
+            filled += 1
+    finally:
+        _check_euler_rows(states[:filled], grid, n_subs)
     return Trajectory(grid, states)
 
 

@@ -68,7 +68,7 @@ def _binding_jac(t, y, p):
 # molecules, so the objective (sums of final states) moves with every
 # input.  The complex starts at zero, the one input not required positive.
 BINDING = OdeModel(
-    "binding", _binding_rhs, _binding_jac,
+    _binding_rhs, _binding_jac,
     {"a0": 1.0, "b0": 2.0, "c0": 0.0}, {"k_on": 0.5, "k_off": 0.3},
     ("a0", "b0", "k_on", "k_off"),
 )

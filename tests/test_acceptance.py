@@ -15,6 +15,7 @@ import pytest
 from odesens.cli import main as cli_main
 from odesens.diffmethods import cross_compare
 from odesens.models import (
+    MODELS,
     Scenario,
     fmain_gradient_fd,
     fmain_gradient_forward,
@@ -35,6 +36,7 @@ from odesens.solvers import (
 
 Y0 = np.array([1000.0, 20.0])
 P = np.array([0.015, 1e-4, 0.03, 1e-4])
+LV = MODELS["lv"]
 FULL_POINTS = Points(np.linspace(0.0, 1000.0, 10001))
 
 
@@ -71,9 +73,9 @@ def euler_bundle():
 
 def test_criterion_1_euler_cross_table(euler_table):
     table, elapsed = euler_table
-    an_ad = table.pair("analytic", "ad")
-    an_cs = table.pair("analytic", "cs")
-    an_fd = table.pair("analytic", "fd")
+    an_ad = table["analytic", "ad"]
+    an_cs = table["analytic", "cs"]
+    an_fd = table["analytic", "fd"]
     _criterion(1, "explicit-Euler cross-method table", [
         (elapsed < 60.0, f"runtime {elapsed:.1f}s exceeds 60s budget"),
         (an_ad <= 1e-13, f"analytic vs ad = {an_ad:g} > 1e-13"),
@@ -85,17 +87,17 @@ def test_criterion_1_euler_cross_table(euler_table):
 def test_criterion_2_rk23_cross_table(euler_table, rk23_table):
     e_table, _ = euler_table
     r_table = rk23_table
-    an_ad = r_table.pair("analytic", "ad")
-    an_fd = r_table.pair("analytic", "fd")
-    an_cs = r_table.pair("analytic", "cs")
-    fd_cs = r_table.pair("fd", "cs")
+    an_ad = r_table["analytic", "ad"]
+    an_fd = r_table["analytic", "fd"]
+    an_cs = r_table["analytic", "cs"]
+    fd_cs = r_table["fd", "cs"]
     _criterion(2, "adaptive-solver cross-method table and step-adaptivity blowup", [
         (an_ad <= 1e-13, f"analytic vs ad = {an_ad:g} > 1e-13"),
         (fd_cs < an_fd, f"fd vs cs = {fd_cs:g} not below analytic vs fd = {an_fd:g}"),
         (fd_cs < an_cs, f"fd vs cs = {fd_cs:g} not below analytic vs cs = {an_cs:g}"),
-        (an_fd >= 10.0 * e_table.pair("analytic", "fd"),
+        (an_fd >= 10.0 * e_table["analytic", "fd"],
          "adaptive fd deviation not 10x the fixed-step one"),
-        (an_cs >= 10.0 * e_table.pair("analytic", "cs"),
+        (an_cs >= 10.0 * e_table["analytic", "cs"],
          "adaptive cs deviation not 10x the fixed-step one"),
     ])
 
@@ -136,9 +138,9 @@ def test_criterion_4_adjoint_identity(euler_bundle):
 
 def test_criterion_5_objective_gradients():
     method = EulerMethod(0.1)
-    fm = fmain_gradient_forward(Y0, P, FULL_POINTS, method)
-    rm = fmain_gradient_reverse(Y0, P, FULL_POINTS, method)
-    fd = fmain_gradient_fd(Y0, P, FULL_POINTS, method)
+    fm = fmain_gradient_forward(Y0, P, FULL_POINTS, method, model=LV)
+    rm = fmain_gradient_reverse(Y0, P, FULL_POINTS, method, model=LV)
+    fd = fmain_gradient_fd(Y0, P, FULL_POINTS, method, model=LV)
     fm_rm = np.max(np.abs(fm - rm) / np.maximum(np.abs(rm), 1e-300))
     fm_fd = np.max(np.abs(fm - fd) / np.maximum(np.abs(fd), 1e-300))
     rm_fd = np.max(np.abs(rm - fd) / np.maximum(np.abs(fd), 1e-300))
@@ -152,13 +154,13 @@ def test_criterion_5_objective_gradients():
 def test_criterion_6_hessian_forward_over_reverse():
     time_spec = Points(np.linspace(0.0, 50.0, 501))
     method = EulerMethod(0.1)
-    hess = fmain_hessian(Y0, P, time_spec, method)
-    hess_fd = fmain_hessian_fd(Y0, P, time_spec, method)
+    hess = fmain_hessian(Y0, P, time_spec, method, model=LV)
+    hess_fd = fmain_hessian_fd(Y0, P, time_spec, method, model=LV)
     sym = np.linalg.norm(hess - hess.T) / np.linalg.norm(hess)
     vs_fd = np.linalg.norm(hess - hess_fd) / np.linalg.norm(hess)
 
     rk_spec = Points(np.linspace(0.0, 20.0, 201))
-    rk_hess = fmain_hessian(Y0, P, rk_spec, RK23Method())
+    rk_hess = fmain_hessian(Y0, P, rk_spec, RK23Method(), model=LV)
     _criterion(6, "forward-over-reverse Hessian (incl. adaptive-solver dispatch)", [
         (sym <= 1e-10, f"symmetry defect {sym:g} > 1e-10"),
         (vs_fd <= 1e-5, f"vs differenced gradient {vs_fd:g} > 1e-5"),

@@ -133,6 +133,14 @@ class TestSolve:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_output_onto_a_directory_exits_one_and_leaves_no_temp_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        assert run_cli(["solve", *TINY, "--output", str(taken)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.glob(".odesens-*.tmp")) == []
+        assert list(taken.iterdir()) == []
+
 
 class TestSens:
     def test_header_and_first_row_invariants(self, capsys):

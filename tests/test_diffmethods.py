@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -131,27 +133,29 @@ class TestTrajectoryMap:
 class TestCrossCompare:
     def test_table_structure(self):
         table = cross_compare(SMALL)
-        assert table.methods == CROSS_METHODS
-        entries = list(table.entries())
-        assert len(entries) == 6
-        assert np.all(np.diag(table.errors) == 0.0)
+        assert list(table) == list(itertools.combinations(CROSS_METHODS, 2))
+        assert all(type(err) is float for err in table.values())
 
     def test_analytic_vs_ad_identical(self):
         table = cross_compare(SMALL)
-        assert table.pair("analytic", "ad") <= 1e-13
+        assert table["analytic", "ad"] <= 1e-13
 
     def test_pair_is_order_insensitive(self):
+        # the table keeps each unordered pair once, as the error is symmetric
         table = cross_compare(SMALL)
-        assert table.pair("fd", "analytic") == table.pair("analytic", "fd")
+        fd = sensitivity_matrix(SMALL, "fd")
+        analytic = sensitivity_matrix(SMALL, "analytic")
+        assert relative_error(fd, analytic) == table["analytic", "fd"]
+        assert relative_error(analytic, fd) == table["analytic", "fd"]
 
     def test_solver_override(self):
         euler_default = cross_compare(SMALL)
         rk_override = cross_compare(SMALL.with_updates(solver="rk23"))
-        assert rk_override.pair("analytic", "fd") != euler_default.pair("analytic", "fd")
+        assert rk_override["analytic", "fd"] != euler_default["analytic", "fd"]
 
     def test_euler_complex_step_tracks_variational_solve(self):
         table = cross_compare(SMALL)
-        assert table.pair("analytic", "cs") <= 1e-12
+        assert table["analytic", "cs"] <= 1e-12
 
     def test_sensitivity_matrix_shapes_align(self):
         mats = {name: sensitivity_matrix(SMALL, name) for name in CROSS_METHODS}

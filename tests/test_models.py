@@ -35,6 +35,7 @@ from odesens.solvers import (
 
 P = np.array([0.015, 1e-4, 0.03, 1e-4])
 Y0 = np.array([1000.0, 20.0])
+LV = MODELS["lv"]
 
 # objective value of the reference scenario (Euler, dt=0.1, [0,1000],
 # 10001 points), computed once by this repository's own Euler path and
@@ -152,6 +153,10 @@ class TestScenario:
         with pytest.raises(ValueError, match="cannot parse"):
             parse_scenario_text("n_points=many\n")
 
+    def test_line_without_equals_rejected(self):
+        with pytest.raises(ValueError, match="line 2: expected key=value, got 'dt 0.5'"):
+            parse_scenario_text("eps1=0.01\ndt 0.5\n")
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ValueError, match="line 2: duplicate scenario key 'dt'"):
             parse_scenario_text("dt=0.1\ndt=0.5\n")
@@ -166,6 +171,9 @@ class TestScenario:
 
     @pytest.mark.parametrize("field, value, message", [
         ("n_points", 2.5, "n_points must be an integer, got 2.5"),
+        ("n_points", 0, "n_points must be at least 1, got 0"),
+        ("t_end", -1.0, "t_end (-1.0) must exceed t0 (0.0)"),
+        ("t_end", 0.0, "t_end (0.0) must exceed t0 (0.0)"),
         ("rel_tol", -1.0, "rel_tol must be positive, got -1.0"),
         ("abs_tol", 0.0, "abs_tol must be positive, got 0.0"),
         ("dt", -0.5, "dt must be positive, got -0.5"),
@@ -243,7 +251,7 @@ class TestScenario:
 
 class TestObjective:
     def test_initial_point_only(self):
-        z = fmain_objective(Y0, P, Points(np.array([0.0])), EulerMethod(0.1))
+        z = fmain_objective(Y0, P, Points(np.array([0.0])), EulerMethod(0.1), model=LV)
         assert z == 2.0 * (Y0[0] + Y0[1])
 
     def test_zero_rhs_stub(self):
@@ -254,12 +262,13 @@ class TestObjective:
         assert z == 2.0 * np.sum(Y0)
 
     def test_golden_value_on_reference_scenario(self):
-        z = fmain_objective(Y0, P, Points(np.linspace(0.0, 1000.0, 10001)), EulerMethod(0.1))
+        z = fmain_objective(
+            Y0, P, Points(np.linspace(0.0, 1000.0, 10001)), EulerMethod(0.1), model=LV)
         assert float(z) == FMAIN_GOLDEN
 
     def test_requires_points_mode(self):
         with pytest.raises(SpanModeError):
-            fmain_objective(Y0, P, Span(0.0, 10.0), EulerMethod(0.1))
+            fmain_objective(Y0, P, Span(0.0, 10.0), EulerMethod(0.1), model=LV)
 
     @pytest.mark.parametrize("method", [EulerMethod(0.1), RK23Method()])
     def test_columns_equal_one_by_one_bitwise(self, method):
@@ -267,10 +276,10 @@ class TestObjective:
         y0 = Y0[:, None] * rng.uniform(0.9, 1.1, (2, 3))
         p = P[:, None] * rng.uniform(0.9, 1.1, (4, 3))
         time = Points(np.linspace(0.0, 20.0, 21))
-        z = fmain_objective(y0, p, time, method)
+        z = fmain_objective(y0, p, time, method, model=LV)
         assert z.shape == (3,)
         for b in range(3):
-            assert z[b] == fmain_objective(y0[:, b], p[:, b], time, method)
+            assert z[b] == fmain_objective(y0[:, b], p[:, b], time, method, model=LV)
 
 
 SHORT_TIME = Points(np.linspace(0.0, 100.0, 1001))
@@ -278,8 +287,8 @@ SHORT_TIME = Points(np.linspace(0.0, 100.0, 1001))
 
 class TestGradients:
     def test_forward_equals_reverse(self):
-        fm = fmain_gradient_forward(Y0, P, SHORT_TIME, EulerMethod(0.1))
-        rm = fmain_gradient_reverse(Y0, P, SHORT_TIME, EulerMethod(0.1))
+        fm = fmain_gradient_forward(Y0, P, SHORT_TIME, EulerMethod(0.1), model=LV)
+        rm = fmain_gradient_reverse(Y0, P, SHORT_TIME, EulerMethod(0.1), model=LV)
         assert np.max(np.abs(fm - rm)) <= 1e-12 * np.max(np.abs(rm))
 
     def test_forward_equals_reverse_random_scenarios(self):
@@ -293,18 +302,18 @@ class TestGradients:
                 rng.uniform(0.005, 0.05),
                 rng.uniform(1e-5, 5e-4),
             ])
-            fm = fmain_gradient_forward(y0, p, time, EulerMethod(0.1))
-            rm = fmain_gradient_reverse(y0, p, time, EulerMethod(0.1))
+            fm = fmain_gradient_forward(y0, p, time, EulerMethod(0.1), model=LV)
+            rm = fmain_gradient_reverse(y0, p, time, EulerMethod(0.1), model=LV)
             assert np.max(np.abs(fm - rm)) <= 1e-12 * np.max(np.abs(rm))
 
     def test_modes_match_central_fd(self):
-        rm = fmain_gradient_reverse(Y0, P, SHORT_TIME, EulerMethod(0.1))
-        fd = fmain_gradient_fd(Y0, P, SHORT_TIME, EulerMethod(0.1))
+        rm = fmain_gradient_reverse(Y0, P, SHORT_TIME, EulerMethod(0.1), model=LV)
+        fd = fmain_gradient_fd(Y0, P, SHORT_TIME, EulerMethod(0.1), model=LV)
         assert np.all(np.abs(rm - fd) <= 1e-5 * np.maximum(np.abs(rm), np.abs(fd)))
 
     def test_complex_step_matches_reverse(self):
-        rm = fmain_gradient_reverse(Y0, P, SHORT_TIME, EulerMethod(0.1))
-        cs = fmain_gradient_cs(Y0, P, SHORT_TIME, EulerMethod(0.1))
+        rm = fmain_gradient_reverse(Y0, P, SHORT_TIME, EulerMethod(0.1), model=LV)
+        cs = fmain_gradient_cs(Y0, P, SHORT_TIME, EulerMethod(0.1), model=LV)
         assert np.all(np.abs(rm - cs) <= 1e-12 * np.maximum(np.abs(rm), np.abs(cs)))
 
     def test_zero_rhs_gradient(self):
@@ -331,8 +340,9 @@ class TestGradients:
         assert grad.tobytes() == expected.tobytes()
 
     def test_ad_provider_matches_analytic_provider(self):
-        analytic = fmain_gradient_reverse(Y0, P, SHORT_TIME, EulerMethod(0.1), jac="analytic")
-        ad = fmain_gradient_reverse(Y0, P, SHORT_TIME, EulerMethod(0.1), jac="ad")
+        analytic = fmain_gradient_reverse(
+            Y0, P, SHORT_TIME, EulerMethod(0.1), model=LV, jac="analytic")
+        ad = fmain_gradient_reverse(Y0, P, SHORT_TIME, EulerMethod(0.1), model=LV, jac="ad")
         assert np.max(np.abs(analytic - ad)) <= 1e-13 * np.max(np.abs(analytic))
 
 
@@ -355,7 +365,7 @@ def test_hessian_makes_one_gradient_call_and_two_lowered_solves(monkeypatch):
     monkeypatch.setattr(sensitivity, "forward_sensitivity_solve", counted_solve)
     monkeypatch.setattr(models, "forward_sensitivity_solve", counted_solve)
     monkeypatch.setattr(models, "hessian_forward_over_reverse", counted_hessian)
-    hess = fmain_hessian(Y0, P, Points(np.linspace(0.0, 2.0, 21)), EulerMethod(0.1))
+    hess = fmain_hessian(Y0, P, Points(np.linspace(0.0, 2.0, 21)), EulerMethod(0.1), model=LV)
     assert hess.shape == (6, 6)
     assert len(gradient_calls) == 1
     # one lowered solve per distinct parameter vector of the objective
@@ -363,7 +373,7 @@ def test_hessian_makes_one_gradient_call_and_two_lowered_solves(monkeypatch):
 
 
 def test_hessian_lowered_solves_are_two_composite_solves(solve_shapes):
-    fmain_hessian(Y0, P, Points(np.linspace(0.0, 2.0, 21)), EulerMethod(0.1))
+    fmain_hessian(Y0, P, Points(np.linspace(0.0, 2.0, 21)), EulerMethod(0.1), model=LV)
     # one level down the (7, 2) composite is a flat 14-state with 4 parameters
     assert solve_shapes == [(19, 14)] * 2
 
@@ -454,7 +464,7 @@ def test_second_derivatives_of_the_wrong_shape_are_rejected():
     (RK23Method(), fmain_gradient_cs, [(2,)] * 12),
 ])
 def test_numerical_gradient_solves(solve_shapes, method, gradient, shapes):
-    grad = gradient(Y0, P, Points(np.linspace(0.0, 2.0, 21)), method)
+    grad = gradient(Y0, P, Points(np.linspace(0.0, 2.0, 21)), method, model=LV)
     assert grad.shape == (6,)
     assert solve_shapes == shapes
 
@@ -485,7 +495,7 @@ def test_int_beyond_the_float_range_rejected_naming_it(key, make, value):
     (RK23Method(), [(7, 2)] * 24),
 ])
 def test_fd_hessian_solves(solve_shapes, method, shapes):
-    hess = fmain_hessian_fd(Y0, P, Points(np.linspace(0.0, 2.0, 21)), method)
+    hess = fmain_hessian_fd(Y0, P, Points(np.linspace(0.0, 2.0, 21)), method, model=LV)
     assert hess.shape == (6, 6)
     assert solve_shapes == shapes
 
@@ -535,10 +545,11 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def _scenarios(draw):
-    model = MODELS[draw(st.sampled_from(sorted(MODELS)))]
+    name = draw(st.sampled_from(sorted(MODELS)))
+    model = MODELS[name]
     t0 = draw(st.floats(-1e6, 1e6))
     return Scenario(
-        model=model.name,
+        model=name,
         values={key: draw(_POSITIVE if key in model.positive else _FINITE)
                 for key in (*model.params, *model.states)},
         t0=t0,

@@ -152,7 +152,7 @@ def _triple_jac(t, y, p):
 # Every entry of its f_y depends on p[0], so a second-order sum over q has
 # m = 3 nonzero terms and its rounding depends on the order they are summed.
 # In binding no such sum has more than two.
-TRIPLE = OdeModel("triple", _triple_rhs, _triple_jac,
+TRIPLE = OdeModel(_triple_rhs, _triple_jac,
                   {"u0": 1.0, "v0": 1.0, "w0": 1.0}, {"a": 1.0, "b": 1.0}, ())
 
 _STRUCTURED_MODELS = {name: MODELS[name] for name in ("lv", "linear", "zero")}
@@ -286,7 +286,7 @@ class TestLanes:
     """Real ``(m, B)``/``(k, B)`` inputs: ``B`` lanes of one Euler solve, each its own solve."""
 
     @pytest.mark.parametrize("model", [MODELS["lv"], MODELS["linear"], MODELS["zero"], BINDING],
-                             ids=lambda model: model.name)
+                             ids=["lv", "linear", "zero", "binding"])
     @pytest.mark.parametrize("kind", ["analytic", "ad"])
     def test_every_lane_is_bitwise_its_own_solve(self, solve_shapes, model, kind):
         rng = np.random.default_rng(11)
@@ -310,6 +310,14 @@ class TestLanes:
         with pytest.raises(ValueError, match="lanes take real inputs"):
             forward_sensitivity_solve(lv_rhs, LV_ANALYTIC, np.ones((4, 3)), y0,
                                       Points(np.linspace(0.0, 1.0, 3)), EulerMethod(0.1))
+
+    def test_rk23_lanes_are_rejected(self):
+        # RK23 steps on the error of the whole state, so lanes would share steps
+        y0 = np.column_stack([LV_Y0, 0.5 * LV_Y0])
+        p = np.column_stack([LV_P, LV_P])
+        with pytest.raises(ValueError, match="run_columns"):
+            forward_sensitivity_solve(lv_rhs, LV_ANALYTIC, p, y0,
+                                      Points(np.linspace(0.0, 50.0, 11)), RK23Method())
 
 
 class TestJvpVjp:
@@ -393,6 +401,11 @@ class TestJvpVjp:
         for got, expected in zip(vjp_solution(dual, selector), all_rows(dual, selector)):
             assert primal_values(got).tobytes() == primal_values(expected).tobytes()
             assert tangent_values(got).tobytes() == tangent_values(expected).tobytes()
+
+    def test_vjp_rejects_an_adjoint_off_the_trajectory_shape(self):
+        bundle = lv_bundle()
+        with pytest.raises(ValueError, match=r"adjoint shape \(10, 2\) does not match"):
+            vjp_solution(bundle, np.zeros((10, 2)))
 
     def test_vjp_rejects_span_mode(self):
         bundle = forward_sensitivity_solve(

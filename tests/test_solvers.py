@@ -524,6 +524,24 @@ class TestScalarKindGenericity:
         assert traj.states.dtype == np.complex128
         assert traj.states[-1, 0].imag > 0.0
 
+    @pytest.mark.parametrize("time", [Span(0.0, 1.0), Points(np.linspace(0.0, 1.0, 5))])
+    def test_euler_real_start_under_complex_rhs_keeps_the_imaginary_parts(self, time):
+        traj = euler_solve(lambda t, y: 1j * y, time, np.array([1.0, 2.0]), 0.1)
+        assert traj.states.dtype == np.complex128
+        assert traj.states[0].tolist() == [1.0, 2.0]
+        assert np.all(traj.states[1:].imag > 0.0)
+
+    def test_euler_rows_that_widen_mid_solve_promote_the_whole_output(self):
+        def turning(t, y):
+            return y * (1j if t > 0.5 else 1.0)
+
+        time = Points(np.linspace(0.0, 1.0, 5))
+        traj = euler_solve(turning, time, np.array([1.0]), 0.1)
+        assert traj.states.dtype == np.complex128
+        # the two-loop reference stacks its rows at the end
+        expected = _reference_euler(turning, time, np.array([1.0]), 0.1)
+        assert traj.states.tobytes() == expected.states.tobytes()
+
     def test_euler_runs_on_dual_states(self):
         y0 = np.array([Dual1(2.0, 1.0)], dtype=object)
         traj = euler_solve(lambda t, y: 0.5 * y, Span(0.0, 1.0), y0, 0.01)

@@ -38,7 +38,7 @@ _FIELDS = {
     RK23Method: [("rel_tol", 1e-3), ("abs_tol", 1e-6)],
     EulerMethod: [("dt", dataclasses.MISSING)],
     OdeModel: [(name, dataclasses.MISSING) for name in (
-        "name", "rhs", "jac", "states", "params", "positive")] + [("second", None)],
+        "rhs", "jac", "states", "params", "positive")] + [("second", None)],
 }
 
 
