@@ -157,6 +157,11 @@ class OdeModel:
     in :data:`MODELS` is its name, and that entry is all a model needs for
     scenarios, scenario files and CLI flags to accept its keys.
 
+    A sensitivity step reads ``rhs`` and ``jac`` at the same point through
+    one Jacobian provider call, which returns the pair ``(f, [f_y | f_p])``
+    (see :func:`~odesens.sensitivity.analytic_jacobians`); no step calls
+    ``rhs`` apart from it.
+
     ``rhs`` and ``jac`` must work elementwise over a trailing lane axis:
     ``y`` of shape ``(m, B)`` and ``p`` of shape ``(k, B)`` give ``f`` of
     shape ``(m, B)`` and ``[f_y | f_p]`` of shape ``(m, m + k, B)``, lane

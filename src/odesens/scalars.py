@@ -27,7 +27,6 @@ __all__ = [
     "Dual1",
     "magnitude",
     "is_finite_scalar",
-    "tangent_part",
     "lift_dual",
     "primal_values",
     "tangent_values",
@@ -195,7 +194,7 @@ def _primal_part(x):
     return x.primal if isinstance(x, Dual1) else x
 
 
-def tangent_part(x):
+def _tangent_part(x):
     return x.tangent if isinstance(x, Dual1) else 0.0
 
 
@@ -252,7 +251,7 @@ def tangent_values(arr) -> np.ndarray:
     to ``n`` zeros.
     """
     arr = np.asarray(arr)
-    tangents = [tangent_part(v) for v in arr.flat]
+    tangents = [_tangent_part(v) for v in arr.flat]
     width = next((t.shape for t in tangents if isinstance(t, np.ndarray)), None)
     if width is None:
         return _scalar_array(tangents, arr.shape)

@@ -4,19 +4,24 @@ The original system ``y' = f(t, y, p)`` is extended with the variational
 equations for the parameter sensitivity ``dy/dp`` (initialised to zero)
 and the initial-condition sensitivity ``dy/dy0`` (initialised to the
 identity).  The composite state is the row stack
-``[y; (dy/dp)^T; (dy/dy0)^T]``, integrated as one system in one pass.  On
-top of the resulting per-time-point Jacobians this module offers forward
-seed propagation, reverse adjoint contraction, solves with dual-valued
-inputs (by stripping the payload, augmenting, and reassembling), and a
-forward-over-reverse Hessian driver.  Real inputs with a trailing column
-axis are integrated as lanes of one Euler solve, each lane its own system.
+``[y; (dy/dp)^T; (dy/dy0)^T]``, integrated as one system in one pass.  A
+step needs ``f`` and ``[f_y | f_p]`` at one point; a Jacobian provider
+returns both as the pair ``(f, [f_y | f_p])``, and nothing else in the
+step evaluates the model.  On top of the resulting per-time-point
+Jacobians this module offers forward seed propagation, reverse adjoint
+contraction, solves with dual-valued inputs (by stripping the payload,
+augmenting, and reassembling), and a forward-over-reverse Hessian
+driver.  Real inputs with a trailing column axis are integrated as lanes
+of one Euler solve, each lane its own system.
 
 The augmented system is linear in its sensitivity blocks, so it carries a
 structured Jacobian of its own.  Lowering a dual-valued sensitivity solve,
 as the Hessian driver does, integrates the augmented system of the
 augmented system; its Jacobian then needs the model's second derivatives
 once per step.  A model's hand-written ``second`` supplies them; without
-one they cost one ``m + k``-seed dual pass over its ``[f_y | f_p]``.
+one they cost one ``m + k``-seed dual pass over its ``[f | f_y | f_p]``.
+That provider returns the augmented system's value with its Jacobian, so
+a lowered step evaluates the model once.
 """
 
 from __future__ import annotations
@@ -60,11 +65,13 @@ __all__ = [
 def analytic_jacobians(jac: Callable, second: Optional[Callable] = None):
     """Jacobian provider of a hand-written ``[f_y | f_p]`` that carries ``second``.
 
-    ``jac`` and ``second`` take ``(t, y, p)``; see ``OdeModel``.
+    ``jac`` and ``second`` take ``(t, y, p)``; see ``OdeModel``.  Like every
+    provider, ``provider(f, t, y, p)`` returns the pair ``(f(t, y, p),
+    [f_y | f_p])``, so a step evaluates the model through its provider only.
     """
 
     def provider(f, t, y, p):
-        return np.asarray(jac(t, y, p))
+        return f(t, y, p), np.asarray(jac(t, y, p))
 
     provider.second = second
     return provider
@@ -73,19 +80,22 @@ def analytic_jacobians(jac: Callable, second: Optional[Callable] = None):
 def dual_jacobians():
     """Jacobian provider that differentiates the right-hand side with duals.
 
-    The state and parameter vectors are lifted together with one identity
-    seed block, so a single dual pass gives ``[f_y | f_p]`` and every value
-    the function touches lives at the same lifting level; this is what
-    allows the provider to be applied on top of inputs that are already
-    dual-valued.  Lanes, ``y`` of shape ``(m, B)`` and ``p`` of shape
-    ``(k, B)``, take one pass each, stacked on a last axis.
+    The provider returns the pair ``(f(t, y, p), [f_y | f_p])``.  For the
+    block, the state and parameter vectors are lifted together with one
+    identity seed block, so a single dual pass gives ``[f_y | f_p]`` and
+    every value the function touches lives at the same lifting level; this
+    is what allows the provider to be applied on top of inputs that are
+    already dual-valued.  Lanes, ``y`` of shape ``(m, B)`` and ``p`` of
+    shape ``(k, B)``, take one pass each, stacked on a last axis.
     """
 
     def provider(f, t, y, p):
-        if y.ndim == 2:
-            return np.stack([provider(f, t, *lane) for lane in zip(y.T, p.T)], axis=-1)
         m = len(y)
-        return eval_jacobian_dual(lambda z: f(t, z[:m], z[m:]), np.concatenate([y, p]))
+        if y.ndim == 2:
+            first = [eval_jacobian_dual(lambda z: f(t, z[:m], z[m:]), np.concatenate(lane))
+                     for lane in zip(y.T, p.T)]
+            return f(t, y, p), np.stack(first, axis=-1)
+        return f(t, y, p), eval_jacobian_dual(lambda z: f(t, z[:m], z[m:]), np.concatenate([y, p]))
 
     return provider
 
@@ -104,8 +114,9 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
 
     Maps ``(t, x, p)`` with ``x`` the ``(1 + k + m, m)`` row stack
     ``[y; V^T; W^T]`` to its derivative ``[f; (f_y V + f_p)^T; (f_y W)^T]``
-    in the shape of ``x``; ``jac`` supplies ``[f_y | f_p]``, the
-    ``(m, m + k)`` derivative of ``f`` in ``(y, p)``.  A flat ``x``, the
+    in the shape of ``x``; the provider ``jac`` supplies both ``f`` and
+    ``[f_y | f_p]``, the ``(m, m + k)`` derivative of ``f`` in ``(y, p)``,
+    from one call, and nothing else evaluates ``f``.  A flat ``x``, the
     C-order ravel of the stack, is accepted too: that is how a Jacobian
     provider sees the state one payload level down.  The derivative is one
     product, the row stack times ``f_y^T``, whose row 0 is then replaced by
@@ -114,27 +125,30 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
 
     The lane form, the attribute ``lanes`` of the returned function, takes
     a ``(B, 1 + k + m, m)`` ``x``, one row stack per column of a ``(k, B)``
-    ``p``.  ``f`` and ``jac`` then see ``y`` of shape ``(m, B)`` and ``p``,
-    and ``jac`` returns ``(m, m + k, B)``.  The product is one stacked
-    ``matmul`` over C-contiguous lanes of ``f_y``, the BLAS call of the
-    one-lane product, so each lane is bitwise its own system.
+    ``p``.  ``jac`` then sees ``y`` of shape ``(m, B)`` and ``p``, and
+    returns ``f`` of shape ``(m, B)`` with ``[f_y | f_p]`` of shape
+    ``(m, m + k, B)``.  The product is one stacked ``matmul`` over
+    C-contiguous lanes of ``f_y``, the BLAS call of the one-lane product,
+    so each lane is bitwise its own system.
 
     The returned function also carries its own Jacobian provider as the
-    attribute ``jacobians``.  The system is linear in ``(V, W)``, so with
-    ``n = (1 + k + m) m`` its ``(n, n + k)`` derivative in ``(x, p)`` is
-    assembled from blocks: ``[f_y, 0 | f_p]`` in row block 0, ``I (x) f_y``
-    in the ``V``/``W`` columns, and in the ``y`` and ``p`` columns of row
-    block ``1 + l`` the second-order terms ``sum_q d f_y[:, q] S[q, l]``
-    (plus ``d f_p[:, l]`` in the ``V`` rows) with ``S = [V | W]``.  The
-    derivatives of ``[f_y | f_p]`` in ``(y, p)`` come from ``jac.second``
-    when ``jac`` has one, whatever the scalar kind of the inputs, and
-    otherwise from one dual pass of ``jac`` with ``m + k`` seeds.  The sum
-    over ``q`` runs in the order in which the system's object dot sums,
-    ``q = 0`` first and ``f_p`` last.  Where ``jac`` equals a dual pass
-    over ``f`` and ``jac.second`` a dual pass over ``jac``, as they do for
-    every packaged model, the blocks therefore equal, value for value, a
-    dual pass over the whole system with ``n + k`` seeds; only the sign of
-    an exact zero may differ.
+    attribute ``jacobians``, which returns the system's value with its
+    Jacobian, so a lowered step evaluates the model once.  The system is
+    linear in ``(V, W)``, so with ``n = (1 + k + m) m`` its ``(n, n + k)``
+    derivative in ``(x, p)`` is assembled from blocks: ``[f_y, 0 | f_p]``
+    in row block 0, ``I (x) f_y`` in the ``V``/``W`` columns, and in the
+    ``y`` and ``p`` columns of row block ``1 + l`` the second-order terms
+    ``sum_q d f_y[:, q] S[q, l]`` (plus ``d f_p[:, l]`` in the ``V`` rows)
+    with ``S = [V | W]``.  The derivatives of ``[f_y | f_p]`` in ``(y, p)``
+    come from ``jac.second`` when ``jac`` has one, whatever the scalar kind
+    of the inputs, and otherwise from one dual pass of ``jac`` with
+    ``m + k`` seeds over ``[f | f_y | f_p]``, which gives the value and the
+    first derivatives too.  The sum over ``q`` runs in the order in which
+    the system's object dot sums, ``q = 0`` first and ``f_p`` last.  Where
+    ``jac`` equals a dual pass over ``f`` and ``jac.second`` a dual pass
+    over ``jac``, as they do for every packaged model, the blocks therefore
+    equal, value for value, a dual pass over the whole system with
+    ``n + k`` seeds; only the sign of an exact zero may differ.
     """
     m, k = state_dim, n_params
     n = (1 + k + m) * m
@@ -147,44 +161,45 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
     diagonal = (lanes[:, :, None], lanes[:, None, :])
     block = (m, m + k)
 
-    def partials(t, y, p, shape=block):
-        first = jac(f, t, y, p)
-        if first.shape != shape:
-            raise ValueError(f"jacobian provider returned shape {first.shape}; "
-                             f"expected {shape}")
-        return first
+    def check(name, array, shape):
+        if array.shape != shape:
+            raise ValueError(f"{name} returned shape {array.shape}; expected {shape}")
+
+    def derivative(rows, value, first):
+        # compared here, not in a call: this runs once per step
+        if first.shape != block:
+            check("jacobian provider", first, block)
+        # the product with a strided view of f_y may round differently
+        out = rows.dot(np.ascontiguousarray(first[:, :m]).T)
+        out[0] = value
+        out[1:1 + k] += first[:, m:].T
+        return out
 
     def aug_lanes(t, x, p):
-        y = x[:, 0].T
-        first = partials(t, y, p, block + (x.shape[0],))
+        value, first = jac(f, t, x[:, 0].T, p)
+        check("jacobian provider", first, block + x.shape[:1])
         f_y = np.ascontiguousarray(first[:, :m].transpose(2, 0, 1))
         out = np.matmul(x, f_y.swapaxes(1, 2))
-        out[:, 0] = f(t, y, p).T
+        out[:, 0] = value.T
         out[:, 1:1 + k] += first[:, m:].T
         return out
 
     def aug(t, x, p):
         rows = x.reshape(1 + k + m, m)
-        y = rows[0]
-        first = partials(t, y, p)
-        # the product with a strided view of f_y may round differently
-        out = rows.dot(np.ascontiguousarray(first[:, :m]).T)
-        out[0] = f(t, y, p)
-        out[1:1 + k] += first[:, m:].T
-        return out.reshape(x.shape)
+        return derivative(rows, *jac(f, t, rows[0], p)).reshape(x.shape)
 
     def jacobians(_aug, t, x, p):
         rows = x.reshape(1 + k + m, m)
-        # first is [f_y | f_p], second its derivatives in (y, p), (m, m + k, m + k)
+        # value is f, first [f_y | f_p], second its derivatives in (y, p), (m, m + k, m + k)
         if second_of is not None:
-            first = partials(t, rows[0], p)
+            value, first = jac(f, t, rows[0], p)
             second = np.asarray(second_of(t, rows[0], p))
-            if second.shape != (m, m + k, m + k):
-                raise ValueError(f"second derivative returned shape {second.shape}; "
-                                 f"expected ({m}, {m + k}, {m + k})")
+            check("second derivative", second, (m, m + k, m + k))
         else:
-            first, second = eval_jvp_dual(
-                lambda z: partials(t, z[:m], z[m:]), np.concatenate([rows[0], p]), seeds)
+            primal, tangent = eval_jvp_dual(lambda z: np.column_stack(jac(f, t, z[:m], z[m:])),
+                                            np.concatenate([rows[0], p]), seeds)
+            value, first, second = primal[:, 0], primal[:, 1:], tangent[:, 1:]
+        dx = derivative(rows, value, first).reshape(x.shape)
         # rows[1 + l] is column l of S; cross[l] is row block 1 + l, columns (y, p)
         cross = second[:, 0] * rows[1:, 0, None, None]
         for q in range(1, m):
@@ -194,7 +209,7 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
         j[:m, y_p] = first
         j[m:, y_p] = cross.reshape(n - m, m + k)
         j[diagonal] = first[:, :m]
-        return j
+        return dx, j
 
     aug.jacobians = jacobians
     aug.lanes = aug_lanes
@@ -264,10 +279,15 @@ def forward_sensitivity_solve(
     only Euler gives: RK23 would pick every step from the error of all the
     lanes together, so RK23 lanes are rejected; run RK23 columns one by one
     (see :func:`~odesens.solvers.run_columns`).  Lanes with dual payloads
-    are rejected too.
+    are rejected too, and so is any other pair of shapes, a 1-D ``p`` with
+    lanes of ``y0`` or a lane count that differs included, whichever the
+    provider.
     """
     y0 = np.asarray(y0)
     p = np.asarray(p)
+    if y0.ndim not in (1, 2) or p.ndim != y0.ndim or p.shape[1:] != y0.shape[1:]:
+        raise ValueError(f"y0 of shape {y0.shape} and p of shape {p.shape} are neither one "
+                         "input, (m,) and (k,), nor B lanes, (m, B) and (k, B)")
     m, k = y0.shape[0], p.shape[0]
     dual = contains_dual(y0) or contains_dual(p)
     if y0.ndim > 1:

@@ -98,6 +98,20 @@ GOLDEN = {
         "f3c74c4aa006204185556f07b6d131ff235c7fad65d301de421137e17a901313"),
     "gradient-fm-rk23": (["gradient", "--mode", "fm", *RK23],
         "f3c74c4aa006204185556f07b6d131ff235c7fad65d301de421137e17a901313"),
+    # the AD provider on the lowered paths equals the analytic one bitwise,
+    # so each of these equals its analytic case
+    "hessian-for-ad-rk23": (["hessian", "--method", "for", "--jac", "ad", "--solver", "rk23",
+                             *HESS],
+        "3399c8886728cec987f2cc19d6987381a5d95af25b10c83834a6b4cbf7159e66"),
+    "hessian-fd-ad-rk23": (["hessian", "--method", "fd", "--jac", "ad", "--solver", "rk23",
+                            *HESS],
+        "871306089ece3ba66351c23f9c74bbd28a8b5577effd76b30e48adeb00ae5925"),
+    "hessian-for-ad-linear": (["hessian", "--method", "for", "--jac", "ad", "--model", "linear",
+                               *HESS],
+        "32e51cdcf86765d0075c832defd50a42c0821786984e986b07dfaebb26801a29"),
+    "hessian-for-ad-t20": (["hessian", "--method", "for", "--jac", "ad", "--t-end", "20",
+                            "--n-points", "201"],
+        "2d7b39186bf11aa12627c49a8edf6d642754452c3b0fdf0b40927d6ca00ea370"),
 }
 
 # the aligned text table `compare` prints to stdout when --output is given

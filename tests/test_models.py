@@ -378,9 +378,9 @@ def test_hessian_lowered_solves_are_two_composite_solves(solve_shapes):
     assert solve_shapes == [(19, 14)] * 2
 
 
-@pytest.mark.parametrize("jac, passes", [("analytic", []), ("ad", [6] * 80)])
+@pytest.mark.parametrize("jac, passes", [("analytic", []), ("ad", [6] * 40)])
 def test_hessian_lowered_jacobian_makes_no_pass_over_the_augmented_rhs(monkeypatch, jac, passes):
-    columns, jac_inputs, jvp_seeds = [], [], []
+    columns, jac_inputs, jvp_seeds, rhs_calls = [], [], [], []
     jacobian_dual, jvp_dual = sensitivity.eval_jacobian_dual, sensitivity.eval_jvp_dual
 
     def counted_jacobian(f, x):
@@ -395,19 +395,26 @@ def test_hessian_lowered_jacobian_makes_no_pass_over_the_augmented_rhs(monkeypat
         jac_inputs.append(type(y[0]))
         return lv_jac(t, y, p)
 
+    def counted_rhs(t, y, p):
+        rhs_calls.append(t)
+        return lv_rhs(t, y, p)
+
     monkeypatch.setattr(sensitivity, "eval_jacobian_dual", counted_jacobian)
     monkeypatch.setattr(sensitivity, "eval_jvp_dual", counted_jvp)
-    model = dataclasses.replace(MODELS["lv"], jac=counted_jac)
+    model = dataclasses.replace(MODELS["lv"], rhs=counted_rhs, jac=counted_jac)
     fmain_hessian(Y0, P, Points(np.linspace(0.0, 2.0, 21)), EulerMethod(0.1), model=model, jac=jac)
-    # 2 lowered solves of 20 Euler steps; with AD each step runs the model's
-    # 6-seed provider once for the lowered Jacobian and once for the RHS
+    # 2 lowered solves of 20 Euler steps; each step calls the provider once,
+    # and its value is row 0 of the lowered derivative: analytic evaluates
+    # rhs and jac once, AD rhs once on the step's duals and once in its
+    # 6-seed pass
     assert sorted(columns) == passes
+    assert len(rhs_calls) == (40 if jac == "analytic" else 80)
     # analytic: the model's second derivatives replace the 6-seed pass over
     # its Jacobians, so no step builds a Dual1
     assert jvp_seeds == ([] if jac == "analytic" else [(6, 6)] * 40)
     if jac == "analytic":
-        # the model's own Jacobian runs on the real lowered states only
-        assert jac_inputs and Dual1 not in jac_inputs
+        # the model's own Jacobian runs once per step, on the real lowered states only
+        assert len(jac_inputs) == 40 and Dual1 not in jac_inputs
     else:
         # the AD provider differentiates the right-hand side, never the model's jac
         assert jac_inputs == []

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import BINDING
 from odesens import sensitivity
 from odesens.models import MODELS, OdeModel, linear_rhs, lv_jac, lv_rhs
-from odesens.scalars import Dual1, lift_dual, primal_values, tangent_part, tangent_values
+from odesens.scalars import Dual1, lift_dual, primal_values, tangent_values
 from odesens.sensitivity import (
     SensitivityBundle,
     _augmented_system,
@@ -174,10 +175,12 @@ def test_structured_jacobian_equals_dual_pass(case, data):
     entries = st.floats(-1e3, 1e3)
     x = data.draw(arrays(float, (1 + k + m) * m, elements=entries), label="x")
     p = data.draw(arrays(float, k, elements=entries), label="p")
-    j = aug.jacobians(aug, 0.0, x, p)
+    value, j = aug.jacobians(aug, 0.0, x, p)
     assert j.dtype == float
+    # the value the lowered step takes as its row 0 is the system's own, bitwise
+    assert value.tobytes() == aug(0.0, x, p).tobytes()
     # equal in value; only the sign of some exact zeros may differ
-    assert np.array_equal(j, dual_jacobians()(aug, 0.0, x, p))
+    assert np.array_equal(j, dual_jacobians()(aug, 0.0, x, p)[1])
 
 
 @pytest.mark.parametrize("case", _STRUCTURED_CASES, ids=_CASE_IDS)
@@ -187,9 +190,11 @@ def test_structured_jacobian_of_dual_inputs_equals_dual_pass(case):
     rng = np.random.default_rng(5)
     x = lift_dual(rng.normal(scale=10.0, size=(1 + k + m) * m), rng.normal(size=((1 + k + m) * m, 3)))
     p = lift_dual(rng.normal(size=k), rng.normal(size=(k, 3)))
-    got, expected = aug.jacobians(aug, 0.0, x, p), dual_jacobians()(aug, 0.0, x, p)
-    assert np.array_equal(primal_values(got), primal_values(expected))
-    assert np.array_equal(tangent_values(got), tangent_values(expected))
+    (value, got), (dual_value, expected) = (aug.jacobians(aug, 0.0, x, p),
+                                            dual_jacobians()(aug, 0.0, x, p))
+    for a, b in ((value, dual_value), (got, expected), (value, aug(0.0, x, p))):
+        assert np.array_equal(primal_values(a), primal_values(b))
+        assert np.array_equal(tangent_values(a), tangent_values(b))
 
 
 def test_dual_aware_solve_lowers_an_augmented_system_with_its_own_jacobian(monkeypatch):
@@ -309,6 +314,21 @@ class TestLanes:
         y0 = lift_dual(np.ones((2, 3)), np.ones((2, 3, 1)))
         with pytest.raises(ValueError, match="lanes take real inputs"):
             forward_sensitivity_solve(lv_rhs, LV_ANALYTIC, np.ones((4, 3)), y0,
+                                      Points(np.linspace(0.0, 1.0, 3)), EulerMethod(0.1))
+
+    @pytest.mark.parametrize("kind", ["analytic", "ad"])
+    @pytest.mark.parametrize("p_shape, y0_shape", [
+        ((4,), (2, 3)),
+        ((4, 2), (2, 3)),
+        ((4, 3), (2,)),
+        ((4,), (2, 3, 1)),
+    ], ids=["1-D p, lanes of y0", "other lane count", "lanes of p, 1-D y0", "3-D y0"])
+    def test_mismatched_lane_shapes_are_rejected(self, kind, p_shape, y0_shape):
+        p = np.resize(LV_P, p_shape[::-1]).T
+        y0 = np.broadcast_to(LV_Y0.reshape((2,) + (1,) * (len(y0_shape) - 1)), y0_shape)
+        message = re.escape(f"y0 of shape {y0_shape} and p of shape {p_shape}")
+        with pytest.raises(ValueError, match=message):
+            forward_sensitivity_solve(lv_rhs, jacobian_provider(MODELS["lv"], kind), p, y0,
                                       Points(np.linspace(0.0, 1.0, 3)), EulerMethod(0.1))
 
     def test_rk23_lanes_are_rejected(self):
@@ -480,7 +500,7 @@ class TestEulerCommutation:
             traj = euler_solve(
                 lambda t, y: lv_rhs(t, y, p_dual), Points(pts), y0_dual, 0.1
             )
-            tangents = np.array([[tangent_part(v) for v in row] for row in traj.states])
+            tangents = tangent_values(traj.states)
             expected = bundle.dy_dp[:, :, k]
             scale = np.maximum(np.abs(expected), 1.0)
             assert np.max(np.abs(tangents - expected) / scale) <= 1e-13
@@ -589,9 +609,7 @@ class TestDualAwareSolve:
             y0_d = np.array(lifted[:2], dtype=object)
             p_d = np.array(lifted[2:], dtype=object)
             traj = dual_aware_solve(lv_rhs, p_d, y0_d, Points(pts), EulerMethod(0.1))
-            return np.array(
-                [[tangent_part(tangent_part(s)) for s in row] for row in traj.states]
-            )
+            return tangent_values(tangent_values(traj.states))
 
         duv = mixed(u, v)
         dvu = mixed(v, u)
