@@ -158,15 +158,22 @@ class OdeModel:
     scenarios, scenario files and CLI flags to accept its keys.
 
     A sensitivity step reads ``rhs`` and ``jac`` at the same point through
-    one Jacobian provider call, which returns the pair ``(f, [f_y | f_p])``
-    (see :func:`~odesens.sensitivity.analytic_jacobians`); no step calls
-    ``rhs`` apart from it.
+    a Jacobian provider, which returns the pair ``(f, [f_y | f_p])`` (see
+    :func:`~odesens.sensitivity.analytic_jacobians`).  An Euler
+    sensitivity solve calls ``rhs`` alone for its state pass, then the
+    provider once per block of steps.
 
     ``rhs`` and ``jac`` must work elementwise over a trailing lane axis:
     ``y`` of shape ``(m, B)`` and ``p`` of shape ``(k, B)`` give ``f`` of
     shape ``(m, B)`` and ``[f_y | f_p]`` of shape ``(m, m + k, B)``, lane
     ``b`` bitwise the value at column ``b``.  Euler solves and their
-    sensitivities run many inputs as such lanes.
+    sensitivities run many inputs as such lanes.  Under lanes ``t`` may be
+    a vector of lane times, one per column: an Euler sensitivity solve
+    evaluates a block of steps at their own times in one call.  In a
+    dual-number lane pass that vector is a lane dual of zero tangent (see
+    :func:`~odesens.sensitivity.dual_jacobians`), so ``rhs`` may combine
+    ``t`` with the state by plain arithmetic.  Every packaged model is
+    autonomous.
 
     ``second(t, y, p)``, optional, returns the ``(m, m + k, m + k)``
     derivative of ``[f_y | f_p]`` in ``(y, p)``.  With analytic Jacobians

@@ -58,9 +58,13 @@ class Dual1:
     is bitwise the tangent a one-seed pass would give.  A constant keeps
     the scalar tangent ``0.0``, which broadcasts against any vector.
 
-    Division by a dual whose (bottom-level) primal is zero raises
-    ``ZeroDivisionError``: none of the supported models divide, so such a
-    division is always a bug rather than a value to propagate.
+    A lane dual holds an array of primals, one per lane, and a tangent
+    whose last axis runs over the same lanes, such as ``(n, lanes)``; the
+    rules then broadcast, so each lane is bitwise its own scalar pass.
+
+    Division by a dual whose (bottom-level) primal is zero, in any lane,
+    raises ``ZeroDivisionError``: none of the supported models divide, so
+    such a division is always a bug rather than a value to propagate.
     """
 
     __slots__ = ("primal", "tangent")
@@ -159,7 +163,9 @@ def _bottom_primal(value):
 
 
 def _require_invertible(divisor):
-    if _bottom_primal(divisor) == 0:
+    primal = _bottom_primal(divisor)
+    # the primal of a lane dual is an array, which must not be zero in any lane
+    if (primal == 0).any() if isinstance(primal, np.ndarray) else primal == 0:
         raise ZeroDivisionError("division by a dual number with zero primal")
 
 
@@ -211,7 +217,11 @@ def _scalar_array(values: Sequence, shape) -> np.ndarray:
         out = np.empty(len(values), dtype=object)
         out[:] = values
         return out.reshape(shape)
-    return np.asarray(values).reshape(shape)
+    # the primals of lane duals are arrays; a constant among them fills its lanes
+    lanes = next((v.shape for v in values if isinstance(v, np.ndarray)), None)
+    if lanes is None:
+        return np.asarray(values).reshape(shape)
+    return np.array([np.broadcast_to(v, lanes) for v in values]).reshape(shape + lanes)
 
 
 _dual_of = np.frompyfunc(Dual1, 2, 1)
@@ -237,7 +247,10 @@ def lift_dual(x, seed) -> np.ndarray:
 
 
 def primal_values(arr) -> np.ndarray:
-    """Primals of an array of duals and constants, in the array's shape."""
+    """Primals of an array of duals and constants, in the array's shape.
+
+    Lane duals add their lane axis last, constants filled to every lane.
+    """
     arr = np.asarray(arr)
     return _scalar_array(map(_primal_part, arr.flat), arr.shape)
 
@@ -260,15 +273,16 @@ def tangent_values(arr) -> np.ndarray:
     return np.array(widened).reshape(arr.shape + width)
 
 
-def _seeded_tangents(out, n: int) -> np.ndarray:
-    """Tangents of an ``n``-seed dual pass, in shape ``out.shape + (n,)``.
+def _seeded_tangents(out, width: tuple) -> np.ndarray:
+    """Tangents of a seeded dual pass, in shape ``out.shape + width``.
 
-    An output that never touched the input carries only the scalar zero
-    tangent of a constant, which widens to ``n`` zeros.
+    ``width`` is ``(n,)`` for ``n`` seeds, or ``(n, lanes)`` for a lane
+    pass.  An output that never touched the input carries only the scalar
+    zero tangent of a constant, which widens to zeros of that shape.
     """
     out = np.asarray(out)
     tangent = tangent_values(out)
-    return tangent if tangent.ndim > out.ndim else np.zeros(out.shape + (n,))
+    return tangent if tangent.ndim > out.ndim else np.zeros(out.shape + width)
 
 
 def eval_jvp_dual(f: Callable, x, seed):
@@ -284,7 +298,7 @@ def eval_jvp_dual(f: Callable, x, seed):
     seed = np.asarray(seed)
     out = f(lift_dual(x, seed))
     if seed.ndim > x.ndim:
-        return primal_values(out), _seeded_tangents(out, seed.shape[-1])
+        return primal_values(out), _seeded_tangents(out, seed.shape[-1:])
     return primal_values(out), tangent_values(out)
 
 
@@ -294,10 +308,22 @@ def eval_jacobian_dual(f: Callable, x) -> np.ndarray:
     Each input carries the vector tangent of its unit seed, so ``f`` runs
     once and the tangent block, of shape ``f(x).shape + (len(x),)``, is the
     Jacobian.
+
+    A real ``x`` of shape ``(n, lanes)`` holds one input per column, and
+    still takes one pass: input ``i`` is one lane dual whose primal is the
+    row ``x[i]`` and whose tangent is the ``(n, lanes)`` unit seed of row
+    ``i``.  ``f`` must then work elementwise over the lanes, and the
+    Jacobian has shape ``f(x).shape + (n, lanes)``, lane ``b`` bitwise the
+    Jacobian at column ``b``.
     """
     x = np.asarray(x)
     n = x.shape[0]
-    return _seeded_tangents(f(lift_dual(x, np.eye(n))), n)
+    if x.ndim == 1:
+        return _seeded_tangents(f(lift_dual(x, np.eye(n))), (n,))
+    seeds = np.broadcast_to(np.eye(n)[:, :, None], (n,) + x.shape)
+    lifted = np.empty(n, dtype=object)
+    lifted[:] = list(map(Dual1, x, seeds))
+    return _seeded_tangents(f(lifted), x.shape)
 
 
 def complex_step_column(f: Callable, x, k: int) -> np.ndarray:

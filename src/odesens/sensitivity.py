@@ -14,6 +14,16 @@ augmenting, and reassembling), and a forward-over-reverse Hessian
 driver.  Real inputs with a trailing column axis are integrated as lanes
 of one Euler solve, each lane its own system.
 
+The variational equations are linear in the sensitivities, and under
+Euler their coefficients depend only on the state trajectory.  A real
+Euler solve of a model's right-hand side, whose lane contract is known,
+therefore runs in two passes: the state alone, one block of steps ahead,
+then the composite recurrence, whose ``f`` and ``[f_y | f_p]`` come from
+one lane-form provider call per block of steps, every lane included.
+Every number is bitwise that of a solve that calls the provider once per
+step, as RK23, the lowered solves below and any right-hand side not known
+to take lanes still do.
+
 The augmented system is linear in its sensitivity blocks, so it carries a
 structured Jacobian of its own.  Lowering a dual-valued sensitivity solve,
 as the Hessian driver does, integrates the augmented system of the
@@ -32,6 +42,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .scalars import (
+    Dual1,
     contains_dual,
     eval_jacobian_dual,
     eval_jvp_dual,
@@ -40,12 +51,15 @@ from .scalars import (
     tangent_values,
 )
 from .solvers import (
+    EulerMethod,
     RK23Method,
     SolverMethod,
     Span,
     SpanModeError,
     TimeSpec,
     Trajectory,
+    _euler_gaps,
+    _euler_grid,
     run_solver,
 )
 
@@ -60,6 +74,18 @@ __all__ = [
     "dual_aware_solve",
     "hessian_forward_over_reverse",
 ]
+
+# Euler steps times lanes whose Jacobians one provider call evaluates: enough
+# to share the cost of the call, few enough that a block stays small however
+# many lanes a solve has (1024 steps of one lane, 42 of the FD Hessian's 24)
+_BLOCK_LANES = 1024
+
+
+def _check_shape(name, array, shape, lanes=None):
+    expected = shape if lanes is None else shape + (lanes,)
+    if array.shape != expected:
+        tail = "" if lanes is None else f" with a last axis of {lanes} lanes"
+        raise ValueError(f"{name} returned shape {array.shape}; expected {shape}{tail}")
 
 
 def analytic_jacobians(jac: Callable, second: Optional[Callable] = None):
@@ -80,33 +106,52 @@ def analytic_jacobians(jac: Callable, second: Optional[Callable] = None):
 def dual_jacobians():
     """Jacobian provider that differentiates the right-hand side with duals.
 
-    The provider returns the pair ``(f(t, y, p), [f_y | f_p])``.  For the
-    block, the state and parameter vectors are lifted together with one
-    identity seed block, so a single dual pass gives ``[f_y | f_p]`` and
-    every value the function touches lives at the same lifting level; this
-    is what allows the provider to be applied on top of inputs that are
-    already dual-valued.  Lanes, ``y`` of shape ``(m, B)`` and ``p`` of
-    shape ``(k, B)``, take one pass each, stacked on a last axis.
+    The provider returns the pair ``(f(t, y, p), [f_y | f_p])`` from one
+    dual pass: the state and parameter vectors are lifted together with one
+    identity seed block, the pass gives ``[f_y | f_p]`` as its tangents and
+    ``f`` as its primals, and every value the function touches lives at the
+    same lifting level; this is what allows the provider to be applied on
+    top of inputs that are already dual-valued.  Lanes, ``y`` of shape
+    ``(m, B)`` and ``p`` of shape ``(k, B)``, take that one pass too, with
+    lane duals (see :func:`~odesens.scalars.eval_jacobian_dual`); ``f``
+    must then follow the lane contract of ``OdeModel``.  A vector ``t`` of
+    lane times enters the pass as a lane dual of zero tangent, so ``f`` may
+    combine it with the state by plain arithmetic, each lane bitwise its
+    pass at a real ``t``.
     """
 
     def provider(f, t, y, p):
         m = len(y)
-        if y.ndim == 2:
-            first = [eval_jacobian_dual(lambda z: f(t, z[:m], z[m:]), np.concatenate(lane))
-                     for lane in zip(y.T, p.T)]
-            return f(t, y, p), np.stack(first, axis=-1)
-        return f(t, y, p), eval_jacobian_dual(lambda z: f(t, z[:m], z[m:]), np.concatenate([y, p]))
+        if isinstance(t, np.ndarray):
+            t = Dual1(t)
+        out = []
+
+        def rhs(z):
+            out.append(f(t, z[:m], z[m:]))
+            return out[0]
+
+        first = eval_jacobian_dual(rhs, np.concatenate([y, p]))
+        return primal_values(out[0]), first
 
     return provider
 
 
 def jacobian_provider(model, kind: str):
-    """Resolve ``"analytic"`` or ``"ad"`` to a Jacobian provider for an ``OdeModel``."""
+    """Resolve ``"analytic"`` or ``"ad"`` to a Jacobian provider for an ``OdeModel``.
+
+    The model's ``rhs`` and ``jac`` follow its lane contract, so the
+    provider records ``model.rhs``: a real Euler sensitivity solve of that
+    ``rhs`` with this provider evaluates blocks of steps in one lane-form
+    call (see :func:`forward_sensitivity_solve`).
+    """
     if kind == "analytic":
-        return analytic_jacobians(model.jac, model.second)
-    if kind == "ad":
-        return dual_jacobians()
-    raise ValueError(f"unknown jacobian provider {kind!r}; choose 'analytic' or 'ad'")
+        provider = analytic_jacobians(model.jac, model.second)
+    elif kind == "ad":
+        provider = dual_jacobians()
+    else:
+        raise ValueError(f"unknown jacobian provider {kind!r}; choose 'analytic' or 'ad'")
+    provider._lane_rhs = model.rhs
+    return provider
 
 
 def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
@@ -123,13 +168,11 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
     ``f`` and whose ``V`` rows get ``f_p^T`` added: the products of
     ``f_y [V | W]``, summed in ``q`` order, with ``f_p`` last.
 
-    The lane form, the attribute ``lanes`` of the returned function, takes
-    a ``(B, 1 + k + m, m)`` ``x``, one row stack per column of a ``(k, B)``
-    ``p``.  ``jac`` then sees ``y`` of shape ``(m, B)`` and ``p``, and
-    returns ``f`` of shape ``(m, B)`` with ``[f_y | f_p]`` of shape
-    ``(m, m + k, B)``.  The product is one stacked ``matmul`` over
-    C-contiguous lanes of ``f_y``, the BLAS call of the one-lane product,
-    so each lane is bitwise its own system.
+    This per-step form serves RK23, whose step control reads ``(V, W)``,
+    and the lowered solves of :func:`dual_aware_solve`, whose provider has
+    no lane form, and any right-hand side not known to take lanes.  A real
+    Euler solve of a model's ``rhs`` with its provider runs the same
+    product in two passes instead (see :func:`_two_pass_euler`).
 
     The returned function also carries its own Jacobian provider as the
     attribute ``jacobians``, which returns the system's value with its
@@ -161,27 +204,14 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
     diagonal = (lanes[:, :, None], lanes[:, None, :])
     block = (m, m + k)
 
-    def check(name, array, shape):
-        if array.shape != shape:
-            raise ValueError(f"{name} returned shape {array.shape}; expected {shape}")
-
     def derivative(rows, value, first):
         # compared here, not in a call: this runs once per step
         if first.shape != block:
-            check("jacobian provider", first, block)
+            _check_shape("jacobian provider", first, block)
         # the product with a strided view of f_y may round differently
         out = rows.dot(np.ascontiguousarray(first[:, :m]).T)
         out[0] = value
         out[1:1 + k] += first[:, m:].T
-        return out
-
-    def aug_lanes(t, x, p):
-        value, first = jac(f, t, x[:, 0].T, p)
-        check("jacobian provider", first, block + x.shape[:1])
-        f_y = np.ascontiguousarray(first[:, :m].transpose(2, 0, 1))
-        out = np.matmul(x, f_y.swapaxes(1, 2))
-        out[:, 0] = value.T
-        out[:, 1:1 + k] += first[:, m:].T
         return out
 
     def aug(t, x, p):
@@ -194,7 +224,7 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
         if second_of is not None:
             value, first = jac(f, t, rows[0], p)
             second = np.asarray(second_of(t, rows[0], p))
-            check("second derivative", second, (m, m + k, m + k))
+            _check_shape("second derivative", second, (m, m + k, m + k))
         else:
             primal, tangent = eval_jvp_dual(lambda z: np.column_stack(jac(f, t, z[:m], z[m:])),
                                             np.concatenate([rows[0], p]), seeds)
@@ -212,7 +242,6 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
         return dx, j
 
     aug.jacobians = jacobians
-    aug.lanes = aug_lanes
     return aug
 
 
@@ -282,6 +311,16 @@ def forward_sensitivity_solve(
     are rejected too, and so is any other pair of shapes, a 1-D ``p`` with
     lanes of ``y0`` or a lane count that differs included, whichever the
     provider.
+
+    A real Euler solve of a model's ``rhs`` with the model's provider
+    from :func:`jacobian_provider`, one lane or ``B``, runs in two passes
+    (see :func:`_two_pass_euler`): the model's lane contract lets one
+    provider call evaluate a block of steps, with ``t`` a vector of lane
+    times.  Any other ``f`` or provider is not known to take lanes, so the
+    composite system is stepped with one provider call per step at a real
+    ``t``, lanes one column at a time; so is every RK23 solve, whose step
+    control reads the sensitivities, and every lowered solve, whose ``f``
+    is an augmented system of this module.  Both ways give the same bits.
     """
     y0 = np.asarray(y0)
     p = np.asarray(p)
@@ -306,10 +345,102 @@ def forward_sensitivity_solve(
 
     if dual:
         traj = dual_aware_solve(system, p, x0.ravel(), time, method)
+    elif isinstance(method, EulerMethod) and getattr(jac, "_lane_rhs", None) is f:
+        traj = _two_pass_euler(f, jac, p, y0, x0, time, method)
+    elif y0.ndim == 1:
+        traj = run_solver(lambda t, x: system(t, x, p), time, x0, method)
     else:
-        rhs = system.lanes if y0.ndim > 1 else system
-        traj = run_solver(lambda t, x: rhs(t, x, p), time, x0, method)
+        columns = [forward_sensitivity_solve(f, jac, p[:, b], y0[:, b], time, method)
+                   for b in range(y0.shape[1])]
+        return SensitivityBundle(columns[0].times, np.stack([c.states for c in columns], 1), time)
     return SensitivityBundle(traj.times, traj.states.reshape((-1,) + x0.shape), time)
+
+
+def _two_pass_euler(f: Callable, jac, p, y0, x0, time: TimeSpec, method: EulerMethod) -> Trajectory:
+    """Euler solve of the augmented system whose Jacobians are evaluated ahead of its steps.
+
+    The variational equations are linear in ``(V, W)``, and under Euler
+    their coefficients depend only on the state trajectory, which does not
+    depend on ``(V, W)``.  So a state pass steps the state alone, with the
+    substeps and arithmetic of :func:`~odesens.solvers.euler_solve`, and
+    records the state of a block of substeps at a time, as many as make
+    :data:`_BLOCK_LANES` lanes together with the solve's lanes.  The
+    provider then gives ``f`` and ``[f_y | f_p]`` of those steps, every
+    lane included, in one lane-form call, and the composite recurrence
+    takes them through the Euler loop with the product of the per-step
+    system, or for lanes its stacked ``matmul`` form: the row stack times
+    the transpose of a C-contiguous ``f_y``, row 0 set to ``f``, then
+    ``f_p^T`` added.  Each step's operands are those of the per-step solve,
+    so every number is bitwise the same.  The state pass runs one block
+    ahead of the recurrence, so memory grows with the output rows and the
+    lanes, not with the substeps.
+
+    An error of ``f`` in the state pass is raised once the recurrence comes
+    to the step that met it, inside the recurrence's Euler loop, so a
+    non-finite row the recurrence made before names the step, t and h the
+    per-step solve names.  An error of the provider is raised at the first
+    step of its block.
+    """
+    m, k = len(y0), len(p)
+    lanes = y0[0].size
+    block_steps = max(1, _BLOCK_LANES // lanes)
+    grid, n_subs = _euler_grid(time, method.dt)
+
+    def block(times, states):
+        # the provider's lanes are the block's steps times the solve's lanes, steps major
+        shape = (len(times),) + y0.shape[1:]
+        n = len(times) * lanes
+        value, first = jac(f, np.repeat(times, lanes), np.moveaxis(states, 0, 1).reshape(m, n),
+                           np.tile(p.reshape(k, -1), len(times)))
+        _check_shape("jacobian provider", first, (m, m + k), n)
+        # a right-hand side of constants gives one value for all lanes
+        value = np.broadcast_to(np.reshape(value, (m, -1)), (m, n)).reshape((m,) + shape)
+        first = first.reshape((m, m + k) + shape)
+        # per step and lane: f, f_y^T of a C-contiguous f_y, and f_p^T
+        f_y = np.ascontiguousarray(np.moveaxis(first[:, :m], (0, 1), (-2, -1)))
+        return zip(np.moveaxis(value, 0, -1), f_y.swapaxes(-1, -2),
+                   np.moveaxis(first[:, m:], (0, 1), (-1, -2)))
+
+    def steps():
+        y, times = y0, []
+        states = np.empty((block_steps,) + y0.shape, np.result_type(x0, p))
+        for a, h, n_sub in _euler_gaps(grid, n_subs):
+            for j in range(n_sub):
+                t = a + j * h
+                try:
+                    value = f(t, y, p)
+                except Exception:
+                    # the recurrence takes the steps before this one, then meets the error
+                    if times:
+                        yield from block(times, states[:len(times)])
+                    raise
+                states[len(times)] = y
+                times.append(t)
+                y = y + h * value
+                if len(times) == block_steps:
+                    yield from block(times, states)
+                    times = []
+        if times:
+            yield from block(times, states[:len(times)])
+
+    supply = steps()
+
+    # one lane takes the product of the per-step system, lanes its stacked form
+    def one_lane(t, x):
+        value, f_y_t, f_p_t = next(supply)
+        out = x.dot(f_y_t)
+        out[0] = value
+        out[1:1 + k] += f_p_t
+        return out
+
+    def stacked(t, x):
+        value, f_y_t, f_p_t = next(supply)
+        out = np.matmul(x, f_y_t)
+        out[:, 0] = value
+        out[:, 1:1 + k] += f_p_t
+        return out
+
+    return run_solver(one_lane if y0.ndim == 1 else stacked, time, x0, method)
 
 
 def jvp_solution(bundle: SensitivityBundle, g_y0, g_p) -> np.ndarray:

@@ -11,6 +11,7 @@ extension of accepted steps, so they never influence step selection.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -44,6 +45,9 @@ _EPS = float(np.finfo(float).eps)
 
 # step budget of a solve: RK23 step attempts, Euler steps
 _MAX_STEPS = 1_000_000
+
+# gaps of an Euler grid converted to Python floats at a time
+_GAP_SLICE = 1024
 
 # RK23 step control, fixed as in ode23: the new step is the old one times
 # _SAFETY * err^(-1/3), bounded to [_MIN_FACTOR, _MAX_FACTOR]
@@ -227,6 +231,54 @@ def _check_euler_rows(states: np.ndarray, grid: np.ndarray, n_subs: np.ndarray):
             f"non-finite state {_at(int(n_subs[:gap + 1].sum()), grid[gap + 1], h)}")
 
 
+def _euler_grid(time: TimeSpec, dt: float):
+    """The output grid of an Euler solve and the substep count of each of its gaps.
+
+    Raises for a ``dt`` that is not positive and finite, and raises
+    ``MaxStepsExceededError`` for a solve above the step budget.
+    """
+    if not (dt > 0.0 and is_finite_scalar(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if isinstance(time, Points):
+        grid = time.times.copy()
+        # the shave keeps a gap that equals dt up to roundoff at one substep;
+        # a subnormal dt overflows a count to inf, which the budget rejects
+        with np.errstate(over="ignore"):
+            n_subs = np.maximum(1.0, np.ceil((np.diff(grid) / dt) * (1.0 - 1e-12)))
+        _check_euler_budget(n_subs.sum(), dt, float(grid[0]), float(grid[-1]))
+        n_subs = n_subs.astype(int)
+    elif isinstance(time, Span):
+        q = (time.t_end - time.t0) / dt
+        n_full = math.floor(q) if q < math.inf else q  # q is inf for a subnormal dt
+        if q - n_full > 1.0 - 1e-9:
+            n_full += 1
+        # a shortened last step covers a remainder; t0 + dt * n_full is the last full-step time
+        n_steps = n_full + (time.t_end - (time.t0 + dt * n_full) > dt * 1e-9)
+        _check_euler_budget(n_steps, dt, time.t0, time.t_end)
+        grid = time.t0 + dt * np.arange(n_full + 1)
+        if n_steps > n_full:
+            grid = np.append(grid, time.t_end)
+        grid[-1] = time.t_end
+        n_subs = np.ones(n_steps, dtype=int)
+    else:
+        raise TypeError(f"unknown time specification: {time!r}")
+    return grid, n_subs
+
+
+def _euler_gaps(grid: np.ndarray, n_subs: np.ndarray):
+    """``(a, h, n_sub)`` of each gap on Python floats; substep ``j`` of a gap is at ``a + j * h``.
+
+    The gaps are converted a slice at a time, so the Python floats of a
+    long grid are never all held at once; ``zip`` stops at the slice's
+    last gap, before the end point that ``grid`` adds to the final slice.
+    """
+    return itertools.chain.from_iterable(
+        zip(grid[i:i + _GAP_SLICE].tolist(),
+            (np.diff(grid[i:i + _GAP_SLICE + 1]) / n_subs[i:i + _GAP_SLICE]).tolist(),
+            n_subs[i:i + _GAP_SLICE].tolist())
+        for i in range(0, len(n_subs), _GAP_SLICE))
+
+
 def euler_solve(rhs: Callable, time: TimeSpec, y0, dt: float) -> Trajectory:
     """Integrate ``y' = rhs(t, y)`` with the explicit Euler recurrence.
 
@@ -256,38 +308,12 @@ def euler_solve(rhs: Callable, time: TimeSpec, y0, dt: float) -> Trajectory:
     budget) and may print one more numpy ``RuntimeWarning``.  If ``rhs``
     raises after a non-finite row, that row is still what is reported.
     """
-    if not (dt > 0.0 and is_finite_scalar(dt)):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    if isinstance(time, Points):
-        grid = time.times.copy()
-        # the shave keeps a gap that equals dt up to roundoff at one substep;
-        # a subnormal dt overflows a count to inf, which the budget rejects
-        with np.errstate(over="ignore"):
-            n_subs = np.maximum(1.0, np.ceil((np.diff(grid) / dt) * (1.0 - 1e-12)))
-        _check_euler_budget(n_subs.sum(), dt, float(grid[0]), float(grid[-1]))
-        n_subs = n_subs.astype(int)
-    elif isinstance(time, Span):
-        q = (time.t_end - time.t0) / dt
-        n_full = math.floor(q) if q < math.inf else q  # q is inf for a subnormal dt
-        if q - n_full > 1.0 - 1e-9:
-            n_full += 1
-        # a shortened last step covers a remainder; t0 + dt * n_full is the last full-step time
-        n_steps = n_full + (time.t_end - (time.t0 + dt * n_full) > dt * 1e-9)
-        _check_euler_budget(n_steps, dt, time.t0, time.t_end)
-        grid = time.t0 + dt * np.arange(n_full + 1)
-        if n_steps > n_full:
-            grid = np.append(grid, time.t_end)
-        grid[-1] = time.t_end
-        n_subs = np.ones(n_steps, dtype=int)
-    else:
-        raise TypeError(f"unknown time specification: {time!r}")
-
+    grid, n_subs = _euler_grid(time, dt)
     y = _state_array(y0)
     states = y[None]
     filled = 1
-    gaps = zip(grid[:-1].tolist(), (np.diff(grid) / n_subs).tolist(), n_subs.tolist())
     try:
-        for a, h, n_sub in gaps:
+        for a, h, n_sub in _euler_gaps(grid, n_subs):
             for j in range(n_sub):
                 y = y + h * rhs(a + j * h, y)
             if filled == len(states) or y.dtype != states.dtype:

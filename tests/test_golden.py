@@ -112,6 +112,19 @@ GOLDEN = {
     "hessian-for-ad-t20": (["hessian", "--method", "for", "--jac", "ad", "--t-end", "20",
                             "--n-points", "201"],
         "2d7b39186bf11aa12627c49a8edf6d642754452c3b0fdf0b40927d6ca00ea370"),
+    # the reference grid, [0, 1000] at 10001 points; analytic and AD agree bitwise
+    "sens-ad-ref": (["sens", "--jac", "ad"],
+        "7bd6790f80eabc9758aab0115bb4c238d7672a0d199ee56900410061eb06f518"),
+    # dt 0.03 covers each 0.1 output gap with 4 substeps
+    "sens-analytic-dt03": (["sens", "--jac", "analytic", "--dt", "0.03", *EULER],
+        "fe73755ebe1c58d6b554541a2049f1881850b74b42f34c143822f66ad3fcc4fe"),
+    "sens-ad-dt03": (["sens", "--jac", "ad", "--dt", "0.03", *EULER],
+        "fe73755ebe1c58d6b554541a2049f1881850b74b42f34c143822f66ad3fcc4fe"),
+    # every output of the zero model is a constant of the dual pass
+    "sens-zero-ad": (["sens", "--model", "zero", "--jac", "ad", *EULER],
+        "a89a6e587f3c285a2b42ce2daaed43b7fdf972148b1dd2674c72da6edd3530fe"),
+    "gradient-rm-ad": (["gradient", "--mode", "rm", "--jac", "ad", *EULER],
+        "a70d5ffc38bc3021cc80870e53f629215d47223ef48c4861aac51964c0ac2d67"),
 }
 
 # the aligned text table `compare` prints to stdout when --output is given

@@ -405,10 +405,10 @@ def test_hessian_lowered_jacobian_makes_no_pass_over_the_augmented_rhs(monkeypat
     fmain_hessian(Y0, P, Points(np.linspace(0.0, 2.0, 21)), EulerMethod(0.1), model=model, jac=jac)
     # 2 lowered solves of 20 Euler steps; each step calls the provider once,
     # and its value is row 0 of the lowered derivative: analytic evaluates
-    # rhs and jac once, AD rhs once on the step's duals and once in its
-    # 6-seed pass
+    # rhs and jac once, AD takes the value from the primals of its 6-seed
+    # pass, so either calls rhs once per step
     assert sorted(columns) == passes
-    assert len(rhs_calls) == (40 if jac == "analytic" else 80)
+    assert len(rhs_calls) == 40
     # analytic: the model's second derivatives replace the 6-seed pass over
     # its Jacobians, so no step builds a Dual1
     assert jvp_seeds == ([] if jac == "analytic" else [(6, 6)] * 40)
@@ -452,8 +452,9 @@ def test_first_derivatives_of_the_wrong_shape_are_rejected():
     time = Points(np.linspace(0.0, 2.0, 21))
     with pytest.raises(ValueError, match=re.escape("shape (2, 4); expected (2, 6)")):
         fmain_gradient_forward(Y0, P, time, EulerMethod(0.1), model=model)
-    # rejected at the first step, before the solve goes on
-    assert calls == [0.0]
+    # rejected at the first provider call, before the recurrence takes a step:
+    # the call covers the first block of Euler steps, here all 20 step times
+    assert len(calls) == 1 and np.array_equal(calls[0], time.times[:-1])
 
 
 def test_second_derivatives_of_the_wrong_shape_are_rejected():

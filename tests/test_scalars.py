@@ -124,6 +124,39 @@ class TestVectorTangents:
         assert np.array_equal(tangent, np.zeros((3, 2)))
 
 
+class TestLanePass:
+    """A ``(n, lanes)`` input takes one pass of lane duals, each lane bitwise its own pass."""
+
+    def test_lanes_equal_their_own_passes_bitwise(self):
+        rng = np.random.default_rng(3)
+        z = np.concatenate([LV_Y, LV_P])[:, None] * rng.uniform(0.5, 1.5, (6, 5))
+        primals = []
+
+        def lv_and_constant(x):
+            out = np.append(lv_joint(x), 4.0)
+            primals.append(primal_values(out))
+            return out
+
+        jac = eval_jacobian_dual(lv_and_constant, z)
+        assert jac.shape == (3, 6, 5) and len(primals) == 1
+        # the constant output fills its lanes, in the primal and as zero tangents
+        assert np.array_equal(primals[0][2], np.full(5, 4.0))
+        assert np.all(jac[2] == 0.0)
+        for b in range(5):
+            assert jac[..., b].tobytes() == eval_jacobian_dual(lv_and_constant, z[:, b]).tobytes()
+            assert primals[0][:, b].tobytes() == primals[-1].tobytes()
+
+    def test_zero_primal_in_one_lane_is_hard_error(self):
+        x = np.array([[1.0, 0.0, 2.0], [3.0, 4.0, 5.0]])
+        with pytest.raises(ZeroDivisionError):
+            eval_jacobian_dual(lambda z: np.array([z[1] / z[0]]), x)
+        with pytest.raises(ZeroDivisionError):
+            eval_jacobian_dual(lambda z: np.array([1.0 / z[0]]), x)
+        # no lane is zero: the pass divides
+        jac = eval_jacobian_dual(lambda z: np.array([1.0 / z[1]]), x)
+        assert np.array_equal(jac[0, 1], -1.0 / x[1] ** 2)
+
+
 _LV_POINT = st.tuples(
     st.lists(st.floats(1e-3, 1e4), min_size=2, max_size=2),
     st.lists(st.floats(1e-6, 1.0), min_size=4, max_size=4),

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,11 +27,13 @@ from odesens.sensitivity import (
 )
 from odesens.solvers import (
     EulerMethod,
+    NonFiniteStateError,
     Points,
     RK23Method,
     Span,
     SpanModeError,
     euler_solve,
+    run_solver,
 )
 
 LV_P = np.array([0.015, 1e-4, 0.03, 1e-4])
@@ -338,6 +342,196 @@ class TestLanes:
         with pytest.raises(ValueError, match="run_columns"):
             forward_sensitivity_solve(lv_rhs, LV_ANALYTIC, p, y0,
                                       Points(np.linspace(0.0, 50.0, 11)), RK23Method())
+
+
+# y' = (a t y_1 - y_2, y_1 - b y_2 / (1 + t)): a right-hand side that reads t
+def _forced_rhs(t, y, p):
+    return np.array([p[0] * t * y[0] - y[1], y[0] - p[1] * y[1] / (1.0 + t)])
+
+
+def _forced_jac(t, y, p):
+    one, zero = 1.0 + 0.0 * y[0], 0.0 * y[0]
+    return np.array([[p[0] * t * one, -one, t * y[0], zero],
+                     [one, -(p[1] / (1.0 + t)) * one, zero, -y[1] / (1.0 + t)]])
+
+
+FORCED = OdeModel(_forced_rhs, _forced_jac, {"u0": 1.0, "v0": 0.5}, {"a": 0.3, "b": 0.7}, ())
+# a right-hand side of constants only: one lane, whose f does not take the lane shape
+CONSTANT = OdeModel(lambda t, y, p: np.array([1.0, -2.0]),
+                    lambda t, y, p: np.zeros((2, 4) + np.shape(y)[1:]),
+                    {"u0": 1.0, "v0": 0.5}, {"a": 0.3, "b": 0.7}, ())
+
+
+# reads t as a Python number and sums over the whole state: no lane form
+def _scalar_rhs(t, y, p):
+    return -p[0] * y * (2.0 if t > 0.5 else 1.0) + 0.01 * sum(y)
+
+
+def _per_step_solve(model, kind, p, y0, time, dt):
+    """The reference: the augmented system stepped by Euler, one provider call per step."""
+    m, k = model.state_dim, len(model.params)
+    aug = _augmented_system(model.rhs, jacobian_provider(model, kind), m, k)
+    x0 = np.concatenate([y0[None], np.zeros((k, m)), np.eye(m)])
+    return run_solver(lambda t, x: aug(t, x, p), time, x0, EulerMethod(dt))
+
+
+class TestTwoPassEuler:
+    """A real Euler sensitivity solve evaluates its Jacobians in blocks, ahead of its steps."""
+
+    @pytest.fixture(autouse=True)
+    def blocks_of_256_lane_steps(self, monkeypatch):
+        # so that these grids of a few hundred steps take several blocks
+        monkeypatch.setattr(sensitivity, "_BLOCK_LANES", 256)
+
+    # with dt 0.01 each grid takes 301 steps, a little over one block of one lane
+    TIMES = {
+        # 300 full steps and a shortened last one
+        "span": Span(0.0, 3.005),
+        # one substep per gap
+        "points": Points(np.linspace(0.0, 3.01, 302)),
+        # gaps of different lengths, 2, 49, 2, 118 and 130 substeps
+        "uneven": Points(np.array([0.0, 0.013, 0.5, 0.52, 1.7, 3.0])),
+    }
+
+    @pytest.mark.parametrize("case", _STRUCTURED_CASES, ids=_CASE_IDS)
+    def test_equals_the_per_step_solve_bitwise(self, case):
+        name, kind = case
+        model = _STRUCTURED_MODELS[name]
+        m, k = model.state_dim, len(model.params)
+        rng = np.random.default_rng(17)
+        y0 = np.array(list(model.states.values()))[:, None] * rng.uniform(0.5, 1.5, (m, 3))
+        p = np.array(list(model.params.values()))[:, None] * rng.uniform(0.5, 1.5, (k, 3))
+        provider = jacobian_provider(model, kind)
+        calls = []
+
+        def counted(f, t, y, q):
+            calls.append(y.shape)
+            return provider(f, t, y, q)
+
+        # the wrapper stands for the model's provider, whose lane contract it keeps
+        counted._lane_rhs = model.rhs
+        # every grid takes 301 steps, in blocks of 256 steps of one lane or 85 of three
+        blocks = {1: [256, 45], 3: [85, 85, 85, 46]}
+        for time in self.TIMES.values():
+            reference = [_per_step_solve(model, kind, p[:, b], y0[:, b], time, 0.01) for b in range(3)]
+            one = forward_sensitivity_solve(model.rhs, counted, p[:, 0], y0[:, 0], time, EulerMethod(0.01))
+            # one lane-form provider call per block of steps
+            assert calls == [(m, n) for n in blocks[1]]
+            assert one.times.tobytes() == reference[0].times.tobytes()
+            assert one.states.tobytes() == reference[0].states.tobytes()
+            calls.clear()
+            lanes = forward_sensitivity_solve(model.rhs, counted, p, y0, time, EulerMethod(0.01))
+            # every lane of a block in the same call
+            assert calls == [(m, 3 * n) for n in blocks[3]]
+            calls.clear()
+            for b in range(3):
+                assert lanes.states[:, b].tobytes() == reference[b].states.tobytes()
+
+    @pytest.mark.parametrize("kind", ["analytic", "ad"])
+    @pytest.mark.parametrize("y0, rate, overflow", [
+        # dy/da is about y t / (1 + a dt): with a dt = 0.5 it overflows before y,
+        (1.0, 50.0, "sensitivities"),
+        # with a dt = 5 after it
+        (1e76, 500.0, "state"),
+    ], ids=["sensitivities-first", "state-first"])
+    def test_the_failing_step_is_named_as_by_the_per_step_solve(self, kind, y0, rate, overflow):
+        model = MODELS["linear"]
+        time, y0, p = Span(0.0, 20.0), np.array([y0]), np.array([rate])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteStateError) as expected:
+                _per_step_solve(model, kind, p, y0, time, 0.01)
+            with pytest.raises(NonFiniteStateError) as got:
+                forward_sensitivity_solve(model.rhs, jacobian_provider(model, kind), p, y0, time,
+                                          EulerMethod(0.01))
+            with pytest.raises(NonFiniteStateError) as state:
+                euler_solve(lambda t, y: model.rhs(t, y, p), time, y0, 0.01)
+        assert str(got.value) == str(expected.value)
+        assert (str(state.value) == str(expected.value)) == (overflow == "state")
+        # past the first block of steps
+        assert int(re.search(r"step (\d+)", str(got.value)).group(1)) > sensitivity._BLOCK_LANES
+
+    def test_a_state_solve_stopped_by_its_rhs_stops_the_recurrence_at_that_step(self):
+        def strict_rhs(t, y, p):
+            if not np.isfinite(y).all():
+                raise FloatingPointError("non-finite input")
+            return linear_rhs(t, y, p)
+
+        model = dataclasses.replace(MODELS["linear"], rhs=strict_rhs)
+        time, y0, p = Span(0.0, 20.0), np.array([1e76]), np.array([500.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteStateError) as expected:
+                _per_step_solve(model, "analytic", p, y0, time, 0.01)
+            with pytest.raises(NonFiniteStateError) as got:
+                forward_sensitivity_solve(strict_rhs, jacobian_provider(model, "analytic"),
+                                          p, y0, time, EulerMethod(0.01))
+        assert str(got.value) == str(expected.value)
+        assert int(re.search(r"step (\d+)", str(got.value)).group(1)) > sensitivity._BLOCK_LANES
+        # the recurrence stopped where the state solve did, on the rhs's error
+        causes, error = [], got.value
+        while error is not None:
+            causes.append(type(error))
+            error = error.__context__
+        assert FloatingPointError in causes
+
+    @pytest.mark.parametrize("kind", ["analytic", "ad"])
+    @pytest.mark.parametrize("model, lanes", [(FORCED, 1), (FORCED, 3), (CONSTANT, 1)],
+                             ids=["reads-t", "reads-t-lanes", "constant"])
+    def test_a_model_that_reads_t_or_returns_constants(self, monkeypatch, kind, model, lanes):
+        passes = []
+        original = sensitivity._two_pass_euler
+
+        def spy(*args):
+            passes.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(sensitivity, "_two_pass_euler", spy)
+        rng = np.random.default_rng(23)
+        y0 = np.array([1.0, 0.5])[:, None] * rng.uniform(0.5, 1.5, (2, lanes))
+        p = np.array([0.3, 0.7])[:, None] * rng.uniform(0.5, 1.5, (2, lanes))
+        if lanes == 1:
+            y0, p = y0[:, 0], p[:, 0]
+        time = self.TIMES["uneven"]
+        got = forward_sensitivity_solve(model.rhs, jacobian_provider(model, kind), p, y0, time,
+                                        EulerMethod(0.01))
+        assert passes == [model.rhs]
+        states = got.states if lanes > 1 else got.states[:, None]
+        for b in range(lanes):
+            reference = _per_step_solve(model, kind, p.reshape(2, -1)[:, b], y0.reshape(2, -1)[:, b],
+                                        time, 0.01)
+            assert states[:, b].tobytes() == reference.states.tobytes()
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_a_right_hand_side_not_known_to_take_lanes_is_stepped_one_point_at_a_time(
+            self, monkeypatch, lanes):
+        monkeypatch.setattr(sensitivity, "_two_pass_euler", None)
+        y0 = np.array([1.0, 0.5])[:, None] * np.array([1.0, 1.5])[:lanes]
+        p = np.array([0.3])[:, None] * np.array([1.0, 0.5])[:lanes]
+        time = self.TIMES["uneven"]
+        aug = _augmented_system(_scalar_rhs, dual_jacobians(), 2, 1)
+        got = forward_sensitivity_solve(_scalar_rhs, dual_jacobians(), p if lanes > 1 else p[:, 0],
+                                        y0 if lanes > 1 else y0[:, 0], time, EulerMethod(0.01))
+        states = got.states if lanes > 1 else got.states[:, None]
+        for b in range(lanes):
+            x0 = np.concatenate([y0[None, :, b], np.zeros((1, 2)), np.eye(2)])
+            reference = run_solver(lambda t, x: aug(t, x, p[:, b]), time, x0, EulerMethod(0.01))
+            assert states[:, b].tobytes() == reference.states.tobytes()
+
+    def test_memory_does_not_grow_with_the_substeps(self):
+        # the state pass runs one block ahead of the recurrence, so four times the
+        # substeps between the same three output rows take no more memory
+        model = MODELS["lv"]
+        provider = jacobian_provider(model, "analytic")
+        time = Points(np.linspace(0.0, 10.0, 3))
+        peaks = []
+        for dt in (2e-3, 5e-4):
+            tracemalloc.start()
+            try:
+                forward_sensitivity_solve(model.rhs, provider, LV_P, LV_Y0, time, EulerMethod(dt))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # holding the 15000 more states and their times would take about 0.7 MB more
+        assert peaks[1] < peaks[0] + 100_000
 
 
 class TestJvpVjp:
