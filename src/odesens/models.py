@@ -90,19 +90,29 @@ def lv_jac(t, y, p):
     ])
 
 
+def _lane_constants(y):
+    """``0.0`` and ``1.0``: floats at one point, else filled to the lanes of ``y``.
+
+    Filled, not computed as ``0.0 * y``, which is ``-0.0`` where ``y`` is negative.
+    """
+    lanes = np.shape(y)[1:]
+    return (np.zeros(lanes), np.ones(lanes)) if lanes else (0.0, 1.0)
+
+
 def _lv_second(t, y, p):
     """Derivatives of :func:`lv_jac` in ``(y, p)``; each entry there is one product."""
+    zero, one = _lane_constants(y)
     return np.array([
-        [[0.0, -p[1], 1.0, -y[1], 0.0, 0.0],
-         [-p[1], 0.0, 0.0, -y[0], 0.0, 0.0],
-         [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-         [-y[1], -y[0], 0.0, 0.0, 0.0, 0.0],
-         [0.0] * 6, [0.0] * 6],
-        [[0.0, p[3], 0.0, 0.0, 0.0, y[1]],
-         [p[3], 0.0, 0.0, 0.0, -1.0, y[0]],
-         [0.0] * 6, [0.0] * 6,
-         [0.0, -1.0, 0.0, 0.0, 0.0, 0.0],
-         [y[1], y[0], 0.0, 0.0, 0.0, 0.0]],
+        [[zero, -p[1], one, -y[1], zero, zero],
+         [-p[1], zero, zero, -y[0], zero, zero],
+         [one, zero, zero, zero, zero, zero],
+         [-y[1], -y[0], zero, zero, zero, zero],
+         [zero] * 6, [zero] * 6],
+        [[zero, p[3], zero, zero, zero, y[1]],
+         [p[3], zero, zero, zero, -one, y[0]],
+         [zero] * 6, [zero] * 6,
+         [zero, -one, zero, zero, zero, zero],
+         [y[1], y[0], zero, zero, zero, zero]],
     ])
 
 
@@ -128,7 +138,8 @@ def _linear_jac(t, y, p):
 
 
 def _linear_second(t, y, p):
-    return np.array([[[0.0, 1.0], [1.0, 0.0]]])
+    zero, one = _lane_constants(y)
+    return np.array([[[zero, one], [one, zero]]])
 
 
 def _zero_rhs(t, y, p):
@@ -141,7 +152,7 @@ def _zero_jac(t, y, p):
 
 
 def _zero_second(t, y, p):
-    return np.zeros((len(y), len(y) + len(p), len(y) + len(p)))
+    return np.zeros((len(y), len(y) + len(p), len(y) + len(p)) + np.shape(y)[1:])
 
 
 @dataclass(frozen=True)
@@ -179,6 +190,9 @@ class OdeModel:
     derivative of ``[f_y | f_p]`` in ``(y, p)``.  With analytic Jacobians
     the lowered solves of a Hessian build their step Jacobian from it
     instead of a dual pass over ``jac``, so it must round as that pass does.
+    It follows the lane contract too, ``(m, m + k, m + k, B)`` over lanes,
+    with its constants exact ``0.0`` and ``1.0`` in every lane: an Euler
+    lowered solve evaluates it once per block of steps.
     """
 
     rhs: Callable

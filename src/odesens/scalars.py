@@ -252,6 +252,11 @@ def primal_values(arr) -> np.ndarray:
     Lane duals add their lane axis last, constants filled to every lane.
     """
     arr = np.asarray(arr)
+    if arr.ndim == 1 and arr.dtype == object:
+        # the output of a one-point dual pass: every entry a dual of a float
+        primals = [getattr(v, "primal", None) for v in arr.tolist()]
+        if set(map(type, primals)) == {float}:
+            return np.array(primals)
     return _scalar_array(map(_primal_part, arr.flat), arr.shape)
 
 

@@ -16,22 +16,24 @@ of one Euler solve, each lane its own system.
 
 The variational equations are linear in the sensitivities, and under
 Euler their coefficients depend only on the state trajectory.  A real
-Euler solve of a model's right-hand side, whose lane contract is known,
-therefore runs in two passes: the state alone, one block of steps ahead,
-then the composite recurrence, whose ``f`` and ``[f_y | f_p]`` come from
-one lane-form provider call per block of steps, every lane included.
-Every number is bitwise that of a solve that calls the provider once per
-step, as RK23, the lowered solves below and any right-hand side not known
-to take lanes still do.
+Euler solve of a right-hand side whose lane contract is known therefore
+runs in two passes: the state alone, one block of steps ahead, then the
+composite recurrence, whose ``f`` and ``[f_y | f_p]`` come from one
+lane-form provider call per block of steps, every lane included.  Every
+number is bitwise that of a solve that calls the provider once per step,
+as RK23 and any right-hand side not known to take lanes still do.
 
 The augmented system is linear in its sensitivity blocks, so it carries a
 structured Jacobian of its own.  Lowering a dual-valued sensitivity solve,
 as the Hessian driver does, integrates the augmented system of the
-augmented system; its Jacobian then needs the model's second derivatives
-once per step.  A model's hand-written ``second`` supplies them; without
-one they cost one ``m + k``-seed dual pass over its ``[f | f_y | f_p]``.
+augmented system; its Jacobian then needs the model's second derivatives.
+A model's hand-written ``second`` supplies them; without one they cost
+one ``m + k``-seed dual pass over its ``[f | f_y | f_p]`` per step.
 That provider returns the augmented system's value with its Jacobian, so
-a lowered step evaluates the model once.
+a lowered step evaluates the model once.  With ``second`` the provider
+takes lanes too, so a real lowered Euler solve runs in the same two
+passes: the state pass steps the augmented system, and one call per
+block of steps gives every step's structured Jacobian.
 """
 
 from __future__ import annotations
@@ -168,11 +170,15 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
     ``f`` and whose ``V`` rows get ``f_p^T`` added: the products of
     ``f_y [V | W]``, summed in ``q`` order, with ``f_p`` last.
 
-    This per-step form serves RK23, whose step control reads ``(V, W)``,
-    and the lowered solves of :func:`dual_aware_solve`, whose provider has
-    no lane form, and any right-hand side not known to take lanes.  A real
-    Euler solve of a model's ``rhs`` with its provider runs the same
-    product in two passes instead (see :func:`_two_pass_euler`).
+    With ``p`` of shape ``(k, L)``, ``x`` of shape ``(n, L)`` holds ``L``
+    flat stacks, one per lane, and the derivative keeps that shape: one
+    lane-form call of ``jac`` serves every lane, and the product is the
+    stacked ``matmul`` of C-contiguous operands, lane ``b`` bitwise the
+    one-lane ``dot``.  RK23, whose step control reads ``(V, W)``, and any
+    right-hand side not known to take lanes step this system one point at
+    a time.  A real Euler solve of a model's ``rhs`` with its provider
+    runs the same product in two passes instead (see
+    :func:`_two_pass_euler`).
 
     The returned function also carries its own Jacobian provider as the
     attribute ``jacobians``, which returns the system's value with its
@@ -192,6 +198,16 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
     over ``jac``, as they do for every packaged model, the blocks therefore
     equal, value for value, a dual pass over the whole system with
     ``n + k`` seeds; only the sign of an exact zero may differ.
+
+    With ``jac.second``, ``jacobians`` takes lanes as the system does:
+    ``t`` of shape ``(L,)``, ``x`` ``(n, L)`` and ``p`` ``(k, L)`` give the
+    value ``(n, L)`` and the Jacobian ``(n, n + k, L)``, each lane bitwise
+    its one-point call; the dual pass over ``jac`` has no lane form.  If
+    ``jac`` also takes ``f`` in lanes, as the provider of a model's ``rhs``
+    does (its ``_lane_rhs``), ``jacobians`` records the system as its own
+    ``_lane_rhs``, so a real lowered Euler solve runs in the two passes of
+    :func:`_two_pass_euler`: the state pass steps this system, and one
+    ``jacobians`` call evaluates a block of steps.
     """
     m, k = state_dim, n_params
     n = (1 + k + m) * m
@@ -205,26 +221,36 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
     block = (m, m + k)
 
     def derivative(rows, value, first):
-        # compared here, not in a call: this runs once per step
-        if first.shape != block:
-            _check_shape("jacobian provider", first, block)
-        # the product with a strided view of f_y may round differently
-        out = rows.dot(np.ascontiguousarray(first[:, :m]).T)
+        # rows (1 + k + m, m) and first (m, m + k), or each with a last axis of lanes
+        if rows.ndim == 2:
+            # compared here, not in a call: this runs once per step
+            if first.shape != block:
+                _check_shape("jacobian provider", first, block)
+            # the product with a strided view of f_y may round differently
+            out = rows.dot(np.ascontiguousarray(first[:, :m]).T)
+        else:
+            _check_shape("jacobian provider", first, block, rows.shape[2])
+            # lane b of the stacked matmul is the one-lane dot of C-contiguous operands
+            f_y = np.ascontiguousarray(np.moveaxis(first[:, :m], -1, 0))
+            out = np.moveaxis(np.matmul(np.ascontiguousarray(np.moveaxis(rows, -1, 0)),
+                                        f_y.swapaxes(-1, -2)), 0, -1)
         out[0] = value
-        out[1:1 + k] += first[:, m:].T
+        out[1:1 + k] += first[:, m:].swapaxes(0, 1)
         return out
 
     def aug(t, x, p):
-        rows = x.reshape(1 + k + m, m)
+        # p of shape (k, L) makes x of shape (n, L) L flat lanes
+        rows = x.reshape(1 + k + m, m, *p.shape[1:])
         return derivative(rows, *jac(f, t, rows[0], p)).reshape(x.shape)
 
     def jacobians(_aug, t, x, p):
-        rows = x.reshape(1 + k + m, m)
+        lanes = p.shape[1:]
+        rows = x.reshape(1 + k + m, m, *lanes)
         # value is f, first [f_y | f_p], second its derivatives in (y, p), (m, m + k, m + k)
         if second_of is not None:
             value, first = jac(f, t, rows[0], p)
             second = np.asarray(second_of(t, rows[0], p))
-            _check_shape("second derivative", second, (m, m + k, m + k))
+            _check_shape("second derivative", second, (m, m + k, m + k), *lanes)
         else:
             primal, tangent = eval_jvp_dual(lambda z: np.column_stack(jac(f, t, z[:m], z[m:])),
                                             np.concatenate([rows[0], p]), seeds)
@@ -235,13 +261,16 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
         for q in range(1, m):
             cross = cross + second[:, q] * rows[1:, q, None, None]
         cross[:k] = cross[:k] + second[:, m:].swapaxes(0, 1)
-        j = np.zeros((n, n + k), np.result_type(first, cross))
+        j = np.zeros((n, n + k) + lanes, np.result_type(first, cross))
         j[:m, y_p] = first
-        j[m:, y_p] = cross.reshape(n - m, m + k)
+        j[m:, y_p] = cross.reshape((n - m, m + k) + lanes)
         j[diagonal] = first[:, :m]
         return dx, j
 
     aug.jacobians = jacobians
+    if second_of is not None and getattr(jac, "_lane_rhs", None) is f:
+        # so a real lowered Euler solve takes two passes, one call per block of steps
+        jacobians._lane_rhs = aug
     return aug
 
 
@@ -312,15 +341,19 @@ def forward_sensitivity_solve(
     lanes of ``y0`` or a lane count that differs included, whichever the
     provider.
 
-    A real Euler solve of a model's ``rhs`` with the model's provider
-    from :func:`jacobian_provider`, one lane or ``B``, runs in two passes
-    (see :func:`_two_pass_euler`): the model's lane contract lets one
-    provider call evaluate a block of steps, with ``t`` a vector of lane
-    times.  Any other ``f`` or provider is not known to take lanes, so the
-    composite system is stepped with one provider call per step at a real
-    ``t``, lanes one column at a time; so is every RK23 solve, whose step
-    control reads the sensitivities, and every lowered solve, whose ``f``
-    is an augmented system of this module.  Both ways give the same bits.
+    A real Euler solve, one lane or ``B``, runs in two passes (see
+    :func:`_two_pass_euler`) when the provider records ``f`` as its
+    ``_lane_rhs``: ``f`` and the provider then follow a lane contract,
+    which lets one provider call evaluate a block of steps, with ``t`` a
+    vector of lane times.  That is a model's ``rhs`` with the model's
+    provider from :func:`jacobian_provider`, and the augmented system of
+    such a pair with its structured provider when the model has
+    ``second``, which is what a lowered solve of :func:`dual_aware_solve`
+    hands over.  Any other ``f`` or provider is not known to take lanes,
+    so the composite system is stepped with one provider call per step at
+    a real ``t``, lanes one column at a time; so is every RK23 solve,
+    whose step control reads the sensitivities.  Both ways give the same
+    bits.
     """
     y0 = np.asarray(y0)
     p = np.asarray(p)
@@ -506,8 +539,11 @@ def dual_aware_solve(
     The lowered solve needs the Jacobians of ``rhs``.  An augmented system
     built by this module, which is what a dual-valued
     :func:`forward_sensitivity_solve` hands over, brings its own structured
-    provider (see :func:`_augmented_system`); any other ``rhs`` is
-    differentiated by one dual pass per step (:func:`dual_jacobians`).
+    provider (see :func:`_augmented_system`).  With the model's ``second``
+    that provider takes lanes, so an Euler lowered solve evaluates it once
+    per block of steps, ahead of the recurrence; without it, or under
+    RK23, once per step.  Any other ``rhs`` is differentiated by one dual
+    pass per step (:func:`dual_jacobians`).
     """
     y0 = np.asarray(y0)
     p = np.asarray(p)

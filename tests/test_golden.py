@@ -125,6 +125,16 @@ GOLDEN = {
         "a89a6e587f3c285a2b42ce2daaed43b7fdf972148b1dd2674c72da6edd3530fe"),
     "gradient-rm-ad": (["gradient", "--mode", "rm", "--jac", "ad", *EULER],
         "a70d5ffc38bc3021cc80870e53f629215d47223ef48c4861aac51964c0ac2d67"),
+    # dt 0.03 covers each 0.1 output gap with 4 lowered substeps
+    "hessian-for-dt03": (["hessian", "--method", "for", *HESS, "--dt", "0.03"],
+        "19ab79adc3df437ece5e6f02668c1636fe0928ae6b005771b8ba148aa9576cda"),
+    "hessian-for-linear-t20": (["hessian", "--method", "for", "--model", "linear",
+                                "--t-end", "20", "--n-points", "201"],
+        "b17f664dccabd924bfd88496311fc19cd3152a908c9bd84993393a44343a8878"),
+    # the zero Hessian prints as hessian-for-zero does, whatever the window
+    "hessian-for-zero-t20": (["hessian", "--method", "for", "--model", "zero",
+                              "--t-end", "20", "--n-points", "201"],
+        "1d53ec5d58018ee57012cc08454f750b1e23420dbea0fb447a85109e59c9fdac"),
 }
 
 # the aligned text table `compare` prints to stdout when --output is given

@@ -392,30 +392,34 @@ def test_hessian_lowered_jacobian_makes_no_pass_over_the_augmented_rhs(monkeypat
         return jvp_dual(f, x, seed)
 
     def counted_jac(t, y, p):
-        jac_inputs.append(type(y[0]))
+        jac_inputs.append((np.shape(y), np.asarray(y).dtype))
         return lv_jac(t, y, p)
 
     def counted_rhs(t, y, p):
-        rhs_calls.append(t)
+        rhs_calls.append(np.shape(t))
         return lv_rhs(t, y, p)
 
     monkeypatch.setattr(sensitivity, "eval_jacobian_dual", counted_jacobian)
     monkeypatch.setattr(sensitivity, "eval_jvp_dual", counted_jvp)
     model = dataclasses.replace(MODELS["lv"], rhs=counted_rhs, jac=counted_jac)
     fmain_hessian(Y0, P, Points(np.linspace(0.0, 2.0, 21)), EulerMethod(0.1), model=model, jac=jac)
-    # 2 lowered solves of 20 Euler steps; each step calls the provider once,
-    # and its value is row 0 of the lowered derivative: analytic evaluates
-    # rhs and jac once, AD takes the value from the primals of its 6-seed
-    # pass, so either calls rhs once per step
+    # 2 lowered solves of 20 Euler steps
     assert sorted(columns) == passes
-    assert len(rhs_calls) == 40
-    # analytic: the model's second derivatives replace the 6-seed pass over
-    # its Jacobians, so no step builds a Dual1
-    assert jvp_seeds == ([] if jac == "analytic" else [(6, 6)] * 40)
     if jac == "analytic":
-        # the model's own Jacobian runs once per step, on the real lowered states only
-        assert len(jac_inputs) == 40 and Dual1 not in jac_inputs
+        # each solve's state pass steps the augmented system, which calls the
+        # model's provider, rhs and jac, once per step at a real t; then one
+        # lane-form call of the structured provider evaluates rhs, jac and the
+        # model's second derivatives at the block of 20 steps.  No step builds
+        # a Dual1, and the model's own Jacobian runs on real states only
+        assert rhs_calls == ([()] * 20 + [(20,)]) * 2
+        assert jvp_seeds == []
+        assert jac_inputs == ([((2,), np.dtype(float))] * 20 + [((2, 20), np.dtype(float))]) * 2
     else:
+        # each step calls the provider once, and its value is row 0 of the lowered
+        # derivative, taken from the primals of the 6-seed pass over the
+        # Jacobians: rhs runs once per step
+        assert rhs_calls == [()] * 40
+        assert jvp_seeds == [(6, 6)] * 40
         # the AD provider differentiates the right-hand side, never the model's jac
         assert jac_inputs == []
 
@@ -526,6 +530,19 @@ def test_model_rhs_and_jac_are_elementwise_over_lanes(binding, name):
     for b in range(3):
         assert f[:, b].tobytes() == model.rhs(0.5, y0[:, b], p[:, b]).tobytes()
         assert first[..., b].tobytes() == model.jac(0.5, y0[:, b], p[:, b]).tobytes()
+
+
+@pytest.mark.parametrize("name", ["lv", "linear", "zero"])
+def test_model_second_is_elementwise_over_lanes(name):
+    model = MODELS[name]
+    m, k = model.state_dim, len(model.params)
+    # negative entries too, where a constant computed as 0.0 * y would read -0.0
+    rng = np.random.default_rng(11)
+    y, p = rng.normal(size=(m, 4)), rng.normal(size=(k, 4))
+    second = model.second(0.5, y, p)
+    assert second.shape == (m, m + k, m + k, 4)
+    for b in range(4):
+        assert second[..., b].tobytes() == model.second(0.5, y[:, b], p[:, b]).tobytes()
 
 
 @pytest.mark.parametrize("jac", ["analytic", "ad"])

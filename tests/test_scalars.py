@@ -93,6 +93,30 @@ class TestVectorTangents:
         assert np.array_equal(primal_values(vector), [[1.0, 9.0], [3.0, 4.0]])
         assert np.array_equal(tangent_values(vector), seeds)
 
+    @pytest.mark.parametrize("entries", [
+        # every entry a dual of a float, the output of a one-point dual pass
+        [Dual1(-0.0, 1.0), Dual1(2.5, np.ones(3))],
+        # a constant among the duals
+        [Dual1(1.0), 7.0],
+        # int and numpy-float primals keep their own dtype
+        [Dual1(1), Dual1(2)],
+        [Dual1(np.float32(1.5)), Dual1(2.0)],
+        # a nested dual and a lane dual
+        [Dual1(Dual1(1.0, 2.0)), Dual1(3.0)],
+        [Dual1(np.array([1.0, 2.0])), Dual1(np.array([3.0, -0.0]))],
+        [],
+    ], ids=["floats", "constant", "ints", "float32", "nested", "lanes", "empty"])
+    def test_values_of_a_vector_equal_those_of_each_entry(self, entries):
+        arr = np.empty(len(entries), dtype=object)
+        arr[:] = entries
+        expected = [e.primal if isinstance(e, Dual1) else e for e in entries]
+        primal = primal_values(arr)
+        if any(isinstance(v, Dual1) for v in expected):
+            assert primal.dtype == object and all(p is q for p, q in zip(primal, expected))
+        else:
+            reference = np.array([np.broadcast_to(v, np.shape(expected[0])) for v in expected])
+            assert primal.dtype == reference.dtype and primal.tobytes() == reference.tobytes()
+
     def test_values_of_nested_duals_peel_one_level(self):
         inner = lift_dual(np.array([[1.0, 2.0], [3.0, 4.0]]), np.ones((2, 2, 3)))
         outer = lift_dual(inner, np.full((2, 2, 5), 0.5))

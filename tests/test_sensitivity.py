@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import BINDING
 from odesens import sensitivity
-from odesens.models import MODELS, OdeModel, linear_rhs, lv_jac, lv_rhs
+from odesens.models import MODELS, OdeModel, fmain_hessian, linear_rhs, lv_jac, lv_rhs
 from odesens.scalars import Dual1, lift_dual, primal_values, tangent_values
 from odesens.sensitivity import (
     SensitivityBundle,
@@ -532,6 +532,109 @@ class TestTwoPassEuler:
                 tracemalloc.stop()
         # holding the 15000 more states and their times would take about 0.7 MB more
         assert peaks[1] < peaks[0] + 100_000
+
+    @pytest.mark.parametrize("name", ["lv", "linear", "zero"])
+    @pytest.mark.parametrize("grid", ["points", "uneven"])
+    def test_a_lowered_solve_equals_the_per_step_solve_bitwise(self, name, grid):
+        aug, p, x0 = _lowered_inputs(name, 3)
+        n, k = x0.shape[0], p.shape[0]
+        calls = []
+
+        def counted(f, t, x, q):
+            calls.append(x.shape)
+            return aug.jacobians(f, t, x, q)
+
+        # the wrapper stands for the system's own provider, whose lane contract it keeps
+        counted._lane_rhs = aug
+        time = self.TIMES[grid]
+        # the reference steps the system of the augmented system, one structured
+        # Jacobian per step
+        outer = _augmented_system(aug, aug.jacobians, n, k)
+        reference = [run_solver(lambda t, x: outer(t, x, p[:, b]), time,
+                                np.concatenate([x0[None, :, b], np.zeros((k, n)), np.eye(n)]),
+                                EulerMethod(0.01)) for b in range(3)]
+        one = forward_sensitivity_solve(aug, counted, p[:, 0], x0[:, 0], time, EulerMethod(0.01))
+        # 301 steps, in blocks of 256 steps of one lane or 85 of three, one call each
+        assert calls == [(n, 256), (n, 45)]
+        assert one.states.tobytes() == reference[0].states.tobytes()
+        calls.clear()
+        lanes = forward_sensitivity_solve(aug, counted, p, x0, time, EulerMethod(0.01))
+        assert calls == [(n, 3 * steps) for steps in (85, 85, 85, 46)]
+        for b in range(3):
+            assert lanes.states[:, b].tobytes() == reference[b].states.tobytes()
+
+    @pytest.mark.parametrize("y0, rate", [(1.0, 50.0), (1e76, 500.0)],
+                             ids=["sensitivities-first", "state-first"])
+    def test_a_non_finite_lowered_step_is_named_as_by_the_per_step_solve(self, y0, rate):
+        model = MODELS["linear"]
+        aug = _augmented_system(model.rhs, jacobian_provider(model, "analytic"), 1, 1)
+        x0, p, time = _rows(np.array([y0]), np.zeros((1, 1)), np.eye(1)).ravel(), np.array([rate]), \
+            Span(0.0, 20.0)
+        outer = _augmented_system(aug, aug.jacobians, 3, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteStateError) as expected:
+                run_solver(lambda t, x: outer(t, x, p), time,
+                           np.concatenate([x0[None], np.zeros((1, 3)), np.eye(3)]), EulerMethod(0.01))
+            with pytest.raises(NonFiniteStateError) as got:
+                forward_sensitivity_solve(aug, aug.jacobians, p, x0, time, EulerMethod(0.01))
+        assert str(got.value) == str(expected.value)
+        # past the first block of steps
+        assert int(re.search(r"step (\d+)", str(got.value)).group(1)) > sensitivity._BLOCK_LANES
+
+    @pytest.mark.parametrize("jac, method, two_pass", [
+        ("analytic", EulerMethod(0.1), True),
+        # a dual pass over the Jacobians has no lane form
+        ("ad", EulerMethod(0.1), False),
+        # RK23's step control reads the sensitivities
+        ("analytic", RK23Method(), False),
+    ], ids=["analytic", "ad", "rk23"])
+    def test_which_lowered_hessian_solves_take_two_passes(self, monkeypatch, jac, method, two_pass):
+        passes = []
+        original = sensitivity._two_pass_euler
+
+        def spy(*args):
+            passes.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(sensitivity, "_two_pass_euler", spy)
+        fmain_hessian(LV_Y0, LV_P, Points(np.linspace(0.0, 2.0, 21)), method, model=MODELS["lv"],
+                      jac=jac)
+        # the two lowered solves, each of an augmented system with its own provider
+        assert len(passes) == (2 if two_pass else 0)
+        assert all(hasattr(f.jacobians, "_lane_rhs") for f in passes)
+
+
+def _lowered_inputs(name, b):
+    """A model's augmented system, with ``b`` lanes of its parameters and flat composite states.
+
+    ``V`` and ``W`` are off their initial 0 and I, as further along a solve.
+    """
+    model = MODELS[name]
+    m, k = model.state_dim, len(model.params)
+    aug = _augmented_system(model.rhs, jacobian_provider(model, "analytic"), m, k)
+    rng = np.random.default_rng(29)
+    y0 = np.array(list(model.states.values()))[:, None] * rng.uniform(0.5, 1.5, (m, b))
+    p = np.array(list(model.params.values()))[:, None] * rng.uniform(0.5, 1.5, (k, b))
+    x0 = np.column_stack([_rows(y0[:, j], rng.normal(size=(m, k)),
+                                np.eye(m) + 0.1 * rng.normal(size=(m, m))).ravel()
+                          for j in range(b)])
+    return aug, p, x0
+
+
+@pytest.mark.parametrize("name", ["lv", "linear", "zero"])
+def test_structured_jacobian_on_lanes_equals_its_per_lane_calls_bitwise(name):
+    aug, p, x = _lowered_inputs(name, 5)
+    n, k = x.shape[0], p.shape[0]
+    t = np.linspace(0.0, 1.0, 5)
+    value, j = aug.jacobians(aug, t, x, p)
+    assert value.shape == (n, 5) and j.shape == (n, n + k, 5)
+    # the system itself follows the lane contract, as its provider's _lane_rhs
+    assert aug.jacobians._lane_rhs is aug
+    assert aug(t, x, p).tobytes() == value.tobytes()
+    for b in range(5):
+        one_value, one_j = aug.jacobians(aug, t[b], x[:, b], p[:, b])
+        assert value[:, b].tobytes() == one_value.tobytes()
+        assert j[..., b].tobytes() == one_j.tobytes()
 
 
 class TestJvpVjp:
