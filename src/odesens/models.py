@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -90,32 +90,6 @@ def lv_jac(t, y, p):
     ])
 
 
-def _lane_constants(y):
-    """``0.0`` and ``1.0``: floats at one point, else filled to the lanes of ``y``.
-
-    Filled, not computed as ``0.0 * y``, which is ``-0.0`` where ``y`` is negative.
-    """
-    lanes = np.shape(y)[1:]
-    return (np.zeros(lanes), np.ones(lanes)) if lanes else (0.0, 1.0)
-
-
-def _lv_second(t, y, p):
-    """Derivatives of :func:`lv_jac` in ``(y, p)``; each entry there is one product."""
-    zero, one = _lane_constants(y)
-    return np.array([
-        [[zero, -p[1], one, -y[1], zero, zero],
-         [-p[1], zero, zero, -y[0], zero, zero],
-         [one, zero, zero, zero, zero, zero],
-         [-y[1], -y[0], zero, zero, zero, zero],
-         [zero] * 6, [zero] * 6],
-        [[zero, p[3], zero, zero, zero, y[1]],
-         [p[3], zero, zero, zero, -one, y[0]],
-         [zero] * 6, [zero] * 6,
-         [zero, -one, zero, zero, zero, zero],
-         [y[1], y[0], zero, zero, zero, zero]],
-    ])
-
-
 def lv_invariant(y, p) -> float:
     """Conserved quantity of the exact predator-prey flow.
 
@@ -137,11 +111,6 @@ def _linear_jac(t, y, p):
     return np.array([[p[0], y[0]]])
 
 
-def _linear_second(t, y, p):
-    zero, one = _lane_constants(y)
-    return np.array([[[zero, one], [one, zero]]])
-
-
 def _zero_rhs(t, y, p):
     """Stub model with a frozen zero derivative (any scalar kind)."""
     return 0.0 * np.asarray(y)
@@ -149,10 +118,6 @@ def _zero_rhs(t, y, p):
 
 def _zero_jac(t, y, p):
     return np.zeros((len(y), len(y) + len(p)) + np.shape(y)[1:])
-
-
-def _zero_second(t, y, p):
-    return np.zeros((len(y), len(y) + len(p), len(y) + len(p)) + np.shape(y)[1:])
 
 
 @dataclass(frozen=True)
@@ -186,13 +151,11 @@ class OdeModel:
     ``t`` with the state by plain arithmetic.  Every packaged model is
     autonomous.
 
-    ``second(t, y, p)``, optional, returns the ``(m, m + k, m + k)``
-    derivative of ``[f_y | f_p]`` in ``(y, p)``.  With analytic Jacobians
-    the lowered solves of a Hessian build their step Jacobian from it
-    instead of a dual pass over ``jac``, so it must round as that pass does.
-    It follows the lane contract too, ``(m, m + k, m + k, B)`` over lanes,
-    with its constants exact ``0.0`` and ``1.0`` in every lane: an Euler
-    lowered solve evaluates it once per block of steps.
+    A model declares no higher derivatives.  With analytic Jacobians the
+    lowered solves of a Hessian take the derivatives of ``[f_y | f_p]`` in
+    ``(y, p)`` from one dual pass over ``jac``, over lanes in an Euler
+    solve, one pass per block of steps; so ``jac`` too may combine a lane
+    vector ``t`` with the state by plain arithmetic only.
     """
 
     rhs: Callable
@@ -200,7 +163,6 @@ class OdeModel:
     states: dict
     params: dict
     positive: tuple
-    second: Optional[Callable] = None
 
     @property
     def state_dim(self) -> int:
@@ -212,13 +174,13 @@ _LV_PARAMS = {"eps1": 0.015, "gamma1": 0.0001, "eps2": 0.03, "gamma2": 0.0001}
 
 MODELS = {
     "lv": OdeModel(lv_rhs, lv_jac, _LV_STATES, _LV_PARAMS,
-                   (*_LV_STATES, *_LV_PARAMS), _lv_second),
+                   (*_LV_STATES, *_LV_PARAMS)),
     # the rate may have any sign
     "linear": OdeModel(linear_rhs, _linear_jac, {"y0_1": 1000.0}, {"eps1": 0.015},
-                       ("y0_1",), _linear_second),
+                       ("y0_1",)),
     # the stub reads the predator-prey inputs and checks only its start
     "zero": OdeModel(_zero_rhs, _zero_jac, _LV_STATES, _LV_PARAMS,
-                     tuple(_LV_STATES), _zero_second),
+                     tuple(_LV_STATES)),
 }
 
 

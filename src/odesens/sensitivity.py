@@ -27,19 +27,20 @@ The augmented system is linear in its sensitivity blocks, so it carries a
 structured Jacobian of its own.  Lowering a dual-valued sensitivity solve,
 as the Hessian driver does, integrates the augmented system of the
 augmented system; its Jacobian then needs the model's second derivatives.
-A model's hand-written ``second`` supplies them; without one they cost
-one ``m + k``-seed dual pass over its ``[f | f_y | f_p]`` per step.
-That provider returns the augmented system's value with its Jacobian, so
-a lowered step evaluates the model once.  With ``second`` the provider
-takes lanes too, so a real lowered Euler solve runs in the same two
-passes: the state pass steps the augmented system, and one call per
-block of steps gives every step's structured Jacobian.
+A model declares none: with analytic Jacobians they come from one
+``m + k``-seed dual pass over its ``jac``, and with dual Jacobians from
+one such pass over its ``[f | f_y | f_p]``.  That provider returns the
+augmented system's value with its Jacobian, so a lowered step evaluates
+the model once.  With analytic Jacobians the provider takes lanes too,
+so a real lowered Euler solve runs in the same two passes: the state
+pass steps the augmented system, and one call per block of steps, with
+one lane pass over ``jac``, gives every step's structured Jacobian.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -90,18 +91,45 @@ def _check_shape(name, array, shape, lanes=None):
         raise ValueError(f"{name} returned shape {array.shape}; expected {shape}{tail}")
 
 
-def analytic_jacobians(jac: Callable, second: Optional[Callable] = None):
-    """Jacobian provider of a hand-written ``[f_y | f_p]`` that carries ``second``.
+def _dual_pass(f: Callable, t, y, p):
+    """``f(t, y, p)`` on duals and its derivative in ``(y, p)``, from one pass.
 
-    ``jac`` and ``second`` take ``(t, y, p)``; see ``OdeModel``.  Like every
-    provider, ``provider(f, t, y, p)`` returns the pair ``(f(t, y, p),
-    [f_y | f_p])``, so a step evaluates the model through its provider only.
+    The state and parameter vectors are lifted together with one identity
+    seed block (see :func:`~odesens.scalars.eval_jacobian_dual`), lanes
+    included; a vector ``t`` of lane times enters as a lane dual of zero
+    tangent.  Returns the dual output, whose primals are ``f``, and the
+    derivative, of shape ``f.shape + (m + k,)`` and over lanes
+    ``f.shape + (m + k, lanes)``.
+    """
+    m = len(y)
+    if isinstance(t, np.ndarray):
+        t = Dual1(t)
+    out = []
+
+    def g(z):
+        out.append(f(t, z[:m], z[m:]))
+        return out[0]
+
+    derivative = eval_jacobian_dual(g, np.concatenate([y, p]))
+    return out[0], derivative
+
+
+def analytic_jacobians(jac: Callable):
+    """Jacobian provider of a hand-written ``[f_y | f_p]``.
+
+    ``jac`` takes ``(t, y, p)``; see ``OdeModel``.  Like every provider,
+    ``provider(f, t, y, p)`` returns the pair ``(f(t, y, p), [f_y | f_p])``,
+    so a step evaluates the model through its provider only.  The provider
+    carries ``second(t, y, p)``, the ``(m, m + k, m + k)`` derivative of
+    ``[f_y | f_p]`` in ``(y, p)`` from one dual pass over ``jac``, which a
+    lowered solve of the Hessian reads; over lanes it is
+    ``(m, m + k, m + k, B)``, each lane bitwise its own column.
     """
 
     def provider(f, t, y, p):
         return f(t, y, p), np.asarray(jac(t, y, p))
 
-    provider.second = second
+    provider.second = lambda t, y, p: _dual_pass(jac, t, y, p)[1]
     return provider
 
 
@@ -123,17 +151,8 @@ def dual_jacobians():
     """
 
     def provider(f, t, y, p):
-        m = len(y)
-        if isinstance(t, np.ndarray):
-            t = Dual1(t)
-        out = []
-
-        def rhs(z):
-            out.append(f(t, z[:m], z[m:]))
-            return out[0]
-
-        first = eval_jacobian_dual(rhs, np.concatenate([y, p]))
-        return primal_values(out[0]), first
+        out, first = _dual_pass(f, t, y, p)
+        return primal_values(out), first
 
     return provider
 
@@ -147,7 +166,7 @@ def jacobian_provider(model, kind: str):
     call (see :func:`forward_sensitivity_solve`).
     """
     if kind == "analytic":
-        provider = analytic_jacobians(model.jac, model.second)
+        provider = analytic_jacobians(model.jac)
     elif kind == "ad":
         provider = dual_jacobians()
     else:
@@ -189,20 +208,22 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
     ``y`` and ``p`` columns of row block ``1 + l`` the second-order terms
     ``sum_q d f_y[:, q] S[q, l]`` (plus ``d f_p[:, l]`` in the ``V`` rows)
     with ``S = [V | W]``.  The derivatives of ``[f_y | f_p]`` in ``(y, p)``
-    come from ``jac.second`` when ``jac`` has one, whatever the scalar kind
+    come from ``jac.second`` when ``jac`` has one, as an analytic provider
+    does (a dual pass over the model's ``jac``), whatever the scalar kind
     of the inputs, and otherwise from one dual pass of ``jac`` with
     ``m + k`` seeds over ``[f | f_y | f_p]``, which gives the value and the
-    first derivatives too.  The sum over ``q`` runs in the order in which
-    the system's object dot sums, ``q = 0`` first and ``f_p`` last.  Where
-    ``jac`` equals a dual pass over ``f`` and ``jac.second`` a dual pass
-    over ``jac``, as they do for every packaged model, the blocks therefore
-    equal, value for value, a dual pass over the whole system with
-    ``n + k`` seeds; only the sign of an exact zero may differ.
+    first derivatives too; ``jac.second`` is called only once the shape of
+    ``[f_y | f_p]`` has been checked.  The sum over ``q`` runs in the order
+    in which the system's object dot sums, ``q = 0`` first and ``f_p``
+    last.  Where ``jac`` equals a dual pass over ``f``, as it does for
+    every packaged model, the blocks therefore equal, value for value, a
+    dual pass over the whole system with ``n + k`` seeds; only the sign of
+    an exact zero may differ.
 
     With ``jac.second``, ``jacobians`` takes lanes as the system does:
     ``t`` of shape ``(L,)``, ``x`` ``(n, L)`` and ``p`` ``(k, L)`` give the
     value ``(n, L)`` and the Jacobian ``(n, n + k, L)``, each lane bitwise
-    its one-point call; the dual pass over ``jac`` has no lane form.  If
+    its one-point call; the pass over ``[f | f_y | f_p]`` has no lane form.  If
     ``jac`` also takes ``f`` in lanes, as the provider of a model's ``rhs``
     does (its ``_lane_rhs``), ``jacobians`` records the system as its own
     ``_lane_rhs``, so a real lowered Euler solve runs in the two passes of
@@ -249,13 +270,14 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
         # value is f, first [f_y | f_p], second its derivatives in (y, p), (m, m + k, m + k)
         if second_of is not None:
             value, first = jac(f, t, rows[0], p)
-            second = np.asarray(second_of(t, rows[0], p))
-            _check_shape("second derivative", second, (m, m + k, m + k), *lanes)
         else:
             primal, tangent = eval_jvp_dual(lambda z: np.column_stack(jac(f, t, z[:m], z[m:])),
                                             np.concatenate([rows[0], p]), seeds)
             value, first, second = primal[:, 0], primal[:, 1:], tangent[:, 1:]
         dx = derivative(rows, value, first).reshape(x.shape)
+        if second_of is not None:
+            # only once derivative has checked the shape of first
+            second = second_of(t, rows[0], p)
         # rows[1 + l] is column l of S; cross[l] is row block 1 + l, columns (y, p)
         cross = second[:, 0] * rows[1:, 0, None, None]
         for q in range(1, m):
@@ -347,8 +369,8 @@ def forward_sensitivity_solve(
     which lets one provider call evaluate a block of steps, with ``t`` a
     vector of lane times.  That is a model's ``rhs`` with the model's
     provider from :func:`jacobian_provider`, and the augmented system of
-    such a pair with its structured provider when the model has
-    ``second``, which is what a lowered solve of :func:`dual_aware_solve`
+    such a pair with its structured provider when that provider is the
+    analytic one, which is what a lowered solve of :func:`dual_aware_solve`
     hands over.  Any other ``f`` or provider is not known to take lanes,
     so the composite system is stepped with one provider call per step at
     a real ``t``, lanes one column at a time; so is every RK23 solve,
@@ -539,10 +561,10 @@ def dual_aware_solve(
     The lowered solve needs the Jacobians of ``rhs``.  An augmented system
     built by this module, which is what a dual-valued
     :func:`forward_sensitivity_solve` hands over, brings its own structured
-    provider (see :func:`_augmented_system`).  With the model's ``second``
+    provider (see :func:`_augmented_system`).  With analytic Jacobians
     that provider takes lanes, so an Euler lowered solve evaluates it once
-    per block of steps, ahead of the recurrence; without it, or under
-    RK23, once per step.  Any other ``rhs`` is differentiated by one dual
+    per block of steps, ahead of the recurrence; with dual Jacobians, or
+    under RK23, once per step.  Any other ``rhs`` is differentiated by one dual
     pass per step (:func:`dual_jacobians`).
     """
     y0 = np.asarray(y0)

@@ -49,6 +49,11 @@ _MAX_STEPS = 1_000_000
 # gaps of an Euler grid converted to Python floats at a time
 _GAP_SLICE = 1024
 
+# state entries of the RK23 output rows filled from the Hermite extension at a
+# time: the knots gathered for them stay small however wide the state (985 rows
+# of a lowered Hessian solve's (19, 14)), and a narrow state fills in one call
+_FILL_ENTRIES = 2 ** 18
+
 # RK23 step control, fixed as in ode23: the new step is the old one times
 # _SAFETY * err^(-1/3), bounded to [_MIN_FACTOR, _MAX_FACTOR]
 _SAFETY = 0.8
@@ -442,12 +447,16 @@ def rk23_solve(rhs: Callable, time: TimeSpec, y0, method: RK23Method = RK23Metho
     idx = np.searchsorted(kt, points, side="right") - 1
     states = ky[idx]
     inner = np.flatnonzero(kt[idx] != points)
-    i = idx[inner]
     # one time per query row, broadcast over the axes of the state
     column = (-1,) + (1,) * (ky.ndim - 1)
-    states[inner] = hermite_interp(
-        kt[i].reshape(column), ky[i], kf[i], kt[i + 1].reshape(column), ky[i + 1], kf[i + 1],
-        points[inner].reshape(column))
+    # a slice of rows at a time, so the knots of every row are never gathered at once
+    n_rows = max(1, _FILL_ENTRIES // ky[0].size)
+    for start in range(0, len(inner), n_rows):
+        rows = inner[start:start + n_rows]
+        i = idx[rows]
+        states[rows] = hermite_interp(
+            kt[i].reshape(column), ky[i], kf[i], kt[i + 1].reshape(column), ky[i + 1], kf[i + 1],
+            points[rows].reshape(column))
     return Trajectory(points.copy(), states)
 
 

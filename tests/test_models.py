@@ -28,7 +28,8 @@ from odesens.models import (
     lv_rhs,
     parse_scenario_text,
 )
-from odesens.scalars import Dual1, contains_dual, eval_jacobian_dual, eval_jvp_dual
+from odesens.scalars import Dual1, contains_dual, eval_jacobian_dual
+from odesens.sensitivity import jacobian_provider
 from odesens.solvers import (
     EulerMethod, Points, RK23Method, Span, SpanModeError, euler_solve, rk23_solve,
 )
@@ -378,13 +379,13 @@ def test_hessian_lowered_solves_are_two_composite_solves(solve_shapes):
     assert solve_shapes == [(19, 14)] * 2
 
 
-@pytest.mark.parametrize("jac, passes", [("analytic", []), ("ad", [6] * 40)])
+@pytest.mark.parametrize("jac, passes", [("analytic", [(6, 20)] * 2), ("ad", [(6,)] * 40)])
 def test_hessian_lowered_jacobian_makes_no_pass_over_the_augmented_rhs(monkeypatch, jac, passes):
     columns, jac_inputs, jvp_seeds, rhs_calls = [], [], [], []
     jacobian_dual, jvp_dual = sensitivity.eval_jacobian_dual, sensitivity.eval_jvp_dual
 
     def counted_jacobian(f, x):
-        columns.append(np.asarray(x).shape[0])
+        columns.append(np.shape(x))
         return jacobian_dual(f, x)
 
     def counted_jvp(f, x, seed):
@@ -404,16 +405,17 @@ def test_hessian_lowered_jacobian_makes_no_pass_over_the_augmented_rhs(monkeypat
     model = dataclasses.replace(MODELS["lv"], rhs=counted_rhs, jac=counted_jac)
     fmain_hessian(Y0, P, Points(np.linspace(0.0, 2.0, 21)), EulerMethod(0.1), model=model, jac=jac)
     # 2 lowered solves of 20 Euler steps
-    assert sorted(columns) == passes
+    assert columns == passes
     if jac == "analytic":
         # each solve's state pass steps the augmented system, which calls the
         # model's provider, rhs and jac, once per step at a real t; then one
-        # lane-form call of the structured provider evaluates rhs, jac and the
-        # model's second derivatives at the block of 20 steps.  No step builds
-        # a Dual1, and the model's own Jacobian runs on real states only
+        # lane-form call of the structured provider evaluates rhs and jac at the
+        # block of 20 steps, and the second derivatives come from one 6-seed
+        # lane pass over jac there.  No step builds a Dual1
         assert rhs_calls == ([()] * 20 + [(20,)]) * 2
         assert jvp_seeds == []
-        assert jac_inputs == ([((2,), np.dtype(float))] * 20 + [((2, 20), np.dtype(float))]) * 2
+        assert jac_inputs == ([((2,), np.dtype(float))] * 20
+                              + [((2, 20), np.dtype(float)), ((2,), np.dtype(object))]) * 2
     else:
         # each step calls the provider once, and its value is row 0 of the lowered
         # derivative, taken from the primals of the 6-seed pass over the
@@ -424,47 +426,47 @@ def test_hessian_lowered_jacobian_makes_no_pass_over_the_augmented_rhs(monkeypat
         assert jac_inputs == []
 
 
-@pytest.mark.parametrize("name", ["lv", "linear", "zero"])
+@pytest.mark.parametrize("model", [MODELS["lv"], MODELS["linear"], MODELS["zero"], BINDING],
+                         ids=["lv", "linear", "zero", "binding"])
 @given(data=st.data())
-def test_second_derivatives_equal_the_dual_pass(name, data):
-    model = MODELS[name]
+def test_jac_equals_the_dual_pass_over_rhs(model, data):
     m, k = model.state_dim, len(model.params)
     entries = st.floats(-1e3, 1e3)
     y = data.draw(arrays(float, m, elements=entries), label="y")
     p = data.draw(arrays(float, k, elements=entries), label="p")
-    y_p = np.concatenate([y, p])
-    # the first derivatives equal the dual pass over the right-hand side
-    first = eval_jacobian_dual(lambda z: model.rhs(0.0, z[:m], z[m:]), y_p)
+    first = eval_jacobian_dual(lambda z: model.rhs(0.0, z[:m], z[m:]), np.concatenate([y, p]))
     assert np.array_equal(model.jac(0.0, y, p), first)
-    second = model.second(0.0, y, p)
-    _, expected = eval_jvp_dual(lambda z: model.jac(0.0, z[:m], z[m:]), y_p, np.eye(m + k))
-    assert second.shape == (m, m + k, m + k)
-    # constant Jacobians, as in zero, carry only the scalar zero tangent
-    expected = np.broadcast_to(expected.reshape(m, m + k, -1), second.shape)
-    # equal in value; only the sign of an exact zero may differ
-    assert np.array_equal(second, expected)
 
 
-def test_first_derivatives_of_the_wrong_shape_are_rejected():
-    calls = []
+@pytest.mark.parametrize("driver, method", [
+    (fmain_gradient_forward, EulerMethod(0.1)),
+    (fmain_hessian, EulerMethod(0.1)),
+    (fmain_hessian, RK23Method()),
+], ids=["gradient-euler", "hessian-euler", "hessian-rk23"])
+def test_first_derivatives_of_the_wrong_shape_are_rejected(monkeypatch, driver, method):
+    calls, passes = [], []
 
     def jac(t, y, p):
         calls.append(t)
         return np.zeros((2, 4))
 
+    def counted_jacobian(f, x):
+        passes.append(np.shape(x))
+        return eval_jacobian_dual(f, x)
+
+    monkeypatch.setattr(sensitivity, "eval_jacobian_dual", counted_jacobian)
     model = dataclasses.replace(MODELS["lv"], jac=jac)
     time = Points(np.linspace(0.0, 2.0, 21))
-    with pytest.raises(ValueError, match=re.escape("shape (2, 4); expected (2, 6)")):
-        fmain_gradient_forward(Y0, P, time, EulerMethod(0.1), model=model)
+    with pytest.raises(ValueError, match=re.escape(
+            "jacobian provider returned shape (2, 4); expected (2, 6)")):
+        driver(Y0, P, time, method, model=model)
     # rejected at the first provider call, before the recurrence takes a step:
-    # the call covers the first block of Euler steps, here all 20 step times
-    assert len(calls) == 1 and np.array_equal(calls[0], time.times[:-1])
-
-
-def test_second_derivatives_of_the_wrong_shape_are_rejected():
-    model = dataclasses.replace(MODELS["lv"], second=lambda t, y, p: np.zeros((2, 6, 4)))
-    with pytest.raises(ValueError, match=re.escape("shape (2, 6, 4); expected (2, 6, 6)")):
-        fmain_hessian(Y0, P, Points(np.linspace(0.0, 2.0, 21)), EulerMethod(0.1), model=model)
+    # a gradient's call covers the first block of Euler steps, here all 20 step
+    # times; a Hessian's is the first step of a lowered solve, Euler or RK23
+    first = time.times[:-1] if driver is fmain_gradient_forward else 0.0
+    assert len(calls) == 1 and np.array_equal(calls[0], first)
+    # and before any second derivative is taken
+    assert passes == []
 
 
 @pytest.mark.parametrize("method, gradient, shapes", [
@@ -532,17 +534,20 @@ def test_model_rhs_and_jac_are_elementwise_over_lanes(binding, name):
         assert first[..., b].tobytes() == model.jac(0.5, y0[:, b], p[:, b]).tobytes()
 
 
-@pytest.mark.parametrize("name", ["lv", "linear", "zero"])
-def test_model_second_is_elementwise_over_lanes(name):
+@pytest.mark.parametrize("name", ["lv", "linear", "zero", "binding"])
+def test_analytic_second_derivatives_are_elementwise_over_lanes(binding, name):
     model = MODELS[name]
     m, k = model.state_dim, len(model.params)
-    # negative entries too, where a constant computed as 0.0 * y would read -0.0
+    second = jacobian_provider(model, "analytic").second
+    # negative entries too, and a vector of lane times
     rng = np.random.default_rng(11)
-    y, p = rng.normal(size=(m, 4)), rng.normal(size=(k, 4))
-    second = model.second(0.5, y, p)
-    assert second.shape == (m, m + k, m + k, 4)
+    t, y, p = np.linspace(0.0, 1.0, 4), rng.normal(size=(m, 4)), rng.normal(size=(k, 4))
+    lanes = second(t, y, p)
+    assert lanes.shape == (m, m + k, m + k, 4)
     for b in range(4):
-        assert second[..., b].tobytes() == model.second(0.5, y[:, b], p[:, b]).tobytes()
+        one = second(t[b], y[:, b], p[:, b])
+        assert one.shape == (m, m + k, m + k)
+        assert lanes[..., b].tobytes() == one.tobytes()
 
 
 @pytest.mark.parametrize("jac", ["analytic", "ad"])

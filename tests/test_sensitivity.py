@@ -362,6 +362,10 @@ CONSTANT = OdeModel(lambda t, y, p: np.array([1.0, -2.0]),
                     {"u0": 1.0, "v0": 0.5}, {"a": 0.3, "b": 0.7}, ())
 
 
+# with the model that reads t, whose second derivatives take lane times as a lane dual
+_LOWERED_MODELS = {**_STRUCTURED_MODELS, "forced": FORCED}
+
+
 # reads t as a Python number and sums over the whole state: no lane form
 def _scalar_rhs(t, y, p):
     return -p[0] * y * (2.0 if t > 0.5 else 1.0) + 0.01 * sum(y)
@@ -533,7 +537,7 @@ class TestTwoPassEuler:
         # holding the 15000 more states and their times would take about 0.7 MB more
         assert peaks[1] < peaks[0] + 100_000
 
-    @pytest.mark.parametrize("name", ["lv", "linear", "zero"])
+    @pytest.mark.parametrize("name", list(_LOWERED_MODELS))
     @pytest.mark.parametrize("grid", ["points", "uneven"])
     def test_a_lowered_solve_equals_the_per_step_solve_bitwise(self, name, grid):
         aug, p, x0 = _lowered_inputs(name, 3)
@@ -588,7 +592,9 @@ class TestTwoPassEuler:
         # RK23's step control reads the sensitivities
         ("analytic", RK23Method(), False),
     ], ids=["analytic", "ad", "rk23"])
-    def test_which_lowered_hessian_solves_take_two_passes(self, monkeypatch, jac, method, two_pass):
+    @pytest.mark.parametrize("name", ["lv", "binding", "triple"])
+    def test_which_lowered_hessian_solves_take_two_passes(self, monkeypatch, name, jac, method,
+                                                          two_pass):
         passes = []
         original = sensitivity._two_pass_euler
 
@@ -597,8 +603,9 @@ class TestTwoPassEuler:
             return original(*args)
 
         monkeypatch.setattr(sensitivity, "_two_pass_euler", spy)
-        fmain_hessian(LV_Y0, LV_P, Points(np.linspace(0.0, 2.0, 21)), method, model=MODELS["lv"],
-                      jac=jac)
+        model = _STRUCTURED_MODELS[name]
+        y0, p = np.array(list(model.states.values())), np.array(list(model.params.values()))
+        fmain_hessian(y0, p, Points(np.linspace(0.0, 2.0, 21)), method, model=model, jac=jac)
         # the two lowered solves, each of an augmented system with its own provider
         assert len(passes) == (2 if two_pass else 0)
         assert all(hasattr(f.jacobians, "_lane_rhs") for f in passes)
@@ -609,7 +616,7 @@ def _lowered_inputs(name, b):
 
     ``V`` and ``W`` are off their initial 0 and I, as further along a solve.
     """
-    model = MODELS[name]
+    model = _LOWERED_MODELS[name]
     m, k = model.state_dim, len(model.params)
     aug = _augmented_system(model.rhs, jacobian_provider(model, "analytic"), m, k)
     rng = np.random.default_rng(29)
@@ -621,7 +628,7 @@ def _lowered_inputs(name, b):
     return aug, p, x0
 
 
-@pytest.mark.parametrize("name", ["lv", "linear", "zero"])
+@pytest.mark.parametrize("name", list(_LOWERED_MODELS))
 def test_structured_jacobian_on_lanes_equals_its_per_lane_calls_bitwise(name):
     aug, p, x = _lowered_inputs(name, 5)
     n, k = x.shape[0], p.shape[0]

@@ -390,6 +390,29 @@ class TestRK23Solve:
                 )
             assert np.array_equal(got.states[i], expected)
 
+    def test_points_filled_a_slice_of_rows_at_a_time_equal_one_fill_bitwise(self, monkeypatch):
+        pts = np.linspace(0.0, 50.0, 37)
+        start = np.array([1000.0, 20.0])
+        seeds = np.random.default_rng(43).uniform(-1.0, 1.0, (2, 3))
+        for y0 in (start, lift_dual(start, seeds)):
+            # the default slice holds all 37 rows
+            whole = rk23_solve(lv, Points(pts), y0)
+            rows, interp = [], solvers.hermite_interp
+
+            def counted(*args):
+                rows.append(len(args[-1]))
+                return interp(*args)
+
+            with monkeypatch.context() as patch:
+                # 3 rows of 2 entries
+                patch.setattr(solvers, "_FILL_ENTRIES", 7)
+                patch.setattr(solvers, "hermite_interp", counted)
+                sliced = rk23_solve(lv, Points(pts), y0)
+            assert sliced.times.tobytes() == whole.times.tobytes()
+            assert _bits(sliced.states) == _bits(whole.states)
+            # every row off a knot, 3 at a time and the rest last
+            assert len(rows) > 1 and set(rows[:-1]) == {3} and 1 <= rows[-1] <= 3
+
     def test_lv_oscillation_predator_lags_prey(self):
         pts = np.linspace(0.0, 1000.0, 1001)
         traj = rk23_solve(lv, Points(pts), np.array([1000.0, 20.0]))

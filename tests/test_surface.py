@@ -31,14 +31,14 @@ _PARAMETERS = {
     forward_sensitivity_solve: [
         ("f", _NONE), ("jac", _NONE), ("p", _NONE), ("y0", _NONE), ("time", _NONE),
         ("method", _NONE)],
-    analytic_jacobians: [("jac", _NONE), ("second", None)],
+    analytic_jacobians: [("jac", _NONE)],
 }
 
 _FIELDS = {
     RK23Method: [("rel_tol", 1e-3), ("abs_tol", 1e-6)],
     EulerMethod: [("dt", dataclasses.MISSING)],
     OdeModel: [(name, dataclasses.MISSING) for name in (
-        "rhs", "jac", "states", "params", "positive")] + [("second", None)],
+        "rhs", "jac", "states", "params", "positive")],
 }
 
 
