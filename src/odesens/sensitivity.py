@@ -10,9 +10,10 @@ returns both as the pair ``(f, [f_y | f_p])``, and nothing else in the
 step evaluates the model.  On top of the resulting per-time-point
 Jacobians this module offers forward seed propagation, reverse adjoint
 contraction, solves with dual-valued inputs (by stripping the payload,
-augmenting, and reassembling), and a forward-over-reverse Hessian
-driver.  Real inputs with a trailing column axis are integrated as lanes
-of one Euler solve, each lane its own system.
+augmenting, and reassembling the rows a caller reads), and a
+forward-over-reverse Hessian driver.  Real inputs with a trailing column
+axis are integrated as lanes of one Euler solve, each lane its own
+system.
 
 The variational equations are linear in the sensitivities, and under
 Euler their coefficients depend only on the state trajectory.  A real
@@ -40,6 +41,7 @@ one lane pass over ``jac``, gives every step's structured Jacobian.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -306,6 +308,11 @@ class SensitivityBundle:
     column-major ``vec``.  ``y``, ``dy_dp`` and ``dy_dy0`` are views into it.
     A lane solve's states carry a lane axis after the time axis, and so do
     the views; ``states[:, b]`` is the bundle of lane ``b``.
+
+    The bundle of dual-valued inputs keeps the bundle of its lowered solve,
+    one scalar kind down, with the seeds, and lifts its rows on demand:
+    :meth:`take` lifts the rows it names, and ``states`` lifts every row
+    on first access.
     """
 
     times: np.ndarray
@@ -335,6 +342,48 @@ class SensitivityBundle:
         """``(n_times, state_dim, state_dim)``"""
         return self.states[..., -self.state_dim:, :].swapaxes(-1, -2)
 
+    def take(self, rows) -> SensitivityBundle:
+        """The bundle of the output rows ``rows``, an index array or a slice."""
+        return SensitivityBundle(self.times[rows], self.states[rows], self.time_spec)
+
+
+class _LiftedTrajectory(Trajectory):
+    """Trajectory of a dual-valued solve, kept as its lowered bundle and its seeds.
+
+    :meth:`lift` builds the dual rows it is asked for from the JVP payload
+    of those rows alone; ``states`` lifts every row on first access.
+    """
+
+    def __init__(self, lowered: SensitivityBundle, seeds: np.ndarray):
+        vars(self).update(times=lowered.times, lowered=lowered, seeds=seeds)
+
+    def lift(self, rows) -> np.ndarray:
+        part = self.lowered.take(rows)
+        m = part.state_dim
+        return lift_dual(part.y, jvp_solution(part, self.seeds[:m], self.seeds[m:]))
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        return self.lift(slice(None))
+
+
+class _LiftedBundle(SensitivityBundle):
+    """Bundle of dual-valued inputs: the rows of a :class:`_LiftedTrajectory` as row stacks."""
+
+    def __init__(self, traj: _LiftedTrajectory, shape: tuple, time_spec: TimeSpec):
+        vars(self).update(times=traj.times, time_spec=time_spec, traj=traj, shape=shape)
+
+    state_dim = property(lambda self: self.shape[-1])
+    n_params = property(lambda self: self.shape[-2] - 1 - self.shape[-1])
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        return self.traj.states.reshape((-1,) + self.shape)
+
+    def take(self, rows) -> SensitivityBundle:
+        stacks = self.traj.lift(rows).reshape((-1,) + self.shape)
+        return SensitivityBundle(self.times[rows], stacks, self.time_spec)
+
 
 def forward_sensitivity_solve(
     f: Callable,
@@ -350,7 +399,9 @@ def forward_sensitivity_solve(
     ``jac`` is a Jacobian provider such as :func:`analytic_jacobians` or
     :func:`dual_jacobians`.  If ``y0`` or ``p`` carry dual payloads the
     composite integration is routed through :func:`dual_aware_solve` on
-    the ravelled stack, which strips one payload level and recurses.
+    the ravelled stack, which strips one payload level and recurses.  The
+    bundle then keeps that solve's lowered bundle and seeds, and lifts only
+    the rows it is asked for (see :class:`SensitivityBundle`).
 
     Real ``y0`` of shape ``(m, B)`` and ``p`` of shape ``(k, B)`` are ``B``
     lanes of one solve: the state is ``(B, 1 + k + m, m)``, lane ``b`` the
@@ -399,8 +450,8 @@ def forward_sensitivity_solve(
     system = _augmented_system(f, jac, m, k)
 
     if dual:
-        traj = dual_aware_solve(system, p, x0.ravel(), time, method)
-    elif isinstance(method, EulerMethod) and getattr(jac, "_lane_rhs", None) is f:
+        return _LiftedBundle(dual_aware_solve(system, p, x0.ravel(), time, method), x0.shape, time)
+    if isinstance(method, EulerMethod) and getattr(jac, "_lane_rhs", None) is f:
         traj = _two_pass_euler(f, jac, p, y0, x0, time, method)
     elif y0.ndim == 1:
         traj = run_solver(lambda t, x: system(t, x, p), time, x0, method)
@@ -525,8 +576,11 @@ def vjp_solution(bundle: SensitivityBundle, a_y):
     parameters.  The bundle must come from a prescribed-points solve: the
     caller is stuck with the shape of the incoming adjoint, so the output
     grid has to be known up front rather than discovered by re-running the
-    primal solve.  Only the rows where ``a_y`` is nonzero are contracted,
-    so a final-row adjoint costs one row whatever the trajectory length.
+    primal solve.  Only the rows where ``a_y`` is nonzero are taken from
+    the bundle and contracted, so a final-row adjoint costs one row
+    whatever the trajectory length; a dual-valued bundle lifts just those
+    rows.  An all-zero adjoint takes no row; on a dual-valued bundle it
+    gives object arrays of the int ``0``.
     """
     if isinstance(bundle.time_spec, Span):
         raise SpanModeError(
@@ -537,8 +591,9 @@ def vjp_solution(bundle: SensitivityBundle, a_y):
     if a_y.shape != (n, m):
         raise ValueError(f"adjoint shape {a_y.shape} does not match trajectory ({n}, {m})")
     rows = np.flatnonzero(np.any(a_y != 0, axis=1))
+    part = bundle.take(rows)
     a_y = a_y[rows]
-    return np.tensordot(a_y, bundle.dy_dy0[rows], 2), np.tensordot(a_y, bundle.dy_dp[rows], 2)
+    return np.tensordot(a_y, part.dy_dy0, 2), np.tensordot(a_y, part.dy_dp, 2)
 
 
 def dual_aware_solve(
@@ -557,6 +612,12 @@ def dual_aware_solve(
     matrices and a ``(n_times, m, n)`` payload, still from one lowered
     solve.  Nested duals recurse: the lower-kind solve routes through here
     again until the base kind is real.
+
+    The returned trajectory keeps the lowered bundle and the seeds, two
+    arrays of the lower kind, and reassembles rows on demand: ``states``,
+    the ``(n_times, m)`` object array of duals, is lifted on first access,
+    and a bundle built on it lifts only the rows a contraction takes (see
+    :func:`vjp_solution`).  Each row holds the same duals either way.
 
     The lowered solve needs the Jacobians of ``rhs``.  An augmented system
     built by this module, which is what a dual-valued
@@ -578,10 +639,7 @@ def dual_aware_solve(
     bundle = forward_sensitivity_solve(
         rhs, jac, primal_values(p), primal_values(y0), time, method)
     # one call, so constants in either input widen to the seed count of the other
-    seeds = tangent_values(np.concatenate([y0, p]))
-    m = y0.shape[0]
-    payload = jvp_solution(bundle, seeds[:m], seeds[m:])
-    return Trajectory(bundle.times, lift_dual(bundle.y, payload))
+    return _LiftedTrajectory(bundle, tangent_values(np.concatenate([y0, p])))
 
 
 def hessian_forward_over_reverse(gradient: Callable, x0) -> np.ndarray:
