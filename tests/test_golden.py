@@ -135,6 +135,16 @@ GOLDEN = {
     "hessian-for-zero-t20": (["hessian", "--method", "for", "--model", "zero",
                               "--t-end", "20", "--n-points", "201"],
         "1d53ec5d58018ee57012cc08454f750b1e23420dbea0fb447a85109e59c9fdac"),
+    # the objective solves of the differenced gradients under RK23 read only their last row
+    "gradient-fd-rk23": (["gradient", "--mode", "fd", *RK23],
+        "161bde739562e034e764b1c6e90fb9b11838559242a01fa86b420136ccba0678"),
+    "gradient-cs-rk23": (["gradient", "--mode", "cs", *RK23],
+        "18676da1d1f110b87d801fd9083c61f2aaa3ce0f5a784f9c4114cae79016d15b"),
+    # the reference grid, [0, 1000] at 10001 points, under RK23
+    "gradient-fd-ref-rk23": (["gradient", "--mode", "fd", "--solver", "rk23"],
+        "bcba669ba96096e101af0ced21f14f1ce1cd4fefe50d1423da4f0cab8edf89ea"),
+    "hessian-fd-ref-rk23": (["hessian", "--method", "fd", "--solver", "rk23"],
+        "da48f735e212d4c04245efc3c072344c7d7cd01ff8794ad193774a94c534f265"),
 }
 
 # the aligned text table `compare` prints to stdout when --output is given
