@@ -38,6 +38,7 @@ from .solvers import (
     SolverMethod,
     SpanModeError,
     TimeSpec,
+    _FinalRow,
     run_columns,
 )
 
@@ -148,14 +149,15 @@ class OdeModel:
     evaluates a block of steps at their own times in one call.  In a
     dual-number lane pass that vector is a lane dual of zero tangent (see
     :func:`~odesens.sensitivity.dual_jacobians`), so ``rhs`` may combine
-    ``t`` with the state by plain arithmetic.  Every packaged model is
-    autonomous.
+    ``t`` with the state by arithmetic and by the numpy functions a
+    ``Dual1`` takes: ``np.exp``, ``np.log``, ``np.sqrt``, ``np.sin`` and
+    ``np.cos``.  Every packaged model is autonomous.
 
     A model declares no higher derivatives.  With analytic Jacobians the
     lowered solves of a Hessian take the derivatives of ``[f_y | f_p]`` in
     ``(y, p)`` from one dual pass over ``jac``, over lanes in an Euler
     solve, one pass per block of steps; so ``jac`` too may combine a lane
-    vector ``t`` with the state by plain arithmetic only.
+    vector ``t`` with the state only by arithmetic and those functions.
     """
 
     rhs: Callable
@@ -325,9 +327,11 @@ def format_scenario(scenario: Scenario) -> str:
     return "".join(f"{key}={value}\n" for key, value in settings.items())
 
 
-def _require_points(time: TimeSpec):
+def _final_row(time: TimeSpec) -> _FinalRow:
+    """The grid of ``time``, whose solves step it whole and keep only its last row."""
     if not isinstance(time, Points):
         raise SpanModeError("this objective requires a prescribed-points time specification")
+    return _FinalRow(time.times)
 
 
 def fmain_objective(y0, p, time: TimeSpec, method: SolverMethod, model: OdeModel):
@@ -338,8 +342,14 @@ def fmain_objective(y0, p, time: TimeSpec, method: SolverMethod, model: OdeModel
     :func:`solve_columns` call.  1-D inputs run the two solves one by one,
     so the complex inputs of the complex step never become lanes (see
     :func:`cs_jacobian`).
+
+    The objective and every driver built on it read only the last row of
+    each solve, so ``time`` is handed down as a final-row grid: each solve
+    takes every step of the grid, and keeps and reports that one row, the
+    last row of the full solve bit for bit.  No other row is held, and
+    under RK23 none is filled from the Hermite extension.
     """
-    _require_points(time)
+    time = _final_row(time)
     y0 = np.asarray(y0)
     p = np.asarray(p)
     if y0.ndim == 1:
@@ -367,9 +377,10 @@ def fmain_gradient_forward(
     One seed per entry of ``(y0 || p)``, all carried at once as the columns
     of the identity; the half-scaled parameters of the second solve
     contribute a factor 1/2 on its parameter seed.  The objective reads
-    only the final row, so only the final-row sensitivities are contracted.
+    only the final row, so the solves keep and contract only that row (see
+    :func:`fmain_objective`).
     """
-    _require_points(time)
+    time = _final_row(time)
     solve = _sensitivity_solver(model, jac, time, method)
     p = np.asarray(p)
     bundle1, bundle2 = solve(y0, p), solve(y0, p / 2.0)
@@ -381,7 +392,12 @@ def fmain_gradient_forward(
 
 
 def _pair_gradient(bundle1, bundle2) -> np.ndarray:
-    """The objective's gradient from the bundles of its solves at ``p`` and ``p/2``."""
+    """The objective's gradient from the bundles of its solves at ``p`` and ``p/2``.
+
+    The adjoint is ones on the last row of ``bundle.times`` and zero on any
+    other; the drivers' final-row solves keep that row alone, so it has
+    one row, and a dual-valued bundle lifts just that one.
+    """
     n, m = bundle1.times.shape[0], bundle1.state_dim
     adjoint = np.zeros((n, m))
     adjoint[-1, :] = 1.0
@@ -396,10 +412,11 @@ def fmain_gradient_reverse(
 ) -> np.ndarray:
     """Gradient of the objective from one adjoint contraction per solve.
 
-    The adjoint of the trajectory is ones on the final row and zero
-    elsewhere; the parameter adjoint of the half-scaled solve is folded in
-    with the chain-rule factor 1/2.  Runs on dual-valued inputs unchanged,
-    which is what the forward-over-reverse Hessian driver relies on.
+    The adjoint of the trajectory is ones on the final row, the one row its
+    final-row solves keep (see :func:`fmain_objective`); the parameter
+    adjoint of the half-scaled solve is folded in with the chain-rule
+    factor 1/2.  Runs on dual-valued inputs unchanged, which is what the
+    forward-over-reverse Hessian driver relies on.
 
     Columns ``y0`` of shape ``(m, B)`` and ``p`` of shape ``(k, B)`` give
     the ``(m + k, B)`` gradients of the column pairs, each column bitwise
@@ -408,7 +425,7 @@ def fmain_gradient_reverse(
     each column (see :func:`run_columns`).  1-D inputs run the two solves
     one by one.
     """
-    _require_points(time)
+    time = _final_row(time)
     solve = _sensitivity_solver(model, jac, time, method)
     y0 = np.asarray(y0)
     m = y0.shape[0]

@@ -62,9 +62,16 @@ class Dual1:
     whose last axis runs over the same lanes, such as ``(n, lanes)``; the
     rules then broadcast, so each lane is bitwise its own scalar pass.
 
+    ``np.exp``, ``np.log``, ``np.sqrt``, ``np.sin`` and ``np.cos`` of a
+    dual, or of an object array of duals, call its methods of those names,
+    which take the function of the primal by the same numpy function: a
+    float, a lane array and a nested dual alike.
+
     Division by a dual whose (bottom-level) primal is zero, in any lane,
     raises ``ZeroDivisionError``: none of the supported models divide, so
-    such a division is always a bug rather than a value to propagate.
+    such a division is always a bug rather than a value to propagate.  So
+    do the logarithm and the square root of such a dual, whose derivatives
+    divide by it.
     """
 
     __slots__ = ("primal", "tangent")
@@ -145,6 +152,27 @@ class Dual1:
             self.primal ** n,
             (n * self.primal ** (n - 1)) * self.tangent,
         )
+
+    # -- elementary functions: np.exp(x) and the others call these -----
+
+    def exp(self):
+        e = np.exp(self.primal)
+        return Dual1(e, e * self.tangent)
+
+    def log(self):
+        _require_invertible(self.primal)
+        return Dual1(np.log(self.primal), self.tangent / self.primal)
+
+    def sqrt(self):
+        root = np.sqrt(self.primal)
+        _require_invertible(root)
+        return Dual1(root, self.tangent / (2.0 * root))
+
+    def sin(self):
+        return Dual1(np.sin(self.primal), np.cos(self.primal) * self.tangent)
+
+    def cos(self):
+        return Dual1(np.cos(self.primal), -np.sin(self.primal) * self.tangent)
 
 
 def _const_parts(value):

@@ -63,8 +63,8 @@ from .solvers import (
     SpanModeError,
     TimeSpec,
     Trajectory,
-    _euler_gaps,
     _euler_grid,
+    _euler_substeps,
     run_solver,
 )
 
@@ -148,8 +148,9 @@ def dual_jacobians():
     lane duals (see :func:`~odesens.scalars.eval_jacobian_dual`); ``f``
     must then follow the lane contract of ``OdeModel``.  A vector ``t`` of
     lane times enters the pass as a lane dual of zero tangent, so ``f`` may
-    combine it with the state by plain arithmetic, each lane bitwise its
-    pass at a real ``t``.
+    combine it with the state by arithmetic and the numpy functions a
+    ``Dual1`` takes, such as ``np.exp``, each lane bitwise its pass at a
+    real ``t``.
     """
 
     def provider(f, t, y, p):
@@ -510,22 +511,20 @@ def _two_pass_euler(f: Callable, jac, p, y0, x0, time: TimeSpec, method: EulerMe
     def steps():
         y, times = y0, []
         states = np.empty((block_steps,) + y0.shape, np.result_type(x0, p))
-        for a, h, n_sub in _euler_gaps(grid, n_subs):
-            for j in range(n_sub):
-                t = a + j * h
-                try:
-                    value = f(t, y, p)
-                except Exception:
-                    # the recurrence takes the steps before this one, then meets the error
-                    if times:
-                        yield from block(times, states[:len(times)])
-                    raise
-                states[len(times)] = y
-                times.append(t)
-                y = y + h * value
-                if len(times) == block_steps:
-                    yield from block(times, states)
-                    times = []
+        for t, h, _ in _euler_substeps(grid, n_subs):
+            try:
+                value = f(t, y, p)
+            except Exception:
+                # the recurrence takes the steps before this one, then meets the error
+                if times:
+                    yield from block(times, states[:len(times)])
+                raise
+            states[len(times)] = y
+            times.append(t)
+            y = y + h * value
+            if len(times) == block_steps:
+                yield from block(times, states)
+                times = []
         if times:
             yield from block(times, states[:len(times)])
 

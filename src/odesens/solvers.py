@@ -11,7 +11,6 @@ extension of accepted steps, so they never influence step selection.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -46,7 +45,8 @@ _EPS = float(np.finfo(float).eps)
 # step budget of a solve: RK23 step attempts, Euler steps
 _MAX_STEPS = 1_000_000
 
-# gaps of an Euler grid converted to Python floats at a time
+# gaps of an Euler grid converted to Python floats at a time, and the gap
+# ends a final-row Euler solve keeps at a time
 _GAP_SLICE = 1024
 
 # state entries of the RK23 output rows filled from the Hermite extension at a
@@ -106,7 +106,8 @@ class Span:
 class Points:
     """Strictly increasing output times; row k of the result is at times[k].
 
-    A single point is allowed and means "initial state only".
+    A single point is allowed and means "initial state only".  The private
+    subclass ``_FinalRow`` steps the same grid but keeps only its last row.
     """
 
     times: np.ndarray
@@ -120,6 +121,15 @@ class Points:
         if times.shape[0] > 1 and not np.all(np.diff(times) > 0.0):
             raise ValueError("prescribed time points must be strictly increasing")
         object.__setattr__(self, "times", times)
+
+
+class _FinalRow(Points):
+    """Points whose solve steps the whole grid but reports only the last row.
+
+    Euler's steps depend only on the grid and RK23's only on the span, so
+    that row is bitwise the last row of the :class:`Points` solve; a caller
+    that reads no other row, such as the objective, holds no other row.
+    """
 
 
 TimeSpec = Union[Span, Points]
@@ -222,15 +232,18 @@ def _check_euler_budget(n_steps: float, dt: float, t0: float, t_end: float):
         )
 
 
-def _check_euler_rows(states: np.ndarray, grid: np.ndarray, n_subs: np.ndarray):
-    """Raise for the first non-finite row after row 0, naming the step that made it."""
+def _check_euler_rows(states: np.ndarray, grid: np.ndarray, n_subs: np.ndarray, first: int):
+    """Raise for the first non-finite row after row 0, naming the step that made it.
+
+    Row ``1 + i`` of ``states`` is the end of gap ``first + i`` of the grid.
+    """
     rows = states[1:]
     if rows.dtype == object:
         bad = np.array([not _all_finite(row) for row in rows], dtype=bool)
     else:
         bad = ~np.isfinite(rows).all(axis=tuple(range(1, rows.ndim)))
     if bad.any():
-        gap = int(bad.argmax())
+        gap = first + int(bad.argmax())
         h = (grid[gap + 1] - grid[gap]) / n_subs[gap]
         raise NonFiniteStateError(
             f"non-finite state {_at(int(n_subs[:gap + 1].sum()), grid[gap + 1], h)}")
@@ -270,18 +283,21 @@ def _euler_grid(time: TimeSpec, dt: float):
     return grid, n_subs
 
 
-def _euler_gaps(grid: np.ndarray, n_subs: np.ndarray):
-    """``(a, h, n_sub)`` of each gap on Python floats; substep ``j`` of a gap is at ``a + j * h``.
+def _euler_substeps(grid: np.ndarray, n_subs: np.ndarray):
+    """``(t, h, end)`` of every Euler substep, ``end`` true on the last substep of its gap.
 
-    The gaps are converted a slice at a time, so the Python floats of a
-    long grid are never all held at once; ``zip`` stops at the slice's
-    last gap, before the end point that ``grid`` adds to the final slice.
+    Substep ``j`` of a gap ``[a, b]`` of ``n_sub`` substeps is at
+    ``a + j * h`` with ``h = (b - a) / n_sub``, on Python floats.  The gaps
+    are converted a slice at a time, so the Python floats of a long grid
+    are never all held at once; ``zip`` stops at the slice's last gap,
+    before the end point that the slice's grid ends with.
     """
-    return itertools.chain.from_iterable(
-        zip(grid[i:i + _GAP_SLICE].tolist(),
-            (np.diff(grid[i:i + _GAP_SLICE + 1]) / n_subs[i:i + _GAP_SLICE]).tolist(),
-            n_subs[i:i + _GAP_SLICE].tolist())
-        for i in range(0, len(n_subs), _GAP_SLICE))
+    for i in range(0, len(n_subs), _GAP_SLICE):
+        ends, subs = grid[i:i + _GAP_SLICE + 1], n_subs[i:i + _GAP_SLICE]
+        for a, h, n_sub in zip(ends.tolist(), (np.diff(ends) / subs).tolist(), subs.tolist()):
+            for j in range(n_sub - 1):
+                yield a + j * h, h, False
+            yield a + (n_sub - 1) * h, h, True
 
 
 def euler_solve(rhs: Callable, time: TimeSpec, y0, dt: float) -> Trajectory:
@@ -291,8 +307,10 @@ def euler_solve(rhs: Callable, time: TimeSpec, y0, dt: float) -> Trajectory:
     with the final step shortened to land exactly on ``t_end``.  For
     prescribed points each gap is covered with uniform substeps of size at
     most ``dt`` and only the requested rows are reported.  Both run as one
-    loop over the gaps of the output grid, on Python floats: a span is its
-    step grid with one substep per gap.
+    loop over the substeps of the output grid, on Python floats: a span is
+    its step grid with one substep per gap.  A final-row grid (the private
+    ``_FinalRow``) takes every step of its grid and reports its last row
+    alone, bitwise the last row of the :class:`Points` solve.
 
     Generic over the scalar kind of ``y0``; ``dt`` and the time grid stay
     real.  ``y0`` may have any shape of at least one dimension: ``rhs``
@@ -305,32 +323,44 @@ def euler_solve(rhs: Callable, time: TimeSpec, y0, dt: float) -> Trajectory:
     more than the step budget it shares with RK23 raises
     ``MaxStepsExceededError`` before its first step.
 
-    Finiteness is checked once, after the loop, over every row but the
-    initial one.  A non-finite component stays non-finite under
+    Finiteness is checked over the rows of the gap ends, not after every
+    step: once after the loop, and for a final-row solve, which keeps the
+    gap ends of one slice of gaps at a time in one buffer, also before the
+    buffer is overwritten.  A non-finite component stays non-finite under
     ``y + h * f``, so the first non-finite row is the gap end a check after
-    every gap would have stopped at, and the error names the same step.  A
-    failing solve therefore finishes its fixed steps first (at most the
-    budget) and may print one more numpy ``RuntimeWarning``.  If ``rhs``
+    every gap would have stopped at, and the error names the same step, t
+    and h in both.  A failing solve therefore finishes its fixed steps
+    first (at most the budget), a final-row solve those of the slice it
+    fails in, and may print one more numpy ``RuntimeWarning``.  If ``rhs``
     raises after a non-finite row, that row is still what is reported.
     """
     grid, n_subs = _euler_grid(time, dt)
     y = _state_array(y0)
-    states = y[None]
-    filled = 1
+    # row 0 and the gap ends after it: the whole grid, or a slice of gaps at a time
+    n_rows = min(len(grid), _GAP_SLICE + 1) if isinstance(time, _FinalRow) else len(grid)
+    # states[1] is the end of gap `first`
+    states, filled, first = y[None], 1, 0
     try:
-        for a, h, n_sub in _euler_gaps(grid, n_subs):
-            for j in range(n_sub):
-                y = y + h * rhs(a + j * h, y)
+        for t, h, end in _euler_substeps(grid, n_subs):
+            y = y + h * rhs(t, y)
+            if not end:
+                continue
+            if filled == n_rows:
+                # only a final-row solve wraps, once the rows of its slice are checked
+                _check_euler_rows(states, grid, n_subs, first)
+                first, filled = first + filled - 1, 1
             if filled == len(states) or y.dtype != states.dtype:
-                # the full grid, in the kind of every row so far: a real y0 under a
-                # complex or dual rhs promotes, as stacking the rows would
-                grown = np.empty(grid.shape + y.shape, np.result_type(states, y))
+                # in the kind of every row so far: a real y0 under a complex or
+                # dual rhs promotes, as stacking the rows would
+                grown = np.empty((n_rows,) + y.shape, np.result_type(states, y))
                 grown[:filled] = states[:filled]
                 states = grown
             states[filled] = y
             filled += 1
     finally:
-        _check_euler_rows(states[:filled], grid, n_subs)
+        _check_euler_rows(states[:filled], grid, n_subs, first)
+    if isinstance(time, _FinalRow):
+        return Trajectory(grid[-1:].copy(), states[filled - 1:filled].copy())
     return Trajectory(grid, states)
 
 
@@ -384,6 +414,10 @@ def rk23_solve(rhs: Callable, time: TimeSpec, y0, method: RK23Method = RK23Metho
     are bitwise those of the solve of ``y0.ravel()``.  Independent lanes
     stacked in one state would share steps and change each other's
     results; running them separately is the job of :func:`run_columns`.
+
+    A final-row grid (the private ``_FinalRow``) takes the same steps and
+    reports the last knot, at ``t_end``, alone: the row the :class:`Points`
+    solve copies from it, with no Hermite fill.
 
     ``method`` supplies the two tolerances.  The step-control constants
     are fixed, as in ``ode23``: safety factor 0.8, step change bounded to
@@ -440,6 +474,8 @@ def rk23_solve(rhs: Callable, time: TimeSpec, y0, method: RK23Method = RK23Metho
 
     if points is None:
         return Trajectory(np.array(knot_t), np.array(knot_y))
+    if isinstance(time, _FinalRow):
+        return Trajectory(points[-1:].copy(), np.array([y]))
 
     kt, ky, kf = np.array(knot_t), np.array(knot_y), np.array(knot_f)
     # rows on a knot (t_end included, as it is the last knot) copy it exactly;

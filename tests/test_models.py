@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import BINDING
-from odesens import models, sensitivity
+from odesens import diffmethods, models, sensitivity, solvers
 from odesens.models import (
     MODELS,
     SOLVERS,
@@ -512,6 +512,38 @@ def test_fd_hessian_solves(solve_shapes, method, shapes):
     hess = fmain_hessian_fd(Y0, P, Points(np.linspace(0.0, 2.0, 21)), method, model=LV)
     assert hess.shape == (6, 6)
     assert solve_shapes == shapes
+
+
+@pytest.mark.parametrize("method", [EulerMethod(0.1), RK23Method()], ids=["euler", "rk23"])
+@pytest.mark.parametrize("driver", [
+    fmain_objective, fmain_gradient_forward, fmain_gradient_reverse, fmain_gradient_fd,
+    fmain_gradient_cs, fmain_hessian, fmain_hessian_fd,
+])
+def test_objective_solves_keep_only_their_last_row(monkeypatch, method, driver):
+    fills, rows = [], []
+    fill, solve = solvers.hermite_interp, solvers.run_solver
+
+    def counted_fill(*args):
+        fills.append(args)
+        return fill(*args)
+
+    def counted_solve(rhs, time, y0, method):
+        traj = solve(rhs, time, y0, method)
+        rows.append(len(traj.states))
+        return traj
+
+    monkeypatch.setattr(solvers, "hermite_interp", counted_fill)
+    for module in (diffmethods, models, sensitivity, solvers):
+        if getattr(module, "run_solver", None) is solve:
+            monkeypatch.setattr(module, "run_solver", counted_solve)
+    time = Points(np.linspace(0.0, 2.0, 21))
+    driver(Y0, P, time, method, model=LV)
+    # every solve, lowered ones included, steps the grid and keeps one row
+    assert rows and set(rows) == {1}
+    assert fills == []
+    # a Points solve still fills its rows
+    solvers.run_solver(lambda t, y: lv_rhs(t, y, P), time, Y0, method)
+    assert rows[-1] == 21 and len(fills) == (isinstance(method, RK23Method))
 
 
 def _input_columns(model, b):

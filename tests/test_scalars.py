@@ -67,6 +67,57 @@ class TestDualArithmetic:
         assert not is_finite_scalar(Dual1(Dual1(1.0, 0.0), np.array([0.5, np.inf])))
 
 
+# numpy function, its first and its second derivative
+ELEMENTARY = {
+    "exp": (np.exp, np.exp),
+    "log": (lambda x: 1.0 / x, lambda x: -1.0 / (x * x)),
+    "sqrt": (lambda x: 0.5 / np.sqrt(x), lambda x: -0.25 / (x * np.sqrt(x))),
+    "sin": (np.cos, lambda x: -np.sin(x)),
+    "cos": (lambda x: -np.sin(x), lambda x: -np.cos(x)),
+}
+
+
+class TestElementaryFunctions:
+    """``np.exp`` and the others of a dual: a float, lane or nested primal."""
+
+    @pytest.mark.parametrize("name", list(ELEMENTARY))
+    def test_value_and_derivatives(self, name):
+        f, (df, d2f) = getattr(np, name), ELEMENTARY[name]
+        x = 0.7
+        one = f(Dual1(x, 2.0))
+        assert one.primal == f(x)
+        assert one.tangent == pytest.approx(2.0 * df(x), rel=1e-15)
+        # a nested dual carries the second derivative
+        nested = f(Dual1(Dual1(x, 1.0), Dual1(1.0, 0.0)))
+        assert nested.primal.primal == f(x)
+        assert nested.primal.tangent == pytest.approx(df(x), rel=1e-15)
+        assert nested.tangent.primal == pytest.approx(df(x), rel=1e-15)
+        assert nested.tangent.tangent == pytest.approx(d2f(x), rel=1e-14)
+        # an object array of duals, each entry its own dual
+        array = f(lift_dual(np.array([x, 2.0 * x]), np.array([2.0, 1.0])))
+        assert primal_values(array).tolist() == [f(x), f(2.0 * x)]
+        assert tangent_values(array)[0] == one.tangent
+
+    @pytest.mark.parametrize("name", list(ELEMENTARY))
+    def test_lanes_equal_their_own_duals_bitwise(self, name):
+        f = getattr(np, name)
+        rng = np.random.default_rng(3)
+        x = rng.uniform(0.1, 5.0, 7)
+        seeds = rng.normal(size=(3, 7))
+        lanes = f(Dual1(x, seeds))
+        for b in range(7):
+            one = f(Dual1(float(x[b]), seeds[:, b]))
+            assert lanes.primal[b].tobytes() == np.float64(one.primal).tobytes()
+            assert lanes.tangent[:, b].tobytes() == one.tangent.tobytes()
+
+    @pytest.mark.parametrize("name", ["log", "sqrt"])
+    def test_a_zero_primal_is_a_hard_error(self, name):
+        with pytest.raises(ZeroDivisionError):
+            getattr(np, name)(Dual1(0.0, 1.0))
+        with pytest.raises(ZeroDivisionError):
+            getattr(np, name)(Dual1(np.array([1.0, 0.0]), np.ones((1, 2))))
+
+
 class TestVectorTangents:
     def test_vector_seed_shape(self):
         lifted = lift_dual(np.array([1.0, 2.0]), np.array([[1.0, 0.0, 3.0], [0.0, 1.0, 4.0]]))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import BINDING
-from odesens import sensitivity
+from odesens import models, sensitivity
 from odesens.models import MODELS, OdeModel, fmain_hessian, linear_rhs, lv_jac, lv_rhs
 from odesens.scalars import Dual1, lift_dual, primal_values, tangent_values
 from odesens.sensitivity import (
@@ -32,6 +32,7 @@ from odesens.solvers import (
     RK23Method,
     Span,
     SpanModeError,
+    _FinalRow,
     euler_solve,
     run_solver,
 )
@@ -356,6 +357,21 @@ def _forced_jac(t, y, p):
 
 
 FORCED = OdeModel(_forced_rhs, _forced_jac, {"u0": 1.0, "v0": 0.5}, {"a": 0.3, "b": 0.7}, ())
+
+
+# y' = (a e^-t y_1, -b e^-t y_2): a numpy function of t, which a lane pass takes of a lane dual
+def _decay_rhs(t, y, p):
+    return np.array([p[0] * np.exp(-t) * y[0], -(p[1] * np.exp(-t) * y[1])])
+
+
+def _decay_jac(t, y, p):
+    e, zero = np.exp(-t), 0.0 * y[0]
+    return np.array([[p[0] * e + zero, zero, e * y[0], zero],
+                     [zero, -(p[1] * e) + zero, zero, -(e * y[1])]])
+
+
+DECAY = OdeModel(_decay_rhs, _decay_jac, {"u0": 1.0, "v0": 0.5}, {"a": 0.3, "b": 0.7}, ())
+
 # a right-hand side of constants only: one lane, whose f does not take the lane shape
 CONSTANT = OdeModel(lambda t, y, p: np.array([1.0, -2.0]),
                     lambda t, y, p: np.zeros((2, 4) + np.shape(y)[1:]),
@@ -478,8 +494,9 @@ class TestTwoPassEuler:
         assert FloatingPointError in causes
 
     @pytest.mark.parametrize("kind", ["analytic", "ad"])
-    @pytest.mark.parametrize("model, lanes", [(FORCED, 1), (FORCED, 3), (CONSTANT, 1)],
-                             ids=["reads-t", "reads-t-lanes", "constant"])
+    @pytest.mark.parametrize("model, lanes", [
+        (FORCED, 1), (FORCED, 3), (DECAY, 1), (DECAY, 3), (CONSTANT, 1),
+    ], ids=["reads-t", "reads-t-lanes", "exp-of-t", "exp-of-t-lanes", "constant"])
     def test_a_model_that_reads_t_or_returns_constants(self, monkeypatch, kind, model, lanes):
         passes = []
         original = sensitivity._two_pass_euler
@@ -585,6 +602,56 @@ class TestTwoPassEuler:
         # past the first block of steps
         assert int(re.search(r"step (\d+)", str(got.value)).group(1)) > sensitivity._BLOCK_LANES
 
+    @pytest.mark.parametrize("kind", ["analytic", "ad"])
+    @pytest.mark.parametrize("y0, rate", [(1.0, 50.0), (1e76, 500.0)],
+                             ids=["sensitivities-first", "state-first"])
+    def test_a_failing_final_row_solve_names_the_step_of_the_points_solve(self, kind, y0, rate):
+        model = MODELS["linear"]
+        provider = jacobian_provider(model, kind)
+        grid, y0, p = np.linspace(0.0, 20.0, 2001), np.array([y0]), np.array([rate])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteStateError) as expected:
+                forward_sensitivity_solve(model.rhs, provider, p, y0, Points(grid), EulerMethod(0.01))
+            with pytest.raises(NonFiniteStateError) as got:
+                forward_sensitivity_solve(model.rhs, provider, p, y0, _FinalRow(grid),
+                                          EulerMethod(0.01))
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("y0, rate", [(1.0, 50.0), (1e76, 500.0)],
+                             ids=["sensitivities-first", "state-first"])
+    def test_a_failing_final_row_lowered_solve_names_the_step_of_the_points_solve(self, y0, rate):
+        model = MODELS["linear"]
+        aug = _augmented_system(model.rhs, jacobian_provider(model, "analytic"), 1, 1)
+        x0, p = _rows(np.array([y0]), np.zeros((1, 1)), np.eye(1)).ravel(), np.array([rate])
+        grid = np.linspace(0.0, 20.0, 2001)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteStateError) as expected:
+                forward_sensitivity_solve(aug, aug.jacobians, p, x0, Points(grid), EulerMethod(0.01))
+            with pytest.raises(NonFiniteStateError) as got:
+                forward_sensitivity_solve(aug, aug.jacobians, p, x0, _FinalRow(grid),
+                                          EulerMethod(0.01))
+        assert str(got.value) == str(expected.value)
+
+    def test_an_analytic_hessian_of_a_model_that_applies_exp_to_t(self, monkeypatch):
+        passes = []
+        original = sensitivity._two_pass_euler
+
+        def spy(*args):
+            passes.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(sensitivity, "_two_pass_euler", spy)
+        y0, p, time = np.array([1.0, 0.5]), np.array([0.3, 0.7]), Points(np.linspace(0.0, 2.0, 21))
+        got = fmain_hessian(y0, p, time, EulerMethod(0.01), model=DECAY)
+        assert len(passes) == 2
+        # a provider without the model's lane contract steps each lowered solve
+        # with one structured Jacobian per step, at a real t
+        monkeypatch.setattr(models, "jacobian_provider",
+                            lambda model, kind: analytic_jacobians(model.jac))
+        expected = fmain_hessian(y0, p, time, EulerMethod(0.01), model=DECAY)
+        assert len(passes) == 2
+        assert got.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("jac, method, two_pass", [
         ("analytic", EulerMethod(0.1), True),
         # a dual pass over the Jacobians has no lane form
@@ -609,6 +676,35 @@ class TestTwoPassEuler:
         # the two lowered solves, each of an augmented system with its own provider
         assert len(passes) == (2 if two_pass else 0)
         assert all(hasattr(f.jacobians, "_lane_rhs") for f in passes)
+
+
+def _bits(states):
+    """Bytes of every number in a float or dual array: primals, then tangents."""
+    flat = np.ravel(states)
+    return primal_values(flat).tobytes() + tangent_values(flat).tobytes()
+
+
+@pytest.mark.parametrize("method", [EulerMethod(0.1), RK23Method()], ids=["euler", "rk23"])
+def test_final_row_solves_keep_the_last_row_of_each_layer(method):
+    grid = np.linspace(0.0, 5.0, 51)
+    provider = jacobian_provider(MODELS["lv"], "analytic")
+    dual_p = lift_dual(LV_P, np.eye(4))
+    layers = {
+        "run_solver": lambda time: run_solver(lambda t, y: lv_rhs(t, y, LV_P), time, LV_Y0,
+                                              method).states,
+        "forward_sensitivity_solve": lambda time: forward_sensitivity_solve(
+            lv_rhs, provider, LV_P, LV_Y0, time, method).states,
+        "dual_aware_solve": lambda time: dual_aware_solve(lv_rhs, dual_p, LV_Y0, time,
+                                                          method).states,
+        # a lowered solve of the augmented system, lifted
+        "lifted": lambda time: forward_sensitivity_solve(
+            lv_rhs, provider, dual_p, LV_Y0, time, method).states,
+    }
+    for name, solve in layers.items():
+        full, final = solve(Points(grid)), solve(_FinalRow(grid))
+        # a plain Points solve still gives every row
+        assert len(full) == 51 and len(final) == 1, name
+        assert _bits(final) == _bits(full[-1:]), name
 
 
 def _lowered_inputs(name, b):

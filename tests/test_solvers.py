@@ -19,6 +19,7 @@ from odesens.solvers import (
     Span,
     StepUnderflowError,
     Trajectory,
+    _FinalRow,
     euler_solve,
     hermite_interp,
     rk23_solve,
@@ -319,6 +320,79 @@ def test_euler_lanes_equal_one_column_solves_bitwise(case):
             one = euler_solve(lambda t, y: lv_rhs(t, y, p[:, b]), time, y0[:, b], dt)
             assert lanes.times.tobytes() == one.times.tobytes()
             assert lanes.states[..., b].tobytes() == one.states.tobytes()
+
+
+class TestFinalRow:
+    """A final-row grid takes every step of its grid and keeps only the last row."""
+
+    # 2500 gaps, in three slices of at most 1024 gap ends
+    LONG = np.linspace(0.0, 3.0, 2501)
+
+    @staticmethod
+    def _rhs(t, y):
+        return 0.5 * y - 0.2 * y * y * y + 0.1 * t
+
+    # "widening": a real start whose rhs turns complex at t = 2, in the second slice
+    @pytest.mark.parametrize("kind", ["float", "complex", "widening"])
+    @pytest.mark.parametrize("lanes", [(), (3,)], ids=["one-lane", "lanes"])
+    @pytest.mark.parametrize("grid", [LONG, np.array([0.0, 0.013, 0.5, 1.7]), np.array([1.0])],
+                             ids=["long", "uneven", "one-point"])
+    def test_euler_keeps_the_last_row_of_the_points_solve_bitwise(self, kind, lanes, grid):
+        rng = np.random.default_rng(5)
+        y0 = rng.uniform(0.5, 1.5, (2,) + lanes)
+        if kind == "complex":
+            y0 = y0 + 1e-20j * rng.uniform(0.5, 1.5, y0.shape)
+
+        def rhs(t, y):
+            return self._rhs(t, y) * (1j if kind == "widening" and t > 2.0 else 1.0)
+
+        full = euler_solve(rhs, Points(grid), y0, 0.01)
+        final = euler_solve(rhs, _FinalRow(grid), y0, 0.01)
+        assert full.states.shape == (len(grid), 2) + lanes
+        assert final.times.tobytes() == full.times[-1:].tobytes()
+        assert final.states.dtype == full.states.dtype
+        assert final.states.tobytes() == full.states[-1:].tobytes()
+
+    @pytest.mark.parametrize("kind", ["float", "complex", "dual"])
+    def test_rk23_keeps_the_last_row_of_the_points_solve_bitwise(self, kind, monkeypatch):
+        y0 = np.array([1000.0, 20.0])
+        if kind == "complex":
+            y0 = y0 + np.array([1e-20j, 0.0])
+        elif kind == "dual":
+            y0 = lift_dual(y0, np.array([[1.0, 0.0], [0.5, 2.0]]))
+        grid = np.linspace(0.0, 50.0, 501)
+        full = rk23_solve(lv, Points(grid), y0)
+        fills = []
+        monkeypatch.setattr(solvers, "hermite_interp", lambda *args: fills.append(args))
+        final = rk23_solve(lv, _FinalRow(grid), y0)
+        assert fills == []
+        assert final.times.tobytes() == full.times[-1:].tobytes()
+        assert final.states.shape == (1, 2)
+        assert _bits(final.states) == _bits(full.states[-1:])
+
+    @pytest.mark.parametrize("rhs", ["plain", "strict"])
+    @pytest.mark.parametrize("rate", [500.0, 50.0], ids=["first-slice", "second-slice"])
+    @pytest.mark.parametrize("lanes", [(), (3,)], ids=["one-lane", "lanes"])
+    def test_a_failing_euler_solve_names_the_step_of_the_points_solve(self, rhs, rate, lanes):
+        def grow(t, y):
+            if rhs == "strict" and not np.isfinite(y).all():
+                raise FloatingPointError("the rhs got a non-finite state")
+            return rate * y
+
+        # y grows by 1 + rate * 0.01 a step: by 6 it overflows near step 400, by 1.5
+        # near step 1750, past the first slice of 1024 gap ends; the lanes start apart
+        y0 = np.array([1.0, 0.5]).reshape((2,) + (1,) * len(lanes)) * np.ones(lanes)
+        if lanes:
+            y0 = y0 * np.array([1e-100, 1.0, 1e-200])
+        time = np.linspace(0.0, 25.0, 2501)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteStateError) as expected:
+                euler_solve(grow, Points(time), y0, 0.01)
+            with pytest.raises(NonFiniteStateError) as got:
+                euler_solve(grow, _FinalRow(time), y0, 0.01)
+        assert str(got.value) == str(expected.value)
+        step = int(str(got.value).split("step ")[1].split(" ")[0])
+        assert (step > 1024) == (rate == 50.0)
 
 
 class TestRK23Step:
