@@ -28,7 +28,10 @@ LV_P = np.array([0.015, 1e-4, 0.03, 1e-4])
 LV_Y0 = np.array([1000.0, 20.0])
 
 METHODS = {"euler": EulerMethod(0.1), "rk23": RK23Method()}
-GRIDS = {"grid": Points(np.linspace(0.0, 1.0, 6)), "one-point": Points(np.array([0.0]))}
+GRIDS = {"grid": Points(np.linspace(0.0, 1.0, 6)), "one-point": Points(np.array([0.0])),
+         # 200 Euler steps, over which a one-ulp change in a nested lowered step
+         # reaches the pinned bytes, where the 10 steps of "grid" may not
+         "long": Points(np.linspace(0.0, 20.0, 41))}
 
 
 def _inputs(kind):
@@ -92,6 +95,12 @@ PINNED = {
     ("rk23", "scalar", "one-point"): ("2056c923da3ae4b3", "904ab5e96f3e3b34", "7675bb9c2d219046"),
     ("rk23", "vector", "one-point"): ("1051685eef489685", "32464ca40a1853d8", "4cf8e00fe693ec0f"),
     ("rk23", "nested", "one-point"): ("757e082e21c13993", "1c2eba4d213caf70", "cc88b7a8251a3417"),
+    ("euler", "scalar", "long"): ("633133ace96c6b6f", "b7f44c685e297af3", "8bbcc3b96c4e28bf"),
+    ("euler", "vector", "long"): ("7d17bcc3b81698cc", "b57409ba735ac2c5", "00f61e0b30b5b05f"),
+    ("euler", "nested", "long"): ("da3b2f5c9d7eaefe", "3d8021a52a07203f", "d87170370c5bc400"),
+    ("rk23", "scalar", "long"): ("3b1289a542c99233", "657bd79ad39cbcc2", "1ec9a18920007ec6"),
+    ("rk23", "vector", "long"): ("2340e1049b83029d", "7985481ea25c2067", "279eca1aae093cd7"),
+    ("rk23", "nested", "long"): ("bbfba3a6c21f4333", "5d27449dc30d90de", "0392a90e3a0f6b24"),
 }
 
 

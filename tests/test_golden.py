@@ -128,6 +128,12 @@ GOLDEN = {
     # dt 0.03 covers each 0.1 output gap with 4 lowered substeps
     "hessian-for-dt03": (["hessian", "--method", "for", *HESS, "--dt", "0.03"],
         "19ab79adc3df437ece5e6f02668c1636fe0928ae6b005771b8ba148aa9576cda"),
+    # the AD provider's lowered solves equal the analytic ones bitwise, so this equals
+    # hessian-for-dt03, and hessian-for-ad-ref below equals hessian-for-ref
+    "hessian-for-ad-dt03": (["hessian", "--method", "for", "--jac", "ad", *HESS, "--dt", "0.03"],
+        "19ab79adc3df437ece5e6f02668c1636fe0928ae6b005771b8ba148aa9576cda"),
+    "hessian-for-ad-ref": (["hessian", "--method", "for", "--jac", "ad"],
+        "5f85f19a4f67b26ede7b95f139bc196edc8ef0d35bdaf6ef961814e4d390acf7"),
     "hessian-for-linear-t20": (["hessian", "--method", "for", "--model", "linear",
                                 "--t-end", "20", "--n-points", "201"],
         "b17f664dccabd924bfd88496311fc19cd3152a908c9bd84993393a44343a8878"),
