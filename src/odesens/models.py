@@ -153,10 +153,12 @@ class OdeModel:
     ``Dual1`` takes: ``np.exp``, ``np.log``, ``np.sqrt``, ``np.sin`` and
     ``np.cos``.  Every packaged model is autonomous.
 
-    A model declares no higher derivatives.  With analytic Jacobians the
-    lowered solves of a Hessian take the derivatives of ``[f_y | f_p]`` in
-    ``(y, p)`` from one dual pass over ``jac``, over lanes in an Euler
-    solve, one pass per block of steps; so ``jac`` too may combine a lane
+    A model declares no higher derivatives.  The lowered solves of a
+    Hessian take the derivatives of ``[f_y | f_p]`` in ``(y, p)`` from one
+    dual pass over the model's Jacobian provider, over lanes in an Euler
+    solve, one pass per block of steps.  With analytic Jacobians that pass
+    evaluates ``rhs`` and ``jac`` on lane duals of ``t``, with dual
+    Jacobians ``rhs`` on nested ones; so ``jac`` too may combine a lane
     vector ``t`` with the state only by arithmetic and those functions.
     """
 

@@ -28,14 +28,14 @@ The augmented system is linear in its sensitivity blocks, so it carries a
 structured Jacobian of its own.  Lowering a dual-valued sensitivity solve,
 as the Hessian driver does, integrates the augmented system of the
 augmented system; its Jacobian then needs the model's second derivatives.
-A model declares none: with analytic Jacobians they come from one
-``m + k``-seed dual pass over its ``jac``, and with dual Jacobians from
-one such pass over its ``[f | f_y | f_p]``.  That provider returns the
-augmented system's value with its Jacobian, so a lowered step evaluates
-the model once.  With analytic Jacobians the provider takes lanes too,
-so a real lowered Euler solve runs in the same two passes: the state
-pass steps the augmented system, and one call per block of steps, with
-one lane pass over ``jac``, gives every step's structured Jacobian.
+A model declares none: whichever the Jacobian provider, they come from
+one ``m + k``-seed dual pass over the provider itself, whose tangents of
+``[f_y | f_p]`` are the second derivatives and whose primals of ``f`` are
+the augmented system's value row.  That structured provider takes lanes,
+so a real lowered Euler solve runs in the same two passes: the state pass
+steps the augmented system, and one call per block of steps, with one
+lane pass over the model's provider, gives every step's structured
+Jacobian.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .scalars import (
     Dual1,
     contains_dual,
     eval_jacobian_dual,
-    eval_jvp_dual,
     lift_dual,
     primal_values,
     tangent_values,
@@ -93,24 +92,27 @@ def _check_shape(name, array, shape, lanes=None):
         raise ValueError(f"{name} returned shape {array.shape}; expected {shape}{tail}")
 
 
-def _dual_pass(f: Callable, t, y, p):
+def _dual_pass(f: Callable, t, y, p, part=None):
     """``f(t, y, p)`` on duals and its derivative in ``(y, p)``, from one pass.
 
     The state and parameter vectors are lifted together with one identity
     seed block (see :func:`~odesens.scalars.eval_jacobian_dual`), lanes
     included; a vector ``t`` of lane times enters as a lane dual of zero
-    tangent.  Returns the dual output, whose primals are ``f``, and the
-    derivative, of shape ``f.shape + (m + k,)`` and over lanes
-    ``f.shape + (m + k, lanes)``.
+    tangent.  So does a ``t`` that is already the lane dual of an enclosing
+    pass, as the AD provider meets it inside a pass over itself: it becomes
+    a constant of this pass's level.  Returns the dual output, whose
+    primals are ``f``, and the derivative, of shape ``f.shape + (m + k,)``
+    and over lanes ``f.shape + (m + k, lanes)``.  With ``part``, the
+    derivative is that of ``f(t, y, p)[part]`` alone.
     """
     m = len(y)
-    if isinstance(t, np.ndarray):
+    if isinstance(t, (np.ndarray, Dual1)):
         t = Dual1(t)
     out = []
 
     def g(z):
         out.append(f(t, z[:m], z[m:]))
-        return out[0]
+        return out[0] if part is None else out[0][part]
 
     derivative = eval_jacobian_dual(g, np.concatenate([y, p]))
     return out[0], derivative
@@ -121,17 +123,15 @@ def analytic_jacobians(jac: Callable):
 
     ``jac`` takes ``(t, y, p)``; see ``OdeModel``.  Like every provider,
     ``provider(f, t, y, p)`` returns the pair ``(f(t, y, p), [f_y | f_p])``,
-    so a step evaluates the model through its provider only.  The provider
-    carries ``second(t, y, p)``, the ``(m, m + k, m + k)`` derivative of
-    ``[f_y | f_p]`` in ``(y, p)`` from one dual pass over ``jac``, which a
-    lowered solve of the Hessian reads; over lanes it is
-    ``(m, m + k, m + k, B)``, each lane bitwise its own column.
+    so a step evaluates the model through its provider only.  A lowered
+    solve of the Hessian takes the second derivatives from one dual pass
+    over this provider (see :func:`_augmented_system`), so there ``f`` and
+    ``jac`` both run on duals, over lanes in an Euler solve.
     """
 
     def provider(f, t, y, p):
         return f(t, y, p), np.asarray(jac(t, y, p))
 
-    provider.second = lambda t, y, p: _dual_pass(jac, t, y, p)[1]
     return provider
 
 
@@ -204,39 +204,39 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
 
     The returned function also carries its own Jacobian provider as the
     attribute ``jacobians``, which returns the system's value with its
-    Jacobian, so a lowered step evaluates the model once.  The system is
+    Jacobian, so a lowered step calls nothing else.  The system is
     linear in ``(V, W)``, so with ``n = (1 + k + m) m`` its ``(n, n + k)``
     derivative in ``(x, p)`` is assembled from blocks: ``[f_y, 0 | f_p]``
     in row block 0, ``I (x) f_y`` in the ``V``/``W`` columns, and in the
     ``y`` and ``p`` columns of row block ``1 + l`` the second-order terms
     ``sum_q d f_y[:, q] S[q, l]`` (plus ``d f_p[:, l]`` in the ``V`` rows)
-    with ``S = [V | W]``.  The derivatives of ``[f_y | f_p]`` in ``(y, p)``
-    come from ``jac.second`` when ``jac`` has one, as an analytic provider
-    does (a dual pass over the model's ``jac``), whatever the scalar kind
-    of the inputs, and otherwise from one dual pass of ``jac`` with
-    ``m + k`` seeds over ``[f | f_y | f_p]``, which gives the value and the
-    first derivatives too; ``jac.second`` is called only once the shape of
-    ``[f_y | f_p]`` has been checked.  The sum over ``q`` runs in the order
-    in which the system's object dot sums, ``q = 0`` first and ``f_p``
-    last.  Where ``jac`` equals a dual pass over ``f``, as it does for
-    every packaged model, the blocks therefore equal, value for value, a
-    dual pass over the whole system with ``n + k`` seeds; only the sign of
-    an exact zero may differ.
+    with ``S = [V | W]``.  One rule serves every provider and scalar kind:
+    a real call of ``jac`` gives ``[f_y | f_p]``, whose shape is checked
+    first, and then one dual pass over ``jac`` itself with ``m + k`` seeds
+    gives the rest.  The tangents of its ``[f_y | f_p]`` are their
+    derivatives in ``(y, p)``, and the primals of its ``f`` row 0 of the
+    value.  The sum over ``q`` runs in the order in which the system's
+    object dot sums, ``q = 0`` first and ``f_p`` last.  Where ``jac``
+    equals a dual pass over ``f``, as it does for every packaged model, the
+    blocks therefore equal, value for value, a dual pass over the whole
+    system with ``n + k`` seeds; only the sign of an exact zero may differ.
 
-    With ``jac.second``, ``jacobians`` takes lanes as the system does:
-    ``t`` of shape ``(L,)``, ``x`` ``(n, L)`` and ``p`` ``(k, L)`` give the
-    value ``(n, L)`` and the Jacobian ``(n, n + k, L)``, each lane bitwise
-    its one-point call; the pass over ``[f | f_y | f_p]`` has no lane form.  If
-    ``jac`` also takes ``f`` in lanes, as the provider of a model's ``rhs``
-    does (its ``_lane_rhs``), ``jacobians`` records the system as its own
-    ``_lane_rhs``, so a real lowered Euler solve runs in the two passes of
-    :func:`_two_pass_euler`: the state pass steps this system, and one
-    ``jacobians`` call evaluates a block of steps.
+    ``jacobians`` takes lanes as the system does, its dual pass a lane
+    pass: ``t`` of shape ``(L,)``, ``x`` ``(n, L)`` and ``p`` ``(k, L)``
+    give the value ``(n, L)`` and the Jacobian ``(n, n + k, L)``, each lane
+    bitwise its one-point call.  If ``jac`` also takes ``f`` in lanes, as
+    the provider of a model's ``rhs`` does (its ``_lane_rhs``),
+    ``jacobians`` records the system as its own ``_lane_rhs``, so a real
+    lowered Euler solve runs in the two passes of :func:`_two_pass_euler`:
+    the state pass steps this system, and one ``jacobians`` call evaluates
+    a block of steps.  A system of such a system records none, and its
+    solves, those of nested duals, take one structured Jacobian per step:
+    its value row is then the primal of the object ``dot`` of the dual
+    pass, which may differ in the last bit from the real ``dot`` that its
+    state pass would step.
     """
     m, k = state_dim, n_params
     n = (1 + k + m) * m
-    seeds = np.eye(m + k)
-    second_of = getattr(jac, "second", None)
     # the y and p columns of the (n, n + k) block, and the index of the
     # diagonal blocks I (x) f_y in the V/W rows and columns
     y_p = np.r_[:m, n:n + k]
@@ -254,6 +254,8 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
             out = rows.dot(np.ascontiguousarray(first[:, :m]).T)
         else:
             _check_shape("jacobian provider", first, block, rows.shape[2])
+            # a right-hand side of constants gives one value for all lanes
+            value = np.reshape(value, (m, -1))
             # lane b of the stacked matmul is the one-lane dot of C-contiguous operands
             f_y = np.ascontiguousarray(np.moveaxis(first[:, :m], -1, 0))
             out = np.moveaxis(np.matmul(np.ascontiguousarray(np.moveaxis(rows, -1, 0)),
@@ -270,17 +272,12 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
     def jacobians(_aug, t, x, p):
         lanes = p.shape[1:]
         rows = x.reshape(1 + k + m, m, *lanes)
-        # value is f, first [f_y | f_p], second its derivatives in (y, p), (m, m + k, m + k)
-        if second_of is not None:
-            value, first = jac(f, t, rows[0], p)
-        else:
-            primal, tangent = eval_jvp_dual(lambda z: np.column_stack(jac(f, t, z[:m], z[m:])),
-                                            np.concatenate([rows[0], p]), seeds)
-            value, first, second = primal[:, 0], primal[:, 1:], tangent[:, 1:]
-        dx = derivative(rows, value, first).reshape(x.shape)
-        if second_of is not None:
-            # only once derivative has checked the shape of first
-            second = second_of(t, rows[0], p)
+        first = jac(f, t, rows[0], p)[1]
+        # before the dual pass, which would fail on a wrong shape less clearly
+        _check_shape("jacobian provider", first, block, *lanes)
+        # the provider on duals: second, the tangents of [f_y | f_p], is (m, m + k, m + k)
+        (value, _), second = _dual_pass(lambda t, y, p: jac(f, t, y, p), t, rows[0], p, part=1)
+        dx = derivative(rows, primal_values(value), first).reshape(x.shape)
         # rows[1 + l] is column l of S; cross[l] is row block 1 + l, columns (y, p)
         cross = second[:, 0] * rows[1:, 0, None, None]
         for q in range(1, m):
@@ -293,8 +290,9 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
         return dx, j
 
     aug.jacobians = jacobians
-    if second_of is not None and getattr(jac, "_lane_rhs", None) is f:
-        # so a real lowered Euler solve takes two passes, one call per block of steps
+    if getattr(jac, "_lane_rhs", None) is f and not hasattr(f, "jacobians"):
+        # so a real lowered Euler solve takes two passes, one call per block of
+        # steps; a system of a system steps one point at a time (see above)
         jacobians._lane_rhs = aug
     return aug
 
@@ -421,13 +419,13 @@ def forward_sensitivity_solve(
     which lets one provider call evaluate a block of steps, with ``t`` a
     vector of lane times.  That is a model's ``rhs`` with the model's
     provider from :func:`jacobian_provider`, and the augmented system of
-    such a pair with its structured provider when that provider is the
-    analytic one, which is what a lowered solve of :func:`dual_aware_solve`
-    hands over.  Any other ``f`` or provider is not known to take lanes,
-    so the composite system is stepped with one provider call per step at
-    a real ``t``, lanes one column at a time; so is every RK23 solve,
-    whose step control reads the sensitivities.  Both ways give the same
-    bits.
+    such a pair with its structured provider, analytic or AD, which is what
+    a lowered solve of :func:`dual_aware_solve` hands over.  Any other
+    ``f`` or provider is not known to take lanes, the system of such a
+    system, which nested duals lower to, included, so the composite system
+    is stepped with one provider call per step at a real ``t``, lanes one
+    column at a time; so is every RK23 solve, whose step control reads the
+    sensitivities.  Both ways give the same bits.
     """
     y0 = np.asarray(y0)
     p = np.asarray(p)
@@ -621,11 +619,11 @@ def dual_aware_solve(
     The lowered solve needs the Jacobians of ``rhs``.  An augmented system
     built by this module, which is what a dual-valued
     :func:`forward_sensitivity_solve` hands over, brings its own structured
-    provider (see :func:`_augmented_system`).  With analytic Jacobians
-    that provider takes lanes, so an Euler lowered solve evaluates it once
-    per block of steps, ahead of the recurrence; with dual Jacobians, or
-    under RK23, once per step.  Any other ``rhs`` is differentiated by one dual
-    pass per step (:func:`dual_jacobians`).
+    provider (see :func:`_augmented_system`).  Analytic or AD, that
+    provider takes lanes, so an Euler lowered solve evaluates it once per
+    block of steps, ahead of the recurrence; under RK23, or one level
+    further down for nested duals, once per step.  Any other ``rhs`` is
+    differentiated by one dual pass per step (:func:`dual_jacobians`).
     """
     y0 = np.asarray(y0)
     p = np.asarray(p)

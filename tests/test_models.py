@@ -29,7 +29,6 @@ from odesens.models import (
     parse_scenario_text,
 )
 from odesens.scalars import Dual1, contains_dual, eval_jacobian_dual
-from odesens.sensitivity import jacobian_provider
 from odesens.solvers import (
     EulerMethod, Points, RK23Method, Span, SpanModeError, euler_solve, rk23_solve,
 )
@@ -379,18 +378,17 @@ def test_hessian_lowered_solves_are_two_composite_solves(solve_shapes):
     assert solve_shapes == [(19, 14)] * 2
 
 
-@pytest.mark.parametrize("jac, passes", [("analytic", [(6, 20)] * 2), ("ad", [(6,)] * 40)])
+@pytest.mark.parametrize("jac, passes", [
+    ("analytic", [(6, 20)] * 2),
+    ("ad", ([(6,)] * 20 + [(6, 20), (6, 20), (6,)]) * 2),
+])
 def test_hessian_lowered_jacobian_makes_no_pass_over_the_augmented_rhs(monkeypatch, jac, passes):
-    columns, jac_inputs, jvp_seeds, rhs_calls = [], [], [], []
-    jacobian_dual, jvp_dual = sensitivity.eval_jacobian_dual, sensitivity.eval_jvp_dual
+    columns, jac_inputs, rhs_calls = [], [], []
+    jacobian_dual = sensitivity.eval_jacobian_dual
 
     def counted_jacobian(f, x):
         columns.append(np.shape(x))
         return jacobian_dual(f, x)
-
-    def counted_jvp(f, x, seed):
-        jvp_seeds.append(np.shape(seed))
-        return jvp_dual(f, x, seed)
 
     def counted_jac(t, y, p):
         jac_inputs.append((np.shape(y), np.asarray(y).dtype))
@@ -401,27 +399,27 @@ def test_hessian_lowered_jacobian_makes_no_pass_over_the_augmented_rhs(monkeypat
         return lv_rhs(t, y, p)
 
     monkeypatch.setattr(sensitivity, "eval_jacobian_dual", counted_jacobian)
-    monkeypatch.setattr(sensitivity, "eval_jvp_dual", counted_jvp)
     model = dataclasses.replace(MODELS["lv"], rhs=counted_rhs, jac=counted_jac)
     fmain_hessian(Y0, P, Points(np.linspace(0.0, 2.0, 21)), EulerMethod(0.1), model=model, jac=jac)
-    # 2 lowered solves of 20 Euler steps
+    # 2 lowered solves of 20 Euler steps, each in two passes; every dual pass
+    # seeds the 6 inputs of the model, none the 18 of the augmented system
     assert columns == passes
     if jac == "analytic":
         # each solve's state pass steps the augmented system, which calls the
         # model's provider, rhs and jac, once per step at a real t; then one
         # lane-form call of the structured provider evaluates rhs and jac at the
         # block of 20 steps, and the second derivatives come from one 6-seed
-        # lane pass over jac there.  No step builds a Dual1
-        assert rhs_calls == ([()] * 20 + [(20,)]) * 2
-        assert jvp_seeds == []
+        # lane pass over the provider there, whose t is a lane dual, of shape ().
+        # No state-pass step builds a Dual1
+        assert rhs_calls == ([()] * 20 + [(20,), ()]) * 2
         assert jac_inputs == ([((2,), np.dtype(float))] * 20
                               + [((2, 20), np.dtype(float)), ((2,), np.dtype(object))]) * 2
     else:
-        # each step calls the provider once, and its value is row 0 of the lowered
-        # derivative, taken from the primals of the 6-seed pass over the
-        # Jacobians: rhs runs once per step
-        assert rhs_calls == [()] * 40
-        assert jvp_seeds == [(6, 6)] * 40
+        # the state pass calls the provider once per step, a 6-seed pass over rhs;
+        # the block's call takes a 6-seed lane pass, and its second derivatives
+        # one lane pass over that pass, nested: rhs runs on duals only, 22 times
+        # a solve
+        assert rhs_calls == [()] * 44
         # the AD provider differentiates the right-hand side, never the model's jac
         assert jac_inputs == []
 
@@ -564,22 +562,6 @@ def test_model_rhs_and_jac_are_elementwise_over_lanes(binding, name):
     for b in range(3):
         assert f[:, b].tobytes() == model.rhs(0.5, y0[:, b], p[:, b]).tobytes()
         assert first[..., b].tobytes() == model.jac(0.5, y0[:, b], p[:, b]).tobytes()
-
-
-@pytest.mark.parametrize("name", ["lv", "linear", "zero", "binding"])
-def test_analytic_second_derivatives_are_elementwise_over_lanes(binding, name):
-    model = MODELS[name]
-    m, k = model.state_dim, len(model.params)
-    second = jacobian_provider(model, "analytic").second
-    # negative entries too, and a vector of lane times
-    rng = np.random.default_rng(11)
-    t, y, p = np.linspace(0.0, 1.0, 4), rng.normal(size=(m, 4)), rng.normal(size=(k, 4))
-    lanes = second(t, y, p)
-    assert lanes.shape == (m, m + k, m + k, 4)
-    for b in range(4):
-        one = second(t[b], y[:, b], p[:, b])
-        assert one.shape == (m, m + k, m + k)
-        assert lanes[..., b].tobytes() == one.tobytes()
 
 
 @pytest.mark.parametrize("jac", ["analytic", "ad"])

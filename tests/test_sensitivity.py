@@ -378,8 +378,9 @@ CONSTANT = OdeModel(lambda t, y, p: np.array([1.0, -2.0]),
                     {"u0": 1.0, "v0": 0.5}, {"a": 0.3, "b": 0.7}, ())
 
 
-# with the model that reads t, whose second derivatives take lane times as a lane dual
-_LOWERED_MODELS = {**_STRUCTURED_MODELS, "forced": FORCED}
+# with the models that read t, whose second derivatives take lane times as a lane dual,
+# and the one whose value is the same for every lane
+_LOWERED_MODELS = {**_STRUCTURED_MODELS, "forced": FORCED, "decay": DECAY, "constant": CONSTANT}
 
 
 # reads t as a Python number and sums over the whole state: no lane form
@@ -557,32 +558,33 @@ class TestTwoPassEuler:
     @pytest.mark.parametrize("name", list(_LOWERED_MODELS))
     @pytest.mark.parametrize("grid", ["points", "uneven"])
     def test_a_lowered_solve_equals_the_per_step_solve_bitwise(self, name, grid):
-        aug, p, x0 = _lowered_inputs(name, 3)
-        n, k = x0.shape[0], p.shape[0]
-        calls = []
+        for kind in ("analytic", "ad"):
+            aug, p, x0 = _lowered_inputs(name, 3, kind)
+            n, k = x0.shape[0], p.shape[0]
+            calls = []
 
-        def counted(f, t, x, q):
-            calls.append(x.shape)
-            return aug.jacobians(f, t, x, q)
+            def counted(f, t, x, q):
+                calls.append(x.shape)
+                return aug.jacobians(f, t, x, q)
 
-        # the wrapper stands for the system's own provider, whose lane contract it keeps
-        counted._lane_rhs = aug
-        time = self.TIMES[grid]
-        # the reference steps the system of the augmented system, one structured
-        # Jacobian per step
-        outer = _augmented_system(aug, aug.jacobians, n, k)
-        reference = [run_solver(lambda t, x: outer(t, x, p[:, b]), time,
-                                np.concatenate([x0[None, :, b], np.zeros((k, n)), np.eye(n)]),
-                                EulerMethod(0.01)) for b in range(3)]
-        one = forward_sensitivity_solve(aug, counted, p[:, 0], x0[:, 0], time, EulerMethod(0.01))
-        # 301 steps, in blocks of 256 steps of one lane or 85 of three, one call each
-        assert calls == [(n, 256), (n, 45)]
-        assert one.states.tobytes() == reference[0].states.tobytes()
-        calls.clear()
-        lanes = forward_sensitivity_solve(aug, counted, p, x0, time, EulerMethod(0.01))
-        assert calls == [(n, 3 * steps) for steps in (85, 85, 85, 46)]
-        for b in range(3):
-            assert lanes.states[:, b].tobytes() == reference[b].states.tobytes()
+            # the wrapper stands for the system's own provider, whose lane contract it keeps
+            counted._lane_rhs = aug
+            time = self.TIMES[grid]
+            # the reference steps the system of the augmented system, one structured
+            # Jacobian per step
+            outer = _augmented_system(aug, aug.jacobians, n, k)
+            reference = [run_solver(lambda t, x: outer(t, x, p[:, b]), time,
+                                    np.concatenate([x0[None, :, b], np.zeros((k, n)), np.eye(n)]),
+                                    EulerMethod(0.01)) for b in range(3)]
+            one = forward_sensitivity_solve(aug, counted, p[:, 0], x0[:, 0], time, EulerMethod(0.01))
+            # 301 steps, in blocks of 256 steps of one lane or 85 of three, one call each
+            assert calls == [(n, 256), (n, 45)]
+            assert one.states.tobytes() == reference[0].states.tobytes(), kind
+            calls.clear()
+            lanes = forward_sensitivity_solve(aug, counted, p, x0, time, EulerMethod(0.01))
+            assert calls == [(n, 3 * steps) for steps in (85, 85, 85, 46)]
+            for b in range(3):
+                assert lanes.states[:, b].tobytes() == reference[b].states.tobytes(), kind
 
     @pytest.mark.parametrize("y0, rate", [(1.0, 50.0), (1e76, 500.0)],
                              ids=["sensitivities-first", "state-first"])
@@ -652,10 +654,39 @@ class TestTwoPassEuler:
         assert len(passes) == 2
         assert got.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("kind", ["analytic", "ad"])
+    def test_a_provider_that_carries_only_the_lane_rhs_takes_the_same_two_passes(
+            self, monkeypatch, kind):
+        passes = []
+        original = sensitivity._two_pass_euler
+
+        def spy(*args):
+            passes.append(args[0])
+            return original(*args)
+
+        def wrapped_provider(model, kind):
+            provider = jacobian_provider(model, kind)
+
+            # a plain function in front of the provider, as a tracer puts one
+            def traced(f, t, y, p):
+                return provider(f, t, y, p)
+
+            traced._lane_rhs = model.rhs
+            return traced
+
+        monkeypatch.setattr(sensitivity, "_two_pass_euler", spy)
+        y0, p, time = LV_Y0, LV_P, Points(np.linspace(0.0, 2.0, 21))
+        expected = fmain_hessian(y0, p, time, EulerMethod(0.1), model=MODELS["lv"], jac=kind)
+        assert len(passes) == 2
+        monkeypatch.setattr(models, "jacobian_provider", wrapped_provider)
+        got = fmain_hessian(y0, p, time, EulerMethod(0.1), model=MODELS["lv"], jac=kind)
+        # the wrapper's lowered solves take the two passes too
+        assert len(passes) == 4
+        assert got.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("jac, method, two_pass", [
         ("analytic", EulerMethod(0.1), True),
-        # a dual pass over the Jacobians has no lane form
-        ("ad", EulerMethod(0.1), False),
+        ("ad", EulerMethod(0.1), True),
         # RK23's step control reads the sensitivities
         ("analytic", RK23Method(), False),
     ], ids=["analytic", "ad", "rk23"])
@@ -707,14 +738,14 @@ def test_final_row_solves_keep_the_last_row_of_each_layer(method):
         assert _bits(final) == _bits(full[-1:]), name
 
 
-def _lowered_inputs(name, b):
+def _lowered_inputs(name, b, kind="analytic"):
     """A model's augmented system, with ``b`` lanes of its parameters and flat composite states.
 
     ``V`` and ``W`` are off their initial 0 and I, as further along a solve.
     """
     model = _LOWERED_MODELS[name]
     m, k = model.state_dim, len(model.params)
-    aug = _augmented_system(model.rhs, jacobian_provider(model, "analytic"), m, k)
+    aug = _augmented_system(model.rhs, jacobian_provider(model, kind), m, k)
     rng = np.random.default_rng(29)
     y0 = np.array(list(model.states.values()))[:, None] * rng.uniform(0.5, 1.5, (m, b))
     p = np.array(list(model.params.values()))[:, None] * rng.uniform(0.5, 1.5, (k, b))
@@ -726,18 +757,20 @@ def _lowered_inputs(name, b):
 
 @pytest.mark.parametrize("name", list(_LOWERED_MODELS))
 def test_structured_jacobian_on_lanes_equals_its_per_lane_calls_bitwise(name):
-    aug, p, x = _lowered_inputs(name, 5)
-    n, k = x.shape[0], p.shape[0]
-    t = np.linspace(0.0, 1.0, 5)
-    value, j = aug.jacobians(aug, t, x, p)
-    assert value.shape == (n, 5) and j.shape == (n, n + k, 5)
-    # the system itself follows the lane contract, as its provider's _lane_rhs
-    assert aug.jacobians._lane_rhs is aug
-    assert aug(t, x, p).tobytes() == value.tobytes()
-    for b in range(5):
-        one_value, one_j = aug.jacobians(aug, t[b], x[:, b], p[:, b])
-        assert value[:, b].tobytes() == one_value.tobytes()
-        assert j[..., b].tobytes() == one_j.tobytes()
+    # the second derivatives come from one lane pass over either provider
+    for kind in ("analytic", "ad"):
+        aug, p, x = _lowered_inputs(name, 5, kind)
+        n, k = x.shape[0], p.shape[0]
+        t = np.linspace(0.0, 1.0, 5)
+        value, j = aug.jacobians(aug, t, x, p)
+        assert value.shape == (n, 5) and j.shape == (n, n + k, 5)
+        # the system itself follows the lane contract, as its provider's _lane_rhs
+        assert aug.jacobians._lane_rhs is aug
+        assert aug(t, x, p).tobytes() == value.tobytes()
+        for b in range(5):
+            one_value, one_j = aug.jacobians(aug, t[b], x[:, b], p[:, b])
+            assert value[:, b].tobytes() == one_value.tobytes(), kind
+            assert j[..., b].tobytes() == one_j.tobytes(), kind
 
 
 class TestJvpVjp:
