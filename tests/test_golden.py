@@ -7,9 +7,14 @@ be edited to make a change pass.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import odesens
 from odesens.cli import main
 
 SHORT = ["--t-end", "50", "--n-points", "501"]
@@ -151,12 +156,33 @@ GOLDEN = {
         "bcba669ba96096e101af0ced21f14f1ce1cd4fefe50d1423da4f0cab8edf89ea"),
     "hessian-fd-ref-rk23": (["hessian", "--method", "fd", "--solver", "rk23"],
         "da48f735e212d4c04245efc3c072344c7d7cd01ff8794ad193774a94c534f265"),
+    # the complex-step columns under Euler on the reference grid, [0, 1000] at 10001 points
+    "gradient-cs-ref": (["gradient", "--mode", "cs"],
+        "71b5a51e0003c9168525c96ceaa653981e6f8ce910df6bd31e6f83791c4c31ff"),
+    # a zero gradient, so this equals gradient-zero-rm
+    "gradient-cs-zero": (["gradient", "--mode", "cs", "--model", "zero", *EULER],
+        "8e9bcbf8078bb0fc9f025e1ed136d666697b345e543428a7c34edfc512ddcd1c"),
+    # dt 0.03 covers each 0.1 output gap with 4 complex substeps
+    "compare-dt03": (["compare", "--dt", "0.03", *EULER],
+        "acde3bab98dc7e0c5ad2debaf03d350f347d75ce10955ff2498de507d1bf8b71"),
+}
+
+# case name -> (argv without --output, digest of the --output file), each run in a
+# fresh process with one BLAS thread: the relative errors of `compare` are BLAS dot
+# products of the whole matrices, which on the reference grid, [0, 1000] at 10001
+# points, are long enough for OpenBLAS to split over its threads, and the partial
+# sums of a split round differently
+GOLDEN_ONE_BLAS_THREAD = {
+    "compare-ref": (["compare"],
+        "31dcf4f9be09a1bb7440076895453967daea167a79de76465a8c10d93711ca64"),
 }
 
 # the aligned text table `compare` prints to stdout when --output is given
 GOLDEN_COMPARE_TABLE = {
     "compare-euler": "f0733040870a9aa13ebb4939867891517dadfe3890eed8ea8c7a21a262eae4de",
     "compare-rk23": "31ee4eaf20315f8b0c4c1c868a033805283259abac08920db32f109cde4b4b26",
+    "compare-ref": "97c5b3d2cd4074fec79db0b83bf6f330e1744fc5ba69e507a768371005585dae",
+    "compare-dt03": "44326a57357c21ca1803a6533b5a498cb6031988c966d373ecaedc0023b8707b",
 }
 
 
@@ -176,3 +202,17 @@ def test_output_file_digest(case, tmp_path, capsys):
         assert _digest(captured.out.encode("utf-8")) == GOLDEN_COMPARE_TABLE[case]
     else:
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_ONE_BLAS_THREAD))
+def test_output_file_digest_with_one_blas_thread(case, tmp_path):
+    argv, digest = GOLDEN_ONE_BLAS_THREAD[case]
+    out = tmp_path / "out.csv"
+    src = str(Path(odesens.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-m", "odesens.cli", *argv, "--output", str(out)],
+                         env=env, capture_output=True, check=True)
+    assert _digest(out.read_bytes()) == digest
+    assert run.stderr == b""
+    assert _digest(run.stdout) == GOLDEN_COMPARE_TABLE[case]
