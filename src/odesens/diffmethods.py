@@ -93,12 +93,13 @@ def cs_jacobian(g: Callable, x) -> np.ndarray:
     Column ``k`` is ``Im(g(x + i*h*e_k)) / h`` with ``h = 1e-100``; no
     subtractive cancellation, so the tiny step gives near machine-precision
     columns whenever ``g`` is evaluable on complex inputs.  ``g`` is called
-    once per column on a 1-D complex point, never on a matrix of columns:
-    numpy's array complex multiply rounds differently from its scalar one,
-    so complex lanes would not reproduce the one-point columns bitwise.
+    once, on the ``(d, d)`` matrix of the stepped points, and follows the
+    vectorised convention of :func:`fd_jacobian`.  The trajectory map and
+    the objective run those columns as lanes of one Euler solve, each lane
+    bitwise its one-point solve (see :func:`~odesens.solvers.run_columns`).
     """
     x = np.asarray(x, dtype=float)
-    return np.column_stack([complex_step_column(g, x, k) for k in range(x.shape[0])])
+    return complex_step_column(g, x, np.arange(x.shape[0]))
 
 
 def relative_error(a, b) -> float:
@@ -132,8 +133,11 @@ def solve_columns(model, time: TimeSpec, method, x) -> np.ndarray:
 
     A 1-D ``x`` gives one solve with states ``(n_times, m)``; a ``(d, B)``
     matrix gives ``(n_times, m, B)``, lane ``b`` being the solve of column
-    ``b``: Euler runs all columns as lanes of one solve, RK23 one solve per
-    column (see :func:`~odesens.solvers.run_columns`).
+    ``b``: Euler runs all columns as lanes of one solve, complex ones
+    included, RK23 one solve per column (see
+    :func:`~odesens.solvers.run_columns`).  A complex lane is bitwise the
+    solve of its column for a model that combines the state only by
+    arithmetic, one component at a time (see :class:`~odesens.models.OdeModel`).
     """
     m = model.state_dim
 

@@ -153,6 +153,16 @@ class OdeModel:
     ``Dual1`` takes: ``np.exp``, ``np.log``, ``np.sqrt``, ``np.sin`` and
     ``np.cos``.  Every packaged model is autonomous.
 
+    The complex step runs ``rhs`` on complex states.  Under Euler its
+    columns are lanes of numpy ``complex128`` scalars (see
+    :func:`~odesens.solvers.run_columns`), so ``rhs`` may combine the state
+    only by arithmetic there: ``np.exp(y[0])`` raises ``TypeError``, while
+    ``np.exp(t)`` works, as Euler's ``t`` is a float.  RK23 runs such a
+    model on complex arrays.  A lane is bitwise its one-column solve when
+    ``rhs`` works one component at a time (``p[0] * y[0]``): an array
+    product of a complex state (``p[:2] * y``) takes numpy's array
+    multiply in the one-column solve, which rounds differently.
+
     A model declares no higher derivatives.  The lowered solves of a
     Hessian take the derivatives of ``[f_y | f_p]`` in ``(y, p)`` from one
     dual pass over the model's Jacobian provider, over lanes in an Euler
@@ -341,9 +351,9 @@ def fmain_objective(y0, p, time: TimeSpec, method: SolverMethod, model: OdeModel
 
     Columns ``y0`` of shape ``(m, B)`` and ``p`` of shape ``(k, B)`` give
     the ``B`` objectives of the column pairs, from ``2B`` lanes of one
-    :func:`solve_columns` call.  1-D inputs run the two solves one by one,
-    so the complex inputs of the complex step never become lanes (see
-    :func:`cs_jacobian`).
+    :func:`solve_columns` call: the complex step's ``(d, d)`` points take
+    one Euler solve of ``2d`` lanes (see :func:`cs_jacobian`).  1-D inputs
+    run the two solves one by one.
 
     The objective and every driver built on it read only the last row of
     each solve, so ``time`` is handed down as a final-row grid: each solve

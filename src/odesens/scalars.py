@@ -359,17 +359,27 @@ def eval_jacobian_dual(f: Callable, x) -> np.ndarray:
     return _seeded_tangents(f(lifted), x.shape)
 
 
-def complex_step_column(f: Callable, x, k: int) -> np.ndarray:
+def complex_step_column(f: Callable, x, k) -> np.ndarray:
     """Column ``k`` of the Jacobian of real-analytic ``f`` via a complex step.
 
     Returns ``Im(f(x + i*h*e_k)) / h`` with ``h = 1e-100``, which
     is cancellation-free at first order and therefore exact to roundoff for
     polynomial ``f``.
+
+    ``k`` may also be a 1-D array of indices.  ``f`` is then called once,
+    on the ``(d, len(k))`` matrix whose column ``j`` is the point stepped
+    in entry ``k[j]``, and must follow numpy's vectorised convention:
+    ``(d,) -> (out,)`` and ``(d, B) -> (out, B)``, column by column.  The
+    result holds the Jacobian columns ``k`` side by side.
     """
     x = np.asarray(x, dtype=float)
-    if not 0 <= k < x.shape[0]:
+    k = np.asarray(k)
+    if np.any((k < 0) | (k >= x.shape[0])):
         raise IndexError(f"column index {k} out of range for input of length {x.shape[0]}")
     z = x.astype(complex)
+    if k.ndim == 1:
+        z = np.repeat(z[:, None], len(k), axis=1)
+        k = (k, np.arange(len(k)))
     z[k] += 1j * _CS_STEP
     out = np.asarray(f(z))
     return np.imag(out) / _CS_STEP

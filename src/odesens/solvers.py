@@ -181,6 +181,10 @@ def run_solver(rhs: Callable, time: TimeSpec, y0, method: SolverMethod) -> Traje
     raise TypeError(f"unknown solver method: {method!r}")
 
 
+# numpy complex128 scalars, not Python complex: the two divide differently
+_complex_scalars = np.frompyfunc(np.complex128, 1, 1)
+
+
 def run_columns(solve: Callable, x, method: SolverMethod):
     """``solve`` of each column of ``x``, stacked on a last axis.
 
@@ -190,8 +194,20 @@ def run_columns(solve: Callable, x, method: SolverMethod):
     only on ``dt`` and the grid, so each lane is bitwise its own solve.
     RK23 picks each step from the error of the whole state, so lanes would
     share steps; it calls ``solve`` once per column instead.
+
+    Complex lanes, the points of a complex step, are stepped as an object
+    array of numpy ``complex128`` scalars and returned as ``complex``.
+    numpy's array complex multiply rounds differently from its scalar one,
+    so each entry of a lane takes the scalar arithmetic of the one-column
+    solve, where indexing the state gives such scalars.  A ``solve`` of
+    complex lanes may therefore combine the state only by arithmetic:
+    a ``complex128`` scalar has no ``exp`` method for ``np.exp`` to call.
     """
-    if x.ndim == 1 or isinstance(method, EulerMethod):
+    if x.ndim == 1:
+        return solve(x)
+    if isinstance(method, EulerMethod):
+        if np.iscomplexobj(x):
+            return solve(_complex_scalars(x)).astype(complex)
         return solve(x)
     return np.stack([solve(column) for column in x.T], axis=-1)
 
@@ -238,6 +254,9 @@ def _check_euler_rows(states: np.ndarray, grid: np.ndarray, n_subs: np.ndarray, 
     Row ``1 + i`` of ``states`` is the end of gap ``first + i`` of the grid.
     """
     rows = states[1:]
+    if rows.dtype == object and rows.size and isinstance(rows.flat[0], np.complex128):
+        # the lanes of a complex step (see run_columns), checked as one complex array
+        rows = rows.astype(complex)
     if rows.dtype == object:
         bad = np.array([not _all_finite(row) for row in rows], dtype=bool)
     else:

@@ -439,8 +439,8 @@ class TestThreeStateTwoRateModel:
         assert errors[("analytic", "cs")] <= 1e-14
         assert errors[("analytic", "fd")] <= 1e-6
         # two (1 + k + m, m) composite solves, the d + 1 = 6 FD points as lanes
-        # of one Euler solve, then one complex solve per input
-        assert solve_shapes == [(6, 3), (6, 3), (3, 6)] + [(3,)] * 5
+        # of one Euler solve, then the 5 complex points as lanes of another
+        assert solve_shapes == [(6, 3), (6, 3), (3, 6), (3, 5)]
 
     def test_gradient_modes_agree(self, args, capsys):
         grads = {}

@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from odesens.diffmethods import (
     CROSS_METHODS,
@@ -11,10 +14,19 @@ from odesens.diffmethods import (
     fd_jacobian,
     relative_error,
     sensitivity_matrix,
+    solve_columns,
     trajectory_map,
 )
-from odesens.models import Scenario, get_model
-from odesens.solvers import EulerMethod, Span, SpanModeError
+from odesens.models import OdeModel, Scenario, fmain_gradient_cs, fmain_gradient_forward, get_model
+from odesens.solvers import (
+    EulerMethod,
+    NonFiniteStateError,
+    Points,
+    RK23Method,
+    Span,
+    SpanModeError,
+    _FinalRow,
+)
 
 SMALL = Scenario(t_end=50.0, n_points=501)
 
@@ -34,7 +46,8 @@ class TestFdJacobian:
         assert abs(jac[0, 0] - 2.0) <= 3e-8
 
 
-@pytest.mark.parametrize("jacobian, n_columns", [(fd_jacobian, 4), (central_fd_jacobian, 6)])
+@pytest.mark.parametrize("jacobian, n_columns", [
+    (fd_jacobian, 4), (central_fd_jacobian, 6), (cs_jacobian, 3)])
 def test_g_is_called_once_on_every_point(jacobian, n_columns):
     inputs = []
 
@@ -47,6 +60,8 @@ def test_g_is_called_once_on_every_point(jacobian, n_columns):
     assert [a.shape for a in inputs] == [(3, n_columns)]
     # every column differs from x in at most one coordinate
     assert np.all(np.sum(inputs[0] != x[:, None], axis=0) <= 1)
+    # each complex-step column carries one imaginary step, a differenced one none
+    assert np.all(np.count_nonzero(inputs[0].imag, axis=0) == (jacobian is cs_jacobian))
     assert np.abs(jac - np.array([[-2.0, 1.0, 0.0], [0.0, 0.0, 0.0]])).max() <= 1e-7
 
 
@@ -165,12 +180,12 @@ class TestCrossCompare:
     @pytest.mark.parametrize("solver, method_name, shapes", [
         ("euler", "fd", [(2, 7)]),
         ("rk23", "fd", [(2,)] * 7),
-        ("euler", "cs", [(2,)] * 6),
+        ("euler", "cs", [(2, 6)]),
         ("rk23", "cs", [(2,)] * 6),
     ])
     def test_numerical_matrix_solves(self, solve_shapes, solver, method_name, shapes):
-        # Euler runs the seven FD points as lanes of one solve; RK23 and the
-        # complex step run one solve per column
+        # Euler runs the seven FD points, and the six complex ones, as lanes of
+        # one solve; RK23 runs one solve per column
         sc = Scenario(t_end=2.0, n_points=21, solver=solver)
         jac = sensitivity_matrix(sc, method_name)
         assert jac.shape == (42, 6)
@@ -179,3 +194,69 @@ class TestCrossCompare:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             sensitivity_matrix(SMALL, "wavelets")
+
+
+def _divide_and_square(t, y, p):
+    # written per component, so a one-column solve takes scalar complex arithmetic
+    return np.array([p[0] * y[0] / (1.0 + p[1] * y[1]), -(p[2] - p[3] * y[0] ** 2) * y[1]])
+
+
+# solve_columns reads no Jacobian
+DIVIDE_AND_SQUARE = OdeModel(_divide_and_square, None, {"y0_1": 0.5, "y0_2": 0.5},
+                             dict.fromkeys("abcd", 0.5), ())
+
+
+@st.composite
+def _complex_columns(draw):
+    """Complex columns ``(y0 || p)`` whose denominators stay away from zero, and a step."""
+    n_lanes = draw(st.integers(1, 4))
+    real = draw(arrays(float, (6, n_lanes), elements=st.floats(0.1, 1.0)))
+    imag = draw(arrays(float, (6, n_lanes), elements=st.floats(-0.3, 0.3)))
+    return real + 1j * imag, draw(st.floats(0.05, 0.5))
+
+
+@given(_complex_columns())
+def test_complex_euler_lanes_equal_their_one_column_solves_bitwise(case):
+    # numpy's complex128 scalars and Python's complex divide differently, so
+    # lanes of the wrong scalar would differ from the one-column solves
+    x, dt = case
+    grid = np.linspace(0.0, 1.0, 6)
+    for time in (Points(grid), _FinalRow(grid)):
+        lanes = solve_columns(DIVIDE_AND_SQUARE, time, EulerMethod(dt), x)
+        assert lanes.dtype == complex
+        for b in range(x.shape[1]):
+            one = solve_columns(DIVIDE_AND_SQUARE, time, EulerMethod(dt), x[:, b])
+            assert lanes[..., b].tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("final_row", [False, True])
+def test_a_failing_complex_lane_names_the_step_of_its_one_column_solve(final_row):
+    # y' = p y^2 overflows within a few steps, the faster lane first; no Jacobian is read
+    model = OdeModel(lambda t, y, p: np.array([p[0] * y[0] * y[0]]), None,
+                     {"y": 1.0}, {"p": 1.0}, ())
+    grid = np.linspace(0.0, 20.0, 201)
+    time = _FinalRow(grid) if final_row else Points(grid)
+    x = np.array([[1.0 + 1e-3j, 1.0], [5.0, 50.0 + 1e-3j]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteStateError) as one:
+            solve_columns(model, time, EulerMethod(0.1), x[:, 1])
+        with pytest.raises(NonFiniteStateError) as lanes:
+            solve_columns(model, time, EulerMethod(0.1), x)
+    assert str(lanes.value) == str(one.value)
+
+
+def _exp_of_state(t, y, p):
+    return np.array([-p[0] * y[0], p[1] * np.exp(-y[1]) * y[0]])
+
+
+def test_a_numpy_function_of_the_state_has_no_euler_complex_step():
+    # an Euler complex step steps numpy complex128 scalars, which have no exp
+    # method for np.exp to call; RK23 steps each column as a complex array
+    model = OdeModel(_exp_of_state, None, {"y0_1": 1.0, "y0_2": 0.5}, {"k": 0.3, "r": 0.7}, ())
+    y0, p, time = np.array([1.0, 0.5]), np.array([0.3, 0.7]), Points(np.linspace(0.0, 2.0, 21))
+    with pytest.raises(TypeError, match="exp"):
+        fmain_gradient_cs(y0, p, time, EulerMethod(0.1), model=model)
+    cs = fmain_gradient_cs(y0, p, time, RK23Method(), model=model)
+    forward = fmain_gradient_forward(y0, p, time, RK23Method(), model=model, jac="ad")
+    # the augmented RK23 solve picks its own steps, so the two agree to the tolerance
+    assert np.abs(cs - forward).max() <= 1e-3 * np.abs(forward).max()

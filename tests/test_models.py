@@ -471,8 +471,9 @@ def test_first_derivatives_of_the_wrong_shape_are_rejected(monkeypatch, driver, 
     # the 12 central points of the 6 inputs, at p and p/2, as 24 lanes of one solve
     (EulerMethod(0.1), fmain_gradient_fd, [(2, 24)]),
     (RK23Method(), fmain_gradient_fd, [(2,)] * 24),
-    # complex inputs: one solve per column and per parameter vector
-    (EulerMethod(0.1), fmain_gradient_cs, [(2,)] * 12),
+    # the 6 complex points, at p and p/2: 12 lanes of one Euler solve, or one
+    # RK23 solve per column
+    (EulerMethod(0.1), fmain_gradient_cs, [(2, 12)]),
     (RK23Method(), fmain_gradient_cs, [(2,)] * 12),
 ])
 def test_numerical_gradient_solves(solve_shapes, method, gradient, shapes):

@@ -382,6 +382,19 @@ class TestComplexStep:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             complex_step_column(lambda z: z, np.array([1.0]), 3)
+        with pytest.raises(IndexError):
+            complex_step_column(lambda z: z, np.array([1.0]), np.array([0, 3]))
+
+    def test_an_index_array_gives_its_columns_from_one_call(self):
+        calls = []
+
+        def counted(z):
+            calls.append(z.shape)
+            return np.array([2.0 * z[1], 3.0 * z[4]])
+
+        cols = complex_step_column(counted, np.concatenate([LV_Y, LV_P]), np.array([4, 1, 4]))
+        assert calls == [(6, 3)]
+        assert np.array_equal(cols, [[0.0, 2.0, 0.0], [3.0, 0.0, 3.0]])
 
     def test_lv_all_six_columns_match_analytic(self):
         x = np.concatenate([LV_Y, LV_P])
