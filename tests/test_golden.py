@@ -165,6 +165,9 @@ GOLDEN = {
     # dt 0.03 covers each 0.1 output gap with 4 complex substeps
     "compare-dt03": (["compare", "--dt", "0.03", *EULER],
         "acde3bab98dc7e0c5ad2debaf03d350f347d75ce10955ff2498de507d1bf8b71"),
+    # RK23 finite differences of a one-state model, m = 1
+    "gradient-fd-linear-rk23": (["gradient", "--model", "linear", "--mode", "fd", *RK23],
+        "42eff2c3171bb50fee7c124129e6e4d26dba7b5377558e241850f5b5a63c2445"),
 }
 
 # case name -> (argv without --output, digest of the --output file), each run in a
@@ -175,6 +178,8 @@ GOLDEN = {
 GOLDEN_ONE_BLAS_THREAD = {
     "compare-ref": (["compare"],
         "31dcf4f9be09a1bb7440076895453967daea167a79de76465a8c10d93711ca64"),
+    "compare-ref-rk23": (["compare", "--solver", "rk23"],
+        "b122cf3045a6f0349e6690532461681e0e4e76ab3d0461917bd14b9ff85ab295"),
 }
 
 # the aligned text table `compare` prints to stdout when --output is given
@@ -183,6 +188,7 @@ GOLDEN_COMPARE_TABLE = {
     "compare-rk23": "31ee4eaf20315f8b0c4c1c868a033805283259abac08920db32f109cde4b4b26",
     "compare-ref": "97c5b3d2cd4074fec79db0b83bf6f330e1744fc5ba69e507a768371005585dae",
     "compare-dt03": "44326a57357c21ca1803a6533b5a498cb6031988c966d373ecaedc0023b8707b",
+    "compare-ref-rk23": "f2769c38f6c37321188f596ebb11ff67e65ca31d40b12bb212821c2a65c51a60",
 }
 
 
