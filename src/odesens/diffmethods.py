@@ -133,8 +133,8 @@ def solve_columns(model, time: TimeSpec, method, x) -> np.ndarray:
 
     A 1-D ``x`` gives one solve with states ``(n_times, m)``; a ``(d, B)``
     matrix gives ``(n_times, m, B)``, lane ``b`` being the solve of column
-    ``b``: Euler runs all columns as lanes of one solve, complex ones
-    included, RK23 one solve per column (see
+    ``b``: both integrators run real columns as lanes of one solve, Euler
+    complex ones too and RK23 one solve per complex column (see
     :func:`~odesens.solvers.run_columns`).  A complex lane is bitwise the
     solve of its column for a model that combines the state only by
     arithmetic, one component at a time (see :class:`~odesens.models.OdeModel`).

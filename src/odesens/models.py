@@ -143,10 +143,12 @@ class OdeModel:
     ``rhs`` and ``jac`` must work elementwise over a trailing lane axis:
     ``y`` of shape ``(m, B)`` and ``p`` of shape ``(k, B)`` give ``f`` of
     shape ``(m, B)`` and ``[f_y | f_p]`` of shape ``(m, m + k, B)``, lane
-    ``b`` bitwise the value at column ``b``.  Euler solves and their
-    sensitivities run many inputs as such lanes.  Under lanes ``t`` may be
-    a vector of lane times, one per column: an Euler sensitivity solve
-    evaluates a block of steps at their own times in one call.  In a
+    ``b`` bitwise the value at column ``b``.  Euler and RK23 solves and
+    their sensitivities run many real inputs as such lanes.  Under lanes
+    ``t`` may be a vector of lane times, one per column: an Euler
+    sensitivity solve evaluates a block of steps at their own times in one
+    call, and under RK23 lanes ``t`` is always that vector, as each lane
+    steps from its own time.  In a
     dual-number lane pass that vector is a lane dual of zero tangent (see
     :func:`~odesens.sensitivity.dual_jacobians`), so ``rhs`` may combine
     ``t`` with the state by arithmetic and by the numpy functions a
@@ -390,11 +392,15 @@ def fmain_gradient_forward(
     of the identity; the half-scaled parameters of the second solve
     contribute a factor 1/2 on its parameter seed.  The objective reads
     only the final row, so the solves keep and contract only that row (see
-    :func:`fmain_objective`).
+    :func:`fmain_objective`).  Takes one input, ``y0`` of shape ``(m,)`` and
+    ``p`` of shape ``(k,)``; columns are rejected.
     """
+    y0, p = np.asarray(y0), np.asarray(p)
+    if y0.ndim != 1 or p.ndim != 1:
+        raise ValueError(f"the forward gradient takes y0 of shape (m,) and p of shape (k,), "
+                         f"got {y0.shape} and {p.shape}")
     time = _final_row(time)
     solve = _sensitivity_solver(model, jac, time, method)
-    p = np.asarray(p)
     bundle1, bundle2 = solve(y0, p), solve(y0, p / 2.0)
     m = bundle1.state_dim
     seeds = np.eye(m + bundle1.n_params)
@@ -432,10 +438,10 @@ def fmain_gradient_reverse(
 
     Columns ``y0`` of shape ``(m, B)`` and ``p`` of shape ``(k, B)`` give
     the ``(m + k, B)`` gradients of the column pairs, each column bitwise
-    its 1-D gradient.  Euler integrates the ``2B`` sensitivity systems of
-    ``[p | p/2]`` as lanes of one solve; RK23 runs the 1-D gradient of
-    each column (see :func:`run_columns`).  1-D inputs run the two solves
-    one by one.
+    its 1-D gradient.  The ``2B`` sensitivity systems of ``[p | p/2]``
+    are lanes of one solve under either integrator (see
+    :func:`run_columns`); dual-valued columns would run one by one.  1-D
+    inputs run the two solves one by one.
     """
     time = _final_row(time)
     solve = _sensitivity_solver(model, jac, time, method)
@@ -504,8 +510,8 @@ def fmain_hessian_fd(
     """Central finite differences of the reverse gradient, step 1e-5*|x_k|.
 
     The ``2d`` shifted points of the ``d`` inputs are one call of the
-    column-vectorised :func:`fmain_gradient_reverse`: under Euler ``4d``
-    sensitivity lanes of one solve, under RK23 two solves per point.
+    column-vectorised :func:`fmain_gradient_reverse`: ``4d`` sensitivity
+    lanes of one solve, under RK23 each lane with its own step control.
     """
     gradient, x0 = _of_stacked_input(
         fmain_gradient_reverse, y0, p, time, method, model=model, jac=jac)

@@ -12,8 +12,8 @@ Jacobians this module offers forward seed propagation, reverse adjoint
 contraction, solves with dual-valued inputs (by stripping the payload,
 augmenting, and reassembling the rows a caller reads), and a
 forward-over-reverse Hessian driver.  Real inputs with a trailing column
-axis are integrated as lanes of one Euler solve, each lane its own
-system.
+axis are integrated as lanes of one solve, each lane its own system: under
+RK23 with its own step control.
 
 The variational equations are linear in the sensitivities, and under
 Euler their coefficients depend only on the state trajectory.  A real
@@ -22,7 +22,8 @@ runs in two passes: the state alone, one block of steps ahead, then the
 composite recurrence, whose ``f`` and ``[f_y | f_p]`` come from one
 lane-form provider call per block of steps, every lane included.  Every
 number is bitwise that of a solve that calls the provider once per step,
-as RK23 and any right-hand side not known to take lanes still do.
+as RK23 and any right-hand side not known to take lanes still do; RK23
+lanes make that call for all lanes at once.
 
 The augmented system is linear in its sensitivity blocks, so it carries a
 structured Jacobian of its own.  Lowering a dual-valued sensitivity solve,
@@ -196,9 +197,10 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
     flat stacks, one per lane, and the derivative keeps that shape: one
     lane-form call of ``jac`` serves every lane, and the product is the
     stacked ``matmul`` of C-contiguous operands, lane ``b`` bitwise the
-    one-lane ``dot``.  RK23, whose step control reads ``(V, W)``, and any
-    right-hand side not known to take lanes step this system one point at
-    a time.  A real Euler solve of a model's ``rhs`` with its provider
+    one-lane ``dot``.  RK23, whose step control reads ``(V, W)``, steps
+    this system one point at a time, at each lane's own point for lanes;
+    so does an Euler solve of any right-hand side not known to take
+    lanes.  A real Euler solve of a model's ``rhs`` with its provider
     runs the same product in two passes instead (see
     :func:`_two_pass_euler`).
 
@@ -405,13 +407,14 @@ def forward_sensitivity_solve(
     Real ``y0`` of shape ``(m, B)`` and ``p`` of shape ``(k, B)`` are ``B``
     lanes of one solve: the state is ``(B, 1 + k + m, m)``, lane ``b`` the
     stack of column ``b``, and the bundle's states gain the lane axis after
-    the time axis.  Each lane is bitwise the solve of its column, which
-    only Euler gives: RK23 would pick every step from the error of all the
-    lanes together, so RK23 lanes are rejected; run RK23 columns one by one
-    (see :func:`~odesens.solvers.run_columns`).  Lanes with dual payloads
-    are rejected too, and so is any other pair of shapes, a 1-D ``p`` with
-    lanes of ``y0`` or a lane count that differs included, whichever the
-    provider.
+    the time axis.  Each lane is bitwise the solve of its column.  Under
+    RK23 that holds because each lane keeps its own step control (see
+    :func:`~odesens.solvers.rk23_solve`), so RK23 lanes need a
+    :class:`~odesens.solvers.Points` grid: over a span they are rejected,
+    as each lane would report its own step times.  Lanes with dual
+    payloads are rejected too, and so is any other pair of shapes, a 1-D
+    ``p`` with lanes of ``y0`` or a lane count that differs included,
+    whichever the provider.
 
     A real Euler solve, one lane or ``B``, runs in two passes (see
     :func:`_two_pass_euler`) when the provider records ``f`` as its
@@ -424,8 +427,15 @@ def forward_sensitivity_solve(
     ``f`` or provider is not known to take lanes, the system of such a
     system, which nested duals lower to, included, so the composite system
     is stepped with one provider call per step at a real ``t``, lanes one
-    column at a time; so is every RK23 solve, whose step control reads the
-    sensitivities.  Both ways give the same bits.
+    column at a time.  Both ways give the same bits.
+
+    RK23, whose step control reads the sensitivities, steps the composite
+    with one provider call per stage, and one coupled system as the ravel
+    of its row stack.  Lanes are one solve of the ``(n, L)`` matrix whose
+    columns are the ravelled stacks, which :func:`_augmented_system` takes,
+    when the provider records ``f`` as its ``_lane_rhs``: every stage is
+    then one lane-form provider call with ``t`` the vector of lane times.
+    With any other provider RK23 lanes run one column at a time.
     """
     y0 = np.asarray(y0)
     p = np.asarray(p)
@@ -437,9 +447,9 @@ def forward_sensitivity_solve(
     if y0.ndim > 1:
         if dual:
             raise ValueError("sensitivity lanes take real inputs only")
-        if isinstance(method, RK23Method):
-            raise ValueError("RK23 would couple the steps of sensitivity lanes; "
-                             "solve their columns one by one with run_columns")
+        if isinstance(method, RK23Method) and isinstance(time, Span):
+            raise ValueError("RK23 sensitivity lanes need prescribed output points: "
+                             "over a span each lane would report its own step times")
 
     def row_stack(y):
         return np.concatenate([y[None], np.zeros((k, m)), np.eye(m)])
@@ -450,10 +460,22 @@ def forward_sensitivity_solve(
 
     if dual:
         return _LiftedBundle(dual_aware_solve(system, p, x0.ravel(), time, method), x0.shape, time)
-    if isinstance(method, EulerMethod) and getattr(jac, "_lane_rhs", None) is f:
+    lane_rhs = getattr(jac, "_lane_rhs", None) is f
+
+    def solve(start):
+        return run_solver(lambda t, x: system(t, x, p), time, start, method)
+
+    if isinstance(method, EulerMethod) and lane_rhs:
         traj = _two_pass_euler(f, jac, p, y0, x0, time, method)
+    elif isinstance(method, EulerMethod) and y0.ndim == 1:
+        traj = solve(x0)
     elif y0.ndim == 1:
-        traj = run_solver(lambda t, x: system(t, x, p), time, x0, method)
+        # RK23 steps one coupled system as its ravel
+        traj = solve(x0.ravel())
+    elif lane_rhs:
+        # and lanes as the columns of their flat stacks, (n, L)
+        traj = solve(x0.reshape(len(x0), -1).T)
+        traj = Trajectory(traj.times, np.moveaxis(traj.states, -1, 1))
     else:
         columns = [forward_sensitivity_solve(f, jac, p[:, b], y0[:, b], time, method)
                    for b in range(y0.shape[1])]

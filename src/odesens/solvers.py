@@ -188,27 +188,27 @@ _complex_scalars = np.frompyfunc(np.complex128, 1, 1)
 def run_columns(solve: Callable, x, method: SolverMethod):
     """``solve`` of each column of ``x``, stacked on a last axis.
 
-    A 1-D ``x`` is one call, ``solve(x)``.  For a ``(d, B)`` matrix Euler
-    makes one call on the whole matrix, so ``solve`` must treat its columns
-    as lanes and return their results on a last axis: Euler's steps depend
-    only on ``dt`` and the grid, so each lane is bitwise its own solve.
-    RK23 picks each step from the error of the whole state, so lanes would
-    share steps; it calls ``solve`` once per column instead.
+    A 1-D ``x`` is one call, ``solve(x)``.  A real ``(d, B)`` matrix is
+    one call on the whole matrix too, under either integrator, so
+    ``solve`` must treat its columns as lanes and return their results on
+    a last axis.  Euler's steps depend only on ``dt`` and the grid, and
+    each RK23 lane keeps its own step control (see :func:`rk23_solve`), so
+    each lane is bitwise its own solve.
 
-    Complex lanes, the points of a complex step, are stepped as an object
-    array of numpy ``complex128`` scalars and returned as ``complex``.
-    numpy's array complex multiply rounds differently from its scalar one,
-    so each entry of a lane takes the scalar arithmetic of the one-column
-    solve, where indexing the state gives such scalars.  A ``solve`` of
-    complex lanes may therefore combine the state only by arithmetic:
-    a ``complex128`` scalar has no ``exp`` method for ``np.exp`` to call.
+    Complex lanes, the points of a complex step, are bitwise their column
+    solves only in scalar arithmetic.  Under Euler they are stepped as an
+    object array of numpy ``complex128`` scalars and returned as
+    ``complex``: numpy's array complex multiply rounds differently from
+    its scalar one, so each entry of a lane takes the scalar arithmetic of
+    the one-column solve, where indexing the state gives such scalars.  A
+    ``solve`` of complex lanes may therefore combine the state only by
+    arithmetic: a ``complex128`` scalar has no ``exp`` method for
+    ``np.exp`` to call.  RK23 calls ``solve`` once per complex column.
     """
-    if x.ndim == 1:
+    if x.ndim == 1 or not np.iscomplexobj(x):
         return solve(x)
     if isinstance(method, EulerMethod):
-        if np.iscomplexobj(x):
-            return solve(_complex_scalars(x)).astype(complex)
-        return solve(x)
+        return solve(_complex_scalars(x)).astype(complex)
     return np.stack([solve(column) for column in x.T], axis=-1)
 
 
@@ -383,6 +383,20 @@ def euler_solve(rhs: Callable, time: TimeSpec, y0, dt: float) -> Trajectory:
     return Trajectory(grid, states)
 
 
+def _stages(rhs: Callable, t, y, h, k1):
+    """``(y_next, err, k4)`` of an embedded 3(2) step from its first stage ``k1 = rhs(t, y)``.
+
+    ``t`` and ``h`` are floats, or for lanes vectors of lane times and
+    steps, which broadcast over the last axis of the state.
+    """
+    k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1)
+    k3 = rhs(t + 0.75 * h, y + (0.75 * h) * k2)
+    y_next = y + h * ((2.0 / 9.0) * k1 + (1.0 / 3.0) * k2 + (4.0 / 9.0) * k3)
+    k4 = rhs(t + h, y_next)
+    err = h * ((-5.0 / 72.0) * k1 + (1.0 / 12.0) * k2 + (1.0 / 9.0) * k3 - 0.125 * k4)
+    return y_next, err, k4
+
+
 def rk23_step(rhs: Callable, t: float, y: np.ndarray, h: float, k1=None):
     """One embedded 3(2) step.
 
@@ -395,17 +409,13 @@ def rk23_step(rhs: Callable, t: float, y: np.ndarray, h: float, k1=None):
         raise ValueError("step size must be positive")
     if k1 is None:
         k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1)
-    k3 = rhs(t + 0.75 * h, y + (0.75 * h) * k2)
-    y_next = y + h * ((2.0 / 9.0) * k1 + (1.0 / 3.0) * k2 + (4.0 / 9.0) * k3)
-    k4 = rhs(t + h, y_next)
-    err = h * ((-5.0 / 72.0) * k1 + (1.0 / 12.0) * k2 + (1.0 / 9.0) * k3 - 0.125 * k4)
-    return y_next, err, k4
+    return _stages(rhs, t, y, h, k1)
 
 
-def _error_norm(err, y_old, y_new, tol: RK23Method) -> float:
+def _error_norm(err, y_old, y_new, tol: RK23Method):
+    """The scaled error norm of a step: a scalar, or one per lane of ``(m, B)`` states."""
     scale = tol.abs_tol + tol.rel_tol * np.maximum(_magnitudes(y_old), _magnitudes(y_new))
-    return float(np.max(_magnitudes(err) / scale))
+    return np.max(_magnitudes(err) / scale, axis=0)
 
 
 def _initial_step(t0: float, t_end: float, y0, f0, tol: RK23Method) -> float:
@@ -418,6 +428,37 @@ def _initial_step(t0: float, t_end: float, y0, f0, tol: RK23Method) -> float:
     return min(h, t_end - t0)
 
 
+def _step_factor(err: float) -> float:
+    """The factor from a step's error norm to the next step, on Python floats.
+
+    ``**`` of a Python float is the C library's ``pow``; numpy's power of
+    an array may round differently, so lanes take it one float at a time.
+    """
+    if err == 0.0:
+        return _MAX_FACTOR
+    return min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** (-1.0 / 3.0)))
+
+
+def _hermite_fill(kt: np.ndarray, ky: np.ndarray, kf: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The states at ``points`` from the knots of one system: ``ky[i]`` and ``kf[i]`` at ``kt[i]``."""
+    # rows on a knot (t_end included, as it is the last knot) copy it exactly;
+    # every other row lies strictly inside knot interval [idx, idx + 1]
+    idx = np.searchsorted(kt, points, side="right") - 1
+    states = ky[idx]
+    inner = np.flatnonzero(kt[idx] != points)
+    # one time per query row, broadcast over the axes of the state
+    column = (-1,) + (1,) * (ky.ndim - 1)
+    # a slice of rows at a time, so the knots of every row are never gathered at once
+    n_rows = max(1, _FILL_ENTRIES // ky[0].size)
+    for start in range(0, len(inner), n_rows):
+        rows = inner[start:start + n_rows]
+        i = idx[rows]
+        states[rows] = hermite_interp(
+            kt[i].reshape(column), ky[i], kf[i], kt[i + 1].reshape(column), ky[i + 1], kf[i + 1],
+            points[rows].reshape(column))
+    return states
+
+
 def rk23_solve(rhs: Callable, time: TimeSpec, y0, method: RK23Method = RK23Method()) -> Trajectory:
     """Adaptive 3(2) integration with FSAL stage reuse.
 
@@ -428,11 +469,18 @@ def rk23_solve(rhs: Callable, time: TimeSpec, y0, method: RK23Method = RK23Metho
     step sequence is identical to the plain-span run and requested rows are
     filled from the cubic Hermite extension of the accepted steps.
 
-    ``y0`` may have any shape of at least one dimension, and is always one
-    coupled system: the norm runs over every entry, so the steps and states
-    are bitwise those of the solve of ``y0.ravel()``.  Independent lanes
-    stacked in one state would share steps and change each other's
-    results; running them separately is the job of :func:`run_columns`.
+    A 1-D ``y0`` is one system.  A ``(m, B)`` state is ``B`` independent
+    lanes, each with its own step control: its own ``t``, ``h``, error
+    norm, first stage and knots.  Every stage is one ``rhs`` call over all
+    lanes, with ``t`` the vector of lane times (the lane contract of
+    ``OdeModel``), and a lane that has reached ``t_end`` is frozen at a
+    zero step until the last lane has.  So for real elementwise arithmetic
+    each lane is bitwise the solve of its column; the step factor is taken
+    one lane at a time on Python floats for that.  A state of more axes is
+    rejected: a coupled system of several axes is solved as its ravel, as
+    :func:`~odesens.sensitivity.forward_sensitivity_solve` does.  Lanes
+    need prescribed points: over a span each lane would report its own
+    step times, so a :class:`Span` with lanes is rejected.
 
     A final-row grid (the private ``_FinalRow``) takes the same steps and
     reports the last knot, at ``t_end``, alone: the row the :class:`Points`
@@ -440,7 +488,11 @@ def rk23_solve(rhs: Callable, time: TimeSpec, y0, method: RK23Method = RK23Metho
 
     ``method`` supplies the two tolerances.  The step-control constants
     are fixed, as in ``ode23``: safety factor 0.8, step change bounded to
-    [0.2, 5], and at most the shared budget of step attempts.
+    [0.2, 5], and at most the shared budget of step attempts, per lane.  A
+    failure is a ``SolverError`` naming the attempt, t and h.  A lane that
+    fails stops stepping while the others go on, and the solve then raises
+    the error of the lowest-index failed lane, the one its column solves,
+    run one after another, would have met first.
     """
     points = None
     if isinstance(time, Points):
@@ -452,8 +504,16 @@ def rk23_solve(rhs: Callable, time: TimeSpec, y0, method: RK23Method = RK23Metho
         raise TypeError(f"unknown time specification: {time!r}")
 
     y = _state_array(y0)
+    if y.ndim > 2:
+        raise ValueError(f"RK23 takes one system of shape (n,) or lanes of shape (n, B), "
+                         f"got a state of shape {y.shape}; solve a coupled system as its ravel")
+    if y.ndim == 2 and points is None:
+        raise ValueError("RK23 lanes need prescribed output points: "
+                         "over a span each lane would report its own step times")
     if points is not None and points.shape[0] == 1:
         return Trajectory(points.copy(), np.array([y]))
+    if y.ndim == 2:
+        return _rk23_lanes(rhs, points, y, method, isinstance(time, _FinalRow))
 
     f = np.asarray(rhs(t0, y))
     h = _initial_step(t0, t_end, y, f, method)
@@ -473,7 +533,7 @@ def rk23_solve(rhs: Callable, time: TimeSpec, y0, method: RK23Method = RK23Metho
         h_try = (t_end - t) if clamped else h
         y_next, err_vec, k4 = rk23_step(rhs, t, y, h_try, k1=f)
         _check_finite(np.asarray(y_next), attempts, t + h_try, h_try)
-        err = _error_norm(np.asarray(err_vec), np.asarray(y), np.asarray(y_next), method)
+        err = float(_error_norm(np.asarray(err_vec), np.asarray(y), np.asarray(y_next), method))
         if err <= 1.0:
             t = t_end if clamped else t + h_try
             y = y_next
@@ -481,11 +541,7 @@ def rk23_solve(rhs: Callable, time: TimeSpec, y0, method: RK23Method = RK23Metho
             knot_t.append(t)
             knot_y.append(y)
             knot_f.append(f)
-        if err == 0.0:
-            factor = _MAX_FACTOR
-        else:
-            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** (-1.0 / 3.0)))
-        h = h_try * factor
+        h = h_try * _step_factor(err)
         # only a rejected step signals underflow: a tiny start step (y0 = 0)
         # that is accepted grows on its own
         if err > 1.0 and h < 16.0 * _EPS * max(abs(t), t_end - t0):
@@ -495,24 +551,79 @@ def rk23_solve(rhs: Callable, time: TimeSpec, y0, method: RK23Method = RK23Metho
         return Trajectory(np.array(knot_t), np.array(knot_y))
     if isinstance(time, _FinalRow):
         return Trajectory(points[-1:].copy(), np.array([y]))
-
-    kt, ky, kf = np.array(knot_t), np.array(knot_y), np.array(knot_f)
-    # rows on a knot (t_end included, as it is the last knot) copy it exactly;
-    # every other row lies strictly inside knot interval [idx, idx + 1]
-    idx = np.searchsorted(kt, points, side="right") - 1
-    states = ky[idx]
-    inner = np.flatnonzero(kt[idx] != points)
-    # one time per query row, broadcast over the axes of the state
-    column = (-1,) + (1,) * (ky.ndim - 1)
-    # a slice of rows at a time, so the knots of every row are never gathered at once
-    n_rows = max(1, _FILL_ENTRIES // ky[0].size)
-    for start in range(0, len(inner), n_rows):
-        rows = inner[start:start + n_rows]
-        i = idx[rows]
-        states[rows] = hermite_interp(
-            kt[i].reshape(column), ky[i], kf[i], kt[i + 1].reshape(column), ky[i + 1], kf[i + 1],
-            points[rows].reshape(column))
+    states = _hermite_fill(np.array(knot_t), np.array(knot_y), np.array(knot_f), points)
     return Trajectory(points.copy(), states)
+
+
+def _finite_lanes(v: np.ndarray) -> np.ndarray:
+    if v.dtype == object:
+        return np.array([_all_finite(column) for column in v.T])
+    return np.isfinite(v).all(axis=0)
+
+
+def _rk23_lanes(rhs: Callable, points: np.ndarray, y: np.ndarray, tol: RK23Method,
+                final_row: bool) -> Trajectory:
+    """The lane loop of :func:`rk23_solve`: ``y`` of shape ``(m, B)`` is ``B`` systems.
+
+    Each lane takes the steps and arithmetic of the single-system loop on
+    its column, at its own ``t`` and ``h``; a lane that is done or has
+    failed takes a zero step.  After each attempt the lane states are
+    kept, with which lanes took a knot, and each lane's rows are filled
+    from its own knots.
+    """
+    t0, t_end = float(points[0]), float(points[-1])
+    lanes = y.shape[1]
+    t = np.full(lanes, t0)
+    f = np.asarray(rhs(t, y))
+    h = np.array([_initial_step(t0, t_end, y[:, b], f[:, b], tol) for b in range(lanes)])
+    # the error that stopped each failed lane
+    errors = {b: NonFiniteStateError(f"non-finite state {_at(0, t0, h[b])}")
+              for b in np.flatnonzero(~_finite_lanes(f)).tolist()}
+    # per attempt: lane times, states and first stages, and the lanes that took a knot
+    knots = [(t, y, f, np.ones(lanes, bool))]
+    attempts = 0
+    while True:
+        live = t < t_end
+        live[list(errors)] = False
+        if not live.any():
+            break
+        attempts += 1
+        if attempts > _MAX_STEPS:
+            for b in np.flatnonzero(live).tolist():
+                errors[b] = MaxStepsExceededError(
+                    f"exceeded {_MAX_STEPS} step attempts {_at(attempts, t[b], h[b])}")
+            break
+        clamped = h >= t_end - t
+        h_try = np.where(live, np.where(clamped, t_end - t, h), 0.0)
+        y_next, err_vec, k4 = _stages(rhs, t, y, h_try, f)
+        finite = _finite_lanes(y_next)
+        for b in np.flatnonzero(live & ~finite).tolist():
+            errors[b] = NonFiniteStateError(
+                f"non-finite state {_at(attempts, t[b] + h_try[b], h_try[b])}")
+        live &= finite
+        # a non-finite lane, which has failed, may make an invalid quotient here
+        with np.errstate(invalid="ignore"):
+            err = _error_norm(err_vec, y, y_next, tol)
+        accept = live & (err <= 1.0)
+        t = np.where(accept, np.where(clamped, t_end, t + h_try), t)
+        y = np.where(accept, y_next, y)
+        f = np.where(accept, k4, f)
+        h_next = h_try * np.array([_step_factor(e) for e in err.tolist()])
+        underflow = live & ~accept & (h_next < 16.0 * _EPS * np.maximum(np.abs(t), t_end - t0))
+        for b in np.flatnonzero(underflow).tolist():
+            errors[b] = StepUnderflowError(f"step size underflow {_at(attempts, t[b], h_next[b])}")
+        h = np.where(live, h_next, h)
+        if accept.any() and not final_row:
+            knots.append((t, y, f, accept))
+
+    if errors:
+        raise errors[min(errors)]
+    if final_row:
+        return Trajectory(points[-1:].copy(), y[None])
+    kt, ky, kf, took = (np.array(part) for part in zip(*knots))
+    states = [_hermite_fill(kt[took[:, b], b], ky[took[:, b], :, b], kf[took[:, b], :, b], points)
+              for b in range(lanes)]
+    return Trajectory(points.copy(), np.stack(states, axis=-1))
 
 
 def hermite_interp(t_a, y_a, f_a, t_b, y_b, f_b, t_query):

@@ -179,13 +179,13 @@ class TestCrossCompare:
 
     @pytest.mark.parametrize("solver, method_name, shapes", [
         ("euler", "fd", [(2, 7)]),
-        ("rk23", "fd", [(2,)] * 7),
+        ("rk23", "fd", [(2, 7)]),
         ("euler", "cs", [(2, 6)]),
         ("rk23", "cs", [(2,)] * 6),
     ])
     def test_numerical_matrix_solves(self, solve_shapes, solver, method_name, shapes):
-        # Euler runs the seven FD points, and the six complex ones, as lanes of
-        # one solve; RK23 runs one solve per column
+        # both integrators run the seven FD points as lanes of one solve; Euler
+        # runs the six complex ones so too, RK23 one solve per complex column
         sc = Scenario(t_end=2.0, n_points=21, solver=solver)
         jac = sensitivity_matrix(sc, method_name)
         assert jac.shape == (42, 6)

@@ -468,9 +468,10 @@ def test_first_derivatives_of_the_wrong_shape_are_rejected(monkeypatch, driver, 
 
 
 @pytest.mark.parametrize("method, gradient, shapes", [
-    # the 12 central points of the 6 inputs, at p and p/2, as 24 lanes of one solve
+    # the 12 central points of the 6 inputs, at p and p/2, as 24 lanes of one
+    # solve, under RK23 each lane with its own step control
     (EulerMethod(0.1), fmain_gradient_fd, [(2, 24)]),
-    (RK23Method(), fmain_gradient_fd, [(2,)] * 24),
+    (RK23Method(), fmain_gradient_fd, [(2, 24)]),
     # the 6 complex points, at p and p/2: 12 lanes of one Euler solve, or one
     # RK23 solve per column
     (EulerMethod(0.1), fmain_gradient_cs, [(2, 12)]),
@@ -503,9 +504,10 @@ def test_int_beyond_the_float_range_rejected_naming_it(key, make, value):
 
 
 @pytest.mark.parametrize("method, shapes", [
-    # 12 central points, each solved at p and p/2, as 24 lanes of one solve
+    # 12 central points, each solved at p and p/2, as 24 lanes of one solve;
+    # RK23 steps them as the columns of their flat (7, 2) stacks
     (EulerMethod(0.1), [(24, 7, 2)]),
-    (RK23Method(), [(7, 2)] * 24),
+    (RK23Method(), [(14, 24)]),
 ])
 def test_fd_hessian_solves(solve_shapes, method, shapes):
     hess = fmain_hessian_fd(Y0, P, Points(np.linspace(0.0, 2.0, 21)), method, model=LV)
@@ -575,13 +577,24 @@ def test_reverse_gradient_of_columns_equals_the_column_gradients(
     m, k = y0.shape[0], p.shape[0]
     time = Points(np.linspace(0.0, 2.0, 21))
     lanes = fmain_gradient_reverse(y0, p, time, method, model=model, jac=jac)
-    # Euler: the 6 systems of [p | p/2] as lanes of one solve; RK23: one solve each
+    # the 6 systems of [p | p/2] as lanes of one solve; RK23 steps them as the
+    # columns of their flat stacks
     assert solve_shapes == ([(6, 1 + k + m, m)] if isinstance(method, EulerMethod)
-                            else [(1 + k + m, m)] * 6)
+                            else [((1 + k + m) * m, 6)])
     columns = [fmain_gradient_reverse(y0[:, b], p[:, b], time, method, model=model, jac=jac)
                for b in range(3)]
     assert lanes.shape == (m + k, 3)
     assert lanes.tobytes() == np.column_stack(columns).tobytes()
+
+
+@pytest.mark.parametrize("y0_shape, p_shape", [((2, 2), (4, 2)), ((2, 1), (4, 1)),
+                                              ((2,), (4, 2)), ((2, 2), (4,))])
+def test_the_forward_gradient_rejects_columns_naming_their_shapes(y0_shape, p_shape):
+    # no caller passes columns, and the forward seeds are those of one input
+    y0 = np.resize(Y0, y0_shape[::-1]).T
+    p = np.resize(P, p_shape[::-1]).T
+    with pytest.raises(ValueError, match=re.escape(f"got {y0_shape} and {p_shape}")):
+        fmain_gradient_forward(y0, p, Points(np.linspace(0.0, 2.0, 21)), EulerMethod(0.1), model=LV)
 
 
 _POSITIVE = st.floats(1e-300, 1e300)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -286,10 +286,11 @@ class TestForwardSensitivitySolve:
         (linear_rhs, np.array([0.5]), np.array([3.0]), (3, 1)),
     ])
     def test_one_solve_of_the_row_stack(self, solve_shapes, rhs, p, y0, shape):
+        # RK23 steps the ravel of the stack, as a state with a second axis is lanes
         for method in (EulerMethod(0.1), RK23Method()):
             solve_shapes.clear()
             forward_sensitivity_solve(rhs, dual_jacobians(), p, y0, Points(np.linspace(0.0, 1.0, 3)), method)
-            assert solve_shapes == [shape]
+            assert solve_shapes == [shape if isinstance(method, EulerMethod) else (math.prod(shape),)]
 
 
 class TestLanes:
@@ -315,6 +316,28 @@ class TestLanes:
                 model.rhs, provider, p[:, b], y0[:, b], time, EulerMethod(0.1))
             assert lanes.states[:, b].tobytes() == alone.states.tobytes()
 
+    @pytest.mark.parametrize("model", [MODELS["lv"], MODELS["linear"], MODELS["zero"], BINDING],
+                             ids=["lv", "linear", "zero", "binding"])
+    @pytest.mark.parametrize("kind", ["analytic", "ad"])
+    @settings(max_examples=15)
+    @given(data=st.data())
+    def test_every_rk23_lane_is_bitwise_its_own_solve(self, model, kind, data):
+        # each lane keeps its own step control, so 1-24 lanes whose inputs span
+        # orders of magnitude take their own steps, each those of its column
+        m, k = model.state_dim, len(model.params)
+        n_lanes = data.draw(st.integers(1, 24))
+        powers = data.draw(arrays(float, (m + k, n_lanes), elements=st.floats(-1.0, 1.0)))
+        x = np.array([*model.states.values(), *model.params.values()])[:, None] * 10.0 ** powers
+        y0, p = x[:m], x[m:]
+        time = data.draw(st.sampled_from([Points, _FinalRow]))(np.linspace(0.0, 2.0, 5))
+        provider = jacobian_provider(model, kind)
+        lanes = forward_sensitivity_solve(model.rhs, provider, p, y0, time, RK23Method())
+        assert lanes.states.shape == (len(lanes.times), n_lanes, 1 + k + m, m)
+        for b in range(n_lanes):
+            alone = forward_sensitivity_solve(model.rhs, provider, p[:, b], y0[:, b], time, RK23Method())
+            assert lanes.times.tobytes() == alone.times.tobytes()
+            assert lanes.states[:, b].tobytes() == alone.states.tobytes()
+
     def test_dual_lanes_are_rejected(self):
         y0 = lift_dual(np.ones((2, 3)), np.ones((2, 3, 1)))
         with pytest.raises(ValueError, match="lanes take real inputs"):
@@ -336,13 +359,14 @@ class TestLanes:
             forward_sensitivity_solve(lv_rhs, jacobian_provider(MODELS["lv"], kind), p, y0,
                                       Points(np.linspace(0.0, 1.0, 3)), EulerMethod(0.1))
 
-    def test_rk23_lanes_are_rejected(self):
-        # RK23 steps on the error of the whole state, so lanes would share steps
+    @pytest.mark.parametrize("kind", ["analytic", "ad", "no lane rhs"])
+    def test_rk23_lanes_over_a_span_are_rejected(self, kind):
+        # each RK23 lane picks its own steps, so over a span each would have its own times
         y0 = np.column_stack([LV_Y0, 0.5 * LV_Y0])
         p = np.column_stack([LV_P, LV_P])
-        with pytest.raises(ValueError, match="run_columns"):
-            forward_sensitivity_solve(lv_rhs, LV_ANALYTIC, p, y0,
-                                      Points(np.linspace(0.0, 50.0, 11)), RK23Method())
+        provider = LV_ANALYTIC if kind == "no lane rhs" else jacobian_provider(MODELS["lv"], kind)
+        with pytest.raises(ValueError, match="RK23 sensitivity lanes need prescribed output points"):
+            forward_sensitivity_solve(lv_rhs, provider, p, y0, Span(0.0, 50.0), RK23Method())
 
 
 # y' = (a t y_1 - y_2, y_1 - b y_2 / (1 + t)): a right-hand side that reads t

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from odesens import solvers
 from odesens.models import lv_jac, lv_rhs
 from odesens.scalars import Dual1, is_finite_scalar, lift_dual, primal_values, tangent_values
-from odesens.sensitivity import _augmented_system, analytic_jacobians
+from odesens.sensitivity import _augmented_system, analytic_jacobians, forward_sensitivity_solve
 from odesens.solvers import (
     MaxStepsExceededError,
     NonFiniteStateError,
@@ -322,6 +322,132 @@ def test_euler_lanes_equal_one_column_solves_bitwise(case):
             assert lanes.states[..., b].tobytes() == one.states.tobytes()
 
 
+# right-hand sides for RK23 lanes, elementwise over a last lane axis; `forced` and
+# `decay` read t, which lanes pass as a vector of lane times
+_LANE_MODELS = {
+    "lv": (lv_rhs, [1000.0, 20.0], LV_P),
+    "forced": (lambda t, y, p: np.array([p[0] * t * y[0] - y[1], y[0] - p[1] * y[1] / (1.0 + t)]),
+               [1.0, 0.5], [0.3, 0.7]),
+    "decay": (lambda t, y, p: np.array([p[0] * np.exp(-t) * y[0], -(p[1] * np.exp(-t) * y[1])]),
+              [1.0, 0.5], [0.3, 0.7]),
+}
+
+
+@st.composite
+def _rk23_lanes(draw):
+    """A model, 1-24 columns of inputs spanning orders of magnitude, a grid and tolerances."""
+    name = draw(st.sampled_from(sorted(_LANE_MODELS)))
+    _, y0, p = _LANE_MODELS[name]
+    n_lanes = draw(st.integers(1, 24))
+    y0_powers = draw(arrays(float, (2, n_lanes), elements=st.floats(-2.0, 1.0)))
+    p_powers = draw(arrays(float, (len(p), n_lanes), elements=st.floats(-1.0, 1.0)))
+    grid = np.linspace(0.0, draw(st.floats(0.5, 5.0)), draw(st.integers(2, 12)))
+    time = draw(st.sampled_from([Points, _FinalRow]))(grid)
+    tol = RK23Method(draw(st.floats(1e-6, 1e-2)), draw(st.floats(1e-9, 1e-4)))
+    return (name, np.array(y0)[:, None] * 10.0 ** y0_powers, np.array(p)[:, None] * 10.0 ** p_powers,
+            time, tol)
+
+
+@given(_rk23_lanes())
+def test_rk23_lanes_equal_one_column_solves_bitwise(case):
+    name, y0, p, time, tol = case
+    rhs = _LANE_MODELS[name][0]
+    lanes = rk23_solve(lambda t, y: rhs(t, y, p), time, y0, tol)
+    n_rows = 1 if isinstance(time, _FinalRow) else len(time.times)
+    assert lanes.states.shape == (n_rows,) + y0.shape
+    for b in range(y0.shape[1]):
+        one = rk23_solve(lambda t, y: rhs(t, y, p[:, b]), time, y0[:, b], tol)
+        assert lanes.times.tobytes() == one.times.tobytes()
+        assert lanes.states[..., b].tobytes() == one.states.tobytes()
+
+
+class TestRK23LaneErrors:
+    """A failing RK23 lane raises the error of its column solve, the lowest-index one first."""
+
+    TIME = Points(np.linspace(0.0, 1.0, 5))
+
+    @staticmethod
+    def _columns_and_lanes(rhs, y0, c, time, tol=RK23Method()):
+        """The error of each column solve, or None, and that of the lane solve."""
+        def error(call):
+            with np.errstate(invalid="ignore", over="ignore"):
+                try:
+                    call()
+                except solvers.SolverError as exc:
+                    return exc
+            return None
+
+        columns = [error(lambda: rk23_solve(lambda t, y: rhs(t, y, c[b]), time, y0[:, b], tol))
+                   for b in range(y0.shape[1])]
+        return columns, error(lambda: rk23_solve(lambda t, y: rhs(t, y, c), time, y0, tol))
+
+    @staticmethod
+    def _step(exc):
+        return int(str(exc).split("at step ")[1].split(" ")[0])
+
+    def test_a_non_finite_lane_raises_the_error_of_the_lowest_failing_column(self):
+        # y' = 1 until t passes the lane's c, then inf: lane 2 fails first, lane 1 later
+        def rhs(t, y, c):
+            return np.where(t > c, np.inf, 1.0) * np.ones_like(y)
+
+        y0 = np.ones((2, 4))
+        c = np.array([10.0, 0.6, 0.3, 0.6])
+        columns, lanes = self._columns_and_lanes(rhs, y0, c, self.TIME)
+        assert columns[0] is None
+        assert self._step(columns[2]) < self._step(columns[1])
+        assert type(lanes) is NonFiniteStateError
+        assert str(lanes) == str(columns[1])
+
+    def test_a_failed_lane_stops_stepping_while_the_others_finish(self):
+        seen = []
+
+        def rhs(t, y):
+            seen.append(t.copy())
+            return np.where(t > np.array([10.0, 0.3]), np.inf, 1.0) * np.ones_like(y)
+
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteStateError, match="at step 2 "):
+            rk23_solve(rhs, self.TIME, np.ones((1, 2)))
+        # lane 1 failed at the second attempt, from t = 0.1, and then took zero steps there
+        assert seen[-1].tolist() == [1.0, 0.1]
+        assert len(seen) > 1 + 3 * 2
+
+    def test_a_lane_whose_first_derivative_is_not_finite_fails_at_step_0(self):
+        def rhs(t, y, c):
+            return c * np.ones_like(y)
+
+        columns, lanes = self._columns_and_lanes(rhs, np.ones((1, 3)), np.array([1.0, np.inf, np.inf]),
+                                                 self.TIME)
+        assert columns[0] is None and self._step(columns[1]) == 0
+        assert type(lanes) is NonFiniteStateError and str(lanes) == str(columns[1])
+
+    def test_a_lane_whose_step_underflows_raises_its_column_error(self):
+        # stage samples of this oscillation decorrelate for any resolvable h
+        def rhs(t, y, c):
+            return c * np.cos(1e18 * t) * np.ones_like(y)
+
+        columns, lanes = self._columns_and_lanes(rhs, np.zeros((1, 3)), np.array([0.0, 1e12, 1e12]),
+                                                 Points(np.linspace(1.0, 2.0, 3)))
+        assert columns[0] is None and type(columns[1]) is StepUnderflowError
+        assert type(lanes) is StepUnderflowError and str(lanes) == str(columns[1])
+
+    def test_a_lane_over_the_step_budget_raises_its_column_error(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_MAX_STEPS", 5)
+
+        def rhs(t, y, c):
+            return c * y
+
+        tol = RK23Method(rel_tol=1e-10, abs_tol=1e-12)
+        columns, lanes = self._columns_and_lanes(rhs, np.ones((1, 3)), np.array([0.0, 1.0, 2.0]),
+                                                 self.TIME, tol)
+        assert columns[0] is None and type(columns[1]) is MaxStepsExceededError
+        assert type(lanes) is MaxStepsExceededError and str(lanes) == str(columns[1])
+        assert str(lanes).startswith("exceeded 5 step attempts at step 6 (t = ")
+
+    def test_lanes_over_a_span_are_rejected(self):
+        with pytest.raises(ValueError, match="RK23 lanes need prescribed output points"):
+            rk23_solve(lv, Span(0.0, 1.0), np.ones((2, 3)))
+
+
 class TestFinalRow:
     """A final-row grid takes every step of its grid and keeps only the last row."""
 
@@ -561,24 +687,27 @@ class TestRK23Solve:
             RK23Method(abs_tol=math.nan)
 
     def test_composite_state_equals_its_ravel_bitwise(self):
-        # the (7, 2) composite of the LV sensitivity system is one coupled system
-        aug = _augmented_system(lv_rhs, analytic_jacobians(lv_jac), 2, 4)
+        # the (7, 2) composite of the LV sensitivity system is one coupled system,
+        # which the sensitivity solve hands RK23 as its ravel: a (7, 2) state is
+        # two lanes, and a state of three axes is rejected
+        provider = analytic_jacobians(lv_jac)
+        aug = _augmented_system(lv_rhs, provider, 2, 4)
         x0 = np.concatenate([[[1000.0, 20.0]], np.zeros((4, 2)), np.eye(2)])
-        seeds = np.random.default_rng(41).uniform(-1.0, 1.0, (7, 2))
-        for start in (x0, lift_dual(x0, seeds)):
-            for time in (Span(0.0, 20.0), Points(np.linspace(0.0, 20.0, 9))):
-                shapes = []
+        time = Points(np.linspace(0.0, 20.0, 9))
+        shapes = []
 
-                def rhs(t, x):
-                    shapes.append(x.shape)
-                    return aug(t, x, LV_P)
+        def rhs(t, x):
+            shapes.append(x.shape)
+            return aug(t, x, LV_P)
 
-                composite = rk23_solve(rhs, time, start)
-                flat = rk23_solve(rhs, time, start.ravel())
-                assert composite.states.shape == (composite.times.shape[0], 7, 2)
-                assert composite.times.tobytes() == flat.times.tobytes()
-                assert _bits(composite.states) == _bits(flat.states)
-                assert shapes.count((7, 2)) == shapes.count((14,)) > 4
+        bundle = forward_sensitivity_solve(lv_rhs, provider, LV_P, x0[0], time, RK23Method())
+        flat = rk23_solve(rhs, time, x0.ravel())
+        assert bundle.states.shape == (9, 7, 2)
+        assert bundle.times.tobytes() == flat.times.tobytes()
+        assert bundle.states.tobytes() == flat.states.tobytes()
+        assert set(shapes) == {(14,)} and len(shapes) > 4
+        with pytest.raises(ValueError, match=r"shape \(1, 7, 2\); solve a coupled system as its ravel"):
+            rk23_solve(rhs, time, x0[None])
 
     def test_single_point_grid_returns_initial_state(self):
         traj = rk23_solve(lv, Points(np.array([0.0])), np.array([1000.0, 20.0]))
@@ -656,6 +785,16 @@ class TestScalarKindGenericity:
         assert abs(primal - math.e) <= 1e-5
         assert abs(tangent - math.e) <= 1e-5
 
+
+    def test_rk23_dual_lanes_equal_their_column_solves_bitwise(self):
+        # an object state steps its lanes through the same Dual1 arithmetic
+        y0 = lift_dual(np.array([[1000.0, 500.0, 2000.0], [20.0, 40.0, 5.0]]),
+                       np.random.default_rng(3).uniform(-1.0, 1.0, (2, 3, 2)))
+        time = Points(np.linspace(0.0, 20.0, 9))
+        lanes = rk23_solve(lv, time, y0)
+        assert lanes.states.shape == (9, 2, 3)
+        for b in range(3):
+            assert _bits(lanes.states[..., b]) == _bits(rk23_solve(lv, time, y0[:, b]).states)
 
 def test_trajectory_rows_match_times():
     pts = np.linspace(0.0, 10.0, 21)
