@@ -168,6 +168,17 @@ GOLDEN = {
     # RK23 finite differences of a one-state model, m = 1
     "gradient-fd-linear-rk23": (["gradient", "--model", "linear", "--mode", "fd", *RK23],
         "42eff2c3171bb50fee7c124129e6e4d26dba7b5377558e241850f5b5a63c2445"),
+    # the Euler sensitivity gradients on the reference grid, [0, 1000] at 10001 points;
+    # rm and fm agree bitwise, and so do analytic and AD Jacobians
+    "gradient-rm-ref": (["gradient", "--mode", "rm"],
+        "c4b4417b7d140c6ca69b10d505f521aad2ecb26854d3b98ed0b4fd2a5790999a"),
+    "gradient-fm-ref": (["gradient", "--mode", "fm"],
+        "c4b4417b7d140c6ca69b10d505f521aad2ecb26854d3b98ed0b4fd2a5790999a"),
+    "gradient-rm-ad-ref": (["gradient", "--mode", "rm", "--jac", "ad"],
+        "c4b4417b7d140c6ca69b10d505f521aad2ecb26854d3b98ed0b4fd2a5790999a"),
+    # dt 0.03 covers each 0.1 output gap of the reference grid with 4 substeps
+    "gradient-rm-ref-dt03": (["gradient", "--mode", "rm", "--dt", "0.03"],
+        "75dc235096ab994d509871055418afb527db337d5b6a0267ca67967a71ff520a"),
 }
 
 # case name -> (argv without --output, digest of the --output file), each run in a
