@@ -355,7 +355,8 @@ def fmain_objective(y0, p, time: TimeSpec, method: SolverMethod, model: OdeModel
     the ``B`` objectives of the column pairs, from ``2B`` lanes of one
     :func:`solve_columns` call: the complex step's ``(d, d)`` points take
     one Euler solve of ``2d`` lanes (see :func:`cs_jacobian`).  1-D inputs
-    run the two solves one by one.
+    run the two solves one by one, which here beats two lanes (see
+    :func:`_two_lanes`).
 
     The objective and every driver built on it read only the last row of
     each solve, so ``time`` is handed down as a final-row grid: each solve
@@ -382,6 +383,35 @@ def _sensitivity_solver(model, jac, time, method) -> Callable:
     return lambda y0, p: forward_sensitivity_solve(model.rhs, provider, p, y0, time, method)
 
 
+def _two_lanes(dtype, method: SolverMethod) -> bool:
+    """Whether the sensitivity solves at ``p`` and ``p/2`` of a 1-D input run as two lanes.
+
+    A real input ``(y0 || p)``, of type ``dtype``, under Euler does: the
+    lanes share every step of the state pass and of the recurrence, and
+    each lane is bitwise its own solve.  On the reference grid (in
+    process, best of 5, one BLAS thread) that took
+    :func:`fmain_gradient_reverse` from 0.099 to 0.085 s.  Three paths keep
+    their two solves, each slower as lanes: RK23, whose lane loop pays for
+    the step control of each lane, 0.0166 s as two solves against
+    0.0271 s as lanes; dual inputs, whose forward-over-reverse Hessian
+    measured +10% as lanes on [0, 20]; and :func:`fmain_objective`, whose
+    plain solves take one cheap ``rhs`` call a step, 0.0394 s as two
+    solves against 0.0418 s as lanes.
+    """
+    return isinstance(method, EulerMethod) and np.dtype(dtype).kind in "iuf"
+
+
+def _pair_lanes(solve: Callable, y0, p) -> list:
+    """The bundles of columns ``y0`` ``(m, B)`` and ``p`` ``(k, B)`` at ``p``, then at ``p/2``.
+
+    The ``2B`` systems of ``[p | p/2]`` are lanes of one solve: bundle
+    ``b`` is column ``b`` at ``p`` and bundle ``B + b`` at ``p/2``.
+    """
+    both = solve(np.hstack([y0, y0]), np.hstack([p, p / 2.0]))
+    return [SensitivityBundle(both.times, both.states[:, j], both.time_spec)
+            for j in range(both.states.shape[1])]
+
+
 def fmain_gradient_forward(
     y0, p, time: TimeSpec, method: SolverMethod,
     model: OdeModel, jac: str = "analytic",
@@ -393,7 +423,9 @@ def fmain_gradient_forward(
     contribute a factor 1/2 on its parameter seed.  The objective reads
     only the final row, so the solves keep and contract only that row (see
     :func:`fmain_objective`).  Takes one input, ``y0`` of shape ``(m,)`` and
-    ``p`` of shape ``(k,)``; columns are rejected.
+    ``p`` of shape ``(k,)``; columns are rejected.  The two sensitivity
+    systems of ``p`` and ``p/2`` are two lanes of one solve under Euler
+    and two solves otherwise (see :func:`_two_lanes`).
     """
     y0, p = np.asarray(y0), np.asarray(p)
     if y0.ndim != 1 or p.ndim != 1:
@@ -401,7 +433,10 @@ def fmain_gradient_forward(
                          f"got {y0.shape} and {p.shape}")
     time = _final_row(time)
     solve = _sensitivity_solver(model, jac, time, method)
-    bundle1, bundle2 = solve(y0, p), solve(y0, p / 2.0)
+    if _two_lanes(np.result_type(y0, p), method):
+        bundle1, bundle2 = _pair_lanes(solve, y0[:, None], p[:, None])
+    else:
+        bundle1, bundle2 = solve(y0, p), solve(y0, p / 2.0)
     m = bundle1.state_dim
     seeds = np.eye(m + bundle1.n_params)
     d1 = bundle1.dy_dy0[-1].dot(seeds[:m]) + bundle1.dy_dp[-1].dot(seeds[m:])
@@ -440,8 +475,9 @@ def fmain_gradient_reverse(
     the ``(m + k, B)`` gradients of the column pairs, each column bitwise
     its 1-D gradient.  The ``2B`` sensitivity systems of ``[p | p/2]``
     are lanes of one solve under either integrator (see
-    :func:`run_columns`); dual-valued columns would run one by one.  1-D
-    inputs run the two solves one by one.
+    :func:`run_columns`).  A real 1-D input under Euler is one such
+    column, two lanes; under RK23, or with dual values, its two solves run
+    one by one (see :func:`_two_lanes`).
     """
     time = _final_row(time)
     solve = _sensitivity_solver(model, jac, time, method)
@@ -450,11 +486,12 @@ def fmain_gradient_reverse(
 
     def gradient(x):
         y0, p = x[:m], x[m:]
+        if x.ndim == 1 and _two_lanes(x.dtype, method):
+            return gradient(x[:, None])[:, 0]
         if x.ndim == 1:
             return _pair_gradient(solve(y0, p), solve(y0, p / 2.0))
         b = x.shape[1]
-        both = solve(np.hstack([y0, y0]), np.hstack([p, p / 2.0]))
-        lanes = [SensitivityBundle(both.times, both.states[:, j], time) for j in range(2 * b)]
+        lanes = _pair_lanes(solve, y0, p)
         return np.column_stack([_pair_gradient(lanes[j], lanes[b + j]) for j in range(b)])
 
     return run_columns(gradient, np.concatenate([y0, np.asarray(p)]), method)

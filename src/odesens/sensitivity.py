@@ -259,9 +259,10 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
             # a right-hand side of constants gives one value for all lanes
             value = np.reshape(value, (m, -1))
             # lane b of the stacked matmul is the one-lane dot of C-contiguous operands
-            f_y = np.ascontiguousarray(np.moveaxis(first[:, :m], -1, 0))
-            out = np.moveaxis(np.matmul(np.ascontiguousarray(np.moveaxis(rows, -1, 0)),
-                                        f_y.swapaxes(-1, -2)), 0, -1)
+            # lanes first, as transposed views: np.moveaxis costs microseconds a call
+            f_y = np.ascontiguousarray(first[:, :m].transpose(2, 0, 1))
+            out = np.matmul(np.ascontiguousarray(rows.transpose(2, 0, 1)),
+                            f_y.swapaxes(-1, -2)).transpose(1, 2, 0)
         out[0] = value
         out[1:1 + k] += first[:, m:].swapaxes(0, 1)
         return out

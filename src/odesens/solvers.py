@@ -567,9 +567,12 @@ def _rk23_lanes(rhs: Callable, points: np.ndarray, y: np.ndarray, tol: RK23Metho
 
     Each lane takes the steps and arithmetic of the single-system loop on
     its column, at its own ``t`` and ``h``; a lane that is done or has
-    failed takes a zero step.  After each attempt the lane states are
-    kept, with which lanes took a knot, and each lane's rows are filled
-    from its own knots.
+    failed takes a zero step, at its last accepted state, whose stages are
+    finite.  A lane whose first stage is not finite fails at step 0 and
+    has no such state, so all its stages are zero: ``rhs`` sees only
+    finite states, as in the column solve that raises at step 0.  After
+    each attempt the lane states are kept, with which lanes took a knot,
+    and each lane's rows are filled from its own knots.
     """
     t0, t_end = float(points[0]), float(points[-1])
     lanes = y.shape[1]
@@ -577,8 +580,16 @@ def _rk23_lanes(rhs: Callable, points: np.ndarray, y: np.ndarray, tol: RK23Metho
     f = np.asarray(rhs(t, y))
     h = np.array([_initial_step(t0, t_end, y[:, b], f[:, b], tol) for b in range(lanes)])
     # the error that stopped each failed lane
+    failed = ~_finite_lanes(f)
     errors = {b: NonFiniteStateError(f"non-finite state {_at(0, t0, h[b])}")
-              for b in np.flatnonzero(~_finite_lanes(f)).tolist()}
+              for b in np.flatnonzero(failed).tolist()}
+    stage_rhs = rhs
+    if failed.any():
+        # its own stages, rhs at its start again, would hand rhs y + 0 * inf = NaN
+        f = np.where(failed, 0.0, f)
+
+        def stage_rhs(t, y):
+            return np.where(failed, 0.0, rhs(t, y))
     # per attempt: lane times, states and first stages, and the lanes that took a knot
     knots = [(t, y, f, np.ones(lanes, bool))]
     attempts = 0
@@ -595,7 +606,7 @@ def _rk23_lanes(rhs: Callable, points: np.ndarray, y: np.ndarray, tol: RK23Metho
             break
         clamped = h >= t_end - t
         h_try = np.where(live, np.where(clamped, t_end - t, h), 0.0)
-        y_next, err_vec, k4 = _stages(rhs, t, y, h_try, f)
+        y_next, err_vec, k4 = _stages(stage_rhs, t, y, h_try, f)
         finite = _finite_lanes(y_next)
         for b in np.flatnonzero(live & ~finite).tolist():
             errors[b] = NonFiniteStateError(

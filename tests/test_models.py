@@ -28,7 +28,7 @@ from odesens.models import (
     lv_rhs,
     parse_scenario_text,
 )
-from odesens.scalars import Dual1, contains_dual, eval_jacobian_dual
+from odesens.scalars import Dual1, contains_dual, eval_jacobian_dual, lift_dual
 from odesens.solvers import (
     EulerMethod, Points, RK23Method, Span, SpanModeError, euler_solve, rk23_solve,
 )
@@ -460,8 +460,9 @@ def test_first_derivatives_of_the_wrong_shape_are_rejected(monkeypatch, driver, 
         driver(Y0, P, time, method, model=model)
     # rejected at the first provider call, before the recurrence takes a step:
     # a gradient's call covers the first block of Euler steps, here all 20 step
-    # times; a Hessian's is the first step of a lowered solve, Euler or RK23
-    first = time.times[:-1] if driver is fmain_gradient_forward else 0.0
+    # times of its two lanes, p and p/2; a Hessian's is the first step of a
+    # lowered solve, Euler or RK23
+    first = np.repeat(time.times[:-1], 2) if driver is fmain_gradient_forward else 0.0
     assert len(calls) == 1 and np.array_equal(calls[0], first)
     # and before any second derivative is taken
     assert passes == []
@@ -585,6 +586,64 @@ def test_reverse_gradient_of_columns_equals_the_column_gradients(
                for b in range(3)]
     assert lanes.shape == (m + k, 3)
     assert lanes.tobytes() == np.column_stack(columns).tobytes()
+
+
+@st.composite
+def _one_input(draw):
+    """An LV or linear input off the defaults, a grid, plain or final-row, and an Euler step."""
+    model = MODELS[draw(st.sampled_from(["lv", "linear"]))]
+    scale = st.floats(0.5, 2.0)
+    y0 = np.array(list(model.states.values())) * draw(
+        arrays(float, model.state_dim, elements=scale))
+    p = np.array(list(model.params.values())) * draw(
+        arrays(float, len(model.params), elements=scale))
+    grid = np.linspace(0.0, draw(st.floats(0.5, 5.0)), draw(st.integers(1, 30)))
+    kind = draw(st.sampled_from([Points, solvers._FinalRow]))
+    # a step below the gap covers each gap with several substeps
+    return model, y0, p, kind(grid), EulerMethod(draw(st.floats(0.01, 0.5)))
+
+
+@pytest.mark.parametrize("jac", ["analytic", "ad"])
+@given(case=_one_input())
+def test_euler_gradients_equal_their_two_solves_bitwise(jac, case):
+    model, y0, p, time, method = case
+    m, k = y0.shape[0], p.shape[0]
+    provider = sensitivity.jacobian_provider(model, jac)
+    # the last row of the solves at p and at p/2, each a solve of its own
+    b1, b2 = (sensitivity.forward_sensitivity_solve(model.rhs, provider, q, y0, time, method)
+              .take(slice(-1, None)) for q in (p, p / 2.0))
+    (a_y0_1, a_p_1), (a_y0_2, a_p_2) = (sensitivity.vjp_solution(b, np.ones((1, m)))
+                                        for b in (b1, b2))
+    reverse = np.concatenate([a_y0_1 + a_y0_2, a_p_1 + 0.5 * a_p_2])
+    seeds = np.eye(m + k)
+    d1 = b1.dy_dy0[-1].dot(seeds[:m]) + b1.dy_dp[-1].dot(seeds[m:])
+    d2 = b2.dy_dy0[-1].dot(seeds[:m]) + b2.dy_dp[-1].dot(0.5 * seeds[m:])
+    forward = d1.sum(axis=0) + d2.sum(axis=0)
+    rm = fmain_gradient_reverse(y0, p, time, method, model=model, jac=jac)
+    fm = fmain_gradient_forward(y0, p, time, method, model=model, jac=jac)
+    assert rm.tobytes() == reverse.tobytes()
+    assert fm.tobytes() == forward.tobytes()
+
+
+@pytest.mark.parametrize("driver", [fmain_gradient_reverse, fmain_gradient_forward],
+                         ids=["rm", "fm"])
+@pytest.mark.parametrize("method, dual, shapes", [
+    # a real input under Euler: p and p/2 as two lanes of one solve
+    (EulerMethod(0.1), False, [(2, 7, 2)]),
+    # RK23: two solves of the ravelled (7, 2) stack, one per parameter vector
+    (RK23Method(), False, [(14,)] * 2),
+    # dual inputs: two lowered solves, each of the flat 14-state with 4 parameters,
+    # which RK23 steps as the ravel of its (19, 14) stack
+    (EulerMethod(0.1), True, [(19, 14)] * 2),
+    (RK23Method(), True, [(266,)] * 2),
+], ids=["euler", "rk23", "euler-dual", "rk23-dual"])
+def test_the_gradient_solves_of_one_input(solve_shapes, driver, method, dual, shapes):
+    x = np.concatenate([Y0, P])
+    if dual:
+        x = lift_dual(x, np.eye(6))
+    grad = driver(x[:2], x[2:], Points(np.linspace(0.0, 2.0, 21)), method, model=LV)
+    assert grad.shape == (6,)
+    assert solve_shapes == shapes
 
 
 @pytest.mark.parametrize("y0_shape, p_shape", [((2, 2), (4, 2)), ((2, 1), (4, 1)),

@@ -420,6 +420,26 @@ class TestRK23LaneErrors:
         assert columns[0] is None and self._step(columns[1]) == 0
         assert type(lanes) is NonFiniteStateError and str(lanes) == str(columns[1])
 
+    def test_a_lane_that_fails_at_step_0_hands_rhs_only_finite_states(self):
+        # lane 1's first stage is inf; its zero steps must not hand rhs y + 0 * inf
+        seen = {"column": [], "lanes": []}
+
+        def rhs(t, y, c):
+            if not np.isfinite(y).all():
+                raise FloatingPointError("rhs of a non-finite state")
+            seen["lanes" if np.ndim(y) == 2 else "column"].append(np.array(y)[..., 0].tobytes())
+            return c * (1 + 0 * y)
+
+        columns, lanes = self._columns_and_lanes(rhs, np.ones((1, 2)), np.array([1.0, np.inf]),
+                                                 self.TIME)
+        assert columns[0] is None and type(columns[1]) is NonFiniteStateError
+        assert type(lanes) is NonFiniteStateError and str(lanes) == str(columns[1])
+        assert str(lanes) == "non-finite state at step 0 (t = 0.0, h = 3.552713678800501e-15)"
+        # the live lane's stages see the states of its column solve, bit for bit; the
+        # first column solve is column 0's, whose calls come before column 1's one call
+        column_0 = seen["column"][:-1]
+        assert seen["lanes"] == column_0 and len(column_0) > 1
+
     def test_a_lane_whose_step_underflows_raises_its_column_error(self):
         # stage samples of this oscillation decorrelate for any resolvable h
         def rhs(t, y, c):
