@@ -486,9 +486,9 @@ def fmain_gradient_reverse(
 
     def gradient(x):
         y0, p = x[:m], x[m:]
-        if x.ndim == 1 and _two_lanes(x.dtype, method):
-            return gradient(x[:, None])[:, 0]
         if x.ndim == 1:
+            if _two_lanes(x.dtype, method):
+                return gradient(x[:, None])[:, 0]
             return _pair_gradient(solve(y0, p), solve(y0, p / 2.0))
         b = x.shape[1]
         lanes = _pair_lanes(solve, y0, p)

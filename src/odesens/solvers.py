@@ -585,7 +585,8 @@ def _rk23_lanes(rhs: Callable, points: np.ndarray, y: np.ndarray, tol: RK23Metho
               for b in np.flatnonzero(failed).tolist()}
     stage_rhs = rhs
     if failed.any():
-        # its own stages, rhs at its start again, would hand rhs y + 0 * inf = NaN
+        # such a lane's own stages, rhs at its start again, would hand the next
+        # stage y + 0 * inf = NaN
         f = np.where(failed, 0.0, f)
 
         def stage_rhs(t, y):
