@@ -179,6 +179,14 @@ GOLDEN = {
     # dt 0.03 covers each 0.1 output gap of the reference grid with 4 substeps
     "gradient-rm-ref-dt03": (["gradient", "--mode", "rm", "--dt", "0.03"],
         "75dc235096ab994d509871055418afb527db337d5b6a0267ca67967a71ff520a"),
+    # 10 output gaps of 334 lowered substeps each, so blocks of 1024 steps end
+    # mid-gap; analytic and AD Jacobians agree bitwise
+    "hessian-for-t100-dt03": (["hessian", "--method", "for", "--t-end", "100", "--n-points", "11",
+                               "--dt", "0.03"],
+        "ef40f262a1cbbcbe0100d193cb1d45053f006dfb04ee31d9b0f0c49e925d111a"),
+    "hessian-for-ad-t100-dt03": (["hessian", "--method", "for", "--jac", "ad", "--t-end", "100",
+                                  "--n-points", "11", "--dt", "0.03"],
+        "ef40f262a1cbbcbe0100d193cb1d45053f006dfb04ee31d9b0f0c49e925d111a"),
 }
 
 # case name -> (argv without --output, digest of the --output file), each run in a
