@@ -144,7 +144,11 @@ class OdeModel:
     ``y`` of shape ``(m, B)`` and ``p`` of shape ``(k, B)`` give ``f`` of
     shape ``(m, B)`` and ``[f_y | f_p]`` of shape ``(m, m + k, B)``, lane
     ``b`` bitwise the value at column ``b``.  Euler and RK23 solves and
-    their sensitivities run many real inputs as such lanes.  Under lanes
+    their sensitivities run many real inputs as such lanes.
+    :func:`~odesens.sensitivity.jacobian_provider` checks this once, on
+    three lanes at scaled defaults, and raises ``ValueError`` for a model
+    that mixes them; an output without the lane axis passes if it is the
+    same at every lane, as a right-hand side of constants is.  Under lanes
     ``t`` may be a vector of lane times, one per column: an Euler
     sensitivity solve evaluates a block of steps at their own times in one
     call, and under RK23 lanes ``t`` is always that vector, as each lane
@@ -168,7 +172,9 @@ class OdeModel:
     A model declares no higher derivatives.  The lowered solves of a
     Hessian take the derivatives of ``[f_y | f_p]`` in ``(y, p)`` from one
     dual pass over the model's Jacobian provider, over lanes in an Euler
-    solve, one pass per block of steps.  With analytic Jacobians that pass
+    solve, one pass per block of steps.  An Euler lowered solve's state
+    pass is the model's own sensitivity solve: ``rhs`` alone once per
+    step, then the provider once per block of steps, on reals.  With analytic Jacobians that pass
     evaluates ``rhs`` and ``jac`` on lane duals of ``t``, with dual
     Jacobians ``rhs`` on nested ones; so ``jac`` too may combine a lane
     vector ``t`` with the state only by arithmetic and those functions.

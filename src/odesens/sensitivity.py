@@ -33,10 +33,12 @@ A model declares none: whichever the Jacobian provider, they come from
 one ``m + k``-seed dual pass over the provider itself, whose tangents of
 ``[f_y | f_p]`` are the second derivatives and whose primals of ``f`` are
 the augmented system's value row.  That structured provider takes lanes,
-so a real lowered Euler solve runs in the same two passes: the state pass
-steps the augmented system, and one call per block of steps, with one
-lane pass over the model's provider, gives every step's structured
-Jacobian.
+so a real lowered Euler solve runs in the same two passes, with no
+per-step model call.  Its state is the flat stack of the model's
+composite state, so its state pass is the model's own two-pass
+recurrence, one model provider call per block of steps; one structured
+provider call per block, with one lane pass over the model's provider,
+then gives every step's structured Jacobian.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from .solvers import (
     TimeSpec,
     Trajectory,
     _euler_grid,
-    _euler_substeps,
+    _euler_steps,
     run_solver,
 )
 
@@ -161,20 +163,57 @@ def dual_jacobians():
     return provider
 
 
+def _check_lanes(name: str, fn: Callable, y, p):
+    """Raise ``ValueError`` if ``fn`` on the lanes of ``y`` and ``p`` mixes them.
+
+    Lane ``b`` of one call at the lane times ``_PROBE_TIMES`` must equal,
+    bit for bit, the call at column ``b`` and that lane's time.  An output
+    without the lane axis, a constant, passes if it equals every one-point
+    call.
+    """
+    lanes = np.asarray(fn(_PROBE_TIMES, y, p), float)
+    for b, t in enumerate(_PROBE_TIMES.tolist()):
+        one = np.asarray(fn(t, y[:, b], p[:, b]), float)
+        if lanes.shape not in (one.shape, one.shape + (len(_PROBE_TIMES),)):
+            raise ValueError(f"model {name} of {len(_PROBE_TIMES)} lanes returned shape "
+                             f"{lanes.shape}; expected {one.shape} with a last axis of lanes")
+        lane = lanes if lanes.shape == one.shape else lanes[..., b]
+        if lane.tobytes() != one.tobytes():
+            at = next(i for i in np.ndindex(one.shape) if lane[i].tobytes() != one[i].tobytes())
+            raise ValueError(f"model {name} mixes lanes: entry {at} of lane {b} is {lane[at]!r}, "
+                             f"but {one[at]!r} at that lane's point alone")
+
+
+# lane times, and scales of the default state and parameters, at which
+# jacobian_provider checks the lane contract: three distinct points
+_PROBE_TIMES = np.array([0.25, 0.5, 0.75])
+_PROBE_SCALES = np.array([0.75, 1.0, 1.25])
+
+
 def jacobian_provider(model, kind: str):
     """Resolve ``"analytic"`` or ``"ad"`` to a Jacobian provider for an ``OdeModel``.
 
     The model's ``rhs`` and ``jac`` follow its lane contract, so the
     provider records ``model.rhs``: a real Euler sensitivity solve of that
     ``rhs`` with this provider evaluates blocks of steps in one lane-form
-    call (see :func:`forward_sensitivity_solve`).
+    call (see :func:`forward_sensitivity_solve`).  A model that breaks the
+    contract would give wrong numbers there without an error, so the
+    contract is checked here, once: ``rhs``, and ``jac`` for the analytic
+    provider, which calls it, run on three lanes at scaled default points
+    and distinct lane times, and each lane must equal its one-point call
+    bit for bit; otherwise ``ValueError`` names the function, the lane and
+    the first entry that differs.
     """
-    if kind == "analytic":
-        provider = analytic_jacobians(model.jac)
-    elif kind == "ad":
-        provider = dual_jacobians()
-    else:
+    if kind not in ("analytic", "ad"):
         raise ValueError(f"unknown jacobian provider {kind!r}; choose 'analytic' or 'ad'")
+    y = np.array(list(model.states.values()), float)[:, None] * _PROBE_SCALES
+    p = np.array(list(model.params.values()), float)[:, None] * _PROBE_SCALES[::-1]
+    _check_lanes("rhs", model.rhs, y, p)
+    if kind == "analytic":
+        _check_lanes("jac", model.jac, y, p)
+        provider = analytic_jacobians(model.jac)
+    else:
+        provider = dual_jacobians()
     provider._lane_rhs = model.rhs
     return provider
 
@@ -229,9 +268,13 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
     bitwise its one-point call.  If ``jac`` also takes ``f`` in lanes, as
     the provider of a model's ``rhs`` does (its ``_lane_rhs``),
     ``jacobians`` records the system as its own ``_lane_rhs``, so a real
-    lowered Euler solve runs in the two passes of :func:`_two_pass_euler`:
-    the state pass steps this system, and one ``jacobians`` call evaluates
-    a block of steps.  A system of such a system records none, and its
+    lowered Euler solve runs in the two passes of :func:`_two_pass_euler`,
+    and the system records the pair ``(f, jac)`` as its ``_model``: its
+    state at every substep is the model's composite state, which the
+    state pass then takes from the model's own two-pass recurrence
+    instead of stepping this system (see :func:`_state_pass`), and one
+    ``jacobians`` call evaluates a block of steps.  A system of such a
+    system records neither, and its
     solves, those of nested duals, take one structured Jacobian per step:
     its value row is then the primal of the object ``dot`` of the dual
     pass, which may differ in the last bit from the real ``dot`` that its
@@ -295,8 +338,10 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
     aug.jacobians = jacobians
     if getattr(jac, "_lane_rhs", None) is f and not hasattr(f, "jacobians"):
         # so a real lowered Euler solve takes two passes, one call per block of
-        # steps; a system of a system steps one point at a time (see above)
+        # steps, its state pass the model's own; a system of a system steps one
+        # point at a time (see above)
         jacobians._lane_rhs = aug
+        aug._model = (f, jac, m, k)
     return aug
 
 
@@ -489,9 +534,9 @@ def _two_pass_euler(f: Callable, jac, p, y0, x0, time: TimeSpec, method: EulerMe
 
     The variational equations are linear in ``(V, W)``, and under Euler
     their coefficients depend only on the state trajectory, which does not
-    depend on ``(V, W)``.  So a state pass steps the state alone, with the
-    substeps and arithmetic of :func:`~odesens.solvers.euler_solve`, and
-    records the state of a block of substeps at a time, as many as make
+    depend on ``(V, W)``.  So a state pass gives the state alone at every
+    substep (see :func:`_state_pass`), and the recurrence records the
+    states of a block of substeps at a time, as many as make
     :data:`_BLOCK_LANES` lanes together with the solve's lanes.  The
     provider then gives ``f`` and ``[f_y | f_p]`` of those steps, every
     lane included, in one lane-form call, and the composite recurrence
@@ -503,51 +548,67 @@ def _two_pass_euler(f: Callable, jac, p, y0, x0, time: TimeSpec, method: EulerMe
     ahead of the recurrence, so memory grows with the output rows and the
     lanes, not with the substeps.
 
-    An error of ``f`` in the state pass is raised once the recurrence comes
-    to the step that met it, inside the recurrence's Euler loop, so a
-    non-finite row the recurrence made before names the step, t and h the
-    per-step solve names.  An error of the provider is raised at the first
-    step of its block.
+    An error of the state pass is raised once the recurrence comes to the
+    step that met it, inside the recurrence's Euler loop, so a non-finite
+    row the recurrence made before names the step, t and h the per-step
+    solve names.  An error of the provider is raised at the first step of
+    its block.
+    """
+    grid, n_subs = _euler_grid(time, method.dt)
+    states = _state_pass(f, p, y0, grid, n_subs)
+    return run_solver(_recurrence(f, jac, p, y0, states), time, x0, method)
+
+
+def _recurrence(f: Callable, jac, p, y0, states) -> Callable:
+    """Right-hand side of the composite recurrence whose state pass is ``states``.
+
+    ``states`` yields the substeps of the state from ``y0`` as
+    :func:`~odesens.solvers._euler_steps` does.  Each call takes the next
+    substep's ``f`` and ``[f_y | f_p]`` from a generator that reads
+    ``states`` a block of substeps ahead and evaluates each block in one
+    lane-form provider call (see :func:`_two_pass_euler`).
     """
     m, k = len(y0), len(p)
     lanes = y0[0].size
     block_steps = max(1, _BLOCK_LANES // lanes)
-    grid, n_subs = _euler_grid(time, method.dt)
+    # the step (and lane) axes of a block's f and [f_y | f_p], moved first by a
+    # transpose: np.moveaxis costs microseconds a call, which a short solve notices
+    axes = tuple(range(1, y0.ndim + 1))
 
     def block(times, states):
         # the provider's lanes are the block's steps times the solve's lanes, steps major
         shape = (len(times),) + y0.shape[1:]
         n = len(times) * lanes
-        value, first = jac(f, np.repeat(times, lanes), np.moveaxis(states, 0, 1).reshape(m, n),
-                           np.tile(p.reshape(k, -1), len(times)))
+        value, first = jac(f, np.repeat(times, lanes), states.swapaxes(0, 1).reshape(m, n),
+                           np.repeat(p.reshape(k, 1, -1), len(times), axis=1).reshape(k, n))
         _check_shape("jacobian provider", first, (m, m + k), n)
-        # a right-hand side of constants gives one value for all lanes
-        value = np.broadcast_to(np.reshape(value, (m, -1)), (m, n)).reshape((m,) + shape)
-        first = first.reshape((m, m + k) + shape)
+        value = np.reshape(value, (m, -1))
+        if value.shape[1] != n:
+            # a right-hand side of constants gives one value for all lanes
+            value = np.broadcast_to(value, (m, n))
+        value = value.reshape((m,) + shape).transpose(axes + (0,))
+        first = first.reshape((m, m + k) + shape).transpose(tuple(a + 1 for a in axes) + (0, 1))
         # per step and lane: f, f_y^T of a C-contiguous f_y, and f_p^T
-        f_y = np.ascontiguousarray(np.moveaxis(first[:, :m], (0, 1), (-2, -1)))
-        return zip(np.moveaxis(value, 0, -1), f_y.swapaxes(-1, -2),
-                   np.moveaxis(first[:, m:], (0, 1), (-1, -2)))
+        f_y = np.ascontiguousarray(first[..., :m])
+        return zip(value, f_y.swapaxes(-1, -2), first[..., m:].swapaxes(-1, -2))
 
     def steps():
-        y, times = y0, []
-        states = np.empty((block_steps,) + y0.shape, np.result_type(x0, p))
-        for t, h, _ in _euler_substeps(grid, n_subs):
-            try:
-                value = f(t, y, p)
-            except Exception:
-                # the recurrence takes the steps before this one, then meets the error
-                if times:
-                    yield from block(times, states[:len(times)])
-                raise
-            states[len(times)] = y
-            times.append(t)
-            y = y + h * value
-            if len(times) == block_steps:
-                yield from block(times, states)
-                times = []
+        times = []
+        held = np.empty((block_steps,) + y0.shape, np.result_type(y0, p))
+        try:
+            for t, _, y, _ in states:
+                held[len(times)] = y
+                times.append(t)
+                if len(times) == block_steps:
+                    full, times = times, []
+                    yield from block(full, held)
+        except Exception:
+            # the recurrence takes the steps before the failing one, then meets the error
+            if times:
+                yield from block(times, held[:len(times)])
+            raise
         if times:
-            yield from block(times, states[:len(times)])
+            yield from block(times, held[:len(times)])
 
     supply = steps()
 
@@ -566,7 +627,36 @@ def _two_pass_euler(f: Callable, jac, p, y0, x0, time: TimeSpec, method: EulerMe
         out[:, 1:1 + k] += f_p_t
         return out
 
-    return run_solver(one_lane if y0.ndim == 1 else stacked, time, x0, method)
+    return one_lane if y0.ndim == 1 else stacked
+
+
+def _state_pass(f: Callable, p, y0, grid, n_subs):
+    """The state of a two-pass solve at every substep, as :func:`~odesens.solvers._euler_steps` yields it.
+
+    The state alone is ``y0`` stepped by ``f``.  The augmented system of a
+    model's ``rhs`` with its provider, which a lowered solve steps, knows
+    that pair (see :func:`_augmented_system`): its state, the flat stack
+    ``[y; V^T; W^T]``, is then the model's own composite state, bitwise, so
+    its substeps are taken from the model's two-pass recurrence, whose
+    provider call evaluates a block of steps, instead of stepping ``f``,
+    which would call the model's provider once per step.
+    """
+    model = getattr(f, "_model", None)
+    if model is None:
+        return _euler_steps(lambda t, y: f(t, y, p), grid, n_subs, y0)
+    rhs, jac, m, k = model
+    y = y0[:m]
+    if y0.ndim == 1:
+        state = _euler_steps(lambda t, y: rhs(t, y, p), grid, n_subs, y)
+    else:
+        # a right-hand side of constants gives one value for all lanes, as in the per-step system
+        state = _euler_steps(lambda t, y: np.reshape(rhs(t, y, p), (m, -1)), grid, n_subs, y)
+    recurrence = _recurrence(rhs, jac, p, y, state)
+    # flat stacks (n,), or lanes (n, L), as row stacks (1 + k + m, m), lanes first
+    x0 = np.ascontiguousarray(y0.T).reshape(y0.shape[1:] + (1 + k + m, m))
+    flat = y0.shape[::-1]
+    return ((t, end, x.reshape(flat).T, None)
+            for t, end, x, _ in _euler_steps(recurrence, grid, n_subs, x0))
 
 
 def jvp_solution(bundle: SensitivityBundle, g_y0, g_p) -> np.ndarray:
@@ -644,9 +734,12 @@ def dual_aware_solve(
     :func:`forward_sensitivity_solve` hands over, brings its own structured
     provider (see :func:`_augmented_system`).  Analytic or AD, that
     provider takes lanes, so an Euler lowered solve evaluates it once per
-    block of steps, ahead of the recurrence; under RK23, or one level
-    further down for nested duals, once per step.  Any other ``rhs`` is
-    differentiated by one dual pass per step (:func:`dual_jacobians`).
+    block of steps, ahead of the recurrence, and its state pass is the
+    model's own two-pass solve, with one model provider call per block of
+    steps (see :func:`_state_pass`); under RK23, or one level further down
+    for nested duals, the lowered solve calls it once per step.  Any other
+    ``rhs`` is differentiated by one dual pass per step
+    (:func:`dual_jacobians`).
     """
     y0 = np.asarray(y0)
     p = np.asarray(p)

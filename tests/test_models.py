@@ -380,7 +380,7 @@ def test_hessian_lowered_solves_are_two_composite_solves(solve_shapes):
 
 @pytest.mark.parametrize("jac, passes", [
     ("analytic", [(6, 20)] * 2),
-    ("ad", ([(6,)] * 20 + [(6, 20), (6, 20), (6,)]) * 2),
+    ("ad", [(6, 20), (6, 20), (6, 20), (6,)] * 2),
 ])
 def test_hessian_lowered_jacobian_makes_no_pass_over_the_augmented_rhs(monkeypatch, jac, passes):
     columns, jac_inputs, rhs_calls = [], [], []
@@ -404,22 +404,25 @@ def test_hessian_lowered_jacobian_makes_no_pass_over_the_augmented_rhs(monkeypat
     # 2 lowered solves of 20 Euler steps, each in two passes; every dual pass
     # seeds the 6 inputs of the model, none the 18 of the augmented system
     assert columns == passes
+    # jacobian_provider first checks the lane contract: one call on 3 lanes,
+    # then one at each lane's point alone, of rhs and, analytic, of jac
+    probe_t, probe_y = [(3,), (), (), ()], [((2, 3), np.dtype(float))] + [((2,), np.dtype(float))] * 3
     if jac == "analytic":
-        # each solve's state pass steps the augmented system, which calls the
-        # model's provider, rhs and jac, once per step at a real t; then one
-        # lane-form call of the structured provider evaluates rhs and jac at the
-        # block of 20 steps, and the second derivatives come from one 6-seed
-        # lane pass over the provider there, whose t is a lane dual, of shape ().
-        # No state-pass step builds a Dual1
-        assert rhs_calls == ([()] * 20 + [(20,), ()]) * 2
-        assert jac_inputs == ([((2,), np.dtype(float))] * 20
-                              + [((2, 20), np.dtype(float)), ((2,), np.dtype(object))]) * 2
+        # each solve's state pass is the model's own two-pass solve: rhs alone
+        # once per step at a real t, then one lane-form provider call, rhs and
+        # jac, at the block of 20 steps.  One lane-form call of the structured
+        # provider evaluates rhs and jac at that block again, and the second
+        # derivatives come from one 6-seed lane pass over the provider there,
+        # whose t is a lane dual, of shape ().  No state-pass step builds a Dual1
+        assert rhs_calls == probe_t + ([()] * 20 + [(20,), (20,), ()]) * 2
+        assert jac_inputs == probe_y + ([((2, 20), np.dtype(float))] * 2
+                                        + [((2,), np.dtype(object))]) * 2
     else:
-        # the state pass calls the provider once per step, a 6-seed pass over rhs;
-        # the block's call takes a 6-seed lane pass, and its second derivatives
-        # one lane pass over that pass, nested: rhs runs on duals only, 22 times
-        # a solve
-        assert rhs_calls == [()] * 44
+        # the model's state pass calls rhs on reals once per step, and its block a
+        # 6-seed lane pass over rhs; the structured provider's block call takes
+        # that pass again, and its second derivatives one lane pass over that
+        # pass, nested: 23 rhs calls a solve
+        assert rhs_calls == probe_t + [()] * 46
         # the AD provider differentiates the right-hand side, never the model's jac
         assert jac_inputs == []
 
@@ -458,12 +461,18 @@ def test_first_derivatives_of_the_wrong_shape_are_rejected(monkeypatch, driver, 
     with pytest.raises(ValueError, match=re.escape(
             "jacobian provider returned shape (2, 4); expected (2, 6)")):
         driver(Y0, P, time, method, model=model)
+    # jacobian_provider's lane-contract check makes four calls of jac, which
+    # pass, as a constant passes: one on 3 lanes and one at each lane's point
+    assert len(calls) == 5 and np.array_equal(calls[0], sensitivity._PROBE_TIMES)
+    assert calls[1:4] == sensitivity._PROBE_TIMES.tolist()
     # rejected at the first provider call, before the recurrence takes a step:
     # a gradient's call covers the first block of Euler steps, here all 20 step
-    # times of its two lanes, p and p/2; a Hessian's is the first step of a
-    # lowered solve, Euler or RK23
-    first = np.repeat(time.times[:-1], 2) if driver is fmain_gradient_forward else 0.0
-    assert len(calls) == 1 and np.array_equal(calls[0], first)
+    # times of its two lanes, p and p/2; an Euler Hessian's is the block call of
+    # the model's own solve, whose recurrence is a lowered solve's state pass,
+    # covering its 20 step times; an RK23 Hessian's the first step of a lowered solve
+    first = {fmain_gradient_forward: np.repeat(time.times[:-1], 2),
+             fmain_hessian: time.times[:-1] if isinstance(method, EulerMethod) else 0.0}[driver]
+    assert np.array_equal(calls[4], first)
     # and before any second derivative is taken
     assert passes == []
 

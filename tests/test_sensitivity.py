@@ -628,6 +628,30 @@ class TestTwoPassEuler:
         # past the first block of steps
         assert int(re.search(r"step (\d+)", str(got.value)).group(1)) > sensitivity._BLOCK_LANES
 
+    def test_a_lowered_solve_stopped_by_the_models_rhs_names_the_step_of_the_per_step_solve(self):
+        # the model's state pass, which feeds the lowered one, meets the error at the
+        # step where the per-step solve's provider call meets it; the structured
+        # Jacobian runs rhs on duals
+        def strict_rhs(t, y, p):
+            if not np.isfinite(primal_values(y)).all():
+                raise FloatingPointError("non-finite input")
+            return linear_rhs(t, y, p)
+
+        model = dataclasses.replace(MODELS["linear"], rhs=strict_rhs)
+        aug = _augmented_system(strict_rhs, jacobian_provider(model, "analytic"), 1, 1)
+        x0, p = _rows(np.array([1e76]), np.zeros((1, 1)), np.eye(1)).ravel(), np.array([500.0])
+        outer = _augmented_system(aug, aug.jacobians, 3, 1)
+        time = Span(0.0, 20.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteStateError) as expected:
+                run_solver(lambda t, x: outer(t, x, p), time,
+                           np.concatenate([x0[None], np.zeros((1, 3)), np.eye(3)]), EulerMethod(0.01))
+            with pytest.raises(NonFiniteStateError) as got:
+                forward_sensitivity_solve(aug, aug.jacobians, p, x0, time, EulerMethod(0.01))
+        assert str(got.value) == str(expected.value)
+        assert int(re.search(r"step (\d+)", str(got.value)).group(1)) > sensitivity._BLOCK_LANES
+        assert isinstance(got.value.__context__, FloatingPointError)
+
     @pytest.mark.parametrize("kind", ["analytic", "ad"])
     @pytest.mark.parametrize("y0, rate", [(1.0, 50.0), (1e76, 500.0)],
                              ids=["sensitivities-first", "state-first"])
@@ -777,6 +801,109 @@ def _lowered_inputs(name, b, kind="analytic"):
                                 np.eye(m) + 0.1 * rng.normal(size=(m, m))).ravel()
                           for j in range(b)])
     return aug, p, x0
+
+
+@st.composite
+def _lowered_solve(draw):
+    """A lowered system and its inputs, a grid of 1 to 50 substeps a gap, plain or
+    final-row, and a block size of a few steps, so that blocks end inside gaps."""
+    name = draw(st.sampled_from(sorted(_LOWERED_MODELS)))
+    kind = draw(st.sampled_from(["analytic", "ad"]))
+    lanes = draw(st.sampled_from([1, 2]))
+    dt = 0.01
+    # a gap of j dt takes j substeps
+    subs = draw(st.lists(st.integers(1, 50), min_size=1, max_size=4))
+    grid = np.concatenate([[0.0], dt * np.cumsum(subs)])
+    time = draw(st.sampled_from([Points, _FinalRow]))(grid)
+    return name, kind, lanes, time, dt, draw(st.integers(1, 40))
+
+
+@given(case=_lowered_solve())
+def test_a_lowered_solve_fed_by_the_model_equals_the_per_step_solve_bitwise(case):
+    # the state pass of a lowered solve is the model's own two-pass recurrence;
+    # the reference steps the lowered system with one structured Jacobian per
+    # step, whose state pass calls the model's provider once per step
+    name, kind, lanes, time, dt, block_lanes = case
+    aug, p, x0 = _lowered_inputs(name, lanes, kind)
+    n, k = x0.shape[0], p.shape[0]
+    outer = _augmented_system(aug, aug.jacobians, n, k)
+    original = sensitivity._BLOCK_LANES
+    sensitivity._BLOCK_LANES = block_lanes
+    try:
+        if lanes == 1:
+            got = forward_sensitivity_solve(aug, aug.jacobians, p[:, 0], x0[:, 0], time,
+                                            EulerMethod(dt)).states[:, None]
+        else:
+            got = forward_sensitivity_solve(aug, aug.jacobians, p, x0, time, EulerMethod(dt)).states
+    finally:
+        sensitivity._BLOCK_LANES = original
+    for b in range(lanes):
+        start = np.concatenate([x0[None, :, b], np.zeros((k, n)), np.eye(n)])
+        reference = run_solver(lambda t, x: outer(t, x, p[:, b]), time, start, EulerMethod(dt))
+        assert got[:, b].tobytes() == reference.states.tobytes()
+
+
+# f = (-a (u + v), a u) with the sum over the whole state: right at one point,
+# over lanes it sums every lane
+def _summing_rhs(t, y, p):
+    return np.array([-p[0] * y.sum(), p[0] * y[0]])
+
+
+def _summing_jac(t, y, p):
+    one, zero = 1.0 + 0.0 * y[0], 0.0 * y[0]
+    return np.array([[-p[0] * one, -p[0] * one, -(y[0] + y[1])], [p[0] * one, zero, y[0]]])
+
+
+_SUMMING = OdeModel(_summing_rhs, _summing_jac, {"u0": 1.0, "v0": 0.5}, {"a": 0.3}, ())
+
+
+class TestLaneContract:
+    """``jacobian_provider`` checks that a model's functions keep their lanes apart."""
+
+    def test_a_right_hand_side_that_sums_over_lanes_is_rejected(self):
+        for kind in ("analytic", "ad"):
+            with pytest.raises(ValueError, match=r"model rhs mixes lanes: entry \(0,\) of lane 0"):
+                jacobian_provider(_SUMMING, kind)
+
+    def test_a_jacobian_that_sums_over_lanes_is_rejected(self):
+        def jac(t, y, p):
+            one, zero = 1.0 + 0.0 * y[0], 0.0 * y[0]
+            return np.array([[-p[0] * one, -p[0] * one, -y.sum() * one], [p[0] * one, zero, y[0]]])
+
+        model = dataclasses.replace(_SUMMING, rhs=lambda t, y, p: np.array(
+            [-p[0] * (y[0] + y[1]), p[0] * y[0]]), jac=jac)
+        with pytest.raises(ValueError, match=r"model jac mixes lanes: entry \(0, 2\) of lane 0"):
+            jacobian_provider(model, "analytic")
+        # the AD provider does not call jac
+        jacobian_provider(model, "ad")
+
+    def test_an_output_without_the_lane_axis_must_be_the_same_at_every_lane(self):
+        model = dataclasses.replace(CONSTANT, rhs=lambda t, y, p: np.array([np.ravel(p[0])[0], 0.0]))
+        with pytest.raises(ValueError, match=r"model rhs mixes lanes: entry \(0,\) of lane 1"):
+            jacobian_provider(model, "analytic")
+        # the lane axis first
+        model = dataclasses.replace(CONSTANT, rhs=lambda t, y, p: np.transpose([p[0] * y[0], -y[1]]))
+        with pytest.raises(ValueError, match=r"model rhs of 3 lanes returned shape \(3, 2\); "
+                                             r"expected \(2,\) with a last axis of lanes"):
+            jacobian_provider(model, "analytic")
+
+    @pytest.mark.parametrize("model", [*MODELS.values(), *_STRUCTURED_MODELS.values(), FORCED,
+                                       DECAY, CONSTANT])
+    def test_every_packaged_and_test_model_keeps_the_contract(self, model):
+        for kind in ("analytic", "ad"):
+            assert jacobian_provider(model, kind)._lane_rhs is model.rhs
+
+    def test_the_model_that_sums_over_lanes_gave_a_wrong_solve_without_an_error(self):
+        # what the check stops: one call per block of Euler steps sums the lanes of
+        # a block, the block's steps, far from stepping one point at a time
+        provider = analytic_jacobians(_summing_jac)
+        provider._lane_rhs = _summing_rhs
+        time, method = Points(np.linspace(0.0, 1.0, 11)), EulerMethod(0.05)
+        y0, p = np.array([1.0, 0.5]), np.array([0.3])
+        blocks = forward_sensitivity_solve(_summing_rhs, provider, p, y0, time, method)
+        steps = forward_sensitivity_solve(_summing_rhs, analytic_jacobians(_summing_jac), p, y0,
+                                          time, method)
+        assert abs(blocks.y[-1, 0] - steps.y[-1, 0]) > abs(steps.y[-1, 0])
 
 
 @pytest.mark.parametrize("name", list(_LOWERED_MODELS))
