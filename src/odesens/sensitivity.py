@@ -43,6 +43,7 @@ then gives every step's structured Jacobian.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -189,6 +190,11 @@ def _check_lanes(name: str, fn: Callable, y, p):
 _PROBE_TIMES = np.array([0.25, 0.5, 0.75])
 _PROBE_SCALES = np.array([0.75, 1.0, 1.25])
 
+# (id, kind) -> each model whose lane contract has passed for that provider kind;
+# a model is a frozen dataclass, so once is enough, not once per provider: a short
+# command makes a provider, and the check costs it about 30 us for predator-prey
+_CHECKED = weakref.WeakValueDictionary()
+
 
 def jacobian_provider(model, kind: str):
     """Resolve ``"analytic"`` or ``"ad"`` to a Jacobian provider for an ``OdeModel``.
@@ -198,22 +204,22 @@ def jacobian_provider(model, kind: str):
     ``rhs`` with this provider evaluates blocks of steps in one lane-form
     call (see :func:`forward_sensitivity_solve`).  A model that breaks the
     contract would give wrong numbers there without an error, so the
-    contract is checked here, once: ``rhs``, and ``jac`` for the analytic
-    provider, which calls it, run on three lanes at scaled default points
-    and distinct lane times, and each lane must equal its one-point call
-    bit for bit; otherwise ``ValueError`` names the function, the lane and
-    the first entry that differs.
+    contract is checked here, once per model and kind: ``rhs``, and
+    ``jac`` for the analytic provider, which calls it, run on three lanes
+    at scaled default points and distinct lane times, and each lane must
+    equal its one-point call bit for bit; otherwise ``ValueError`` names
+    the function, the lane and the first entry that differs.
     """
     if kind not in ("analytic", "ad"):
         raise ValueError(f"unknown jacobian provider {kind!r}; choose 'analytic' or 'ad'")
-    y = np.array(list(model.states.values()), float)[:, None] * _PROBE_SCALES
-    p = np.array(list(model.params.values()), float)[:, None] * _PROBE_SCALES[::-1]
-    _check_lanes("rhs", model.rhs, y, p)
-    if kind == "analytic":
-        _check_lanes("jac", model.jac, y, p)
-        provider = analytic_jacobians(model.jac)
-    else:
-        provider = dual_jacobians()
+    if _CHECKED.get((id(model), kind)) is not model:
+        y = np.array(list(model.states.values()), float)[:, None] * _PROBE_SCALES
+        p = np.array(list(model.params.values()), float)[:, None] * _PROBE_SCALES[::-1]
+        _check_lanes("rhs", model.rhs, y, p)
+        if kind == "analytic":
+            _check_lanes("jac", model.jac, y, p)
+        _CHECKED[id(model), kind] = model
+    provider = analytic_jacobians(model.jac) if kind == "analytic" else dual_jacobians()
     provider._lane_rhs = model.rhs
     return provider
 
@@ -563,7 +569,8 @@ def _recurrence(f: Callable, jac, p, y0, states) -> Callable:
     """Right-hand side of the composite recurrence whose state pass is ``states``.
 
     ``states`` yields the substeps of the state from ``y0`` as
-    :func:`~odesens.solvers._euler_steps` does.  Each call takes the next
+    :func:`~odesens.solvers._euler_steps` does, each with the state after
+    it.  Each call takes the next
     substep's ``f`` and ``[f_y | f_p]`` from a generator that reads
     ``states`` a block of substeps ahead and evaluates each block in one
     lane-form provider call (see :func:`_two_pass_euler`).
@@ -593,12 +600,13 @@ def _recurrence(f: Callable, jac, p, y0, states) -> Callable:
         return zip(value, f_y.swapaxes(-1, -2), first[..., m:].swapaxes(-1, -2))
 
     def steps():
-        times = []
+        y, times = y0, []
         held = np.empty((block_steps,) + y0.shape, np.result_type(y0, p))
         try:
-            for t, _, y, _ in states:
+            for t, _, after in states:
                 held[len(times)] = y
                 times.append(t)
+                y = after
                 if len(times) == block_steps:
                     full, times = times, []
                     yield from block(full, held)
@@ -655,8 +663,7 @@ def _state_pass(f: Callable, p, y0, grid, n_subs):
     # flat stacks (n,), or lanes (n, L), as row stacks (1 + k + m, m), lanes first
     x0 = np.ascontiguousarray(y0.T).reshape(y0.shape[1:] + (1 + k + m, m))
     flat = y0.shape[::-1]
-    return ((t, end, x.reshape(flat).T, None)
-            for t, end, x, _ in _euler_steps(recurrence, grid, n_subs, x0))
+    return ((t, end, x.reshape(flat).T) for t, end, x in _euler_steps(recurrence, grid, n_subs, x0))
 
 
 def jvp_solution(bundle: SensitivityBundle, g_y0, g_p) -> np.ndarray:
