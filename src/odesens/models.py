@@ -174,10 +174,11 @@ class OdeModel:
     dual pass over the model's Jacobian provider, over lanes in an Euler
     solve, one pass per block of steps.  An Euler lowered solve's state
     pass is the model's own sensitivity solve: ``rhs`` alone once per
-    step, then the provider once per block of steps, on reals.  With analytic Jacobians that pass
-    evaluates ``rhs`` and ``jac`` on lane duals of ``t``, with dual
-    Jacobians ``rhs`` on nested ones; so ``jac`` too may combine a lane
-    vector ``t`` with the state only by arithmetic and those functions.
+    step, then the provider once per block of steps, on reals.  With
+    analytic Jacobians the dual pass evaluates ``rhs`` and ``jac`` on lane
+    duals of ``t``, with dual Jacobians ``rhs`` on nested ones; so ``jac``
+    too may combine a lane vector ``t`` with the state only by arithmetic
+    and those functions.
     """
 
     rhs: Callable

@@ -280,11 +280,10 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
     state pass then takes from the model's own two-pass recurrence
     instead of stepping this system (see :func:`_state_pass`), and one
     ``jacobians`` call evaluates a block of steps.  A system of such a
-    system records neither, and its
-    solves, those of nested duals, take one structured Jacobian per step:
-    its value row is then the primal of the object ``dot`` of the dual
-    pass, which may differ in the last bit from the real ``dot`` that its
-    state pass would step.
+    system records neither, and its solves, those of nested duals, take
+    one structured Jacobian per step: its value row is then the primal of
+    the object ``dot`` of the dual pass, which may differ in the last bit
+    from the real ``dot`` that its state pass would step.
     """
     m, k = state_dim, n_params
     n = (1 + k + m) * m
@@ -639,7 +638,7 @@ def _recurrence(f: Callable, jac, p, y0, states) -> Callable:
 
 
 def _state_pass(f: Callable, p, y0, grid, n_subs):
-    """The state of a two-pass solve at every substep, as :func:`~odesens.solvers._euler_steps` yields it.
+    """The state pass of a two-pass solve: every substep, as ``_euler_steps`` yields it.
 
     The state alone is ``y0`` stepped by ``f``.  The augmented system of a
     model's ``rhs`` with its provider, which a lowered solve steps, knows
@@ -654,11 +653,10 @@ def _state_pass(f: Callable, p, y0, grid, n_subs):
         return _euler_steps(lambda t, y: f(t, y, p), grid, n_subs, y0)
     rhs, jac, m, k = model
     y = y0[:m]
-    if y0.ndim == 1:
-        state = _euler_steps(lambda t, y: rhs(t, y, p), grid, n_subs, y)
-    else:
-        # a right-hand side of constants gives one value for all lanes, as in the per-step system
-        state = _euler_steps(lambda t, y: np.reshape(rhs(t, y, p), (m, -1)), grid, n_subs, y)
+    # the model's own state pass; over lanes a right-hand side of constants gives
+    # one value for all lanes, as in the per-step system
+    state = (_state_pass(rhs, p, y, grid, n_subs) if y0.ndim == 1 else
+             _euler_steps(lambda t, y: np.reshape(rhs(t, y, p), (m, -1)), grid, n_subs, y))
     recurrence = _recurrence(rhs, jac, p, y, state)
     # flat stacks (n,), or lanes (n, L), as row stacks (1 + k + m, m), lanes first
     x0 = np.ascontiguousarray(y0.T).reshape(y0.shape[1:] + (1 + k + m, m))

@@ -302,25 +302,39 @@ def _euler_grid(time: TimeSpec, dt: float):
     return grid, n_subs
 
 
-def _euler_steps(rhs: Callable, grid: np.ndarray, n_subs: np.ndarray, y):
-    """The Euler recurrence from ``y`` over the grid, one substep at a time.
+def _euler_substeps(grid: np.ndarray, n_subs: np.ndarray):
+    """``(t, h, end)`` of every Euler substep, ``end`` true on the last substep of its gap.
 
-    Yields ``(t, end, y + h * rhs(t, y))`` for every substep: its time,
-    whether it is the last substep of its gap, and the state after it.
     Substep ``j`` of a gap ``[a, b]`` of ``n_sub`` substeps is at
     ``a + j * h`` with ``h = (b - a) / n_sub``, on Python floats.  The gaps
     are converted a slice at a time, so the Python floats of a long grid
     are never all held at once; ``zip`` stops at the slice's last gap,
-    before the end point that the slice's grid ends with.  This is the one
-    Euler loop: :func:`euler_solve` keeps the gap ends, and a two-pass
-    sensitivity solve reads every state (see
-    :func:`~odesens.sensitivity._two_pass_euler`).
+    before the end point that the slice's grid ends with.
     """
     for i in range(0, len(n_subs), _GAP_SLICE):
         ends, subs = grid[i:i + _GAP_SLICE + 1], n_subs[i:i + _GAP_SLICE]
         for a, h, n_sub in zip(ends.tolist(), (np.diff(ends) / subs).tolist(), subs.tolist()):
-            # the last substep apart: a test of j on every substep costs a 10000-step
-            # solve about half a millisecond
+            for j in range(n_sub - 1):
+                yield a + j * h, h, False
+            yield a + (n_sub - 1) * h, h, True
+
+
+def _euler_steps(rhs: Callable, grid: np.ndarray, n_subs: np.ndarray, y):
+    """The Euler recurrence from ``y`` over the grid, one substep at a time.
+
+    Yields ``(t, end, y + h * rhs(t, y))`` for every substep, with ``t``,
+    ``h`` and ``end`` as :func:`_euler_substeps` gives them: the state
+    after it, in the arithmetic of :func:`euler_solve`.  The state passes
+    of a two-pass sensitivity solve read every state from it (see
+    :func:`~odesens.sensitivity._two_pass_euler`).  It repeats the gap
+    slicing of :func:`_euler_substeps` rather than reading that generator,
+    whose extra layer on every substep cost the reference-grid Hessian
+    about 1%; :func:`euler_solve` keeps its own loop, as stepping inside
+    this generator cost its 24-lane final-row solves about 1%.
+    """
+    for i in range(0, len(n_subs), _GAP_SLICE):
+        ends, subs = grid[i:i + _GAP_SLICE + 1], n_subs[i:i + _GAP_SLICE]
+        for a, h, n_sub in zip(ends.tolist(), (np.diff(ends) / subs).tolist(), subs.tolist()):
             for j in range(n_sub - 1):
                 t = a + j * h
                 y = y + h * rhs(t, y)
@@ -371,7 +385,8 @@ def euler_solve(rhs: Callable, time: TimeSpec, y0, dt: float) -> Trajectory:
     # states[1] is the end of gap `first`
     states, filled, first = y[None], 1, 0
     try:
-        for _, end, y in _euler_steps(rhs, grid, n_subs, y):
+        for t, h, end in _euler_substeps(grid, n_subs):
+            y = y + h * rhs(t, y)
             if not end:
                 continue
             if filled == n_rows:

@@ -406,7 +406,8 @@ def test_hessian_lowered_jacobian_makes_no_pass_over_the_augmented_rhs(monkeypat
     assert columns == passes
     # jacobian_provider first checks the lane contract: one call on 3 lanes,
     # then one at each lane's point alone, of rhs and, analytic, of jac
-    probe_t, probe_y = [(3,), (), (), ()], [((2, 3), np.dtype(float))] + [((2,), np.dtype(float))] * 3
+    probe_t = [(3,), (), (), ()]
+    probe_y = [((2, 3), np.dtype(float))] + [((2,), np.dtype(float))] * 3
     if jac == "analytic":
         # each solve's state pass is the model's own two-pass solve: rhs alone
         # once per step at a real t, then one lane-form provider call, rhs and

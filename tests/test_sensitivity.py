@@ -878,11 +878,13 @@ class TestLaneContract:
         jacobian_provider(model, "ad")
 
     def test_an_output_without_the_lane_axis_must_be_the_same_at_every_lane(self):
-        model = dataclasses.replace(CONSTANT, rhs=lambda t, y, p: np.array([np.ravel(p[0])[0], 0.0]))
+        model = dataclasses.replace(CONSTANT,
+                                    rhs=lambda t, y, p: np.array([np.ravel(p[0])[0], 0.0]))
         with pytest.raises(ValueError, match=r"model rhs mixes lanes: entry \(0,\) of lane 1"):
             jacobian_provider(model, "analytic")
         # the lane axis first
-        model = dataclasses.replace(CONSTANT, rhs=lambda t, y, p: np.transpose([p[0] * y[0], -y[1]]))
+        model = dataclasses.replace(CONSTANT,
+                                    rhs=lambda t, y, p: np.transpose([p[0] * y[0], -y[1]]))
         with pytest.raises(ValueError, match=r"model rhs of 3 lanes returned shape \(3, 2\); "
                                              r"expected \(2,\) with a last axis of lanes"):
             jacobian_provider(model, "analytic")
