@@ -569,10 +569,10 @@ def _recurrence(f: Callable, jac, p, y0, states) -> Callable:
 
     ``states`` yields the substeps of the state from ``y0`` as
     :func:`~odesens.solvers._euler_steps` does, each with the state after
-    it.  Each call takes the next
-    substep's ``f`` and ``[f_y | f_p]`` from a generator that reads
-    ``states`` a block of substeps ahead and evaluates each block in one
-    lane-form provider call (see :func:`_two_pass_euler`).
+    it.  Each call takes the next substep's ``f`` and ``[f_y | f_p]`` from
+    a generator that reads ``states`` a block of substeps ahead and
+    evaluates each block in one lane-form provider call (see
+    :func:`_two_pass_euler`).
     """
     m, k = len(y0), len(p)
     lanes = y0[0].size
@@ -581,11 +581,11 @@ def _recurrence(f: Callable, jac, p, y0, states) -> Callable:
     # transpose: np.moveaxis costs microseconds a call, which a short solve notices
     axes = tuple(range(1, y0.ndim + 1))
 
-    def block(times, states):
+    def block(times, held):
         # the provider's lanes are the block's steps times the solve's lanes, steps major
         shape = (len(times),) + y0.shape[1:]
         n = len(times) * lanes
-        value, first = jac(f, np.repeat(times, lanes), states.swapaxes(0, 1).reshape(m, n),
+        value, first = jac(f, np.repeat(times, lanes), held.swapaxes(0, 1).reshape(m, n),
                            np.repeat(p.reshape(k, 1, -1), len(times), axis=1).reshape(k, n))
         _check_shape("jacobian provider", first, (m, m + k), n)
         value = np.reshape(value, (m, -1))
