@@ -895,18 +895,6 @@ class TestLaneContract:
         for kind in ("analytic", "ad"):
             assert jacobian_provider(model, kind)._lane_rhs is model.rhs
 
-    def test_the_model_that_sums_over_lanes_gave_a_wrong_solve_without_an_error(self):
-        # what the check stops: one call per block of Euler steps sums the lanes of
-        # a block, the block's steps, far from stepping one point at a time
-        provider = analytic_jacobians(_summing_jac)
-        provider._lane_rhs = _summing_rhs
-        time, method = Points(np.linspace(0.0, 1.0, 11)), EulerMethod(0.05)
-        y0, p = np.array([1.0, 0.5]), np.array([0.3])
-        blocks = forward_sensitivity_solve(_summing_rhs, provider, p, y0, time, method)
-        steps = forward_sensitivity_solve(_summing_rhs, analytic_jacobians(_summing_jac), p, y0,
-                                          time, method)
-        assert abs(blocks.y[-1, 0] - steps.y[-1, 0]) > abs(steps.y[-1, 0])
-
 
 @pytest.mark.parametrize("name", list(_LOWERED_MODELS))
 def test_structured_jacobian_on_lanes_equals_its_per_lane_calls_bitwise(name):
