@@ -159,6 +159,13 @@ GOLDEN = {
     # the complex-step columns under Euler on the reference grid, [0, 1000] at 10001 points
     "gradient-cs-ref": (["gradient", "--mode", "cs"],
         "71b5a51e0003c9168525c96ceaa653981e6f8ce910df6bd31e6f83791c4c31ff"),
+    # the complex-step columns under RK23 on the reference grid, each with its own
+    # step control, and on [0, 20] at tight tolerances, where they take more steps
+    "gradient-cs-ref-rk23": (["gradient", "--mode", "cs", "--solver", "rk23"],
+        "9ecb9f2541ce7799002767c9b6e4fa9e5b41a8b4af0c46f1e3b7fdf8f15798d7"),
+    "gradient-cs-rk23-tight": (["gradient", "--mode", "cs", "--solver", "rk23", "--t-end", "20",
+                                "--n-points", "201", "--rel-tol", "1e-6", "--abs-tol", "1e-9"],
+        "55e0c736eed8dab067cda23f9df898c17a7fc2c553b197b5dc19e1a3aa5eff14"),
     # a zero gradient, so this equals gradient-zero-rm
     "gradient-cs-zero": (["gradient", "--mode", "cs", "--model", "zero", *EULER],
         "8e9bcbf8078bb0fc9f025e1ed136d666697b345e543428a7c34edfc512ddcd1c"),
