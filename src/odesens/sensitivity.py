@@ -650,14 +650,19 @@ def _state_pass(f: Callable, p, y0, grid, n_subs):
     """
     model = getattr(f, "_model", None)
     if model is None:
-        return _euler_steps(lambda t, y: f(t, y, p), grid, n_subs, y0)
+        if y0.ndim == 1:
+            return _euler_steps(lambda t, y: f(t, y, p), grid, n_subs, y0)
+
+        def lane_rhs(t, y):
+            # over lanes a right-hand side of constants gives one value for all
+            # lanes, as in the per-step system; reshaped only then, as a reshape
+            # costs about as much as a step of two lanes
+            value = f(t, y, p)
+            return value if value.ndim == 2 else np.reshape(value, (len(y), -1))
+        return _euler_steps(lane_rhs, grid, n_subs, y0)
     rhs, jac, m, k = model
     y = y0[:m]
-    # the model's own state pass; over lanes a right-hand side of constants gives
-    # one value for all lanes, as in the per-step system
-    state = (_state_pass(rhs, p, y, grid, n_subs) if y0.ndim == 1 else
-             _euler_steps(lambda t, y: np.reshape(rhs(t, y, p), (m, -1)), grid, n_subs, y))
-    recurrence = _recurrence(rhs, jac, p, y, state)
+    recurrence = _recurrence(rhs, jac, p, y, _state_pass(rhs, p, y, grid, n_subs))
     # flat stacks (n,), or lanes (n, L), as row stacks (1 + k + m, m), lanes first
     x0 = np.ascontiguousarray(y0.T).reshape(y0.shape[1:] + (1 + k + m, m))
     flat = y0.shape[::-1]

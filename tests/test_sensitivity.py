@@ -32,6 +32,7 @@ from odesens.solvers import (
     RK23Method,
     Span,
     SpanModeError,
+    _euler_grid,
     _FinalRow,
     euler_solve,
     run_solver,
@@ -520,8 +521,9 @@ class TestTwoPassEuler:
 
     @pytest.mark.parametrize("kind", ["analytic", "ad"])
     @pytest.mark.parametrize("model, lanes", [
-        (FORCED, 1), (FORCED, 3), (DECAY, 1), (DECAY, 3), (CONSTANT, 1),
-    ], ids=["reads-t", "reads-t-lanes", "exp-of-t", "exp-of-t-lanes", "constant"])
+        (FORCED, 1), (FORCED, 3), (DECAY, 1), (DECAY, 3), (CONSTANT, 1), (CONSTANT, 3),
+    ], ids=["reads-t", "reads-t-lanes", "exp-of-t", "exp-of-t-lanes", "constant",
+            "constant-lanes"])
     def test_a_model_that_reads_t_or_returns_constants(self, monkeypatch, kind, model, lanes):
         passes = []
         original = sensitivity._two_pass_euler
@@ -545,6 +547,27 @@ class TestTwoPassEuler:
             reference = _per_step_solve(model, kind, p.reshape(2, -1)[:, b], y0.reshape(2, -1)[:, b],
                                         time, 0.01)
             assert states[:, b].tobytes() == reference.states.tobytes()
+
+    @pytest.mark.parametrize("lanes", [2, 3])
+    def test_a_state_pass_of_constants_steps_each_lane_as_its_own(self, lanes):
+        # a value without the lane axis broadcasts along the lanes of as many
+        # lanes as states, which the recurrence's rows would not show, and does
+        # not broadcast over more
+        grid, n_subs = _euler_grid(self.TIMES["uneven"], 0.01)
+        y0 = np.array([1.0, 0.5])[:, None] * np.arange(1.0, lanes + 1.0)
+        p = np.array([0.3, 0.7])[:, None] * np.ones(lanes)
+        got = list(sensitivity._state_pass(CONSTANT.rhs, p, y0, grid, n_subs))
+        for b in range(lanes):
+            one = sensitivity._state_pass(CONSTANT.rhs, p[:, b], y0[:, b], grid, n_subs)
+            assert [(t, end, y[:, b].tobytes()) for t, end, y in got] == [
+                (t, end, y.tobytes()) for t, end, y in one]
+
+    def test_the_fd_hessian_of_a_model_of_constants_is_zero(self):
+        # its 12 central points, at p and p/2, run as 24 lanes of one state pass
+        args = (np.array([1.0, 0.5]), np.array([0.3, 0.7]), Points(np.linspace(0.0, 2.0, 21)),
+                EulerMethod(0.1))
+        assert np.array_equal(models.fmain_hessian_fd(*args, model=CONSTANT), np.zeros((4, 4)))
+        assert np.array_equal(fmain_hessian(*args, model=CONSTANT), np.zeros((4, 4)))
 
     @pytest.mark.parametrize("lanes", [1, 2])
     def test_a_right_hand_side_not_known_to_take_lanes_is_stepped_one_point_at_a_time(
