@@ -145,7 +145,7 @@ def solve_columns(model, time: TimeSpec, method, x) -> np.ndarray:
         p = point[m:]
         return run_solver(lambda t, y: model.rhs(t, y, p), time, point[:m], method).states
 
-    return run_columns(solve, x, method)
+    return run_columns(solve, x)
 
 
 def trajectory_map(model, time: TimeSpec, method) -> Callable:

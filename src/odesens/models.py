@@ -501,7 +501,7 @@ def fmain_gradient_reverse(
         lanes = _pair_lanes(solve, y0, p)
         return np.column_stack([_pair_gradient(lanes[j], lanes[b + j]) for j in range(b)])
 
-    return run_columns(gradient, np.concatenate([y0, np.asarray(p)]), method)
+    return run_columns(gradient, np.concatenate([y0, np.asarray(p)]))
 
 
 def _of_stacked_input(fn: Callable, y0, p, time, method, **kwargs):

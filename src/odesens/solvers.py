@@ -185,31 +185,31 @@ def run_solver(rhs: Callable, time: TimeSpec, y0, method: SolverMethod) -> Traje
 _complex_scalars = np.frompyfunc(np.complex128, 1, 1)
 
 
-def run_columns(solve: Callable, x, method: SolverMethod):
+def run_columns(solve: Callable, x):
     """``solve`` of each column of ``x``, stacked on a last axis.
 
-    A 1-D ``x`` is one call, ``solve(x)``.  A real ``(d, B)`` matrix is
-    one call on the whole matrix too, under either integrator, so
-    ``solve`` must treat its columns as lanes and return their results on
-    a last axis.  Euler's steps depend only on ``dt`` and the grid, and
-    each RK23 lane keeps its own step control (see :func:`rk23_solve`), so
-    each lane is bitwise its own solve.
+    A 1-D ``x`` is one call, ``solve(x)``.  A ``(d, B)`` matrix is one
+    call on the whole matrix too, under either integrator, so ``solve``
+    must treat its columns as lanes and return their results on a last
+    axis.  Euler's steps depend only on ``dt`` and the grid, and each
+    RK23 lane keeps its own step control (see :func:`rk23_solve`), so each
+    lane is bitwise its own solve.
 
     Complex lanes, the points of a complex step, are bitwise their column
-    solves only in scalar arithmetic.  Under Euler they are stepped as an
-    object array of numpy ``complex128`` scalars and returned as
-    ``complex``: numpy's array complex multiply rounds differently from
-    its scalar one, so each entry of a lane takes the scalar arithmetic of
-    the one-column solve, where indexing the state gives such scalars.  A
-    ``solve`` of complex lanes may therefore combine the state only by
-    arithmetic: a ``complex128`` scalar has no ``exp`` method for
-    ``np.exp`` to call.  RK23 calls ``solve`` once per complex column.
+    solves only in scalar arithmetic.  They are stepped as an object array
+    of numpy ``complex128`` scalars and returned as ``complex``: numpy's
+    array complex multiply rounds differently from its scalar one, so
+    each entry of a lane takes the scalar arithmetic of the one-column
+    solve, where indexing the state gives such scalars.  The stages and
+    steps multiply such a state only by real numbers, where scalar and
+    array arithmetic agree, and step control reads its magnitudes as one
+    complex array (see :func:`_as_complex`).  A ``solve`` of complex lanes
+    may therefore combine the state only by arithmetic: a ``complex128``
+    scalar has no ``exp`` method for ``np.exp`` to call.
     """
     if x.ndim == 1 or not np.iscomplexobj(x):
         return solve(x)
-    if isinstance(method, EulerMethod):
-        return solve(_complex_scalars(x)).astype(complex)
-    return np.stack([solve(column) for column in x.T], axis=-1)
+    return solve(_complex_scalars(x)).astype(complex)
 
 
 def _state_array(y0) -> np.ndarray:
@@ -219,7 +219,20 @@ def _state_array(y0) -> np.ndarray:
     return y
 
 
+def _as_complex(v: np.ndarray) -> np.ndarray:
+    """``v``, as one ``complex`` array if it holds the lanes of a complex step (see run_columns).
+
+    Array ``np.abs`` and scalar ``abs`` of a ``complex128`` may differ in the
+    last bit, so the magnitudes of such lanes are those of the column solve
+    only when taken from the array.
+    """
+    if v.dtype == object and v.size and isinstance(v.flat[0], np.complex128):
+        return v.astype(complex)
+    return v
+
+
 def _magnitudes(v: np.ndarray) -> np.ndarray:
+    v = _as_complex(v)
     if v.dtype == object:
         return np.array([magnitude(x) for x in v.flat]).reshape(v.shape)
     return np.abs(v)
@@ -229,6 +242,14 @@ def _all_finite(v: np.ndarray) -> bool:
     if v.dtype == object:
         return all(is_finite_scalar(x) for x in v.flat)
     return bool(np.isfinite(v).all())
+
+
+def _finite_along(v: np.ndarray, axis: int) -> np.ndarray:
+    """Whether each slice of ``v`` along ``axis``, a row of a table or a lane of a state, is finite."""
+    v = _as_complex(v).swapaxes(0, axis)
+    if v.dtype == object:
+        return np.array([_all_finite(part) for part in v], dtype=bool)
+    return np.isfinite(v).all(axis=tuple(range(1, v.ndim)))
 
 
 def _at(step: int, t, h) -> str:
@@ -253,14 +274,7 @@ def _check_euler_rows(states: np.ndarray, grid: np.ndarray, n_subs: np.ndarray, 
 
     Row ``1 + i`` of ``states`` is the end of gap ``first + i`` of the grid.
     """
-    rows = states[1:]
-    if rows.dtype == object and rows.size and isinstance(rows.flat[0], np.complex128):
-        # the lanes of a complex step (see run_columns), checked as one complex array
-        rows = rows.astype(complex)
-    if rows.dtype == object:
-        bad = np.array([not _all_finite(row) for row in rows], dtype=bool)
-    else:
-        bad = ~np.isfinite(rows).all(axis=tuple(range(1, rows.ndim)))
+    bad = ~_finite_along(states[1:], 0)
     if bad.any():
         gap = first + int(bad.argmax())
         h = (grid[gap + 1] - grid[gap]) / n_subs[gap]
@@ -580,12 +594,6 @@ def rk23_solve(rhs: Callable, time: TimeSpec, y0, method: RK23Method = RK23Metho
     return Trajectory(points.copy(), states)
 
 
-def _finite_lanes(v: np.ndarray) -> np.ndarray:
-    if v.dtype == object:
-        return np.array([_all_finite(column) for column in v.T])
-    return np.isfinite(v).all(axis=0)
-
-
 def _rk23_lanes(rhs: Callable, points: np.ndarray, y: np.ndarray, tol: RK23Method,
                 final_row: bool) -> Trajectory:
     """The lane loop of :func:`rk23_solve`: ``y`` of shape ``(m, B)`` is ``B`` systems.
@@ -605,7 +613,7 @@ def _rk23_lanes(rhs: Callable, points: np.ndarray, y: np.ndarray, tol: RK23Metho
     f = np.asarray(rhs(t, y))
     h = np.array([_initial_step(t0, t_end, y[:, b], f[:, b], tol) for b in range(lanes)])
     # the error that stopped each failed lane
-    failed = ~_finite_lanes(f)
+    failed = ~_finite_along(f, -1)
     errors = {b: NonFiniteStateError(f"non-finite state {_at(0, t0, h[b])}")
               for b in np.flatnonzero(failed).tolist()}
     stage_rhs = rhs
@@ -633,7 +641,7 @@ def _rk23_lanes(rhs: Callable, points: np.ndarray, y: np.ndarray, tol: RK23Metho
         clamped = h >= t_end - t
         h_try = np.where(live, np.where(clamped, t_end - t, h), 0.0)
         y_next, err_vec, k4 = _stages(stage_rhs, t, y, h_try, f)
-        finite = _finite_lanes(y_next)
+        finite = _finite_along(y_next, -1)
         for b in np.flatnonzero(live & ~finite).tolist():
             errors[b] = NonFiniteStateError(
                 f"non-finite state {_at(attempts, t[b] + h_try[b], h_try[b])}")
@@ -657,7 +665,9 @@ def _rk23_lanes(rhs: Callable, points: np.ndarray, y: np.ndarray, tol: RK23Metho
         raise errors[min(errors)]
     if final_row:
         return Trajectory(points[-1:].copy(), y[None])
-    kt, ky, kf, took = (np.array(part) for part in zip(*knots))
+    # the knots of complex lanes fill as complex arrays, as a column's do: filled as
+    # objects, the same bits took the full-grid complex-step matrix 28 -> 81 ms
+    kt, ky, kf, took = (_as_complex(np.array(part)) for part in zip(*knots))
     states = [_hermite_fill(kt[took[:, b], b], ky[took[:, b], :, b], kf[took[:, b], :, b], points)
               for b in range(lanes)]
     return Trajectory(points.copy(), np.stack(states, axis=-1))

@@ -483,10 +483,9 @@ def test_first_derivatives_of_the_wrong_shape_are_rejected(monkeypatch, driver, 
     # solve, under RK23 each lane with its own step control
     (EulerMethod(0.1), fmain_gradient_fd, [(2, 24)]),
     (RK23Method(), fmain_gradient_fd, [(2, 24)]),
-    # the 6 complex points, at p and p/2: 12 lanes of one Euler solve, or one
-    # RK23 solve per column
+    # the 6 complex points, at p and p/2, as 12 lanes of one solve
     (EulerMethod(0.1), fmain_gradient_cs, [(2, 12)]),
-    (RK23Method(), fmain_gradient_cs, [(2,)] * 12),
+    (RK23Method(), fmain_gradient_cs, [(2, 12)]),
 ])
 def test_numerical_gradient_solves(solve_shapes, method, gradient, shapes):
     grad = gradient(Y0, P, Points(np.linspace(0.0, 2.0, 21)), method, model=LV)
