@@ -95,8 +95,9 @@ def cs_jacobian(g: Callable, x) -> np.ndarray:
     columns whenever ``g`` is evaluable on complex inputs.  ``g`` is called
     once, on the ``(d, d)`` matrix of the stepped points, and follows the
     vectorised convention of :func:`fd_jacobian`.  The trajectory map and
-    the objective run those columns as lanes of one Euler solve, each lane
-    bitwise its one-point solve (see :func:`~odesens.solvers.run_columns`).
+    the objective run those columns as lanes of one solve under either
+    integrator, each lane bitwise its one-point solve (see
+    :func:`~odesens.solvers.run_columns`).
     """
     x = np.asarray(x, dtype=float)
     return complex_step_column(g, x, np.arange(x.shape[0]))
@@ -133,9 +134,8 @@ def solve_columns(model, time: TimeSpec, method, x) -> np.ndarray:
 
     A 1-D ``x`` gives one solve with states ``(n_times, m)``; a ``(d, B)``
     matrix gives ``(n_times, m, B)``, lane ``b`` being the solve of column
-    ``b``: both integrators run real columns as lanes of one solve, Euler
-    complex ones too and RK23 one solve per complex column (see
-    :func:`~odesens.solvers.run_columns`).  A complex lane is bitwise the
+    ``b``: both integrators run real and complex columns as lanes of one
+    solve (see :func:`~odesens.solvers.run_columns`).  A complex lane is bitwise the
     solve of its column for a model that combines the state only by
     arithmetic, one component at a time (see :class:`~odesens.models.OdeModel`).
     """

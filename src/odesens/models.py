@@ -159,12 +159,12 @@ class OdeModel:
     ``Dual1`` takes: ``np.exp``, ``np.log``, ``np.sqrt``, ``np.sin`` and
     ``np.cos``.  Every packaged model is autonomous.
 
-    The complex step runs ``rhs`` on complex states.  Under Euler its
-    columns are lanes of numpy ``complex128`` scalars (see
+    The complex step runs ``rhs`` on complex states.  Under either
+    integrator its columns are lanes of numpy ``complex128`` scalars (see
     :func:`~odesens.solvers.run_columns`), so ``rhs`` may combine the state
-    only by arithmetic there: ``np.exp(y[0])`` raises ``TypeError``, while
-    ``np.exp(t)`` works, as Euler's ``t`` is a float.  RK23 runs such a
-    model on complex arrays.  A lane is bitwise its one-column solve when
+    only by arithmetic: ``np.exp(y[0])`` raises ``TypeError``, while
+    ``np.exp(t)`` works, as ``t`` is a float, or under RK23 a float vector
+    of lane times.  A lane is bitwise its one-column solve when
     ``rhs`` works one component at a time (``p[0] * y[0]``): an array
     product of a complex state (``p[:2] * y``) takes numpy's array
     multiply in the one-column solve, which rounds differently.
@@ -361,7 +361,8 @@ def fmain_objective(y0, p, time: TimeSpec, method: SolverMethod, model: OdeModel
     Columns ``y0`` of shape ``(m, B)`` and ``p`` of shape ``(k, B)`` give
     the ``B`` objectives of the column pairs, from ``2B`` lanes of one
     :func:`solve_columns` call: the complex step's ``(d, d)`` points take
-    one Euler solve of ``2d`` lanes (see :func:`cs_jacobian`).  1-D inputs
+    one solve of ``2d`` lanes under either integrator (see
+    :func:`cs_jacobian`).  1-D inputs
     run the two solves one by one, which here beats two lanes (see
     :func:`_two_lanes`).
 
