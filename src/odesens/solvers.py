@@ -244,12 +244,12 @@ def _all_finite(v: np.ndarray) -> bool:
     return bool(np.isfinite(v).all())
 
 
-def _finite_along(v: np.ndarray, axis: int) -> np.ndarray:
-    """Whether each slice of ``v`` along ``axis``, a row of a table or a lane of a state, is finite."""
-    v = _as_complex(v).swapaxes(0, axis)
-    if v.dtype == object:
-        return np.array([_all_finite(part) for part in v], dtype=bool)
-    return np.isfinite(v).all(axis=tuple(range(1, v.ndim)))
+def _finite_over(v: np.ndarray, axes) -> np.ndarray:
+    """Whether ``v`` is finite over ``axes`` at each index of its other axes: by row or by lane."""
+    v = _as_complex(v)
+    finite = (np.isfinite(v) if v.dtype != object else
+              np.array([is_finite_scalar(x) for x in v.flat], dtype=bool).reshape(v.shape))
+    return finite.all(axis=axes)
 
 
 def _at(step: int, t, h) -> str:
@@ -274,7 +274,7 @@ def _check_euler_rows(states: np.ndarray, grid: np.ndarray, n_subs: np.ndarray, 
 
     Row ``1 + i`` of ``states`` is the end of gap ``first + i`` of the grid.
     """
-    bad = ~_finite_along(states[1:], 0)
+    bad = ~_finite_over(states[1:], tuple(range(1, states.ndim)))
     if bad.any():
         gap = first + int(bad.argmax())
         h = (grid[gap + 1] - grid[gap]) / n_subs[gap]
@@ -613,7 +613,7 @@ def _rk23_lanes(rhs: Callable, points: np.ndarray, y: np.ndarray, tol: RK23Metho
     f = np.asarray(rhs(t, y))
     h = np.array([_initial_step(t0, t_end, y[:, b], f[:, b], tol) for b in range(lanes)])
     # the error that stopped each failed lane
-    failed = ~_finite_along(f, -1)
+    failed = ~_finite_over(f, 0)
     errors = {b: NonFiniteStateError(f"non-finite state {_at(0, t0, h[b])}")
               for b in np.flatnonzero(failed).tolist()}
     stage_rhs = rhs
@@ -641,7 +641,7 @@ def _rk23_lanes(rhs: Callable, points: np.ndarray, y: np.ndarray, tol: RK23Metho
         clamped = h >= t_end - t
         h_try = np.where(live, np.where(clamped, t_end - t, h), 0.0)
         y_next, err_vec, k4 = _stages(stage_rhs, t, y, h_try, f)
-        finite = _finite_along(y_next, -1)
+        finite = _finite_over(y_next, 0)
         for b in np.flatnonzero(live & ~finite).tolist():
             errors[b] = NonFiniteStateError(
                 f"non-finite state {_at(attempts, t[b] + h_try[b], h_try[b])}")
