@@ -135,9 +135,10 @@ def solve_columns(model, time: TimeSpec, method, x) -> np.ndarray:
     A 1-D ``x`` gives one solve with states ``(n_times, m)``; a ``(d, B)``
     matrix gives ``(n_times, m, B)``, lane ``b`` being the solve of column
     ``b``: both integrators run real and complex columns as lanes of one
-    solve (see :func:`~odesens.solvers.run_columns`).  A complex lane is bitwise the
-    solve of its column for a model that combines the state only by
-    arithmetic, one component at a time (see :class:`~odesens.models.OdeModel`).
+    solve (see :func:`~odesens.solvers.run_columns`).  A complex lane is
+    bitwise the solve of its column for a model that combines the state
+    only by arithmetic, one component at a time (see
+    :class:`~odesens.models.OdeModel`).
     """
     m = model.state_dim
 

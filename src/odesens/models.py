@@ -362,9 +362,8 @@ def fmain_objective(y0, p, time: TimeSpec, method: SolverMethod, model: OdeModel
     the ``B`` objectives of the column pairs, from ``2B`` lanes of one
     :func:`solve_columns` call: the complex step's ``(d, d)`` points take
     one solve of ``2d`` lanes under either integrator (see
-    :func:`cs_jacobian`).  1-D inputs
-    run the two solves one by one, which here beats two lanes (see
-    :func:`_two_lanes`).
+    :func:`cs_jacobian`).  1-D inputs run the two solves one by one, which
+    here beats two lanes (see :func:`_two_lanes`).
 
     The objective and every driver built on it read only the last row of
     each solve, so ``time`` is handed down as a final-row grid: each solve

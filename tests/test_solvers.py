@@ -363,11 +363,11 @@ def test_rk23_lanes_equal_one_column_solves_bitwise(case):
 
 @st.composite
 def _complex_rk23_lanes(draw):
-    """The inputs of :func:`_rk23_lanes` as complex columns ``(y0 || p)``, imaginary parts up to 30%."""
+    """The inputs of :func:`_rk23_lanes` as complex columns ``(y0 || p)``, imaginary parts to 30%."""
     name, y0, p, time, tol = draw(_rk23_lanes())
     real = np.vstack([y0, p])
-    return name, real * (1.0 + 1j * draw(arrays(float, real.shape, elements=st.floats(-0.3, 0.3)))), \
-        time, tol
+    imag = real * draw(arrays(float, real.shape, elements=st.floats(-0.3, 0.3)))
+    return name, real + 1j * imag, time, tol
 
 
 def _column_solve(rhs, time, tol):
