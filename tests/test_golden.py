@@ -30,6 +30,14 @@ GOLDEN = {
         "5cac723cf3be721c783535f341d375baf9b110b72a0567c88f066c2cafea04be"),
     "solve-linear": (["solve", "--model", "linear", *EULER],
         "30338583aa1bc4b5bdbf3b01bf7eaca91ee460dca4a0374ce0b1d5f67645fab2"),
+    # the reference grid, [0, 1000] at 10001 points, under Euler and under RK23
+    "solve-ref": (["solve"],
+        "0735ab87ea3b492fc3c5efebab002825543adbb31df71915e7cebdccadc43dda"),
+    "solve-ref-rk23": (["solve", "--solver", "rk23"],
+        "4759a219d90da3e7d66c780704c7140cd926d19533f5652817ace838a4e311f9"),
+    # dt 0.03 covers each 0.1 output gap with 4 substeps
+    "solve-dt03": (["solve", "--dt", "0.03", *EULER],
+        "09e18ff8a99d0b59af3f60dbc4dc5e0f04e873fb9af0173c4caef06b2516d2ef"),
     "sens-analytic-euler": (["sens", "--jac", "analytic", *EULER],
         "e8c3da58664568ec8899e7ec3e64453a45084a1255b8fc288c30c2aeabb4c92a"),
     "sens-ad-euler": (["sens", "--jac", "ad", *EULER],

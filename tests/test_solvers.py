@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -891,3 +892,16 @@ def test_trajectory_rows_match_times():
     assert traj.times[0] == 0.0
     assert np.array_equal(traj.states[0], np.array([1000.0, 20.0]))
     assert traj.times.shape[0] == traj.states.shape[0]
+
+
+@pytest.mark.parametrize("solve, digest", [
+    # 300 whole steps, then a shortened last one of 0.005
+    (lambda: euler_solve(lv, Span(0.0, 3.005), np.array([1000.0, 20.0]), 0.01),
+     "4b4222211f1462f64f84cc17c1a81e850b466babe91eae02f4f559967a260c08"),
+    # over a span the knots are the output: 151 accepted steps
+    (lambda: rk23_solve(lv, Span(0.0, 1000.0), np.array([1000.0, 20.0])),
+     "40079f90231ad0ef910e11c0576ba14c82dcc44469c435e4cd15a5bc255e7bdc"),
+], ids=["euler-short-last-step", "rk23-knots"])
+def test_span_solves_are_pinned(solve, digest):
+    traj = solve()
+    assert hashlib.sha256(traj.times.tobytes() + traj.states.tobytes()).hexdigest() == digest
