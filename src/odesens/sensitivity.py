@@ -227,14 +227,14 @@ def jacobian_provider(model, kind: str):
 def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
     """Composite right-hand side with the parameter vector threaded through.
 
-    Maps ``(t, x, p)`` with ``x`` the ``(1 + k + m, m)`` row stack
-    ``[y; V^T; W^T]`` to its derivative ``[f; (f_y V + f_p)^T; (f_y W)^T]``
-    in the shape of ``x``; the provider ``jac`` supplies both ``f`` and
-    ``[f_y | f_p]``, the ``(m, m + k)`` derivative of ``f`` in ``(y, p)``,
-    from one call, and nothing else evaluates ``f``.  A flat ``x``, the
-    C-order ravel of the stack, is accepted too: that is how a Jacobian
-    provider sees the state one payload level down.  The derivative is one
-    product, the row stack times ``f_y^T``, whose row 0 is then replaced by
+    Maps ``(t, x, p)`` with ``x`` the flat state, the C-order ravel of the
+    ``(1 + k + m, m)`` row stack ``[y; V^T; W^T]``, to its derivative
+    ``[f; (f_y V + f_p)^T; (f_y W)^T]`` in the shape of ``x``; the provider
+    ``jac`` supplies both ``f`` and ``[f_y | f_p]``, the ``(m, m + k)``
+    derivative of ``f`` in ``(y, p)``, from one call, and nothing else
+    evaluates ``f``.  Every solve steps the flat state, as a Jacobian
+    provider sees it one payload level down; the row stack itself gives its
+    derivative in its own shape.  The derivative is one product, the row stack times ``f_y^T``, whose row 0 is then replaced by
     ``f`` and whose ``V`` rows get ``f_p^T`` added: the products of
     ``f_y [V | W]``, summed in ``q`` order, with ``f_p`` last.
 
@@ -478,11 +478,12 @@ def forward_sensitivity_solve(
     ``f`` or provider is not known to take lanes, the system of such a
     system, which nested duals lower to, included, so the composite system
     is stepped with one provider call per step at a real ``t``, lanes one
-    column at a time.  Both ways give the same bits.
+    column at a time.  Both ways give the same bits.  Outside the two
+    passes, one coupled system is one solve of the ravel of its row stack,
+    the flat state of :func:`_augmented_system`, under either integrator.
 
     RK23, whose step control reads the sensitivities, steps the composite
-    with one provider call per stage, and one coupled system as the ravel
-    of its row stack.  Lanes are one solve of the ``(n, L)`` matrix whose
+    with one provider call per stage.  Its lanes are one solve of the ``(n, L)`` matrix whose
     columns are the ravelled stacks, which :func:`_augmented_system` takes,
     when the provider records ``f`` as its ``_lane_rhs``: every stage is
     then one lane-form provider call with ``t`` the vector of lane times.
@@ -518,13 +519,11 @@ def forward_sensitivity_solve(
 
     if isinstance(method, EulerMethod) and lane_rhs:
         traj = _two_pass_euler(f, jac, p, y0, x0, time, method)
-    elif isinstance(method, EulerMethod) and y0.ndim == 1:
-        traj = solve(x0)
     elif y0.ndim == 1:
-        # RK23 steps one coupled system as its ravel
+        # one coupled system is stepped as its ravel, under either integrator
         traj = solve(x0.ravel())
     elif lane_rhs:
-        # and lanes as the columns of their flat stacks, (n, L)
+        # RK23 lanes as the columns of their flat stacks, (n, L)
         traj = solve(x0.reshape(len(x0), -1).T)
         traj = Trajectory(traj.times, np.moveaxis(traj.states, -1, 1))
     else:

@@ -238,12 +238,6 @@ def _magnitudes(v: np.ndarray) -> np.ndarray:
     return np.abs(v)
 
 
-def _all_finite(v: np.ndarray) -> bool:
-    if v.dtype == object:
-        return all(is_finite_scalar(x) for x in v.flat)
-    return bool(np.isfinite(v).all())
-
-
 def _finite_over(v: np.ndarray, axes) -> np.ndarray:
     """Whether ``v`` is finite over ``axes`` at each index of its other axes: by row or by lane."""
     v = _as_complex(v)
@@ -257,7 +251,7 @@ def _at(step: int, t, h) -> str:
 
 
 def _check_finite(v: np.ndarray, step: int, t: float, h: float):
-    if not _all_finite(v):
+    if not _finite_over(v, None):
         raise NonFiniteStateError(f"non-finite state {_at(step, t, h)}")
 
 
@@ -316,46 +310,26 @@ def _euler_grid(time: TimeSpec, dt: float):
     return grid, n_subs
 
 
-def _euler_substeps(grid: np.ndarray, n_subs: np.ndarray):
-    """``(t, h, end)`` of every Euler substep, ``end`` true on the last substep of its gap.
-
-    Substep ``j`` of a gap ``[a, b]`` of ``n_sub`` substeps is at
-    ``a + j * h`` with ``h = (b - a) / n_sub``, on Python floats.  The gaps
-    are converted a slice at a time, so the Python floats of a long grid
-    are never all held at once; ``zip`` stops at the slice's last gap,
-    before the end point that the slice's grid ends with.
-    """
-    for i in range(0, len(n_subs), _GAP_SLICE):
-        ends, subs = grid[i:i + _GAP_SLICE + 1], n_subs[i:i + _GAP_SLICE]
-        for a, h, n_sub in zip(ends.tolist(), (np.diff(ends) / subs).tolist(), subs.tolist()):
-            for j in range(n_sub - 1):
-                yield a + j * h, h, False
-            yield a + (n_sub - 1) * h, h, True
-
-
 def _euler_steps(rhs: Callable, grid: np.ndarray, n_subs: np.ndarray, y):
-    """The Euler recurrence from ``y`` over the grid, one substep at a time.
+    """The Euler recurrence from ``y`` over the grid, one substep at a time: the only Euler loop.
 
-    Yields ``(t, end, y + h * rhs(t, y))`` for every substep, with ``t``,
-    ``h`` and ``end`` as :func:`_euler_substeps` gives them: the state
-    after it, in the arithmetic of :func:`euler_solve`.  The state passes
-    of a two-pass sensitivity solve read every state from it (see
-    :func:`~odesens.sensitivity._two_pass_euler`).  It repeats the gap
-    slicing of :func:`_euler_substeps` rather than reading that generator,
-    whose extra layer on every substep cost the reference-grid Hessian
-    about 1%; :func:`euler_solve` keeps its own loop, as stepping inside
-    this generator cost its 24-lane final-row solves about 1%.
+    Yields ``(t, end, y + h * rhs(t, y))`` for every substep, the state
+    after it, with ``end`` true on the last substep of its gap.  Substep
+    ``j`` of a gap ``[a, b]`` of ``n_sub`` substeps is at ``a + j * h``
+    with ``h = (b - a) / n_sub``, on Python floats.  The gaps are converted
+    a slice at a time, so the Python floats of a long grid are never all
+    held at once; ``zip`` stops at the slice's last gap, before the end
+    point that the slice's grid ends with.  :func:`euler_solve` reads its
+    states from it, and so do the state passes of a two-pass sensitivity
+    solve (see :func:`~odesens.sensitivity._two_pass_euler`).
     """
     for i in range(0, len(n_subs), _GAP_SLICE):
         ends, subs = grid[i:i + _GAP_SLICE + 1], n_subs[i:i + _GAP_SLICE]
         for a, h, n_sub in zip(ends.tolist(), (np.diff(ends) / subs).tolist(), subs.tolist()):
-            for j in range(n_sub - 1):
+            for j in range(n_sub):
                 t = a + j * h
                 y = y + h * rhs(t, y)
-                yield t, False, y
-            t = a + (n_sub - 1) * h
-            y = y + h * rhs(t, y)
-            yield t, True, y
+                yield t, j == n_sub - 1, y
 
 
 def euler_solve(rhs: Callable, time: TimeSpec, y0, dt: float) -> Trajectory:
@@ -364,11 +338,12 @@ def euler_solve(rhs: Callable, time: TimeSpec, y0, dt: float) -> Trajectory:
     For a plain span the states follow ``y_{k+1} = y_k + dt * rhs(t_k, y_k)``
     with the final step shortened to land exactly on ``t_end``.  For
     prescribed points each gap is covered with uniform substeps of size at
-    most ``dt`` and only the requested rows are reported.  Both run as one
-    loop over the substeps of the output grid, on Python floats: a span is
-    its step grid with one substep per gap.  A final-row grid (the private
-    ``_FinalRow``) takes every step of its grid and reports its last row
-    alone, bitwise the last row of the :class:`Points` solve.
+    most ``dt`` and only the requested rows are reported.  Both run as the
+    one loop over the substeps of the output grid, :func:`_euler_steps`,
+    on Python floats: a span is its step grid with one substep per gap.  A
+    final-row grid (the private ``_FinalRow``) takes every step of its
+    grid and reports its last row alone, bitwise the last row of the
+    :class:`Points` solve.
 
     Generic over the scalar kind of ``y0``; ``dt`` and the time grid stay
     real.  ``y0`` may have any shape of at least one dimension: ``rhs``
@@ -399,8 +374,7 @@ def euler_solve(rhs: Callable, time: TimeSpec, y0, dt: float) -> Trajectory:
     # states[1] is the end of gap `first`
     states, filled, first = y[None], 1, 0
     try:
-        for t, h, end in _euler_substeps(grid, n_subs):
-            y = y + h * rhs(t, y)
+        for _, end, y in _euler_steps(rhs, grid, n_subs, y):
             if not end:
                 continue
             if filled == n_rows:
@@ -558,9 +532,7 @@ def rk23_solve(rhs: Callable, time: TimeSpec, y0, method: RK23Method = RK23Metho
     h = _initial_step(t0, t_end, y, f, method)
     _check_finite(f, 0, t0, h)
 
-    knot_t = [t0]
-    knot_y = [y]
-    knot_f = [f]
+    knots = [(t0, y, f)]
     t = t0
     attempts = 0
     while t < t_end:
@@ -577,21 +549,19 @@ def rk23_solve(rhs: Callable, time: TimeSpec, y0, method: RK23Method = RK23Metho
             t = t_end if clamped else t + h_try
             y = y_next
             f = k4
-            knot_t.append(t)
-            knot_y.append(y)
-            knot_f.append(f)
+            knots.append((t, y, f))
         h = h_try * _step_factor(err)
         # only a rejected step signals underflow: a tiny start step (y0 = 0)
         # that is accepted grows on its own
         if err > 1.0 and h < 16.0 * _EPS * max(abs(t), t_end - t0):
             raise StepUnderflowError(f"step size underflow {_at(attempts, t, h)}")
 
-    if points is None:
-        return Trajectory(np.array(knot_t), np.array(knot_y))
     if isinstance(time, _FinalRow):
         return Trajectory(points[-1:].copy(), np.array([y]))
-    states = _hermite_fill(np.array(knot_t), np.array(knot_y), np.array(knot_f), points)
-    return Trajectory(points.copy(), states)
+    kt, ky, kf = (np.array(part) for part in zip(*knots))
+    if points is None:
+        return Trajectory(kt, ky)
+    return Trajectory(points.copy(), _hermite_fill(kt, ky, kf, points))
 
 
 def _rk23_lanes(rhs: Callable, points: np.ndarray, y: np.ndarray, tol: RK23Method,
