@@ -234,9 +234,10 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
     derivative of ``f`` in ``(y, p)``, from one call, and nothing else
     evaluates ``f``.  Every solve steps the flat state, as a Jacobian
     provider sees it one payload level down; the row stack itself gives its
-    derivative in its own shape.  The derivative is one product, the row stack times ``f_y^T``, whose row 0 is then replaced by
-    ``f`` and whose ``V`` rows get ``f_p^T`` added: the products of
-    ``f_y [V | W]``, summed in ``q`` order, with ``f_p`` last.
+    derivative in its own shape.  The derivative is one product, the row
+    stack times ``f_y^T``, whose row 0 is then replaced by ``f`` and whose
+    ``V`` rows get ``f_p^T`` added: the products of ``f_y [V | W]``, summed
+    in ``q`` order, with ``f_p`` last.
 
     With ``p`` of shape ``(k, L)``, ``x`` of shape ``(n, L)`` holds ``L``
     flat stacks, one per lane, and the derivative keeps that shape: one
@@ -483,10 +484,11 @@ def forward_sensitivity_solve(
     the flat state of :func:`_augmented_system`, under either integrator.
 
     RK23, whose step control reads the sensitivities, steps the composite
-    with one provider call per stage.  Its lanes are one solve of the ``(n, L)`` matrix whose
-    columns are the ravelled stacks, which :func:`_augmented_system` takes,
-    when the provider records ``f`` as its ``_lane_rhs``: every stage is
-    then one lane-form provider call with ``t`` the vector of lane times.
+    with one provider call per stage.  Its lanes are one solve of the
+    ``(n, L)`` matrix whose columns are the ravelled stacks, which
+    :func:`_augmented_system` takes, when the provider records ``f`` as its
+    ``_lane_rhs``: every stage is then one lane-form provider call with
+    ``t`` the vector of lane times.
     With any other provider RK23 lanes run one column at a time.
     """
     y0 = np.asarray(y0)

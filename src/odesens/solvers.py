@@ -321,15 +321,21 @@ def _euler_steps(rhs: Callable, grid: np.ndarray, n_subs: np.ndarray, y):
     held at once; ``zip`` stops at the slice's last gap, before the end
     point that the slice's grid ends with.  :func:`euler_solve` reads its
     states from it, and so do the state passes of a two-pass sensitivity
-    solve (see :func:`~odesens.sensitivity._two_pass_euler`).
+    solve (see :func:`~odesens.sensitivity._two_pass_euler`).  The last
+    substep of a gap is written out after the loop over the others: one
+    loop over all of them, ``end`` taken as ``j == n_sub - 1``, cost about
+    65 ns a step, which read as +2% on the reference-grid ``solve``.
     """
     for i in range(0, len(n_subs), _GAP_SLICE):
         ends, subs = grid[i:i + _GAP_SLICE + 1], n_subs[i:i + _GAP_SLICE]
         for a, h, n_sub in zip(ends.tolist(), (np.diff(ends) / subs).tolist(), subs.tolist()):
-            for j in range(n_sub):
+            for j in range(n_sub - 1):
                 t = a + j * h
                 y = y + h * rhs(t, y)
-                yield t, j == n_sub - 1, y
+                yield t, False, y
+            t = a + (n_sub - 1) * h
+            y = y + h * rhs(t, y)
+            yield t, True, y
 
 
 def euler_solve(rhs: Callable, time: TimeSpec, y0, dt: float) -> Trajectory:
