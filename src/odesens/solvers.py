@@ -310,21 +310,39 @@ def _euler_grid(time: TimeSpec, dt: float):
     return grid, n_subs
 
 
-def _euler_steps(rhs: Callable, grid: np.ndarray, n_subs: np.ndarray, y):
-    """The Euler recurrence from ``y`` over the grid, one substep at a time: the only Euler loop.
+def _euler_substeps(grid: np.ndarray, n_subs: np.ndarray):
+    """``(t, h, end)`` of every Euler substep, ``end`` true on the last substep of its gap.
 
-    Yields ``(t, end, y + h * rhs(t, y))`` for every substep, the state
-    after it, with ``end`` true on the last substep of its gap.  Substep
-    ``j`` of a gap ``[a, b]`` of ``n_sub`` substeps is at ``a + j * h``
-    with ``h = (b - a) / n_sub``, on Python floats.  The gaps are converted
-    a slice at a time, so the Python floats of a long grid are never all
-    held at once; ``zip`` stops at the slice's last gap, before the end
-    point that the slice's grid ends with.  :func:`euler_solve` reads its
-    states from it, and so do the state passes of a two-pass sensitivity
-    solve (see :func:`~odesens.sensitivity._two_pass_euler`).  The last
-    substep of a gap is written out after the loop over the others: one
-    loop over all of them, ``end`` taken as ``j == n_sub - 1``, cost about
-    65 ns a step, which read as +2% on the reference-grid ``solve``.
+    Substep ``j`` of a gap ``[a, b]`` of ``n_sub`` substeps is at
+    ``a + j * h`` with ``h = (b - a) / n_sub``, on Python floats.  The gaps
+    are converted a slice at a time, so the Python floats of a long grid
+    are never all held at once; ``zip`` stops at the slice's last gap,
+    before the end point that the slice's grid ends with.
+    """
+    for i in range(0, len(n_subs), _GAP_SLICE):
+        ends, subs = grid[i:i + _GAP_SLICE + 1], n_subs[i:i + _GAP_SLICE]
+        for a, h, n_sub in zip(ends.tolist(), (np.diff(ends) / subs).tolist(), subs.tolist()):
+            for j in range(n_sub - 1):
+                yield a + j * h, h, False
+            yield a + (n_sub - 1) * h, h, True
+
+
+def _euler_steps(rhs: Callable, grid: np.ndarray, n_subs: np.ndarray, y):
+    """The Euler recurrence from ``y`` over the grid, one substep at a time.
+
+    Yields ``(t, end, y + h * rhs(t, y))`` for every substep, with ``t``,
+    ``h`` and ``end`` as :func:`_euler_substeps` gives them: the state
+    after it, in the arithmetic of :func:`euler_solve`.  The state passes
+    of a two-pass sensitivity solve read every state from it (see
+    :func:`~odesens.sensitivity._two_pass_euler`).  It repeats the gap
+    slicing of :func:`_euler_substeps` rather than reading that generator,
+    whose extra layer on every substep cost the reference-grid Hessian
+    about 1%; :func:`euler_solve` keeps its own loop, as stepping inside
+    this generator cost its 24-lane final-row solves 1-2% (the FD gradient
+    of the reference grid, shared 2-core VM).  The last substep of a gap
+    is written out after the loop over the others: one loop over all of
+    them, ``end`` taken as ``j == n_sub - 1``, cost about 65 ns a step, +2%
+    on the reference-grid ``solve``.
     """
     for i in range(0, len(n_subs), _GAP_SLICE):
         ends, subs = grid[i:i + _GAP_SLICE + 1], n_subs[i:i + _GAP_SLICE]
@@ -344,12 +362,11 @@ def euler_solve(rhs: Callable, time: TimeSpec, y0, dt: float) -> Trajectory:
     For a plain span the states follow ``y_{k+1} = y_k + dt * rhs(t_k, y_k)``
     with the final step shortened to land exactly on ``t_end``.  For
     prescribed points each gap is covered with uniform substeps of size at
-    most ``dt`` and only the requested rows are reported.  Both run as the
-    one loop over the substeps of the output grid, :func:`_euler_steps`,
-    on Python floats: a span is its step grid with one substep per gap.  A
-    final-row grid (the private ``_FinalRow``) takes every step of its
-    grid and reports its last row alone, bitwise the last row of the
-    :class:`Points` solve.
+    most ``dt`` and only the requested rows are reported.  Both run as one
+    loop over the substeps of the output grid, on Python floats: a span is
+    its step grid with one substep per gap.  A final-row grid (the private
+    ``_FinalRow``) takes every step of its grid and reports its last row
+    alone, bitwise the last row of the :class:`Points` solve.
 
     Generic over the scalar kind of ``y0``; ``dt`` and the time grid stay
     real.  ``y0`` may have any shape of at least one dimension: ``rhs``
@@ -380,7 +397,8 @@ def euler_solve(rhs: Callable, time: TimeSpec, y0, dt: float) -> Trajectory:
     # states[1] is the end of gap `first`
     states, filled, first = y[None], 1, 0
     try:
-        for _, end, y in _euler_steps(rhs, grid, n_subs, y):
+        for t, h, end in _euler_substeps(grid, n_subs):
+            y = y + h * rhs(t, y)
             if not end:
                 continue
             if filled == n_rows:
