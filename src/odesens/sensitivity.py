@@ -488,8 +488,8 @@ def forward_sensitivity_solve(
     ``(n, L)`` matrix whose columns are the ravelled stacks, which
     :func:`_augmented_system` takes, when the provider records ``f`` as its
     ``_lane_rhs``: every stage is then one lane-form provider call with
-    ``t`` the vector of lane times.
-    With any other provider RK23 lanes run one column at a time.
+    ``t`` the vector of lane times.  With any other provider RK23 lanes run
+    one column at a time.
     """
     y0 = np.asarray(y0)
     p = np.asarray(p)
