@@ -46,6 +46,11 @@ GOLDEN = {
         "a3c746aabddb47ac96565f13d4324112bfe79f83e746fa6df02daac58c6a579f"),
     "sens-ad-rk23": (["sens", "--jac", "ad", *RK23],
         "a3c746aabddb47ac96565f13d4324112bfe79f83e746fa6df02daac58c6a579f"),
+    # the reference grid under RK23: the composite state filled over 10001 rows
+    "sens-ref-analytic-rk23": (["sens", "--jac", "analytic", "--solver", "rk23"],
+        "f9cf4c44ab3553bfaf2238efe4628c44f2bf77da9884fa468ca2258fa88757c2"),
+    "sens-ref-ad-rk23": (["sens", "--jac", "ad", "--solver", "rk23"],
+        "f9cf4c44ab3553bfaf2238efe4628c44f2bf77da9884fa468ca2258fa88757c2"),
     "sens-linear": (["sens", "--model", "linear", "--jac", "analytic", *EULER],
         "9d9587934d4cd2dfe54512e3b7ca6ce1e8c3a07c6b762237fdbb085cf982f4d5"),
     "gradient-rm": (["gradient", "--mode", "rm", *EULER],

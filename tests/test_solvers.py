@@ -509,6 +509,19 @@ class TestRK23LaneErrors:
         column_0 = seen["column"][:-1]
         assert seen["lanes"] == column_0 and len(column_0) > 1
 
+    def test_a_lane_whose_error_norm_alone_is_nan_raises_its_column_error(self):
+        # lane 1's fourth stage, at t + h past 0.08, is NaN while its state is finite: the
+        # NaN error norm rejects the step and shrinks it by the least factor, 0.2
+        def rhs(t, y, c):
+            return np.where(t > c, np.nan, 1.0) * np.ones_like(y)
+
+        columns, lanes = self._columns_and_lanes(rhs, np.ones((2, 3)), np.array([10.0, 0.08, 0.3]),
+                                                 Points(np.linspace(0.0, 1.0, 11)))
+        assert columns[0] is None and type(columns[1]) is NonFiniteStateError
+        assert type(columns[2]) is NonFiniteStateError
+        assert type(lanes) is NonFiniteStateError and str(lanes) == str(columns[1])
+        assert str(lanes) == "non-finite state at step 3 (t = 0.12000000000000002, h = 0.10000000000000002)"
+
     def test_a_lane_whose_step_underflows_raises_its_column_error(self):
         # stage samples of this oscillation decorrelate for any resolvable h
         def rhs(t, y, c):
@@ -901,7 +914,11 @@ def test_trajectory_rows_match_times():
     # over a span the knots are the output: 151 accepted steps
     (lambda: rk23_solve(lv, Span(0.0, 1000.0), np.array([1000.0, 20.0])),
      "40079f90231ad0ef910e11c0576ba14c82dcc44469c435e4cd15a5bc255e7bdc"),
-], ids=["euler-short-last-step", "rk23-knots"])
+    # a non-autonomous rhs reads the time of each of the 4 substeps of a 0.1 gap
+    (lambda: euler_solve(lambda t, y: -y + 0.1 * t, Points(np.linspace(0.0, 2.0, 21)),
+                         np.array([1.0, -2.0]), 0.03),
+     "04aa70cf7d2f57f437c765d052919265baf6ab23478cb6e37a415ff000819334"),
+], ids=["euler-short-last-step", "rk23-knots", "euler-substep-times"])
 def test_span_solves_are_pinned(solve, digest):
     traj = solve()
     assert hashlib.sha256(traj.times.tobytes() + traj.states.tobytes()).hexdigest() == digest
