@@ -399,9 +399,9 @@ def _two_lanes(dtype, method: SolverMethod) -> bool:
     process, best of 5, one BLAS thread) that took
     :func:`fmain_gradient_reverse` from 0.099 to 0.085 s.  Three paths keep
     their two solves, each slower as lanes: RK23, whose lane loop pays for
-    the step control of each lane, 0.0166 s as two solves against
-    0.0271 s as lanes; dual inputs, whose forward-over-reverse Hessian
-    measured +10% as lanes on [0, 20]; and :func:`fmain_objective`, whose
+    the step control of each lane, 0.0245 s as two solves against
+    0.0379 s as lanes (best of 15); dual inputs, whose
+    forward-over-reverse Hessian measured +10% as lanes on [0, 20]; and :func:`fmain_objective`, whose
     plain solves take one cheap ``rhs`` call a step, 0.0394 s as two
     solves against 0.0418 s as lanes.
     """
