@@ -10,10 +10,10 @@ returns both as the pair ``(f, [f_y | f_p])``, and nothing else in the
 step evaluates the model.  On top of the resulting per-time-point
 Jacobians this module offers forward seed propagation, reverse adjoint
 contraction, solves with dual-valued inputs (by stripping the payload,
-augmenting, and reassembling the rows a caller reads), and a
-forward-over-reverse Hessian driver.  Real inputs with a trailing column
-axis are integrated as lanes of one solve, each lane its own system: under
-RK23 with its own step control.
+augmenting, and reassembling every output row as duals; a final-row grid
+makes it one row), and a forward-over-reverse Hessian driver.  Real inputs
+with a trailing column axis are integrated as lanes of one solve, each lane
+its own system: under RK23 with its own step control.
 
 The variational equations are linear in the sensitivities, and under
 Euler their coefficients depend only on the state trajectory.  A real
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -362,10 +361,9 @@ class SensitivityBundle:
     A lane solve's states carry a lane axis after the time axis, and so do
     the views; ``states[:, b]`` is the bundle of lane ``b``.
 
-    The bundle of dual-valued inputs keeps the bundle of its lowered solve,
-    one scalar kind down, with the seeds, and lifts its rows on demand:
-    :meth:`take` lifts the rows it names, and ``states`` lifts every row
-    on first access.
+    The bundle of dual-valued inputs holds duals, every output row lifted
+    from its lowered solve one scalar kind down; a final-row grid makes it
+    one row.
     """
 
     times: np.ndarray
@@ -400,44 +398,6 @@ class SensitivityBundle:
         return SensitivityBundle(self.times[rows], self.states[rows], self.time_spec)
 
 
-class _LiftedTrajectory(Trajectory):
-    """Trajectory of a dual-valued solve, kept as its lowered bundle and its seeds.
-
-    :meth:`lift` builds the dual rows it is asked for from the JVP payload
-    of those rows alone; ``states`` lifts every row on first access.
-    """
-
-    def __init__(self, lowered: SensitivityBundle, seeds: np.ndarray):
-        vars(self).update(times=lowered.times, lowered=lowered, seeds=seeds)
-
-    def lift(self, rows) -> np.ndarray:
-        part = self.lowered.take(rows)
-        m = part.state_dim
-        return lift_dual(part.y, jvp_solution(part, self.seeds[:m], self.seeds[m:]))
-
-    @cached_property
-    def states(self) -> np.ndarray:
-        return self.lift(slice(None))
-
-
-class _LiftedBundle(SensitivityBundle):
-    """Bundle of dual-valued inputs: the rows of a :class:`_LiftedTrajectory` as row stacks."""
-
-    def __init__(self, traj: _LiftedTrajectory, shape: tuple, time_spec: TimeSpec):
-        vars(self).update(times=traj.times, time_spec=time_spec, traj=traj, shape=shape)
-
-    state_dim = property(lambda self: self.shape[-1])
-    n_params = property(lambda self: self.shape[-2] - 1 - self.shape[-1])
-
-    @cached_property
-    def states(self) -> np.ndarray:
-        return self.traj.states.reshape((-1,) + self.shape)
-
-    def take(self, rows) -> SensitivityBundle:
-        stacks = self.traj.lift(rows).reshape((-1,) + self.shape)
-        return SensitivityBundle(self.times[rows], stacks, self.time_spec)
-
-
 def forward_sensitivity_solve(
     f: Callable,
     jac,
@@ -453,8 +413,8 @@ def forward_sensitivity_solve(
     :func:`dual_jacobians`.  If ``y0`` or ``p`` carry dual payloads the
     composite integration is routed through :func:`dual_aware_solve` on
     the ravelled stack, which strips one payload level and recurses.  The
-    bundle then keeps that solve's lowered bundle and seeds, and lifts only
-    the rows it is asked for (see :class:`SensitivityBundle`).
+    bundle's states are then that solve's rows of duals, as row stacks; a
+    final-row grid makes it one row.
 
     Real ``y0`` of shape ``(m, B)`` and ``p`` of shape ``(k, B)`` are ``B``
     lanes of one solve: the state is ``(B, 1 + k + m, m)``, lane ``b`` the
@@ -513,7 +473,8 @@ def forward_sensitivity_solve(
     system = _augmented_system(f, jac, m, k)
 
     if dual:
-        return _LiftedBundle(dual_aware_solve(system, p, x0.ravel(), time, method), x0.shape, time)
+        traj = dual_aware_solve(system, p, x0.ravel(), time, method)
+        return SensitivityBundle(traj.times, traj.states.reshape((-1,) + x0.shape), time)
     lane_rhs = getattr(jac, "_lane_rhs", None) is f
 
     def solve(start):
@@ -700,14 +661,18 @@ def vjp_solution(bundle: SensitivityBundle, a_y):
     grid has to be known up front rather than discovered by re-running the
     primal solve.  Only the rows where ``a_y`` is nonzero are taken from
     the bundle and contracted, so a final-row adjoint costs one row
-    whatever the trajectory length; a dual-valued bundle lifts just those
-    rows.  An all-zero adjoint takes no row; on a dual-valued bundle it
-    gives object arrays of the int ``0``.
+    whatever the trajectory length.  An all-zero adjoint takes no row; on a
+    dual-valued bundle it gives object arrays of the int ``0``.  A lane
+    bundle raises ``ValueError``: each lane has its own adjoints, so
+    contract the bundle of lane ``b``, whose states are ``states[:, b]``.
     """
     if isinstance(bundle.time_spec, Span):
         raise SpanModeError(
             "adjoint contraction requires a prescribed-points time specification"
         )
+    if bundle.states.ndim != 3:
+        raise ValueError(f"vjp_solution takes one lane's bundle, not {bundle.states.shape[1]} "
+                         "lanes; contract the bundle of lane b, whose states are states[:, b]")
     a_y = np.asarray(a_y)
     n, m = bundle.times.shape[0], bundle.state_dim
     if a_y.shape != (n, m):
@@ -735,11 +700,13 @@ def dual_aware_solve(
     solve.  Nested duals recurse: the lower-kind solve routes through here
     again until the base kind is real.
 
-    The returned trajectory keeps the lowered bundle and the seeds, two
-    arrays of the lower kind, and reassembles rows on demand: ``states``,
-    the ``(n_times, m)`` object array of duals, is lifted on first access,
-    and a bundle built on it lifts only the rows a contraction takes (see
-    :func:`vjp_solution`).  Each row holds the same duals either way.
+    The returned trajectory's ``states``, the ``(n_times, m)`` object array
+    of duals, lifts every output row of the lowered bundle with the seeds;
+    a final-row grid, which the objectives of the forward-over-reverse
+    Hessian take, makes it one row.  ``y0`` and ``p`` must be one input,
+    ``(m,)`` and ``(k,)``; anything else raises ``ValueError``, as the
+    lowered solve would run real lanes whose axis the JVP would then read
+    as seed directions.
 
     The lowered solve needs the Jacobians of ``rhs``.  An augmented system
     built by this module, which is what a dual-valued
@@ -760,11 +727,16 @@ def dual_aware_solve(
             "dual_aware_solve needs dual-valued inputs; "
             "use the plain solver for real or complex states"
         )
+    if y0.ndim != 1 or p.ndim != 1:
+        raise ValueError(f"y0 of shape {y0.shape} and p of shape {p.shape} are not one input, "
+                         "(m,) and (k,): dual-valued solves take no lanes")
     jac = getattr(rhs, "jacobians", None) or dual_jacobians()
     bundle = forward_sensitivity_solve(
         rhs, jac, primal_values(p), primal_values(y0), time, method)
     # one call, so constants in either input widen to the seed count of the other
-    return _LiftedTrajectory(bundle, tangent_values(np.concatenate([y0, p])))
+    seeds = tangent_values(np.concatenate([y0, p]))
+    m = len(y0)
+    return Trajectory(bundle.times, lift_dual(bundle.y, jvp_solution(bundle, seeds[:m], seeds[m:])))
 
 
 def hessian_forward_over_reverse(gradient: Callable, x0) -> np.ndarray:

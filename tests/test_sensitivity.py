@@ -1024,6 +1024,16 @@ class TestJvpVjp:
         with pytest.raises(ValueError, match=r"adjoint shape \(10, 2\) does not match"):
             vjp_solution(bundle, np.zeros((10, 2)))
 
+    @pytest.mark.parametrize("n_lanes", [2, 3])
+    def test_vjp_rejects_a_lane_bundle(self, n_lanes):
+        # each lane has its own adjoints: two LV lanes once gave their sum, three a numpy error
+        scales = np.linspace(1.0, 1.5, n_lanes)
+        lanes = forward_sensitivity_solve(
+            lv_rhs, jacobian_provider(MODELS["lv"], "analytic"), LV_P[:, None] * scales,
+            LV_Y0[:, None] * scales, Points(np.linspace(0.0, 2.0, 21)), EulerMethod(0.1))
+        with pytest.raises(ValueError, match=rf"one lane's bundle, not {n_lanes} lanes.*states\[:, b\]"):
+            vjp_solution(lanes, np.ones((21, 2)))
+
     def test_vjp_rejects_span_mode(self):
         bundle = forward_sensitivity_solve(
             lv_rhs, LV_ANALYTIC, LV_P, LV_Y0, Span(0.0, 10.0), EulerMethod(0.1)
@@ -1121,6 +1131,16 @@ class TestDualAwareSolve:
     def test_requires_dual_inputs(self):
         with pytest.raises(TypeError):
             dual_aware_solve(lv_rhs, LV_P, LV_Y0, Points(np.array([0.0, 1.0])), EulerMethod(0.1))
+
+    @pytest.mark.parametrize("p_shape, y0_shape", [((4, 2), (2, 2)), ((4,), (2, 3))],
+                             ids=["lanes of both", "lanes of y0"])
+    def test_inputs_with_lanes_are_rejected(self, p_shape, y0_shape):
+        # the lowered solve would run real lanes, whose axis the JVP then read as seed directions
+        p = np.resize(LV_P, p_shape[::-1]).T
+        y0 = lift_dual(np.resize(LV_Y0, y0_shape[::-1]).T, np.ones(y0_shape))
+        message = re.escape(f"y0 of shape {y0_shape} and p of shape {p_shape} are not one input")
+        with pytest.raises(ValueError, match=message):
+            dual_aware_solve(lv_rhs, p, y0, Points(np.linspace(0.0, 2.0, 21)), EulerMethod(0.1))
 
     def test_zero_payloads_preserve_primal_exactly_with_euler(self):
         pts = np.linspace(0.0, 10.0, 11)
