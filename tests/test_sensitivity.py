@@ -1026,7 +1026,7 @@ class TestJvpVjp:
 
     @pytest.mark.parametrize("n_lanes", [2, 3])
     def test_vjp_rejects_a_lane_bundle(self, n_lanes):
-        # each lane has its own adjoints: two LV lanes once gave their sum, three a numpy error
+        # each lane has its own adjoints, so a lane bundle has no one pair to return
         scales = np.linspace(1.0, 1.5, n_lanes)
         lanes = forward_sensitivity_solve(
             lv_rhs, jacobian_provider(MODELS["lv"], "analytic"), LV_P[:, None] * scales,
@@ -1135,7 +1135,7 @@ class TestDualAwareSolve:
     @pytest.mark.parametrize("p_shape, y0_shape", [((4, 2), (2, 2)), ((4,), (2, 3))],
                              ids=["lanes of both", "lanes of y0"])
     def test_inputs_with_lanes_are_rejected(self, p_shape, y0_shape):
-        # the lowered solve would run real lanes, whose axis the JVP then read as seed directions
+        # the lowered solve would run real lanes, whose axis the JVP would read as seed directions
         p = np.resize(LV_P, p_shape[::-1]).T
         y0 = lift_dual(np.resize(LV_Y0, y0_shape[::-1]).T, np.ones(y0_shape))
         message = re.escape(f"y0 of shape {y0_shape} and p of shape {p_shape} are not one input")
