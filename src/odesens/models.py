@@ -393,19 +393,27 @@ def _sensitivity_solver(model, jac, time, method) -> Callable:
 def _two_lanes(dtype, method: SolverMethod) -> bool:
     """Whether the sensitivity solves at ``p`` and ``p/2`` of a 1-D input run as two lanes.
 
-    A real input ``(y0 || p)``, of type ``dtype``, under Euler does: the
-    lanes share every step of the state pass and of the recurrence, and
-    each lane is bitwise its own solve.  On the reference grid (in
-    process, best of 5, one BLAS thread) that took
-    :func:`fmain_gradient_reverse` from 0.099 to 0.085 s.  Three paths keep
-    their two solves, each slower as lanes: RK23, whose lane loop pays for
-    the step control of each lane, 0.0245 s as two solves against
-    0.0379 s as lanes (best of 15); dual inputs, whose
-    forward-over-reverse Hessian measured +10% as lanes on [0, 20]; and :func:`fmain_objective`, whose
-    plain solves take one cheap ``rhs`` call a step, 0.0394 s as two
-    solves against 0.0418 s as lanes.
+    A real or dual input ``(y0 || p)``, of type ``dtype``, under Euler
+    does: the lanes share every step of the state pass and of the
+    recurrence, and each lane is bitwise its own solve.  On the reference
+    grid (in process, best of 5, one BLAS thread) that took
+    :func:`fmain_gradient_reverse` from 0.099 to 0.085 s.  A dual input
+    is the forward-over-reverse Hessian's, whose lowered pair so becomes
+    one solve of two lanes: its model state pass, its model recurrence and
+    its lowered recurrence each run once over both lanes, with one
+    structured Jacobian call a block.  On [0, 20] that took the Hessian
+    15.4% less time (median of 10 pairs, 35 s ``bench/run.py`` runs of
+    hessian-short, each pair faster), for 3% more peak memory.  Two paths
+    keep their two solves, each slower as lanes: RK23, whose lane loop
+    pays for the step control of each lane, 0.0245 s as two solves against
+    0.0379 s as lanes for a real input (best of 15), and for the
+    reference-grid forward-over-reverse Hessian 0.445 s against 0.480 s
+    (analytic) and 0.857 s against 0.934 s (AD; fresh process, medians of
+    10 pairs); and :func:`fmain_objective`, whose plain solves take one
+    cheap ``rhs`` call a step, 0.0394 s as two solves against 0.0418 s as
+    lanes.
     """
-    return isinstance(method, EulerMethod) and np.dtype(dtype).kind in "iuf"
+    return isinstance(method, EulerMethod) and np.dtype(dtype).kind in "iufO"
 
 
 def _pair_lanes(solve: Callable, y0, p) -> list:
@@ -431,8 +439,9 @@ def fmain_gradient_forward(
     only the final row, so the solves keep and contract only that row (see
     :func:`fmain_objective`).  Takes one input, ``y0`` of shape ``(m,)`` and
     ``p`` of shape ``(k,)``; columns are rejected.  The two sensitivity
-    systems of ``p`` and ``p/2`` are two lanes of one solve under Euler
-    and two solves otherwise (see :func:`_two_lanes`).
+    systems of ``p`` and ``p/2`` are two lanes of one solve under Euler,
+    real or dual inputs alike, and two solves under RK23 (see
+    :func:`_two_lanes`).
     """
     y0, p = np.asarray(y0), np.asarray(p)
     if y0.ndim != 1 or p.ndim != 1:
@@ -482,9 +491,10 @@ def fmain_gradient_reverse(
     the ``(m + k, B)`` gradients of the column pairs, each column bitwise
     its 1-D gradient.  The ``2B`` sensitivity systems of ``[p | p/2]``
     are lanes of one solve under either integrator (see
-    :func:`run_columns`).  A real 1-D input under Euler is one such
-    column, two lanes; under RK23, or with dual values, its two solves run
-    one by one (see :func:`_two_lanes`).
+    :func:`run_columns`).  A 1-D input under Euler, real or dual, is one
+    such column, two lanes, so the forward-over-reverse Hessian makes one
+    lowered solve of two lanes; under RK23 its two solves run one by one
+    (see :func:`_two_lanes`).
     """
     time = _final_row(time)
     solve = _sensitivity_solver(model, jac, time, method)
@@ -540,7 +550,8 @@ def fmain_hessian(
     """Forward-over-reverse Hessian of the objective.
 
     Evaluates the reverse-gradient routine on dual-seeded inputs; the inner
-    solves dispatch through the payload-stripping dual solve.
+    solves dispatch through the payload-stripping dual solve, under Euler
+    one lowered solve of the two lanes ``p`` and ``p/2``.
     """
     gradient, x0 = _of_stacked_input(
         fmain_gradient_reverse, y0, p, time, method, model=model, jac=jac)

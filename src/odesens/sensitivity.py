@@ -11,9 +11,10 @@ step evaluates the model.  On top of the resulting per-time-point
 Jacobians this module offers forward seed propagation, reverse adjoint
 contraction, solves with dual-valued inputs (by stripping the payload,
 augmenting, and reassembling every output row as duals; a final-row grid
-makes it one row), and a forward-over-reverse Hessian driver.  Real inputs
-with a trailing column axis are integrated as lanes of one solve, each lane
-its own system: under RK23 with its own step control.
+makes it one row), and a forward-over-reverse Hessian driver.  Inputs with
+a trailing column axis are integrated as lanes of one solve, each lane its
+own system: under RK23 with its own step control.  Dual lanes lower to one
+real solve of their lanes, each lane lifted with its own seeds.
 
 The variational equations are linear in the sensitivities, and under
 Euler their coefficients depend only on the state trajectory.  A real
@@ -416,17 +417,18 @@ def forward_sensitivity_solve(
     bundle's states are then that solve's rows of duals, as row stacks; a
     final-row grid makes it one row.
 
-    Real ``y0`` of shape ``(m, B)`` and ``p`` of shape ``(k, B)`` are ``B``
+    ``y0`` of shape ``(m, B)`` and ``p`` of shape ``(k, B)`` are ``B``
     lanes of one solve: the state is ``(B, 1 + k + m, m)``, lane ``b`` the
     stack of column ``b``, and the bundle's states gain the lane axis after
     the time axis.  Each lane is bitwise the solve of its column.  Under
     RK23 that holds because each lane keeps its own step control (see
     :func:`~odesens.solvers.rk23_solve`), so RK23 lanes need a
     :class:`~odesens.solvers.Points` grid: over a span they are rejected,
-    as each lane would report its own step times.  Lanes with dual
-    payloads are rejected too, and so is any other pair of shapes, a 1-D
-    ``p`` with lanes of ``y0`` or a lane count that differs included,
-    whichever the provider.
+    as each lane would report its own step times.  Dual lanes go to
+    :func:`dual_aware_solve` as the ``(n, B)`` columns of their flat
+    stacks, so their lowered solve is one real solve of ``B`` lanes.  Any
+    other pair of shapes is rejected, a 1-D ``p`` with lanes of ``y0`` or
+    a lane count that differs included, whichever the provider.
 
     A real Euler solve, one lane or ``B``, runs in two passes (see
     :func:`_two_pass_euler`) when the provider records ``f`` as its
@@ -454,16 +456,12 @@ def forward_sensitivity_solve(
     y0 = np.asarray(y0)
     p = np.asarray(p)
     if y0.ndim not in (1, 2) or p.ndim != y0.ndim or p.shape[1:] != y0.shape[1:]:
-        raise ValueError(f"y0 of shape {y0.shape} and p of shape {p.shape} are neither one "
+        raise ValueError(f"y0 of shape {y0.shape} and p of shape {p.shape} are not one "
                          "input, (m,) and (k,), nor B lanes, (m, B) and (k, B)")
     m, k = y0.shape[0], p.shape[0]
-    dual = contains_dual(y0) or contains_dual(p)
-    if y0.ndim > 1:
-        if dual:
-            raise ValueError("sensitivity lanes take real inputs only")
-        if isinstance(method, RK23Method) and isinstance(time, Span):
-            raise ValueError("RK23 sensitivity lanes need prescribed output points: "
-                             "over a span each lane would report its own step times")
+    if y0.ndim > 1 and isinstance(method, RK23Method) and isinstance(time, Span):
+        raise ValueError("RK23 sensitivity lanes need prescribed output points: "
+                         "over a span each lane would report its own step times")
 
     def row_stack(y):
         return np.concatenate([y[None], np.zeros((k, m)), np.eye(m)])
@@ -471,22 +469,22 @@ def forward_sensitivity_solve(
     # [y0; 0; I], and for lanes one stack per column of y0, lanes first
     x0 = row_stack(y0) if y0.ndim == 1 else np.stack([row_stack(y) for y in y0.T])
     system = _augmented_system(f, jac, m, k)
-
-    if dual:
-        traj = dual_aware_solve(system, p, x0.ravel(), time, method)
-        return SensitivityBundle(traj.times, traj.states.reshape((-1,) + x0.shape), time)
+    dual = contains_dual(y0) or contains_dual(p)
     lane_rhs = getattr(jac, "_lane_rhs", None) is f
 
     def solve(start):
+        if dual:
+            return dual_aware_solve(system, p, start, time, method)
         return run_solver(lambda t, x: system(t, x, p), time, start, method)
 
-    if isinstance(method, EulerMethod) and lane_rhs:
+    if isinstance(method, EulerMethod) and lane_rhs and not dual:
         traj = _two_pass_euler(f, jac, p, y0, x0, time, method)
     elif y0.ndim == 1:
         # one coupled system is stepped as its ravel, under either integrator
         traj = solve(x0.ravel())
-    elif lane_rhs:
-        # RK23 lanes as the columns of their flat stacks, (n, L)
+    elif lane_rhs or dual:
+        # RK23 lanes, and dual lanes for their lowered solve, as the columns of
+        # their flat stacks, (n, L)
         traj = solve(x0.reshape(len(x0), -1).T)
         traj = Trajectory(traj.times, np.moveaxis(traj.states, -1, 1))
     else:
@@ -703,10 +701,11 @@ def dual_aware_solve(
     The returned trajectory's ``states``, the ``(n_times, m)`` object array
     of duals, lifts every output row of the lowered bundle with the seeds;
     a final-row grid, which the objectives of the forward-over-reverse
-    Hessian take, makes it one row.  ``y0`` and ``p`` must be one input,
-    ``(m,)`` and ``(k,)``; anything else raises ``ValueError``, as the
-    lowered solve would run real lanes whose axis the JVP would then read
-    as seed directions.
+    Hessian take, makes it one row.  ``y0`` of shape ``(m, B)`` and ``p``
+    of shape ``(k, B)`` are ``B`` lanes: one lowered solve of ``B`` real
+    lanes, after which each lane is contracted and lifted with its own
+    seeds, giving ``(n_times, m, B)`` states, lane ``b`` bitwise the solve
+    of column ``b``.  Any other pair of shapes raises ``ValueError``.
 
     The lowered solve needs the Jacobians of ``rhs``.  An augmented system
     built by this module, which is what a dual-valued
@@ -727,16 +726,20 @@ def dual_aware_solve(
             "dual_aware_solve needs dual-valued inputs; "
             "use the plain solver for real or complex states"
         )
-    if y0.ndim != 1 or p.ndim != 1:
-        raise ValueError(f"y0 of shape {y0.shape} and p of shape {p.shape} are not one input, "
-                         "(m,) and (k,): dual-valued solves take no lanes")
     jac = getattr(rhs, "jacobians", None) or dual_jacobians()
     bundle = forward_sensitivity_solve(
         rhs, jac, primal_values(p), primal_values(y0), time, method)
-    # one call, so constants in either input widen to the seed count of the other
-    seeds = tangent_values(np.concatenate([y0, p]))
     m = len(y0)
-    return Trajectory(bundle.times, lift_dual(bundle.y, jvp_solution(bundle, seeds[:m], seeds[m:])))
+    # one input is the one lane of the loop below
+    x = np.concatenate([y0, p]).reshape(m + len(p), -1)
+    states = bundle.states if y0.ndim > 1 else bundle.states[:, None]
+    lifted = []
+    for b in range(x.shape[1]):
+        lane = SensitivityBundle(bundle.times, states[:, b], time)
+        # one call a lane, so constants in either input widen to the seed count of the other
+        seeds = tangent_values(x[:, b])
+        lifted.append(lift_dual(lane.y, jvp_solution(lane, seeds[:m], seeds[m:])))
+    return Trajectory(bundle.times, np.stack(lifted, -1) if y0.ndim > 1 else lifted[0])
 
 
 def hessian_forward_over_reverse(gradient: Callable, x0) -> np.ndarray:

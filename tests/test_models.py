@@ -346,7 +346,7 @@ class TestGradients:
         assert np.max(np.abs(analytic - ad)) <= 1e-13 * np.max(np.abs(analytic))
 
 
-def test_hessian_makes_one_gradient_call_and_two_lowered_solves(monkeypatch):
+def test_hessian_makes_one_gradient_call_and_one_lowered_solve_of_two_lanes(monkeypatch):
     gradient_calls, lowered = [], []
     solve = sensitivity.forward_sensitivity_solve
     hessian = sensitivity.hessian_forward_over_reverse
@@ -368,19 +368,20 @@ def test_hessian_makes_one_gradient_call_and_two_lowered_solves(monkeypatch):
     hess = fmain_hessian(Y0, P, Points(np.linspace(0.0, 2.0, 21)), EulerMethod(0.1), model=LV)
     assert hess.shape == (6, 6)
     assert len(gradient_calls) == 1
-    # one lowered solve per distinct parameter vector of the objective
-    assert [list(q) for q in lowered] == [list(P), list(P / 2.0)]
+    # one lowered solve whose two lanes are the objective's parameter vectors
+    assert [q.T.tolist() for q in lowered] == [[list(P), list(P / 2.0)]]
 
 
-def test_hessian_lowered_solves_are_two_composite_solves(solve_shapes):
+def test_hessian_lowered_solve_is_one_composite_solve_of_two_lanes(solve_shapes):
     fmain_hessian(Y0, P, Points(np.linspace(0.0, 2.0, 21)), EulerMethod(0.1), model=LV)
-    # one level down the (7, 2) composite is a flat 14-state with 4 parameters
-    assert solve_shapes == [(19, 14)] * 2
+    # one level down the (7, 2) composite is a flat 14-state with 4 parameters;
+    # the lanes of p and p/2 are two such stacks
+    assert solve_shapes == [(2, 19, 14)]
 
 
 @pytest.mark.parametrize("jac, passes", [
-    ("analytic", [(6, 20)] * 2),
-    ("ad", [(6, 20), (6, 20), (6, 20), (6,)] * 2),
+    ("analytic", [(6, 40)]),
+    ("ad", [(6, 40), (6, 40), (6, 40), (6,)]),
 ])
 def test_hessian_lowered_jacobian_makes_no_pass_over_the_augmented_rhs(monkeypatch, jac, passes):
     columns, jac_inputs, rhs_calls = [], [], []
@@ -401,29 +402,30 @@ def test_hessian_lowered_jacobian_makes_no_pass_over_the_augmented_rhs(monkeypat
     monkeypatch.setattr(sensitivity, "eval_jacobian_dual", counted_jacobian)
     model = dataclasses.replace(MODELS["lv"], rhs=counted_rhs, jac=counted_jac)
     fmain_hessian(Y0, P, Points(np.linspace(0.0, 2.0, 21)), EulerMethod(0.1), model=model, jac=jac)
-    # 2 lowered solves of 20 Euler steps, each in two passes; every dual pass
-    # seeds the 6 inputs of the model, none the 18 of the augmented system
+    # one lowered solve of 20 Euler steps of two lanes, p and p/2, in two passes,
+    # so a block of 40 lane steps; every dual pass seeds the 6 inputs of the model,
+    # none the 18 of the augmented system
     assert columns == passes
     # jacobian_provider first checks the lane contract: one call on 3 lanes,
     # then one at each lane's point alone, of rhs and, analytic, of jac
     probe_t = [(3,), (), (), ()]
     probe_y = [((2, 3), np.dtype(float))] + [((2,), np.dtype(float))] * 3
     if jac == "analytic":
-        # each solve's state pass is the model's own two-pass solve: rhs alone
-        # once per step at a real t, then one lane-form provider call, rhs and
-        # jac, at the block of 20 steps.  One lane-form call of the structured
-        # provider evaluates rhs and jac at that block again, and the second
-        # derivatives come from one 6-seed lane pass over the provider there,
-        # whose t is a lane dual, of shape ().  No state-pass step builds a Dual1
-        assert rhs_calls == probe_t + ([()] * 20 + [(20,), (20,), ()]) * 2
-        assert jac_inputs == probe_y + ([((2, 20), np.dtype(float))] * 2
-                                        + [((2,), np.dtype(object))]) * 2
+        # the solve's state pass is the model's own two-pass solve: rhs alone
+        # once per step at a real t, both lanes in one call, then one lane-form
+        # provider call, rhs and jac, at the block of 20 steps of two lanes.  One
+        # lane-form call of the structured provider evaluates rhs and jac at that
+        # block again, and the second derivatives come from one 6-seed lane pass
+        # over the provider there, whose t is a lane dual, of shape ().  No
+        # state-pass step builds a Dual1
+        assert rhs_calls == probe_t + [()] * 20 + [(40,), (40,), ()]
+        assert jac_inputs == probe_y + [((2, 40), np.dtype(float))] * 2 + [((2,), np.dtype(object))]
     else:
         # the model's state pass calls rhs on reals once per step, and its block a
         # 6-seed lane pass over rhs; the structured provider's block call takes
         # that pass again, and its second derivatives one lane pass over that
-        # pass, nested: 23 rhs calls a solve
-        assert rhs_calls == probe_t + [()] * 46
+        # pass, nested: 23 rhs calls
+        assert rhs_calls == probe_t + [()] * 23
         # the AD provider differentiates the right-hand side, never the model's jac
         assert jac_inputs == []
 
@@ -469,10 +471,12 @@ def test_first_derivatives_of_the_wrong_shape_are_rejected(monkeypatch, driver, 
     # rejected at the first provider call, before the recurrence takes a step:
     # a gradient's call covers the first block of Euler steps, here all 20 step
     # times of its two lanes, p and p/2; an Euler Hessian's is the block call of
-    # the model's own solve, whose recurrence is a lowered solve's state pass,
-    # covering its 20 step times; an RK23 Hessian's the first step of a lowered solve
+    # the model's own solve, whose recurrence is the state pass of the lowered
+    # solve of those two lanes, covering the same 20 step times of each; an RK23
+    # Hessian's the first step of its first lowered solve
     first = {fmain_gradient_forward: np.repeat(time.times[:-1], 2),
-             fmain_hessian: time.times[:-1] if isinstance(method, EulerMethod) else 0.0}[driver]
+             fmain_hessian: np.repeat(time.times[:-1], 2) if isinstance(method, EulerMethod)
+             else 0.0}[driver]
     assert np.array_equal(calls[4], first)
     # and before any second derivative is taken
     assert passes == []
@@ -641,9 +645,10 @@ def test_euler_gradients_equal_their_two_solves_bitwise(jac, case):
     (EulerMethod(0.1), False, [(2, 7, 2)]),
     # RK23: two solves of the ravelled (7, 2) stack, one per parameter vector
     (RK23Method(), False, [(14,)] * 2),
-    # dual inputs: two lowered solves, each of the flat 14-state with 4 parameters,
-    # which RK23 steps as the ravel of its (19, 14) stack
-    (EulerMethod(0.1), True, [(19, 14)] * 2),
+    # dual inputs lower to the flat 14-state with 4 parameters: under Euler one
+    # solve of its two lanes, p and p/2; RK23 makes two solves, each stepping the
+    # ravel of its (19, 14) stack
+    (EulerMethod(0.1), True, [(2, 19, 14)]),
     (RK23Method(), True, [(266,)] * 2),
 ], ids=["euler", "rk23", "euler-dual", "rk23-dual"])
 def test_the_gradient_solves_of_one_input(solve_shapes, driver, method, dual, shapes):

@@ -339,12 +339,6 @@ class TestLanes:
             assert lanes.times.tobytes() == alone.times.tobytes()
             assert lanes.states[:, b].tobytes() == alone.states.tobytes()
 
-    def test_dual_lanes_are_rejected(self):
-        y0 = lift_dual(np.ones((2, 3)), np.ones((2, 3, 1)))
-        with pytest.raises(ValueError, match="lanes take real inputs"):
-            forward_sensitivity_solve(lv_rhs, LV_ANALYTIC, np.ones((4, 3)), y0,
-                                      Points(np.linspace(0.0, 1.0, 3)), EulerMethod(0.1))
-
     @pytest.mark.parametrize("kind", ["analytic", "ad"])
     @pytest.mark.parametrize("p_shape, y0_shape", [
         ((4,), (2, 3)),
@@ -716,13 +710,14 @@ class TestTwoPassEuler:
         monkeypatch.setattr(sensitivity, "_two_pass_euler", spy)
         y0, p, time = np.array([1.0, 0.5]), np.array([0.3, 0.7]), Points(np.linspace(0.0, 2.0, 21))
         got = fmain_hessian(y0, p, time, EulerMethod(0.01), model=DECAY)
-        assert len(passes) == 2
-        # a provider without the model's lane contract steps each lowered solve
-        # with one structured Jacobian per step, at a real t
+        # one lowered solve, of the two lanes p and p/2
+        assert len(passes) == 1
+        # a provider without the model's lane contract steps each lane of the
+        # lowered solve with one structured Jacobian per step, at a real t
         monkeypatch.setattr(models, "jacobian_provider",
                             lambda model, kind: analytic_jacobians(model.jac))
         expected = fmain_hessian(y0, p, time, EulerMethod(0.01), model=DECAY)
-        assert len(passes) == 2
+        assert len(passes) == 1
         assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("kind", ["analytic", "ad"])
@@ -748,11 +743,11 @@ class TestTwoPassEuler:
         monkeypatch.setattr(sensitivity, "_two_pass_euler", spy)
         y0, p, time = LV_Y0, LV_P, Points(np.linspace(0.0, 2.0, 21))
         expected = fmain_hessian(y0, p, time, EulerMethod(0.1), model=MODELS["lv"], jac=kind)
-        assert len(passes) == 2
+        assert len(passes) == 1
         monkeypatch.setattr(models, "jacobian_provider", wrapped_provider)
         got = fmain_hessian(y0, p, time, EulerMethod(0.1), model=MODELS["lv"], jac=kind)
-        # the wrapper's lowered solves take the two passes too
-        assert len(passes) == 4
+        # the wrapper's lowered solve takes the two passes too
+        assert len(passes) == 2
         assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("jac, method, two_pass", [
@@ -775,8 +770,9 @@ class TestTwoPassEuler:
         model = _STRUCTURED_MODELS[name]
         y0, p = np.array(list(model.states.values())), np.array(list(model.params.values()))
         fmain_hessian(y0, p, Points(np.linspace(0.0, 2.0, 21)), method, model=model, jac=jac)
-        # the two lowered solves, each of an augmented system with its own provider
-        assert len(passes) == (2 if two_pass else 0)
+        # under Euler one lowered solve of the lanes p and p/2, of an augmented
+        # system with its own provider; RK23 makes two lowered solves, neither in two passes
+        assert len(passes) == (1 if two_pass else 0)
         assert all(hasattr(f.jacobians, "_lane_rhs") for f in passes)
 
 
@@ -864,6 +860,42 @@ def test_a_lowered_solve_fed_by_the_model_equals_the_per_step_solve_bitwise(case
         start = np.concatenate([x0[None, :, b], np.zeros((k, n)), np.eye(n)])
         reference = run_solver(lambda t, x: outer(t, x, p[:, b]), time, start, EulerMethod(dt))
         assert got[:, b].tobytes() == reference.states.tobytes()
+
+
+@pytest.mark.parametrize("name", ["lv", "binding", "triple", "decay"])
+@pytest.mark.parametrize("layer", ["forward_sensitivity_solve", "dual_aware_solve"])
+@settings(max_examples=15)
+@given(data=st.data())
+def test_every_dual_lane_is_bitwise_its_own_dual_solve(layer, name, data):
+    # the lanes lower to one real lane solve, and each is lifted with its own seeds.
+    # forward_sensitivity_solve takes the model's inputs; dual_aware_solve the flat
+    # composite states of the augmented system, with its own structured provider
+    model = _LOWERED_MODELS[name]
+    kind = data.draw(st.sampled_from(["analytic", "ad"]))
+    aug, p, x0 = _lowered_inputs(name, data.draw(st.integers(1, 3)), kind)
+    n = model.state_dim if layer == "forward_sensitivity_solve" else len(x0)
+    x = np.concatenate([x0[:n], p])
+    # a scalar tangent, or a vector of one or three seed directions
+    width = data.draw(st.sampled_from([(), (1,), (3,)]))
+    x = lift_dual(x, data.draw(arrays(float, x.shape + width, elements=st.floats(-1.0, 1.0))))
+    gaps = data.draw(st.integers(1, 3))
+    # Euler with one or four substeps a gap, or RK23
+    substeps = data.draw(st.sampled_from([1, 4, None]))
+    method, grid = ((RK23Method(), np.linspace(0.0, 0.5, gaps + 1)) if substeps is None
+                    else (EulerMethod(0.05), 0.05 * substeps * np.arange(gaps + 1)))
+    time = data.draw(st.sampled_from([Points, _FinalRow]))(grid)
+    provider = jacobian_provider(model, kind)
+
+    def solve(x):
+        if layer == "forward_sensitivity_solve":
+            return forward_sensitivity_solve(model.rhs, provider, x[n:], x[:n], time, method).states
+        return dual_aware_solve(aug, x[n:], x[:n], time, method).states
+
+    lanes = solve(x)
+    for b in range(x.shape[1]):
+        # a bundle's lane axis follows the time axis, a trajectory's is last
+        lane = lanes[:, b] if layer == "forward_sensitivity_solve" else lanes[..., b]
+        assert _bits(lane) == _bits(solve(x[:, b]))
 
 
 # f = (-a (u + v), a u) with the sum over the whole state: right at one point,
@@ -1132,10 +1164,14 @@ class TestDualAwareSolve:
         with pytest.raises(TypeError):
             dual_aware_solve(lv_rhs, LV_P, LV_Y0, Points(np.array([0.0, 1.0])), EulerMethod(0.1))
 
-    @pytest.mark.parametrize("p_shape, y0_shape", [((4, 2), (2, 2)), ((4,), (2, 3))],
-                             ids=["lanes of both", "lanes of y0"])
+    @pytest.mark.parametrize("p_shape, y0_shape", [
+        ((4,), (2, 3)),
+        ((4, 3), (2, 2)),
+        ((4, 2, 1), (2, 2, 1)),
+    ], ids=["lanes of y0", "other lane count", "3-D"])
     def test_inputs_with_lanes_are_rejected(self, p_shape, y0_shape):
-        # the lowered solve would run real lanes, whose axis the JVP would read as seed directions
+        # lanes of both, B of each, are lanes of the lowered solve (see
+        # test_every_dual_lane_is_bitwise_its_own_dual_solve); no other pair of shapes is
         p = np.resize(LV_P, p_shape[::-1]).T
         y0 = lift_dual(np.resize(LV_Y0, y0_shape[::-1]).T, np.ones(y0_shape))
         message = re.escape(f"y0 of shape {y0_shape} and p of shape {p_shape} are not one input")
