@@ -969,6 +969,31 @@ def test_structured_jacobian_on_lanes_equals_its_per_lane_calls_bitwise(name):
             assert j[..., b].tobytes() == one_j.tobytes(), kind
 
 
+@pytest.mark.parametrize("kind", ["analytic", "ad"])
+@pytest.mark.parametrize("name", ["lv", "binding", "triple", "decay", "constant"])
+@given(data=st.data())
+def test_structured_jacobian_first_block_and_value_row_are_the_real_provider_call(
+        name, kind, data):
+    # the [f_y | f_p] block and the value row are those of the model's provider on reals
+    model = _LOWERED_MODELS[name]
+    m, k = model.state_dim, len(model.params)
+    provider = jacobian_provider(model, kind)
+    aug = _augmented_system(model.rhs, provider, m, k)
+    lanes = data.draw(st.sampled_from([(), (3,)]), label="lanes")
+    entries = st.floats(-1e3, 1e3)
+    x = data.draw(arrays(float, ((1 + k + m) * m,) + lanes, elements=entries), label="x")
+    p = data.draw(arrays(float, (k,) + lanes, elements=entries), label="p")
+    t = data.draw(arrays(float, lanes, elements=st.floats(0.0, 1.0)), label="t")
+    t = t if lanes else float(t)
+    value, j = aug.jacobians(aug, t, x, p)
+    f, first = provider(model.rhs, t, x.reshape((1 + k + m, m) + lanes)[0], p)
+    # a right-hand side of constants gives one value for all lanes
+    f = np.reshape(f, (m,) + (-1,) * len(lanes))
+    assert value[:m].tobytes() == np.broadcast_to(f, (m,) + lanes).tobytes()
+    n = (1 + k + m) * m
+    assert j[:m, np.r_[:m, n:n + k]].tobytes() == first.tobytes()
+
+
 class TestJvpVjp:
     def test_unit_init_seed_selects_init_sensitivity_column(self):
         bundle = lv_bundle()
