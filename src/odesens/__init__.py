@@ -7,7 +7,7 @@ forward/reverse derivative propagation, finite-difference and complex-step
 baselines, and forward-over-reverse Hessians on top.
 """
 
-from .scalars import Dual1, complex_step_column, eval_jacobian_dual, eval_jvp_dual
+from .scalars import Dual1, complex_step_column, eval_jacobian_dual
 from .solvers import (
     EulerMethod,
     MaxStepsExceededError,

@@ -258,7 +258,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # on stdout a blank line separates the table from the CSV
             sys.stdout.write(table if args.output is not None else table + "\n")
         _emit("\n".join(csv_lines) + "\n", args.output)
-    except (ValueError, SolverError, OSError) as exc:
+    except (ValueError, SolverError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -170,9 +170,9 @@ class OdeModel:
     multiply in the one-column solve, which rounds differently.
 
     A model declares no higher derivatives.  The lowered solves of a
-    Hessian take the derivatives of ``[f_y | f_p]`` in ``(y, p)`` from one
-    dual pass over the model's Jacobian provider, over lanes in an Euler
-    solve, one pass per block of steps.  An Euler lowered solve's state
+    Hessian take ``f``, ``[f_y | f_p]`` and its derivatives in ``(y, p)``
+    from one dual pass over the model's Jacobian provider, over lanes in
+    an Euler solve, one pass per block of steps.  An Euler lowered solve's state
     pass is the model's own sensitivity solve: ``rhs`` alone once per
     step, then the provider once per block of steps, on reals.  With
     analytic Jacobians the dual pass evaluates ``rhs`` and ``jac`` on lane
@@ -412,19 +412,36 @@ def _two_lanes(dtype, method: SolverMethod) -> bool:
     10 pairs); and :func:`fmain_objective`, whose plain solves take one
     cheap ``rhs`` call a step, 0.0394 s as two solves against 0.0418 s as
     lanes.
+
+    The RK23 pair loses as lanes for two reasons (reference grid,
+    final-row analytic sensitivity solves, one BLAS thread).  RK23 lanes
+    take their attempts together, so the pair takes as many as its slower
+    lane: the solve at ``p`` takes 317 step attempts and the one at ``p/2``
+    188, so the two lanes run 317 two-lane attempts, 634 lane-attempts for
+    505 attempts of work (+26%).  And each lane-attempt costs about 22%
+    more, 54.7 against 44.8 us.  Together they make 34.7 ms as lanes
+    against 22.6 ms as two solves.  A cheaper lane loop can recover only
+    the second factor.
     """
     return isinstance(method, EulerMethod) and np.dtype(dtype).kind in "iufO"
 
 
-def _pair_lanes(solve: Callable, y0, p) -> list:
-    """The bundles of columns ``y0`` ``(m, B)`` and ``p`` ``(k, B)`` at ``p``, then at ``p/2``.
+def _pairs(solve: Callable, y0, p, method: SolverMethod) -> list:
+    """One pair ``(bundle at p, bundle at p/2)`` per column of ``y0`` and ``p``.
 
-    The ``2B`` systems of ``[p | p/2]`` are lanes of one solve: bundle
-    ``b`` is column ``b`` at ``p`` and bundle ``B + b`` at ``p/2``.
+    Columns ``y0`` of shape ``(m, B)`` and ``p`` of shape ``(k, B)`` give
+    ``B`` pairs, from the ``2B`` lanes of one solve of ``[p | p/2]``.  A
+    1-D input is one column, so two lanes, or two solves where
+    :func:`_two_lanes` says so.
     """
+    if y0.ndim == 1:
+        if not _two_lanes(np.result_type(y0, p), method):
+            return [(solve(y0, p), solve(y0, p / 2.0))]
+        y0, p = y0[:, None], p[:, None]
+    b = y0.shape[1]
     both = solve(np.hstack([y0, y0]), np.hstack([p, p / 2.0]))
-    return [SensitivityBundle(both.times, both.states[:, j], both.time_spec)
-            for j in range(both.states.shape[1])]
+    lanes = [SensitivityBundle(both.times, both.states[:, j], both.time_spec) for j in range(2 * b)]
+    return list(zip(lanes[:b], lanes[b:]))
 
 
 def fmain_gradient_forward(
@@ -439,20 +456,16 @@ def fmain_gradient_forward(
     only the final row, so the solves keep and contract only that row (see
     :func:`fmain_objective`).  Takes one input, ``y0`` of shape ``(m,)`` and
     ``p`` of shape ``(k,)``; columns are rejected.  The two sensitivity
-    systems of ``p`` and ``p/2`` are two lanes of one solve under Euler,
-    real or dual inputs alike, and two solves under RK23 (see
-    :func:`_two_lanes`).
+    systems of ``p`` and ``p/2`` come from :func:`_pairs`: two lanes of one
+    solve under Euler, real or dual inputs alike, and two solves under
+    RK23.
     """
     y0, p = np.asarray(y0), np.asarray(p)
     if y0.ndim != 1 or p.ndim != 1:
         raise ValueError(f"the forward gradient takes y0 of shape (m,) and p of shape (k,), "
                          f"got {y0.shape} and {p.shape}")
     time = _final_row(time)
-    solve = _sensitivity_solver(model, jac, time, method)
-    if _two_lanes(np.result_type(y0, p), method):
-        bundle1, bundle2 = _pair_lanes(solve, y0[:, None], p[:, None])
-    else:
-        bundle1, bundle2 = solve(y0, p), solve(y0, p / 2.0)
+    [(bundle1, bundle2)] = _pairs(_sensitivity_solver(model, jac, time, method), y0, p, method)
     m = bundle1.state_dim
     seeds = np.eye(m + bundle1.n_params)
     d1 = bundle1.dy_dy0[-1].dot(seeds[:m]) + bundle1.dy_dp[-1].dot(seeds[m:])
@@ -490,11 +503,11 @@ def fmain_gradient_reverse(
     Columns ``y0`` of shape ``(m, B)`` and ``p`` of shape ``(k, B)`` give
     the ``(m + k, B)`` gradients of the column pairs, each column bitwise
     its 1-D gradient.  The ``2B`` sensitivity systems of ``[p | p/2]``
-    are lanes of one solve under either integrator (see
-    :func:`run_columns`).  A 1-D input under Euler, real or dual, is one
-    such column, two lanes, so the forward-over-reverse Hessian makes one
-    lowered solve of two lanes; under RK23 its two solves run one by one
-    (see :func:`_two_lanes`).
+    are lanes of one solve under either integrator (see :func:`_pairs`
+    and :func:`run_columns`).  A 1-D input under Euler, real or dual, is
+    one such column, two lanes, so the forward-over-reverse Hessian makes
+    one lowered solve of two lanes; under RK23 its two solves run one by
+    one.
     """
     time = _final_row(time)
     solve = _sensitivity_solver(model, jac, time, method)
@@ -502,14 +515,8 @@ def fmain_gradient_reverse(
     m = y0.shape[0]
 
     def gradient(x):
-        y0, p = x[:m], x[m:]
-        if x.ndim == 1:
-            if _two_lanes(x.dtype, method):
-                return gradient(x[:, None])[:, 0]
-            return _pair_gradient(solve(y0, p), solve(y0, p / 2.0))
-        b = x.shape[1]
-        lanes = _pair_lanes(solve, y0, p)
-        return np.column_stack([_pair_gradient(lanes[j], lanes[b + j]) for j in range(b)])
+        gradients = [_pair_gradient(*pair) for pair in _pairs(solve, x[:m], x[m:], method)]
+        return gradients[0] if x.ndim == 1 else np.column_stack(gradients)
 
     return run_columns(gradient, np.concatenate([y0, np.asarray(p)]))
 

@@ -10,10 +10,10 @@ Every numeric routine in this package is written against plain arithmetic
 * nested duals -- ``Dual1`` whose components are themselves ``Dual1``,
   giving second-order (and, recursively, higher) directional derivatives.
 
-The helpers at the bottom evaluate Jacobian-vector products and full
-Jacobians of arbitrary vector functions by lifting their inputs into
-duals; lifting inputs that are already duals gives second directional
-derivatives.
+The helpers at the bottom lift arrays into duals and peel them into
+primals and tangents, and evaluate full Jacobians of arbitrary vector
+functions from one lifted pass; lifting inputs that are already duals
+gives second directional derivatives.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "primal_values",
     "tangent_values",
     "contains_dual",
-    "eval_jvp_dual",
     "eval_jacobian_dual",
     "complex_step_column",
 ]
@@ -245,11 +244,13 @@ def _scalar_array(values: Sequence, shape) -> np.ndarray:
         out = np.empty(len(values), dtype=object)
         out[:] = values
         return out.reshape(shape)
-    # the primals of lane duals are arrays; a constant among them fills its lanes
+    # the primals of lane duals are arrays; a constant among them fills its lanes.
+    # broadcast_arrays passes full lanes through: a broadcast_to per entry took the
+    # primals of a 40-lane predator-prey [f_y | f_p] from about 21 to 48 us
     lanes = next((v.shape for v in values if isinstance(v, np.ndarray)), None)
     if lanes is None:
         return np.asarray(values).reshape(shape)
-    return np.array([np.broadcast_to(v, lanes) for v in values]).reshape(shape + lanes)
+    return np.array(np.broadcast_arrays(*values)).reshape(shape + lanes)
 
 
 _dual_of = np.frompyfunc(Dual1, 2, 1)
@@ -316,23 +317,6 @@ def _seeded_tangents(out, width: tuple) -> np.ndarray:
     out = np.asarray(out)
     tangent = tangent_values(out)
     return tangent if tangent.ndim > out.ndim else np.zeros(out.shape + width)
-
-
-def eval_jvp_dual(f: Callable, x, seed):
-    """Evaluate ``(f(x), J_f(x) @ seed)`` with one dual-lifted pass.
-
-    The tangent is the exact derivative of the floating-point composition
-    of ``f`` in the seed direction.  ``f`` must accept a vector of any
-    scalar kind and return an array.  A seed of shape ``x.shape + (n,)``
-    carries ``n`` directions, and the tangent then has shape
-    ``f(x).shape + (n,)``, constant outputs included.
-    """
-    x = np.asarray(x)
-    seed = np.asarray(seed)
-    out = f(lift_dual(x, seed))
-    if seed.ndim > x.ndim:
-        return primal_values(out), _seeded_tangents(out, seed.shape[-1:])
-    return primal_values(out), tangent_values(out)
 
 
 def eval_jacobian_dual(f: Callable, x) -> np.ndarray:

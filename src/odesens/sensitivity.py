@@ -32,8 +32,9 @@ as the Hessian driver does, integrates the augmented system of the
 augmented system; its Jacobian then needs the model's second derivatives.
 A model declares none: whichever the Jacobian provider, they come from
 one ``m + k``-seed dual pass over the provider itself, whose tangents of
-``[f_y | f_p]`` are the second derivatives and whose primals of ``f`` are
-the augmented system's value row.  That structured provider takes lanes,
+``[f_y | f_p]`` are the second derivatives, whose primals of
+``[f_y | f_p]`` are the first, and whose primals of ``f`` are the
+augmented system's value row.  That structured provider takes lanes,
 so a real lowered Euler solve runs in the same two passes, with no
 per-step model call.  Its state is the flat stack of the model's
 composite state, so its state pass is the model's own two-pass
@@ -128,9 +129,10 @@ def analytic_jacobians(jac: Callable):
     ``jac`` takes ``(t, y, p)``; see ``OdeModel``.  Like every provider,
     ``provider(f, t, y, p)`` returns the pair ``(f(t, y, p), [f_y | f_p])``,
     so a step evaluates the model through its provider only.  A lowered
-    solve of the Hessian takes the second derivatives from one dual pass
-    over this provider (see :func:`_augmented_system`), so there ``f`` and
-    ``jac`` both run on duals, over lanes in an Euler solve.
+    solve of the Hessian takes ``f``, ``[f_y | f_p]`` and its derivatives
+    from one dual pass over this provider (see :func:`_augmented_system`),
+    so there ``f`` and ``jac`` run on duals only, over lanes in an Euler
+    solve.
     """
 
     def provider(f, t, y, p):
@@ -154,7 +156,9 @@ def dual_jacobians():
     lane times enters the pass as a lane dual of zero tangent, so ``f`` may
     combine it with the state by arithmetic and the numpy functions a
     ``Dual1`` takes, such as ``np.exp``, each lane bitwise its pass at a
-    real ``t``.
+    real ``t``.  A lowered solve of the Hessian runs this provider on
+    duals, one pass nested in another (see :func:`_augmented_system`): the
+    primals of the outer pass are this provider's pair, bit for bit.
     """
 
     def provider(f, t, y, p):
@@ -259,15 +263,19 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
     ``y`` and ``p`` columns of row block ``1 + l`` the second-order terms
     ``sum_q d f_y[:, q] S[q, l]`` (plus ``d f_p[:, l]`` in the ``V`` rows)
     with ``S = [V | W]``.  One rule serves every provider and scalar kind:
-    a real call of ``jac`` gives ``[f_y | f_p]``, whose shape is checked
-    first, and then one dual pass over ``jac`` itself with ``m + k`` seeds
-    gives the rest.  The tangents of its ``[f_y | f_p]`` are their
-    derivatives in ``(y, p)``, and the primals of its ``f`` row 0 of the
-    value.  The sum over ``q`` runs in the order in which the system's
-    object dot sums, ``q = 0`` first and ``f_p`` last.  Where ``jac``
-    equals a dual pass over ``f``, as it does for every packaged model, the
-    blocks therefore equal, value for value, a dual pass over the whole
-    system with ``n + k`` seeds; only the sign of an exact zero may differ.
+    one dual pass over ``jac`` itself with ``m + k`` seeds gives ``f``,
+    ``[f_y | f_p]`` and its derivatives.  The primals of its ``f`` are row
+    0 of the value, the primals of its ``[f_y | f_p]`` the first
+    derivatives, whose shape is checked before anything reads them, and
+    the tangents of its ``[f_y | f_p]`` their derivatives in ``(y, p)``.
+    On lane duals a provider of constants, such as the analytic provider
+    of the ``zero`` model, gives ``[f_y | f_p]`` without the lane axis,
+    and that one block serves every lane.  The sum over ``q`` runs in the
+    order in which the system's object dot sums, ``q = 0`` first and
+    ``f_p`` last.  Where ``jac`` equals a dual pass over ``f``, as it does
+    for every packaged model, the blocks therefore equal, value for value,
+    a dual pass over the whole system with ``n + k`` seeds; only the sign
+    of an exact zero may differ.
 
     ``jacobians`` takes lanes as the system does, its dual pass a lane
     pass: ``t`` of shape ``(L,)``, ``x`` ``(n, L)`` and ``p`` ``(k, L)``
@@ -324,11 +332,13 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
     def jacobians(_aug, t, x, p):
         lanes = p.shape[1:]
         rows = x.reshape(1 + k + m, m, *lanes)
-        first = jac(f, t, rows[0], p)[1]
-        # before the dual pass, which would fail on a wrong shape less clearly
-        _check_shape("jacobian provider", first, block, *lanes)
         # the provider on duals: second, the tangents of [f_y | f_p], is (m, m + k, m + k)
-        (value, _), second = _dual_pass(lambda t, y, p: jac(f, t, y, p), t, rows[0], p, part=1)
+        (value, first), second = _dual_pass(lambda t, y, p: jac(f, t, y, p), t, rows[0], p, part=1)
+        first = primal_values(first)
+        if lanes and first.shape == block:
+            # on lane duals a provider of constants gives one block for all lanes
+            first = np.broadcast_to(first[..., None], block + lanes)
+        # derivative checks the shape of first before anything reads it
         dx = derivative(rows, primal_values(value), first).reshape(x.shape)
         # rows[1 + l] is column l of S; cross[l] is row block 1 + l, columns (y, p)
         cross = second[:, 0] * rows[1:, 0, None, None]

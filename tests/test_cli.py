@@ -108,6 +108,12 @@ class TestSolve:
         assert run_cli(["solve", *TINY, *flags]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_an_output_grid_too_large_to_hold_exits_one(self, capsys):
+        # 10**18 rows of float64 are 8 EiB, which numpy refuses before touching memory
+        assert run_cli(["solve", "--t-end", "5", "--n-points", "1000000000000000000"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
     def test_keys_of_other_models_are_ignored(self, capsys):
         assert run_cli(["solve", "--model", "linear", *TINY]) == 0
         expected = capsys.readouterr().out

@@ -381,7 +381,7 @@ def test_hessian_lowered_solve_is_one_composite_solve_of_two_lanes(solve_shapes)
 
 @pytest.mark.parametrize("jac, passes", [
     ("analytic", [(6, 40)]),
-    ("ad", [(6, 40), (6, 40), (6, 40), (6,)]),
+    ("ad", [(6, 40), (6, 40), (6,)]),
 ])
 def test_hessian_lowered_jacobian_makes_no_pass_over_the_augmented_rhs(monkeypatch, jac, passes):
     columns, jac_inputs, rhs_calls = [], [], []
@@ -414,18 +414,17 @@ def test_hessian_lowered_jacobian_makes_no_pass_over_the_augmented_rhs(monkeypat
         # the solve's state pass is the model's own two-pass solve: rhs alone
         # once per step at a real t, both lanes in one call, then one lane-form
         # provider call, rhs and jac, at the block of 20 steps of two lanes.  One
-        # lane-form call of the structured provider evaluates rhs and jac at that
-        # block again, and the second derivatives come from one 6-seed lane pass
-        # over the provider there, whose t is a lane dual, of shape ().  No
-        # state-pass step builds a Dual1
-        assert rhs_calls == probe_t + [()] * 20 + [(40,), (40,), ()]
-        assert jac_inputs == probe_y + [((2, 40), np.dtype(float))] * 2 + [((2,), np.dtype(object))]
+        # lane-form call of the structured provider takes f, [f_y | f_p] and
+        # their derivatives at that block from one 6-seed lane pass over the
+        # provider, whose t is a lane dual, of shape ().  No state-pass step
+        # builds a Dual1
+        assert rhs_calls == probe_t + [()] * 20 + [(40,), ()]
+        assert jac_inputs == probe_y + [((2, 40), np.dtype(float)), ((2,), np.dtype(object))]
     else:
         # the model's state pass calls rhs on reals once per step, and its block a
         # 6-seed lane pass over rhs; the structured provider's block call takes
-        # that pass again, and its second derivatives one lane pass over that
-        # pass, nested: 23 rhs calls
-        assert rhs_calls == probe_t + [()] * 23
+        # one lane pass over that pass, nested: 22 rhs calls
+        assert rhs_calls == probe_t + [()] * 22
         # the AD provider differentiates the right-hand side, never the model's jac
         assert jac_inputs == []
 
@@ -478,8 +477,9 @@ def test_first_derivatives_of_the_wrong_shape_are_rejected(monkeypatch, driver, 
              fmain_hessian: np.repeat(time.times[:-1], 2) if isinstance(method, EulerMethod)
              else 0.0}[driver]
     assert np.array_equal(calls[4], first)
-    # and before any second derivative is taken
-    assert passes == []
+    # an RK23 Hessian's call is the structured provider's one pass, which yields
+    # the block and its derivatives together; it is checked before it is used
+    assert passes == ([(6,)] if isinstance(method, RK23Method) and driver is fmain_hessian else [])
 
 
 @pytest.mark.parametrize("method, gradient, shapes", [
