@@ -915,6 +915,20 @@ _SUMMING = OdeModel(_summing_rhs, _summing_jac, {"u0": 1.0, "v0": 0.5}, {"a": 0.
 class TestLaneContract:
     """``jacobian_provider`` checks that a model's functions keep their lanes apart."""
 
+    def test_a_lane_mixing_model_is_rejected_when_made(self):
+        # fmain_gradient_fd and fmain_gradient_cs run their points as lanes of a
+        # plain solve, so a model that mixes lanes would give them wrong numbers
+        with pytest.raises(ValueError, match=r"model rhs mixes lanes: entry \(0,\) of lane 0"):
+            OdeModel(_summing_rhs, _summing_jac, {"u0": 1.0, "v0": 0.5}, {"a": 0.3}, ())
+
+    def test_a_model_without_the_lane_axis_is_rejected_when_made(self):
+        # lanes of a plain solve would broadcast it along the wrong axis, or fail
+        with pytest.raises(ValueError, match=r"model rhs of 3 lanes returned shape \(2,\); "
+                                             r"expected \(2,\) with a last axis of lanes"):
+            OdeModel(lambda t, y, p: np.array([1.0, -2.0]),
+                     lambda t, y, p: np.zeros((2, 4) + np.shape(y)[1:]),
+                     {"u0": 1.0, "v0": 0.5}, {"a": 0.3, "b": 0.7}, ())
+
     def test_a_right_hand_side_that_sums_over_lanes_is_rejected(self):
         for kind in ("analytic", "ad"):
             with pytest.raises(ValueError, match=r"model rhs mixes lanes: entry \(0,\) of lane 0"):
