@@ -121,6 +121,34 @@ def _zero_jac(t, y, p):
     return np.zeros((len(y), len(y) + len(p)) + np.shape(y)[1:])
 
 
+# lane times, and scales of the default state and parameters, at which an
+# OdeModel checks its lane contract: three distinct points
+_PROBE_TIMES = np.array([0.25, 0.5, 0.75])
+_PROBE_SCALES = np.array([0.75, 1.0, 1.25])
+
+
+def _check_lanes(name: str, fn: Callable, y, p, shape: tuple):
+    """Raise ``ValueError`` if ``fn`` on the lanes of ``y`` and ``p`` breaks the lane contract.
+
+    At each lane's point alone ``fn`` must give ``shape``.  Lane ``b`` of one
+    call at the lane times ``_PROBE_TIMES`` must equal, bit for bit, the
+    call at column ``b`` and that lane's time.
+    """
+    lanes = np.asarray(fn(_PROBE_TIMES, y, p), float)
+    for b, t in enumerate(_PROBE_TIMES.tolist()):
+        one = np.asarray(fn(t, y[:, b], p[:, b]), float)
+        if one.shape != shape:
+            raise ValueError(f"model {name} returned shape {one.shape}; expected {shape}")
+        if lanes.shape != shape + (len(_PROBE_TIMES),):
+            raise ValueError(f"model {name} of {len(_PROBE_TIMES)} lanes returned shape "
+                             f"{lanes.shape}; expected {shape} with a last axis of lanes")
+        lane = lanes[..., b]
+        if lane.tobytes() != one.tobytes():
+            at = next(i for i in np.ndindex(shape) if lane[i].tobytes() != one[i].tobytes())
+            raise ValueError(f"model {name} mixes lanes: entry {at} of lane {b} is {lane[at]!r}, "
+                             f"but {one[at]!r} at that lane's point alone")
+
+
 @dataclass(frozen=True)
 class OdeModel:
     """A right-hand side, its first derivatives and the scenario inputs it reads.
@@ -144,11 +172,17 @@ class OdeModel:
     ``y`` of shape ``(m, B)`` and ``p`` of shape ``(k, B)`` give ``f`` of
     shape ``(m, B)`` and ``[f_y | f_p]`` of shape ``(m, m + k, B)``, lane
     ``b`` bitwise the value at column ``b``.  Euler and RK23 solves and
-    their sensitivities run many real inputs as such lanes.
-    :func:`~odesens.sensitivity.jacobian_provider` checks this once, on
-    three lanes at scaled defaults, and raises ``ValueError`` for a model
-    that mixes them; an output without the lane axis passes if it is the
-    same at every lane, as a right-hand side of constants is.  Under lanes
+    their sensitivities, plain lane solves of the finite differences and
+    the complex step among them, run many real inputs as such lanes.  A
+    model checks this where it is made, on three lanes at scaled defaults
+    and distinct lane times: ``rhs``, and ``jac`` unless it is ``None``,
+    must give ``(m,)`` and ``(m, m + k)`` at each lane's point alone, the
+    lane axis on the three lanes, and each lane bit for bit its one-point
+    call; otherwise ``ValueError`` names the function, the shape or the
+    lane and the first entry that differs.  An output without the lane
+    axis is rejected, a right-hand side of constants included: it gives
+    its constants once per lane.  A ``jac`` of ``None`` suits a model that
+    only plain solves run, as no such solve calls it.  Under lanes
     ``t`` may be a vector of lane times, one per column: an Euler
     sensitivity solve evaluates a block of steps at their own times in one
     call, and under RK23 lanes ``t`` is always that vector, as each lane
@@ -186,6 +220,14 @@ class OdeModel:
     states: dict
     params: dict
     positive: tuple
+
+    def __post_init__(self):
+        m, k = len(self.states), len(self.params)
+        y = np.array(list(self.states.values()), float)[:, None] * _PROBE_SCALES
+        p = np.array(list(self.params.values()), float)[:, None] * _PROBE_SCALES[::-1]
+        _check_lanes("rhs", self.rhs, y, p, (m,))
+        if self.jac is not None:
+            _check_lanes("jac", self.jac, y, p, (m, m + k))
 
     @property
     def state_dim(self) -> int:

@@ -45,7 +45,6 @@ then gives every step's structured Jacobian.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -168,61 +167,17 @@ def dual_jacobians():
     return provider
 
 
-def _check_lanes(name: str, fn: Callable, y, p):
-    """Raise ``ValueError`` if ``fn`` on the lanes of ``y`` and ``p`` mixes them.
-
-    Lane ``b`` of one call at the lane times ``_PROBE_TIMES`` must equal,
-    bit for bit, the call at column ``b`` and that lane's time.  An output
-    without the lane axis, a constant, passes if it equals every one-point
-    call.
-    """
-    lanes = np.asarray(fn(_PROBE_TIMES, y, p), float)
-    for b, t in enumerate(_PROBE_TIMES.tolist()):
-        one = np.asarray(fn(t, y[:, b], p[:, b]), float)
-        if lanes.shape not in (one.shape, one.shape + (len(_PROBE_TIMES),)):
-            raise ValueError(f"model {name} of {len(_PROBE_TIMES)} lanes returned shape "
-                             f"{lanes.shape}; expected {one.shape} with a last axis of lanes")
-        lane = lanes if lanes.shape == one.shape else lanes[..., b]
-        if lane.tobytes() != one.tobytes():
-            at = next(i for i in np.ndindex(one.shape) if lane[i].tobytes() != one[i].tobytes())
-            raise ValueError(f"model {name} mixes lanes: entry {at} of lane {b} is {lane[at]!r}, "
-                             f"but {one[at]!r} at that lane's point alone")
-
-
-# lane times, and scales of the default state and parameters, at which
-# jacobian_provider checks the lane contract: three distinct points
-_PROBE_TIMES = np.array([0.25, 0.5, 0.75])
-_PROBE_SCALES = np.array([0.75, 1.0, 1.25])
-
-# (id, kind) -> each model whose lane contract has passed for that provider kind;
-# a model is a frozen dataclass, so once is enough, not once per provider: a short
-# command makes a provider, and the check costs it about 30 us for predator-prey
-_CHECKED = weakref.WeakValueDictionary()
-
-
 def jacobian_provider(model, kind: str):
     """Resolve ``"analytic"`` or ``"ad"`` to a Jacobian provider for an ``OdeModel``.
 
-    The model's ``rhs`` and ``jac`` follow its lane contract, so the
-    provider records ``model.rhs``: a real Euler sensitivity solve of that
-    ``rhs`` with this provider evaluates blocks of steps in one lane-form
-    call (see :func:`forward_sensitivity_solve`).  A model that breaks the
-    contract would give wrong numbers there without an error, so the
-    contract is checked here, once per model and kind: ``rhs``, and
-    ``jac`` for the analytic provider, which calls it, run on three lanes
-    at scaled default points and distinct lane times, and each lane must
-    equal its one-point call bit for bit; otherwise ``ValueError`` names
-    the function, the lane and the first entry that differs.
+    The model's ``rhs`` and ``jac`` follow its lane contract, which the
+    model checked when it was made, so the provider records ``model.rhs``:
+    a real Euler sensitivity solve of that ``rhs`` with this provider
+    evaluates blocks of steps in one lane-form call (see
+    :func:`forward_sensitivity_solve`).
     """
     if kind not in ("analytic", "ad"):
         raise ValueError(f"unknown jacobian provider {kind!r}; choose 'analytic' or 'ad'")
-    if _CHECKED.get((id(model), kind)) is not model:
-        y = np.array(list(model.states.values()), float)[:, None] * _PROBE_SCALES
-        p = np.array(list(model.params.values()), float)[:, None] * _PROBE_SCALES[::-1]
-        _check_lanes("rhs", model.rhs, y, p)
-        if kind == "analytic":
-            _check_lanes("jac", model.jac, y, p)
-        _CHECKED[id(model), kind] = model
     provider = analytic_jacobians(model.jac) if kind == "analytic" else dual_jacobians()
     provider._lane_rhs = model.rhs
     return provider
@@ -313,7 +268,7 @@ def _augmented_system(f: Callable, jac, state_dim: int, n_params: int):
             out = rows.dot(np.ascontiguousarray(first[:, :m]).T)
         else:
             _check_shape("jacobian provider", first, block, rows.shape[2])
-            # a right-hand side of constants gives one value for all lanes
+            # on lane duals a right-hand side of constants gives one value for all lanes
             value = np.reshape(value, (m, -1))
             # lane b of the stacked matmul is the one-lane dot of C-contiguous operands
             # lanes first, as transposed views: np.moveaxis costs microseconds a call
@@ -440,28 +395,31 @@ def forward_sensitivity_solve(
     other pair of shapes is rejected, a 1-D ``p`` with lanes of ``y0`` or
     a lane count that differs included, whichever the provider.
 
-    A real Euler solve, one lane or ``B``, runs in two passes (see
-    :func:`_two_pass_euler`) when the provider records ``f`` as its
-    ``_lane_rhs``: ``f`` and the provider then follow a lane contract,
-    which lets one provider call evaluate a block of steps, with ``t`` a
-    vector of lane times.  That is a model's ``rhs`` with the model's
-    provider from :func:`jacobian_provider`, and the augmented system of
-    such a pair with its structured provider, analytic or AD, which is what
-    a lowered solve of :func:`dual_aware_solve` hands over.  Any other
-    ``f`` or provider is not known to take lanes, the system of such a
-    system, which nested duals lower to, included, so the composite system
-    is stepped with one provider call per step at a real ``t``, lanes one
-    column at a time.  Both ways give the same bits.  Outside the two
-    passes, one coupled system is one solve of the ravel of its row stack,
-    the flat state of :func:`_augmented_system`, under either integrator.
+    The solve takes one of three ways, each giving the same bits as the
+    others would.
 
-    RK23, whose step control reads the sensitivities, steps the composite
-    with one provider call per stage.  Its lanes are one solve of the
-    ``(n, L)`` matrix whose columns are the ravelled stacks, which
-    :func:`_augmented_system` takes, when the provider records ``f`` as its
-    ``_lane_rhs``: every stage is then one lane-form provider call with
-    ``t`` the vector of lane times.  With any other provider RK23 lanes run
-    one column at a time.
+    * Two passes (see :func:`_two_pass_euler`): a real Euler solve, one
+      lane or ``B``, whose provider records ``f`` as its ``_lane_rhs``.
+      ``f`` and the provider then follow a lane contract, which lets one
+      provider call evaluate a block of steps, with ``t`` a vector of lane
+      times.  That is a model's ``rhs`` with the model's provider from
+      :func:`jacobian_provider`, as the gradient drivers and ``sens`` solve
+      it, and the augmented system of such a pair with its structured
+      provider, analytic or AD, which a lowered Euler solve of
+      :func:`dual_aware_solve` hands over.
+    * One solve of the flat state, the ravel of the row stack (see
+      :func:`_augmented_system`), with one provider call per step or RK23
+      stage: one system under either integrator, and lanes as the
+      ``(n, L)`` matrix whose columns are their ravelled stacks when the
+      provider records ``f`` or the inputs are dual.  Those are a model's
+      RK23 lanes, whose every stage is one lane-form provider call with
+      ``t`` the vector of lane times, and dual lanes, such as the lowered
+      pair ``p`` and ``p/2`` of the forward-over-reverse Hessian, whose
+      lowered solve is one real solve of their lanes.
+    * One solve per column: real lanes of an ``f`` or provider not known
+      to take lanes, as :func:`dual_aware_solve` of a user ``rhs`` with
+      lanes, or of nested-dual lanes, whose augmented system of an
+      augmented system records no ``_lane_rhs``, hands over.
     """
     y0 = np.asarray(y0)
     p = np.asarray(p)
@@ -489,13 +447,10 @@ def forward_sensitivity_solve(
 
     if isinstance(method, EulerMethod) and lane_rhs and not dual:
         traj = _two_pass_euler(f, jac, p, y0, x0, time, method)
-    elif y0.ndim == 1:
-        # one coupled system is stepped as its ravel, under either integrator
-        traj = solve(x0.ravel())
-    elif lane_rhs or dual:
-        # RK23 lanes, and dual lanes for their lowered solve, as the columns of
-        # their flat stacks, (n, L)
-        traj = solve(x0.reshape(len(x0), -1).T)
+    elif y0.ndim == 1 or lane_rhs or dual:
+        # one system as its ravel, (n,), lanes as the columns of their flat
+        # stacks, (n, L); for one system the move of the lane axis is a no-op
+        traj = solve(x0.reshape(x0.shape[:-2] + (-1,)).T)
         traj = Trajectory(traj.times, np.moveaxis(traj.states, -1, 1))
     else:
         columns = [forward_sensitivity_solve(f, jac, p[:, b], y0[:, b], time, method)
@@ -560,7 +515,8 @@ def _recurrence(f: Callable, jac, p, y0, states) -> Callable:
         _check_shape("jacobian provider", first, (m, m + k), n)
         value = np.reshape(value, (m, -1))
         if value.shape[1] != n:
-            # a right-hand side of constants gives one value for all lanes
+            # the AD provider's lane pass over a right-hand side of constants gives
+            # one value for all lanes
             value = np.broadcast_to(value, (m, n))
         value = value.reshape((m,) + shape).transpose(axes + (0,))
         first = first.reshape((m, m + k) + shape).transpose(tuple(a + 1 for a in axes) + (0, 1))
@@ -610,7 +566,9 @@ def _recurrence(f: Callable, jac, p, y0, states) -> Callable:
 def _state_pass(f: Callable, p, y0, grid, n_subs):
     """The state pass of a two-pass solve: every substep, as ``_euler_steps`` yields it.
 
-    The state alone is ``y0`` stepped by ``f``.  The augmented system of a
+    The state alone is ``y0`` stepped by ``f``, one point or lanes alike: a
+    model's ``rhs`` gives the lane axis, which the model checked when it was
+    made, so no step tests the shape of its value.  The augmented system of a
     model's ``rhs`` with its provider, which a lowered solve steps, knows
     that pair (see :func:`_augmented_system`): its state, the flat stack
     ``[y; V^T; W^T]``, is then the model's own composite state, bitwise, so
@@ -620,17 +578,7 @@ def _state_pass(f: Callable, p, y0, grid, n_subs):
     """
     model = getattr(f, "_model", None)
     if model is None:
-        if y0.ndim == 1:
-            return _euler_steps(lambda t, y: f(t, y, p), grid, n_subs, y0)
-
-        def lane_rhs(t, y):
-            # over lanes a right-hand side of constants gives one value for all
-            # lanes, as in the per-step system; reshaped only then, as a reshape
-            # on every step took the two-lane reference-grid Euler gradient
-            # from about 0.13 to 0.14 s
-            value = f(t, y, p)
-            return value if value.ndim == 2 else np.reshape(value, (len(y), -1))
-        return _euler_steps(lane_rhs, grid, n_subs, y0)
+        return _euler_steps(lambda t, y: f(t, y, p), grid, n_subs, y0)
     rhs, jac, m, k = model
     y = y0[:m]
     recurrence = _recurrence(rhs, jac, p, y, _state_pass(rhs, p, y, grid, n_subs))

@@ -391,8 +391,9 @@ def _decay_jac(t, y, p):
 
 DECAY = OdeModel(_decay_rhs, _decay_jac, {"u0": 1.0, "v0": 0.5}, {"a": 0.3, "b": 0.7}, ())
 
-# a right-hand side of constants only: one lane, whose f does not take the lane shape
-CONSTANT = OdeModel(lambda t, y, p: np.array([1.0, -2.0]),
+# a right-hand side of constants only: real lanes give the constants once per lane, while
+# on lane duals, whose lanes live inside each Dual1, f and [f_y | f_p] have no lane axis
+CONSTANT = OdeModel(lambda t, y, p: np.multiply.outer([1.0, -2.0], np.ones(np.shape(y)[1:])),
                     lambda t, y, p: np.zeros((2, 4) + np.shape(y)[1:]),
                     {"u0": 1.0, "v0": 0.5}, {"a": 0.3, "b": 0.7}, ())
 
@@ -541,20 +542,6 @@ class TestTwoPassEuler:
             reference = _per_step_solve(model, kind, p.reshape(2, -1)[:, b], y0.reshape(2, -1)[:, b],
                                         time, 0.01)
             assert states[:, b].tobytes() == reference.states.tobytes()
-
-    @pytest.mark.parametrize("lanes", [2, 3])
-    def test_a_state_pass_of_constants_steps_each_lane_as_its_own(self, lanes):
-        # a value without the lane axis broadcasts along the lanes of as many
-        # lanes as states, which the recurrence's rows would not show, and does
-        # not broadcast over more
-        grid, n_subs = _euler_grid(self.TIMES["uneven"], 0.01)
-        y0 = np.array([1.0, 0.5])[:, None] * np.arange(1.0, lanes + 1.0)
-        p = np.array([0.3, 0.7])[:, None] * np.ones(lanes)
-        got = list(sensitivity._state_pass(CONSTANT.rhs, p, y0, grid, n_subs))
-        for b in range(lanes):
-            one = sensitivity._state_pass(CONSTANT.rhs, p[:, b], y0[:, b], grid, n_subs)
-            assert [(t, end, y[:, b].tobytes()) for t, end, y in got] == [
-                (t, end, y.tobytes()) for t, end, y in one]
 
     def test_the_fd_hessian_of_a_model_of_constants_is_zero(self):
         # its 12 central points, at p and p/2, run as 24 lanes of one state pass
@@ -909,11 +896,8 @@ def _summing_jac(t, y, p):
     return np.array([[-p[0] * one, -p[0] * one, -(y[0] + y[1])], [p[0] * one, zero, y[0]]])
 
 
-_SUMMING = OdeModel(_summing_rhs, _summing_jac, {"u0": 1.0, "v0": 0.5}, {"a": 0.3}, ())
-
-
 class TestLaneContract:
-    """``jacobian_provider`` checks that a model's functions keep their lanes apart."""
+    """Making an ``OdeModel`` checks that its functions keep their lanes apart."""
 
     def test_a_lane_mixing_model_is_rejected_when_made(self):
         # fmain_gradient_fd and fmain_gradient_cs run their points as lanes of a
@@ -929,38 +913,40 @@ class TestLaneContract:
                      lambda t, y, p: np.zeros((2, 4) + np.shape(y)[1:]),
                      {"u0": 1.0, "v0": 0.5}, {"a": 0.3, "b": 0.7}, ())
 
-    def test_a_right_hand_side_that_sums_over_lanes_is_rejected(self):
-        for kind in ("analytic", "ad"):
-            with pytest.raises(ValueError, match=r"model rhs mixes lanes: entry \(0,\) of lane 0"):
-                jacobian_provider(_SUMMING, kind)
-
     def test_a_jacobian_that_sums_over_lanes_is_rejected(self):
         def jac(t, y, p):
             one, zero = 1.0 + 0.0 * y[0], 0.0 * y[0]
             return np.array([[-p[0] * one, -p[0] * one, -y.sum() * one], [p[0] * one, zero, y[0]]])
 
-        model = dataclasses.replace(_SUMMING, rhs=lambda t, y, p: np.array(
-            [-p[0] * (y[0] + y[1]), p[0] * y[0]]), jac=jac)
+        # checked whichever provider the model will take, the AD one included
         with pytest.raises(ValueError, match=r"model jac mixes lanes: entry \(0, 2\) of lane 0"):
-            jacobian_provider(model, "analytic")
-        # the AD provider does not call jac
-        jacobian_provider(model, "ad")
+            OdeModel(lambda t, y, p: np.array([-p[0] * (y[0] + y[1]), p[0] * y[0]]), jac,
+                     {"u0": 1.0, "v0": 0.5}, {"a": 0.3}, ())
 
-    def test_an_output_without_the_lane_axis_must_be_the_same_at_every_lane(self):
-        model = dataclasses.replace(CONSTANT,
-                                    rhs=lambda t, y, p: np.array([np.ravel(p[0])[0], 0.0]))
-        with pytest.raises(ValueError, match=r"model rhs mixes lanes: entry \(0,\) of lane 1"):
-            jacobian_provider(model, "analytic")
+    def test_an_output_without_the_lane_axis_is_rejected(self):
+        # the same at every lane or not
+        for rhs in (lambda t, y, p: np.array([np.ravel(p[0])[0], 0.0]),
+                    lambda t, y, p: np.array([0.3, 0.0])):
+            with pytest.raises(ValueError, match=r"model rhs of 3 lanes returned shape \(2,\); "
+                                                 r"expected \(2,\) with a last axis of lanes"):
+                dataclasses.replace(CONSTANT, rhs=rhs)
         # the lane axis first
-        model = dataclasses.replace(CONSTANT,
-                                    rhs=lambda t, y, p: np.transpose([p[0] * y[0], -y[1]]))
         with pytest.raises(ValueError, match=r"model rhs of 3 lanes returned shape \(3, 2\); "
                                              r"expected \(2,\) with a last axis of lanes"):
-            jacobian_provider(model, "analytic")
+            dataclasses.replace(CONSTANT, rhs=lambda t, y, p: np.transpose([p[0] * y[0], -y[1]]))
+
+    def test_a_wrong_shape_at_one_point_is_named(self):
+        with pytest.raises(ValueError, match=re.escape("model jac returned shape (2, 4); "
+                                                       "expected (2, 6)")):
+            dataclasses.replace(MODELS["lv"], jac=lambda t, y, p: np.zeros((2, 4) + np.shape(y)[1:]))
+        with pytest.raises(ValueError, match=re.escape("model rhs returned shape (3,); "
+                                                       "expected (2,)")):
+            dataclasses.replace(MODELS["lv"], rhs=lambda t, y, p: np.append(lv_rhs(t, y, p), y[:1], 0))
 
     @pytest.mark.parametrize("model", [*MODELS.values(), *_STRUCTURED_MODELS.values(), FORCED,
                                        DECAY, CONSTANT])
     def test_every_packaged_and_test_model_keeps_the_contract(self, model):
+        dataclasses.replace(model)  # made, so checked, once more
         for kind in ("analytic", "ad"):
             assert jacobian_provider(model, kind)._lane_rhs is model.rhs
 
