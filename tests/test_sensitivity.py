@@ -32,7 +32,6 @@ from odesens.solvers import (
     RK23Method,
     Span,
     SpanModeError,
-    _euler_grid,
     _FinalRow,
     euler_solve,
     run_solver,
